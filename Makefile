@@ -1,19 +1,21 @@
 # Developer entry points.  `make verify` is the tier-1 gate: the full
 # test suite (slow robustness tests included), the quick deterministic
-# differential-fuzzing tier, plus the observability-overhead,
-# span-tracing-overhead, parallel-sweep, streaming-scheduler,
-# fast-path, and fault-tolerance-overhead budget checks.
+# differential-fuzzing tier, the perfbench self-test, plus the
+# observability-overhead, span-tracing-overhead, parallel-sweep,
+# streaming-scheduler, fast-path, and fault-tolerance-overhead budget
+# checks.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify test test-slow fuzz-quick fuzz bench-obs bench-trace \
-        bench-sweep bench-scheduler bench-hotloop bench-faults \
-        bench-race bench-fleet benchgate-compare bench backfill-store
+.PHONY: verify test test-slow fuzz-quick fuzz perfbench-selftest \
+        bench-obs bench-trace bench-sweep bench-scheduler bench-hotloop \
+        bench-faults bench-race bench-fleet benchgate-compare bench \
+        backfill-store
 
-verify: test test-slow fuzz-quick bench-obs bench-trace bench-sweep \
-        bench-scheduler bench-hotloop bench-faults bench-race \
-        bench-fleet benchgate-compare
+verify: test test-slow fuzz-quick perfbench-selftest bench-obs \
+        bench-trace bench-sweep bench-scheduler bench-hotloop bench-faults \
+        bench-race bench-fleet benchgate-compare
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -27,6 +29,12 @@ test-slow:
 # engine x flow differential matrix (< 60 s, zero divergences expected).
 fuzz-quick:
 	$(PYTHON) -m repro.tools.fuzz --seed 1 --budget 200 --quiet
+
+# The benchmark's own tiny-size self-test (~2.5 min): fails here, not
+# in a benchmark run, when a refactor renames or reshapes what
+# perfbench/ imports from the program.
+perfbench-selftest:
+	$(PYTHON) -m pytest perfbench -q
 
 # Longer fuzzing session with shrinking for local bug hunts.
 fuzz:

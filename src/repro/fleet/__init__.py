@@ -12,7 +12,6 @@ from .datacenter import (
     FleetSpec,
     TenantResult,
     run_fleet,
-    sweep_fleet,
 )
 from .traffic import ARRIVAL_KINDS, ArrivalSpec, arrival_times
 
@@ -21,7 +20,6 @@ __all__ = [
     "FleetResult",
     "TenantResult",
     "run_fleet",
-    "sweep_fleet",
     "ArrivalSpec",
     "arrival_times",
     "ARRIVAL_KINDS",

@@ -15,8 +15,9 @@ each core runs work-conserving round-robin over its runnable tenants
 (a tenant is runnable when it has arrived-but-unserved work), and the
 global interleaving always steps the core with the smallest
 ``(clock, index)`` — so the simulation is bit-deterministic in the
-:class:`FleetSpec` alone, which is what lets :func:`sweep_fleet` be
-bit-identical sequential vs pooled.
+:class:`FleetSpec` alone, which is what lets the harness's scheduler
+cache fleet points and run them sequentially or pooled with
+bit-identical results.
 
 Dispatching a *different* tenant on a core charges the context-switch
 cost and flushes the incoming tenant's DRC and TLBs (its RDR-table
@@ -28,8 +29,9 @@ cycle-resolution, not quantum-resolution.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from ..arch.config import MachineConfig
 from ..arch.cpu import CycleCPU
@@ -45,7 +47,6 @@ __all__ = [
     "TenantResult",
     "FleetResult",
     "run_fleet",
-    "sweep_fleet",
 ]
 
 MODES = ("baseline", "naive_ilr", "vcfr")
@@ -53,7 +54,16 @@ MODES = ("baseline", "naive_ilr", "vcfr")
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """One point of the fleet grid; fully determines the simulation."""
+    """One point of the fleet grid; fully determines the simulation.
+
+    A scheduler job with the same surface as
+    :class:`~repro.security.race.RaceSpec`.
+    """
+
+    #: job kind: picks the executor and the run-store row kind.
+    kind = "fleet"
+    #: the result is not a ``SimResult``: the cache pickles it.
+    is_simulation = False
 
     workload: str = SERVICE_WORKLOAD
     scale: float = 0.3
@@ -73,11 +83,20 @@ class FleetSpec:
     #: stops serving (remaining requests count as unserved).
     max_instructions: int = 400_000
 
+    def normalized(self) -> "FleetSpec":
+        return self
+
+    def as_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
     def label(self) -> str:
         return "%s/%s/%dt%dc/%s" % (
             self.workload, self.mode, self.tenants, self.cores,
             self.arrival.kind,
         )
+
+    def event_fields(self) -> Dict[str, object]:
+        return {"workload": self.workload, "mode": self.mode}
 
 
 @dataclass
@@ -167,8 +186,8 @@ class FleetResult:
     def tenant_points(self) -> List[dict]:
         """One flat row per tenant: spec echo + tenant metrics.
 
-        This is the event/store surface (``tenant_point`` events and
-        ``fleet_points`` rows).
+        This is the ``tenant_point`` event surface, and the row shape
+        of ``python -m repro.tools.stats fleet``.
         """
         echo = {
             "workload": self.workload,
@@ -391,8 +410,13 @@ def _step(core: _Core, spec: FleetSpec) -> None:
         chosen.dead = True
 
 
-def run_fleet(spec: FleetSpec, config: Optional[MachineConfig] = None) -> FleetResult:
-    """Run one fleet point; deterministic in ``spec`` alone."""
+def run_fleet(spec: FleetSpec, config: Optional[MachineConfig] = None,
+              events=None) -> FleetResult:
+    """Run one fleet point; deterministic in ``spec`` alone.
+
+    With ``events``, each tenant's row is logged as a ``tenant_point``
+    record.
+    """
     if spec.tenants < 1 or spec.cores < 1:
         raise ValueError("need at least one tenant and one core")
     if spec.request_instructions < 1:
@@ -492,7 +516,7 @@ def run_fleet(spec: FleetSpec, config: Optional[MachineConfig] = None) -> FleetR
     instructions = sum(t.instructions for t in tenant_results)
     cycles = sum(t.cycles for t in tenant_results)
     l2 = shared.l2.stats
-    return FleetResult(
+    result = FleetResult(
         workload=spec.workload,
         mode=spec.mode,
         seed=spec.seed,
@@ -538,36 +562,7 @@ def run_fleet(spec: FleetSpec, config: Optional[MachineConfig] = None) -> FleetR
             for core in cores
         ],
     )
-
-
-def _fleet_point(spec: FleetSpec) -> FleetResult:
-    return run_fleet(spec)
-
-
-def sweep_fleet(specs: Iterable[FleetSpec], workers: int = 0, events=None,
-                store=None) -> List[FleetResult]:
-    """Run a grid of fleet points, optionally across a process pool.
-
-    Results come back in input order and are bit-identical between the
-    sequential and pooled paths (workers compute, the parent records:
-    all event emission and store writes happen here, after collection).
-    """
-    specs = list(specs)
     if events is not None:
-        events.emit("fleet_start", points=len(specs))
-    if workers and workers >= 2 and len(specs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fleet_point, specs, chunksize=1))
-    else:
-        results = [run_fleet(spec) for spec in specs]
-    for result in results:
         for point in result.tenant_points():
-            if events is not None:
-                events.emit("tenant_point", **point)
-            if store is not None:
-                store.record_fleet_point(point)
-    if events is not None:
-        events.emit("fleet_end", points=len(results))
-    return results
+            events.emit("tenant_point", **point)
+    return result

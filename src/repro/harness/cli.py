@@ -1,11 +1,14 @@
 """Shared CLI option builders for the harness and tool entry points.
 
-``python -m repro.harness``, ``python -m repro.tools.run``, and
-``python -m repro.tools.fuzz`` expose the same observability knobs —
+``python -m repro.harness``, ``python -m repro.tools.run``,
+``python -m repro.tools.fuzz``, ``python -m repro.tools.race`` and
+``python -m repro.tools.fleet`` expose the same observability knobs —
 ``--events`` / ``--progress`` / ``--checkpoint-interval`` / ``--store``
 / ``--trace-out`` / ``--dashboard`` — and the harness and run tool
 share the sweep and fault flags too.  Defining the flags here (once)
 keeps names, defaults, and help text from drifting between parsers.
+:func:`sweep_from_args` runs a job grid through one session built from
+those flags.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ __all__ = [
     "add_sweep_options",
     "add_fault_options",
     "fault_config_from_args",
+    "sweep_from_args",
 ]
 
 
@@ -115,3 +119,37 @@ def fault_config_from_args(args):
             backoff_factor=DEFAULT_RETRY.backoff_factor,
         )
     return retry, faults
+
+
+def sweep_from_args(args, specs) -> list:
+    """Run ``specs`` through one :class:`~repro.harness.session.
+    ExperimentSession` built from the observability flags and
+    ``--workers``; returns the outcomes in input order, having reported
+    quarantined specs on stderr."""
+    from ..obs import open_log, status
+    from ..obs.trace import Tracer
+    from .dashboard import Dashboard
+    from .session import ExperimentSession
+
+    tracer = Tracer() if args.trace_out else None
+    with ExperimentSession(events=open_log(args.events),
+                           progress=args.progress,
+                           checkpoint_interval=args.checkpoint_interval,
+                           workers=args.workers, tracer=tracer,
+                           store_path=args.store) as session:
+        dashboard = None
+        if args.dashboard:
+            dashboard = Dashboard(total=len(specs))
+            dashboard.attach(session.events)
+        outcomes = session.sweep(specs)
+        if dashboard is not None:
+            dashboard.finish()
+    if tracer is not None:
+        count = tracer.to_chrome(args.trace_out)
+        status("wrote %s (%d spans)" % (args.trace_out, count))
+    for outcome in outcomes:
+        if not outcome.ok:
+            status("QUARANTINED %s after %d attempt(s) [%s]: %s"
+                   % (outcome.spec.label(), outcome.attempts,
+                      outcome.failure.kind, outcome.failure.error))
+    return outcomes

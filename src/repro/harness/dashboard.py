@@ -47,7 +47,11 @@ def _sparkline(values: Iterable[float]) -> str:
 
 
 def _label(record: dict) -> str:
-    """Spec label from event fields (mirrors ``RunSpec.label``)."""
+    """Spec label of an engine record: its ``label`` field, rebuilt
+    from the run fields (mirroring ``RunSpec.label``) for records that
+    predate it."""
+    if "label" in record:
+        return record["label"]
     workload = record.get("workload", "?")
     mode = record.get("mode", "?")
     if mode == "vcfr":
@@ -103,7 +107,7 @@ class Dashboard:
         self.retries = 0
         self.pool_rebuilds = 0
         #: rotation-service race telemetry.
-        self.race_points = 0
+        self.races = 0
         self.rotations = 0
         #: datacenter-fleet telemetry (``tenant_point`` events).
         self.fleet_tenants = 0
@@ -171,15 +175,12 @@ class Dashboard:
         elif kind == "fuzz_finding":
             self.findings += 1
         elif kind == "race_point":
-            self.done += 1
-            self.race_points += 1
+            self.races += 1
         elif kind == "rotation":
             self.rotations += 1
         elif kind == "tenant_point":
             self.fleet_tenants += 1
             self.fleet_served += record.get("served", 0)
-        elif kind == "fleet_end":
-            self.done += record.get("points", 0)
         else:
             return
         self.maybe_render()
@@ -202,8 +203,8 @@ class Dashboard:
             parts.append("retries %d" % self.retries)
         if self.pool_rebuilds:
             parts.append("pool rebuilds %d" % self.pool_rebuilds)
-        if self.race_points or self.rotations:
-            race = "races %d" % self.race_points
+        if self.races or self.rotations:
+            race = "races %d" % self.races
             if self.rotations:
                 race += " rot %d" % self.rotations
             parts.append(race)

@@ -439,15 +439,10 @@ def gadget_window(runner: Runner) -> ExperimentResult:
     (fraction of execution with a complete harvested payload, and the
     longest contiguous such window) against the defense's cost
     (rotation cycles charged plus block/trace invalidations).  Race
-    points are seed-deterministic and bit-identical between sequential
-    and pooled execution.
+    points are scheduler jobs: seed-deterministic, cached, and
+    bit-identical between sequential and pooled execution.
     """
-    from ..security import (
-        AdversarySpec,
-        RaceSpec,
-        RotationPolicy,
-        sweep_race,
-    )
+    from ..security import AdversarySpec, RaceSpec, RotationPolicy
 
     result = ExperimentResult(
         "gadget_window",
@@ -488,12 +483,8 @@ def gadget_window(runner: Runner) -> ExperimentResult:
     )
     specs.append(control_spec)
 
-    races = sweep_race(
-        specs,
-        workers=getattr(runner, "workers", 0),
-        events=getattr(runner, "events", None),
-        store=getattr(runner, "store", None),
-    )
+    runner.prefetch(specs)
+    races = [runner.run(spec) for spec in specs]
     control = races[-1]
     by_point = {
         (race.policy, race.disclosure_rate): race for race in races[:-1]
@@ -595,10 +586,10 @@ def fleet(runner: Runner) -> ExperimentResult:
     genuinely shared L2 + DRAM; the grid varies arrival shape (Poisson
     vs bursty at the same long-run rate) and core count, with a
     lone-tenant control to expose cross-tenant L2 contention.  Fleet
-    points are seed-deterministic and bit-identical between sequential
-    and pooled execution.
+    points are scheduler jobs: seed-deterministic, cached, and
+    bit-identical between sequential and pooled execution.
     """
-    from ..fleet import ArrivalSpec, FleetSpec, sweep_fleet
+    from ..fleet import ArrivalSpec, FleetSpec
 
     result = ExperimentResult(
         "fleet",
@@ -616,12 +607,8 @@ def fleet(runner: Runner) -> ExperimentResult:
         FleetSpec(tenants=4, cores=1, arrival=poisson),
         FleetSpec(tenants=1, cores=1, arrival=poisson),
     ]
-    points = sweep_fleet(
-        specs,
-        workers=getattr(runner, "workers", 0),
-        events=getattr(runner, "events", None),
-        store=getattr(runner, "store", None),
-    )
+    runner.prefetch(specs)
+    points = [runner.run(spec) for spec in specs]
     wide, wide_bursty, narrow, lone = points
 
     for spec, point in zip(specs, points):

@@ -18,7 +18,7 @@ On-disk layout (ISSUE 7)
 Entries are **sharded by digest prefix into a directory per entry**::
 
     root/ab/abcd0123.../result.json    (simulation modes)
-    root/ab/abcd0123.../result.pkl     (emulate mode)
+    root/ab/abcd0123.../result.pkl     (emulate mode, race and fleet jobs)
     root/ab/abcd0123.../claim          (multi-host work-queue claim file)
 
 The per-entry directory is what makes the cache a coordination point
@@ -33,8 +33,9 @@ Cycle-simulation results are stored as JSON
 (:meth:`~repro.arch.simstats.SimResult.as_dict` round-trip — human
 inspectable, diffable) together with the spec and the machine-config
 fingerprint (so :meth:`~repro.obs.store.RunStore.backfill_cache` can
-recover the config digest); emulation results are stored as pickle
-(their payload includes full machine state).  Entries are written
+recover the config digest); every other result — emulation (its
+payload includes full machine state), race and fleet — is stored as
+pickle.  Entries are written
 atomically (temp file + rename) so a crashed or parallel writer can
 never leave a half-written entry, and unreadable/corrupt entries
 degrade to cache misses rather than errors.

@@ -41,7 +41,6 @@ from typing import Dict, Optional
 
 from ..arch.config import MachineConfig
 from ..arch.simstats import SimResult
-from ..emu import EmulationResult
 from ..ilr import RandomizedProgram
 from ..obs.events import EventLog
 from ..obs.store import RunStore
@@ -104,8 +103,7 @@ class Runner(ExperimentSession):
     _programs: Dict[ProgramKey, RandomizedProgram] = field(
         default_factory=dict
     )
-    _sims: Dict[RunSpec, SimResult] = field(default_factory=dict)
-    _emulations: Dict[RunSpec, EmulationResult] = field(default_factory=dict)
+    _results: Dict[object, object] = field(default_factory=dict)
     #: quarantined specs from past sweeps: spec -> FailedRun.
     failures: Dict[RunSpec, FailedRun] = field(default_factory=dict)
 

@@ -1,9 +1,9 @@
 """Streaming asyncio sweep scheduler: the experiment-service core.
 
 ISSUE 7 replaces the one-shot ``sweep(list_of_specs)`` fan-out with a
-**streaming** engine: :class:`AsyncScheduler` consumes ``RunSpec``\\ s
-from any iterable — including generators that enumerate a million-spec
-design grid lazily — and yields :class:`~repro.harness.sweep.
+**streaming** engine: :class:`AsyncScheduler` consumes specs (run,
+race and fleet jobs alike) from any iterable — including generators
+that enumerate a million-spec design grid lazily — and yields :class:`~repro.harness.sweep.
 SweepOutcome`\\ s in input order as they resolve.  At most
 ``workers + backlog`` specs are ever materialized but unemitted
 (:attr:`AsyncScheduler.high_water` records the observed maximum), so
@@ -77,6 +77,7 @@ from .sweep import (
     SweepOutcome,
     _commit_result,
     _interval_fn,
+    _job_fields,
     _pool_task,
     _result_digest,
     _spec_key,
@@ -210,7 +211,14 @@ class _PoolState:
 
 
 class AsyncScheduler:
-    """Streaming, cache-aware, fault-tolerant RunSpec scheduler.
+    """Streaming, cache-aware, fault-tolerant job scheduler.
+
+    Every job kind (:class:`~repro.harness.spec.RunSpec`,
+    :class:`~repro.security.race.RaceSpec`,
+    :class:`~repro.fleet.FleetSpec`) takes the same path: the scheduler
+    reads only their shared ``normalized``/``label``/``event_fields``/
+    ``as_dict``/``is_simulation`` surface and leaves execution to
+    :func:`~repro.harness.sweep.execute_spec`.
 
     One scheduler executes one stream (pools live for the duration of a
     :meth:`stream` call); construct it with the sweep-wide policy —
@@ -302,10 +310,9 @@ class AsyncScheduler:
     def _emit_cached_events(self, spec: RunSpec, result) -> None:
         """The cached-spec bookkeeping shared by both paths (the old
         engine's cache pre-pass): status + spec_done + store row."""
-        self.events.status("run cached", mode=spec.mode,
-                           **spec.event_fields())
-        self.events.emit("spec_done", mode=spec.mode, cached=True,
-                         attempts=0, **spec.event_fields())
+        self.events.status("run cached", **_job_fields(spec))
+        self.events.emit("spec_done", cached=True, attempts=0,
+                         **_job_fields(spec))
         if self.store is not None:
             self.store.record_run(spec, result,
                                   config_digest=self.config_digest,
@@ -315,8 +322,8 @@ class AsyncScheduler:
                     error: str, detail: str, registry) -> FailedRun:
         failure = FailedRun(spec, attempts, kind, error, detail)
         registry.counter("sweep.quarantined").inc()
-        self.events.emit("run_failed", mode=spec.mode, attempts=attempts,
-                         reason=kind, error=error, **spec.event_fields())
+        self.events.emit("run_failed", attempts=attempts, reason=kind,
+                         error=error, **_job_fields(spec))
         if self.store is not None:
             self.store.record_failure(spec, error,
                                       config_digest=self.config_digest,
@@ -330,8 +337,8 @@ class AsyncScheduler:
     def _note_retry(self, spec: RunSpec, nxt: int, kind: str, error: str,
                     registry) -> float:
         registry.counter("sweep.retries").inc()
-        self.events.emit("run_retry", mode=spec.mode, attempt=nxt,
-                         reason=kind, error=error, **spec.event_fields())
+        self.events.emit("run_retry", attempt=nxt, reason=kind,
+                         error=error, **_job_fields(spec))
         return self.retry.delay(nxt)
 
     # -- inline execution ----------------------------------------------------
@@ -397,8 +404,8 @@ class AsyncScheduler:
             attempt = 0
             result = failure = None
             while True:
-                events.emit("spec_dispatch", mode=spec.mode,
-                            attempt=attempt, **spec.event_fields())
+                events.emit("spec_dispatch", attempt=attempt,
+                            **_job_fields(spec))
                 try:
                     if self.faults is not None:
                         apply_inline_fault(self.faults, spec.label(), attempt)
@@ -444,8 +451,8 @@ class AsyncScheduler:
         host_seconds = time.perf_counter() - started
         if failure is not None:
             return outcome
-        events.emit("spec_done", mode=spec.mode, cached=False,
-                    attempts=attempt + 1, **spec.event_fields())
+        events.emit("spec_done", cached=False, attempts=attempt + 1,
+                    **_job_fields(spec))
         if self.store is not None:
             rollup = None
             if tracer.enabled:
@@ -612,9 +619,9 @@ class AsyncScheduler:
                                        self.events, registry)
                         if self.queue is not None:
                             self.queue.complete(spec, self.config)
-                        self.events.emit("spec_done", mode=spec.mode,
-                                         cached=False, attempts=won + 1,
-                                         **spec.event_fields())
+                        self.events.emit("spec_done", cached=False,
+                                         attempts=won + 1,
+                                         **_job_fields(spec))
                         if self.store is not None:
                             spans = payload.get("spans") or None
                             rollup = rollup_spans(spans) if spans else None
@@ -665,7 +672,7 @@ class AsyncScheduler:
             pool, gen = state.pool_for(probe)
             try:
                 future = loop.run_in_executor(
-                    pool, _pool_task, spec.as_dict(), self.config,
+                    pool, _pool_task, spec, self.config,
                     self.interval_for(spec), self.profile_phases,
                     attempt, self.faults, self.tracer.enabled)
             except BrokenProcessPool:
@@ -675,9 +682,8 @@ class AsyncScheduler:
                 await state.handle_break(probe, gen, "submit on broken pool",
                                         self.events, registry)
                 continue
-            self.events.emit("spec_dispatch", mode=spec.mode,
-                             attempt=attempt, probe=probe,
-                             **spec.event_fields())
+            self.events.emit("spec_dispatch", attempt=attempt, probe=probe,
+                             **_job_fields(spec))
             deadline = (loop.time() + self.retry.timeout
                         if self.retry.timeout else None)
             while True:

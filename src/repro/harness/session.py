@@ -5,8 +5,10 @@ ISSUE 7's API redesign collapses the harness's accumulated entry points
 store wiring, tracer/event plumbing — into **one object** that holds
 the complete experiment policy:
 
-* *what to run*: :meth:`spec`, or any iterable/generator of
-  :class:`~repro.harness.spec.RunSpec`\\ s;
+* *what to run*: :meth:`spec`, or any iterable/generator of jobs —
+  :class:`~repro.harness.spec.RunSpec`\\ s, rotation-vs-adversary
+  :class:`~repro.security.race.RaceSpec`\\ s and
+  :class:`~repro.fleet.FleetSpec`\\ s alike;
 * *on what machine*: a :class:`~repro.arch.config.MachineConfig`;
 * *how*: workers, intake backlog, retry/fault policy;
 * *remembering what*: result cache (sharded, shareable between hosts),
@@ -33,6 +35,9 @@ The three execution surfaces, from largest to smallest:
     (raising :class:`~repro.harness.sweep.FailedRunError` for
     quarantined specs).
 
+Every surface takes every job kind: a race or fleet point is cached,
+retried, quarantined, pooled, traced and stored exactly like a run.
+
 :class:`~repro.harness.runner.Runner` is the legacy face of the same
 object — it subclasses ``ExperimentSession`` with the historical
 dataclass constructor and survives as a deprecated-but-exact shim.
@@ -43,7 +48,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..arch.config import MachineConfig, default_config
-from ..arch.simstats import Checkpoint, SimResult
+from ..arch.simstats import Checkpoint
 from ..emu import EmulationResult
 from ..ilr import RandomizedProgram
 from ..obs import status
@@ -145,8 +150,8 @@ class ExperimentSession:
         self.queue_owner = queue_owner
         self.queue_stale_after = queue_stale_after
         self._programs: Dict[ProgramKey, RandomizedProgram] = {}
-        self._sims: Dict[RunSpec, SimResult] = {}
-        self._emulations: Dict[RunSpec, EmulationResult] = {}
+        #: results of this session's jobs, any kind: spec -> result.
+        self._results: Dict[object, object] = {}
         #: quarantined specs from past sweeps: spec -> FailedRun.
         self.failures: Dict[RunSpec, FailedRun] = {}
         self._finish_init()
@@ -185,9 +190,11 @@ class ExperimentSession:
             return max(250, self.max_instructions // 100)
         return 0
 
-    def _interval_for(self, spec: RunSpec) -> int:
+    def _interval_for(self, spec) -> int:
+        # Only cycle simulations and the emulator checkpoint; of those,
+        # the emulator is the non-simulation job.
         interval = self.effective_checkpoint_interval()
-        if spec.mode == "emulate":
+        if not spec.is_simulation:
             interval *= EMULATE_BUDGET_FACTOR
         return interval
 
@@ -284,25 +291,22 @@ class ExperimentSession:
                     on_outcome(outcome)
         return ordered
 
-    def _memo_for(self, spec: RunSpec) -> Dict[RunSpec, object]:
-        return self._sims if spec.is_simulation else self._emulations
-
-    def run(self, spec: RunSpec):
+    def run(self, spec):
         """Result for ``spec`` — memo, then disk cache, then execute.
 
         Returns a :class:`~repro.arch.simstats.SimResult` for simulator
-        modes, an :class:`~repro.emu.EmulationResult` for ``emulate``.
-        Raises :class:`~repro.harness.sweep.FailedRunError` when the
-        spec was quarantined (every attempt failed, including a fresh
-        round of attempts made by this call).
+        modes, an :class:`~repro.emu.EmulationResult` for ``emulate``,
+        and a race or fleet result for those specs.  Raises
+        :class:`~repro.harness.sweep.FailedRunError` when the spec was
+        quarantined (every attempt failed, including a fresh round of
+        attempts made by this call).
         """
         spec = spec.normalized()
-        memo = self._memo_for(spec)
-        if spec not in memo:
+        if spec not in self._results:
             self.prefetch([spec])
-        if spec not in memo and spec in self.failures:
+        if spec not in self._results and spec in self.failures:
             raise FailedRunError(self.failures[spec])
-        return memo[spec]
+        return self._results[spec]
 
     def prefetch(self, specs: Iterable[RunSpec]) -> List[SweepOutcome]:
         """Materialize many specs at once (cache-aware; parallel when
@@ -314,7 +318,7 @@ class ExperimentSession:
         """
         wanted = [
             spec for spec in dict.fromkeys(s.normalized() for s in specs)
-            if spec not in self._memo_for(spec)
+            if spec not in self._results
         ]
         if not wanted:
             return []
@@ -324,7 +328,7 @@ class ExperimentSession:
         )
         for outcome in outcomes:
             if outcome.ok:
-                self._memo_for(outcome.spec)[outcome.spec] = outcome.result
+                self._results[outcome.spec] = outcome.result
                 self.failures.pop(outcome.spec, None)
             else:
                 # Quarantined, never memoized: a later run() retries it
@@ -363,42 +367,6 @@ class ExperimentSession:
     def emulate(self, name: str) -> EmulationResult:
         """Run the software-ILR emulator on workload ``name``."""
         return self.run(self.spec(name, "emulate"))
-
-    # -- rotation-service races ---------------------------------------------
-
-    def race_sweep(self, specs):
-        """Run rotation-vs-adversary race points under session policy.
-
-        Uses the session's worker count for pooled execution and its
-        event log / run store for recording; results are bit-identical
-        either way (see :func:`repro.security.race.sweep_race`).
-        """
-        from ..security.race import sweep_race
-
-        return sweep_race(
-            specs,
-            workers=self.workers,
-            events=self.events,
-            store=self.store,
-        )
-
-    # -- datacenter fleet ----------------------------------------------------
-
-    def fleet_sweep(self, specs):
-        """Run multi-tenant fleet points under session policy.
-
-        Uses the session's worker count for pooled execution and its
-        event log / run store for recording; results are bit-identical
-        either way (see :func:`repro.fleet.sweep_fleet`).
-        """
-        from ..fleet import sweep_fleet
-
-        return sweep_fleet(
-            specs,
-            workers=self.workers,
-            events=self.events,
-            store=self.store,
-        )
 
     # -- lifecycle ---------------------------------------------------------
 

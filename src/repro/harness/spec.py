@@ -51,7 +51,16 @@ class RunSpec:
     :meth:`Runner.spec() <repro.harness.runner.Runner.spec>` to inherit
     the runner's seed/scale/budget defaults, or directly when all fields
     are known.
+
+    The scheduler, result cache and session memo read only the surface
+    this class shares with the other job kinds
+    (:class:`~repro.security.race.RaceSpec`,
+    :class:`~repro.fleet.FleetSpec`): :meth:`normalized`, :meth:`label`,
+    :meth:`event_fields`, :meth:`as_dict` and :attr:`is_simulation`.
     """
+
+    #: job kind: picks the executor and the run-store row kind.
+    kind = "run"
 
     workload: str
     mode: str = "baseline"
@@ -91,7 +100,8 @@ class RunSpec:
 
     @property
     def is_simulation(self) -> bool:
-        """True for cycle-simulator modes (False for ``emulate``)."""
+        """True for cycle-simulator modes, whose ``SimResult`` the cache
+        stores as JSON (False for ``emulate``: pickled)."""
         return self.mode in SIM_MODES
 
     # -- serialization -----------------------------------------------------

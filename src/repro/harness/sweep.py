@@ -83,16 +83,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..arch.config import MachineConfig, default_config
 from ..arch.cpu import CycleCPU
 from ..emu import ILREmulator
+from ..fleet import datacenter
 from ..ilr import RandomizedProgram, RandomizerConfig, make_flow, randomize
 from ..obs.events import EventLog, MemorySink
 from ..obs.metrics import get_registry
 from ..obs.profile import PhaseProfiler
 from ..obs.store import RunStore
 from ..obs.trace import NULL_TRACER, Tracer
+from ..security import race
 from ..workloads import build_image
 from .faults import FaultPlan, apply_worker_fault
 from .resultcache import ResultCache
-from .spec import RunSpec, config_fingerprint
+from .spec import RunSpec
 
 __all__ = [
     "sweep",
@@ -124,6 +126,13 @@ def _spec_key(spec: RunSpec) -> str:
     the parent, which is what makes worker-captured spans land on the
     exact ids a sequential sweep would have derived."""
     return RunStore.spec_key(spec)
+
+
+def _job_fields(spec) -> Dict[str, object]:
+    """Fields the engine stamps on its own records of ``spec``
+    (``spec_dispatch``, ``spec_done``, retries, failures): the spec's
+    label plus its event fields, for every job kind."""
+    return dict(spec.event_fields(), label=spec.label())
 
 
 def _sweep_key(specs: Sequence[RunSpec]) -> str:
@@ -189,14 +198,26 @@ def execute_spec(
 
     The single definition of "run this spec" shared by the sequential
     runner and the pool workers.  Returns a
-    :class:`~repro.arch.simstats.SimResult` for simulator modes or an
-    :class:`~repro.emu.EmulationResult` for ``emulate``.
+    :class:`~repro.arch.simstats.SimResult` for simulator modes, an
+    :class:`~repro.emu.EmulationResult` for ``emulate``, a
+    :class:`~repro.security.race.RaceResult` for a race spec and a
+    :class:`~repro.fleet.FleetResult` for a fleet spec.
     """
     spec = spec.normalized()
     config = config or default_config()
     events = events if events is not None else EventLog()
     profiler = profiler or PhaseProfiler(events)
     tracer = tracer or NULL_TRACER
+    if spec.kind != "run":
+        # Looked up on their modules at call time (never held in a
+        # table), so wrappers installed on the module attributes see
+        # every race and fleet run.
+        with tracer.span("simulate"), \
+                profiler.phase("simulate", **spec.event_fields()):
+            if spec.kind == "race":
+                return race.run_race(spec, events=events, tracer=tracer,
+                                     config=config)
+            return datacenter.run_fleet(spec, config=config, events=events)
     program = build_program(spec, profiler, program_cache, tracer)
 
     if spec.mode == "emulate":
@@ -361,7 +382,7 @@ def _commit_result(cache, spec, config, result, faults, events,
     except OSError as exc:
         registry.counter("sweep.cache_write_errors").inc()
         events.status("cache write failed", error=str(exc),
-                      mode=spec.mode, **spec.event_fields())
+                      **_job_fields(spec))
 
 
 # -- pool worker -------------------------------------------------------------
@@ -371,11 +392,11 @@ def _commit_result(cache, spec, config, result, faults, events,
 _WORKER_PROGRAMS: Dict[ProgramKey, RandomizedProgram] = {}
 
 
-def _pool_task(spec_dict: dict, config: MachineConfig,
+def _pool_task(spec, config: MachineConfig,
                checkpoint_interval: int, profile_phases: bool,
                attempt: int = 0, faults: Optional[FaultPlan] = None,
                trace: bool = False):
-    """Execute one spec attempt in a pool worker.
+    """Execute one attempt of ``spec`` (any job kind) in a pool worker.
 
     Events are buffered in a :class:`MemorySink` (file sinks are
     single-writer; see :meth:`EventLog.replay`); profiler phases, a
@@ -384,7 +405,6 @@ def _pool_task(spec_dict: dict, config: MachineConfig,
     with the result for the parent to verify and merge exactly once.
     Module-level so the pool can pickle it.
     """
-    spec = RunSpec.from_dict(spec_dict)
     action = apply_worker_fault(faults, spec.label(), attempt)
     registry = get_registry()
     registry.reset()  # isolate this task's delta in a reused worker

@@ -14,7 +14,8 @@ kinds (consumed by ``repro.tools.stats``):
                      the signature of naive ILR's destroyed locality
 ``run_end``          the run finished (totals)
 ``spec_dispatch``    the sweep engine started (or scheduled) one
-                     attempt of a spec — the dashboard's "running" edge
+                     attempt of a spec (any job kind: run, race, fleet)
+                     — the dashboard's "running" edge
 ``spec_done``        a spec completed (result committed; ``cached``
                      marks cache hits) — the dashboard's "done" edge
 ``run_retry``        a sweep attempt failed and was rescheduled
@@ -22,6 +23,10 @@ kinds (consumed by ``repro.tools.stats``):
 ``run_failed``       a spec exhausted its attempts and was quarantined
 ``pool_rebuild``     a broken/wedged worker pool was replaced
 ``status``           free-form harness diagnostics
+``rotation``         a race's rotation service re-randomized a tenant
+``race_point``       one race job finished (its ``RaceResult`` fields)
+``tenant_point``     one fleet job finished: one record per tenant
+                     (spec echo + the tenant's latency/IPC row)
 
 Sinks: :class:`NullSink` (drop, ``enabled == False`` so producers can
 skip building expensive fields), :class:`MemorySink` (list of dicts),
@@ -66,11 +71,10 @@ EVENT_KINDS = (
     "fuzz_program",
     "fuzz_finding",
     "fuzz_end",
-    # repro.security rotation-service races (tools/race CLI):
-    "race_start",
+    # race and fleet jobs (emitted by the job itself, like run_end):
     "rotation",
     "race_point",
-    "race_end",
+    "tenant_point",
 )
 
 

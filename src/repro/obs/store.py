@@ -7,7 +7,10 @@ workload across every run ever"* by rescanning JSONL is O(history);
 machine-config digest, the key architectural stats (IPC, miss rates,
 DRC activity), host wall time, attempt/fault counters, and per-name
 span rollups — in one SQLite file that ``repro.tools.stats`` queries
-directly (``best``/``compare``/``history``/``sql``).
+directly (``best``/``compare``/``history``/``sql``).  Race and fleet
+jobs land in the same ``runs`` table, told apart by its ``kind``
+column, with their whole result in a JSON ``payload`` column
+(``stats race`` / ``stats fleet``).
 
 Write discipline mirrors :class:`~repro.harness.resultcache.ResultCache`
 commit-as-you-go: the sweep engine records each run the moment it
@@ -22,7 +25,8 @@ store created by a different schema is *refused*, not migrated —
 the store is a derived index, so the recovery path is cheap and total:
 delete the file and re-run :meth:`backfill_cache` /
 :meth:`backfill_events` over the primary artifacts (cache directories,
-JSONL logs).  That keeps this module free of migration machinery.
+JSONL logs), and re-run race or fleet grids on their cache (all hits).
+That keeps this module free of migration machinery.
 
 This module is importable with **zero** repro dependencies beyond
 ``repro.obs`` itself (specs and results are duck-typed), so the obs
@@ -42,7 +46,7 @@ from .events import read_events
 
 __all__ = ["RunStore", "SCHEMA_VERSION", "STORE_METRICS", "LOWER_IS_BETTER"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Queryable metric columns of the ``runs`` table.
 STORE_METRICS = (
@@ -62,14 +66,21 @@ LOWER_IS_BETTER = frozenset(
      "cycles", "host_seconds")
 )
 
-_SCHEMA = """
+_META = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
+"""
+
+#: One ``runs`` row per job of any kind (``run``, ``race``, ``fleet``):
+#: the metric columns hold what the job's result has of them, and
+#: ``payload`` holds a race or fleet result's full ``as_dict()`` JSON.
+_SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
     id                  INTEGER PRIMARY KEY,
     spec_key            TEXT NOT NULL,
+    kind                TEXT NOT NULL DEFAULT 'run',
     workload            TEXT NOT NULL,
     mode                TEXT NOT NULL,
     drc_entries         INTEGER NOT NULL DEFAULT 0,
@@ -94,9 +105,11 @@ CREATE TABLE IF NOT EXISTS runs (
     host_seconds        REAL,
     host_instructions   INTEGER,
     error               TEXT,
+    payload             TEXT,
     created_at          REAL NOT NULL,
     UNIQUE (spec_key, config_digest, source, created_at)
 );
+CREATE INDEX IF NOT EXISTS idx_runs_kind ON runs (kind);
 CREATE INDEX IF NOT EXISTS idx_runs_workload ON runs (workload, mode);
 CREATE INDEX IF NOT EXISTS idx_runs_spec ON runs (spec_key);
 CREATE TABLE IF NOT EXISTS span_rollups (
@@ -119,81 +132,6 @@ CREATE TABLE IF NOT EXISTS findings (
     created_at    REAL NOT NULL,
     UNIQUE (session_seed, program_index, source)
 );
-CREATE TABLE IF NOT EXISTS race_points (
-    id                  INTEGER PRIMARY KEY,
-    workload            TEXT NOT NULL,
-    seed                INTEGER NOT NULL,
-    tenants             INTEGER NOT NULL,
-    policy              TEXT NOT NULL,
-    disclosure_rate     REAL NOT NULL,
-    probe_rate          REAL NOT NULL,
-    adversary_enabled   INTEGER NOT NULL,
-    window_instructions INTEGER NOT NULL,
-    max_instructions    INTEGER NOT NULL,
-    instructions        INTEGER,
-    cycles              INTEGER,
-    ipc                 REAL,
-    rotations           INTEGER,
-    rotation_cycles     INTEGER,
-    drc_flushes         INTEGER,
-    block_invalidations INTEGER,
-    trace_invalidations INTEGER,
-    max_stale_overlap   REAL,
-    mappings_leaked     INTEGER,
-    probe_crashes       INTEGER,
-    payload_possible    INTEGER,
-    exposed_windows     INTEGER,
-    exposed_instructions INTEGER,
-    exposure_fraction   REAL,
-    max_exposure_streak INTEGER,
-    first_goal_icount   INTEGER,
-    source              TEXT NOT NULL DEFAULT 'race',
-    created_at          REAL NOT NULL,
-    UNIQUE (workload, seed, tenants, policy, disclosure_rate, probe_rate,
-            adversary_enabled, window_instructions, max_instructions, source)
-);
-CREATE INDEX IF NOT EXISTS idx_race_policy ON race_points (policy);
-CREATE TABLE IF NOT EXISTS fleet_points (
-    id                   INTEGER PRIMARY KEY,
-    workload             TEXT NOT NULL,
-    mode                 TEXT NOT NULL,
-    seed                 INTEGER NOT NULL,
-    tenants              INTEGER NOT NULL,
-    cores                INTEGER NOT NULL,
-    quantum_instructions INTEGER NOT NULL,
-    switch_cycles        INTEGER NOT NULL,
-    request_instructions INTEGER NOT NULL,
-    arrival_kind         TEXT NOT NULL,
-    arrival_requests     INTEGER NOT NULL,
-    arrival_mean_gap     INTEGER NOT NULL,
-    tenant               TEXT NOT NULL,
-    core                 INTEGER,
-    requests             INTEGER,
-    served               INTEGER,
-    unserved             INTEGER,
-    p50_latency          INTEGER,
-    p95_latency          INTEGER,
-    p99_latency          INTEGER,
-    max_latency          INTEGER,
-    mean_latency         REAL,
-    instructions         INTEGER,
-    cycles               INTEGER,
-    ipc                  REAL,
-    ipc_fairness         REAL,
-    quanta               INTEGER,
-    switches             INTEGER,
-    switch_cycles_total  INTEGER,
-    max_queue_depth      INTEGER,
-    il1_miss_rate        REAL,
-    drc_miss_rate        REAL,
-    l2_miss_rate         REAL,
-    source               TEXT NOT NULL DEFAULT 'fleet',
-    created_at           REAL NOT NULL,
-    UNIQUE (workload, mode, seed, tenants, cores, quantum_instructions,
-            switch_cycles, request_instructions, arrival_kind,
-            arrival_requests, arrival_mean_gap, tenant, source)
-);
-CREATE INDEX IF NOT EXISTS idx_fleet_arrival ON fleet_points (arrival_kind);
 """
 
 
@@ -217,17 +155,13 @@ class RunStore:
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
         self._conn = sqlite3.connect(path)
-        self._conn.executescript(_SCHEMA)
+        self._conn.executescript(_META)
         row = self._conn.execute(
             "SELECT value FROM meta WHERE key = 'schema_version'"
         ).fetchone()
-        if row is None:
-            self._conn.execute(
-                "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                (str(SCHEMA_VERSION),),
-            )
-            self._conn.commit()
-        elif int(row[0]) != SCHEMA_VERSION:
+        # Checked before the tables are touched: an older schema's
+        # tables lack columns this one's indexes name.
+        if row is not None and int(row[0]) != SCHEMA_VERSION:
             self._conn.close()
             raise RuntimeError(
                 "run store %s has schema v%s, this build expects v%d; "
@@ -235,6 +169,13 @@ class RunStore:
                 "'python -m repro.tools.stats backfill'" %
                 (path, row[0], SCHEMA_VERSION)
             )
+        self._conn.executescript(_SCHEMA)
+        if row is None:
+            self._conn.execute(
+                "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
+                (str(SCHEMA_VERSION),),
+            )
+            self._conn.commit()
 
     # -- keys --------------------------------------------------------------
 
@@ -257,19 +198,24 @@ class RunStore:
                    cached: bool = False, host_seconds: float = 0.0,
                    spans: Optional[Dict[str, dict]] = None,
                    created_at: Optional[float] = None) -> int:
-        """Index one completed run; commits before returning.
+        """Index one completed job of any kind; commits before returning.
 
-        ``result`` is duck-typed: a cycle-simulator
-        :class:`~repro.arch.simstats.SimResult` (has ``cycles``), an
-        emulator result (has ``icount``), or a plain stats dict from an
-        event-log backfill.  ``spans`` is a
-        :func:`~repro.obs.trace.rollup_spans`-shaped mapping.
+        ``spec`` is a job spec (its ``kind`` becomes the row's; a plain
+        dict is a ``run``).  ``result`` is duck-typed: a cycle-simulator
+        :class:`~repro.arch.simstats.SimResult`, an emulator result (has
+        ``icount``), a race or fleet result (also kept whole as the
+        row's JSON ``payload``), or a plain stats dict from a backfill.
+        ``spans`` is a :func:`~repro.obs.trace.rollup_spans`-shaped
+        mapping.
         """
-        fields = _spec_dict(spec)
-        stats = _result_columns(result)
+        kind = getattr(spec, "kind", "run")
+        payload = None
+        if kind != "run":
+            payload = json.dumps(result.as_dict(), sort_keys=True)
         run_id = self._insert_run(
-            fields, stats, status="ok", source=source, attempts=attempts,
-            cached=cached, host_seconds=host_seconds, error=None,
+            kind, _spec_dict(spec), _result_columns(result), status="ok",
+            source=source, attempts=attempts, cached=cached,
+            host_seconds=host_seconds, error=None, payload=payload,
             config_digest=config_digest, created_at=created_at,
         )
         if run_id is not None and spans:
@@ -287,9 +233,10 @@ class RunStore:
                        created_at: Optional[float] = None) -> int:
         """Index a quarantined spec (status ``failed``); commits."""
         run_id = self._insert_run(
-            _spec_dict(spec), {}, status="failed", source=source,
-            attempts=attempts, cached=False, host_seconds=0.0,
-            error=error, config_digest=config_digest, created_at=created_at,
+            getattr(spec, "kind", "run"), _spec_dict(spec), {},
+            status="failed", source=source, attempts=attempts, cached=False,
+            host_seconds=0.0, error=error, payload=None,
+            config_digest=config_digest, created_at=created_at,
         )
         self._conn.commit()
         return run_id if run_id is not None else -1
@@ -313,180 +260,28 @@ class RunStore:
         )
         self._conn.commit()
 
-    def record_race_point(self, point: dict, *, source: str = "race",
-                          created_at: Optional[float] = None) -> None:
-        """Index one rotation-vs-adversary race point
-        (:meth:`repro.security.race.RaceResult.as_dict` shape).
-
-        Idempotent per full spec echo + source: re-running the same
-        deterministic sweep does not duplicate rows.
-        """
-        self._conn.execute(
-            "INSERT OR IGNORE INTO race_points (workload, seed, tenants, "
-            "policy, disclosure_rate, probe_rate, adversary_enabled, "
-            "window_instructions, max_instructions, instructions, cycles, "
-            "ipc, rotations, rotation_cycles, drc_flushes, "
-            "block_invalidations, trace_invalidations, max_stale_overlap, "
-            "mappings_leaked, probe_crashes, payload_possible, "
-            "exposed_windows, exposed_instructions, exposure_fraction, "
-            "max_exposure_streak, first_goal_icount, source, created_at) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
-            "?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                point.get("workload", "?"),
-                point.get("seed", 0),
-                point.get("tenants", 1),
-                point.get("policy", "?"),
-                point.get("disclosure_rate", 0.0),
-                point.get("probe_rate", 0.0),
-                1 if point.get("adversary_enabled") else 0,
-                point.get("window_instructions", 0),
-                point.get("max_instructions", 0),
-                point.get("instructions"),
-                point.get("cycles"),
-                point.get("ipc"),
-                point.get("rotations"),
-                point.get("rotation_cycles"),
-                point.get("drc_flushes"),
-                point.get("block_invalidations"),
-                point.get("trace_invalidations"),
-                point.get("max_stale_overlap"),
-                point.get("mappings_leaked"),
-                point.get("probe_crashes"),
-                1 if point.get("payload_possible") else 0,
-                point.get("exposed_windows"),
-                point.get("exposed_instructions"),
-                point.get("exposure_fraction"),
-                point.get("max_exposure_streak"),
-                point.get("first_goal_icount"),
-                source,
-                created_at if created_at is not None else time.time(),
-            ),
-        )
-        self._conn.commit()
-
-    def record_fleet_point(self, point: dict, *, source: str = "fleet",
-                           created_at: Optional[float] = None) -> None:
-        """Index one per-tenant fleet row
-        (:meth:`repro.fleet.FleetResult.tenant_points` shape).
-
-        Idempotent per full spec echo + tenant + source: re-running the
-        same deterministic sweep does not duplicate rows.
-        """
-        self._conn.execute(
-            "INSERT OR IGNORE INTO fleet_points (workload, mode, seed, "
-            "tenants, cores, quantum_instructions, switch_cycles, "
-            "request_instructions, arrival_kind, arrival_requests, "
-            "arrival_mean_gap, tenant, core, requests, served, unserved, "
-            "p50_latency, p95_latency, p99_latency, max_latency, "
-            "mean_latency, instructions, cycles, ipc, ipc_fairness, "
-            "quanta, switches, switch_cycles_total, max_queue_depth, "
-            "il1_miss_rate, drc_miss_rate, l2_miss_rate, source, "
-            "created_at) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
-            "?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                point.get("workload", "?"),
-                point.get("mode", "?"),
-                point.get("seed", 0),
-                point.get("tenants", 1),
-                point.get("cores", 1),
-                point.get("quantum_instructions", 0),
-                point.get("switch_cycles", 0),
-                point.get("request_instructions", 0),
-                point.get("arrival_kind", "?"),
-                point.get("arrival_requests", 0),
-                point.get("arrival_mean_gap", 0),
-                point.get("tenant", "?"),
-                point.get("core"),
-                point.get("requests"),
-                point.get("served"),
-                point.get("unserved"),
-                point.get("p50_latency"),
-                point.get("p95_latency"),
-                point.get("p99_latency"),
-                point.get("max_latency"),
-                point.get("mean_latency"),
-                point.get("instructions"),
-                point.get("cycles"),
-                point.get("ipc"),
-                point.get("ipc_fairness"),
-                point.get("quanta"),
-                point.get("switches"),
-                point.get("switch_cycles_total"),
-                point.get("max_queue_depth"),
-                point.get("il1_miss_rate"),
-                point.get("drc_miss_rate"),
-                point.get("l2_miss_rate"),
-                source,
-                created_at if created_at is not None else time.time(),
-            ),
-        )
-        self._conn.commit()
-
-    def fleet_points(self, *, arrival_kind: Optional[str] = None,
-                     mode: Optional[str] = None) -> List[dict]:
-        """All indexed per-tenant fleet rows, oldest first."""
-        clauses = []
-        params: List = []
-        if arrival_kind is not None:
-            clauses.append("arrival_kind = ?")
-            params.append(arrival_kind)
-        if mode is not None:
-            clauses.append("mode = ?")
-            params.append(mode)
-        where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
-        keys = ("workload", "mode", "arrival_kind", "tenants", "cores",
-                "tenant", "core", "requests", "served", "p50_latency",
-                "p95_latency", "p99_latency", "ipc", "ipc_fairness",
-                "switches", "l2_miss_rate", "created_at")
-        rows = self._conn.execute(
-            "SELECT %s FROM fleet_points%s ORDER BY created_at ASC, id ASC"
-            % (", ".join(keys), where),
-            tuple(params),
-        ).fetchall()
-        return [dict(zip(keys, row)) for row in rows]
-
-    def race_points(self, *, policy: Optional[str] = None) -> List[dict]:
-        """All indexed race points, oldest first."""
-        where = ""
-        params: tuple = ()
-        if policy is not None:
-            where = " WHERE policy = ?"
-            params = (policy,)
-        rows = self._conn.execute(
-            "SELECT workload, policy, disclosure_rate, probe_rate, tenants, "
-            "rotations, rotation_cycles, exposure_fraction, "
-            "max_exposure_streak, first_goal_icount, ipc, created_at "
-            "FROM race_points%s ORDER BY created_at ASC, id ASC" % where,
-            params,
-        ).fetchall()
-        keys = ("workload", "policy", "disclosure_rate", "probe_rate",
-                "tenants", "rotations", "rotation_cycles",
-                "exposure_fraction", "max_exposure_streak",
-                "first_goal_icount", "ipc", "created_at")
-        return [dict(zip(keys, row)) for row in rows]
-
-    def _insert_run(self, fields: dict, stats: dict, *, status: str,
-                    source: str, attempts: int, cached: bool,
+    def _insert_run(self, kind: str, fields: dict, stats: dict, *,
+                    status: str, source: str, attempts: int, cached: bool,
                     host_seconds: float, error: Optional[str],
-                    config_digest: str,
+                    payload: Optional[str], config_digest: str,
                     created_at: Optional[float]) -> Optional[int]:
         key = self.spec_key(fields)
         cursor = self._conn.execute(
-            "INSERT OR IGNORE INTO runs (spec_key, workload, mode, "
+            "INSERT OR IGNORE INTO runs (spec_key, kind, workload, mode, "
             "drc_entries, seed, scale, max_instructions, "
             "warmup_instructions, config_digest, status, source, attempts, "
             "cached, instructions, cycles, ipc, il1_miss_rate, "
             "dl1_miss_rate, l2_miss_rate, drc_lookups, drc_misses, "
             "drc_miss_rate, host_seconds, host_instructions, error, "
-            "created_at) "
+            "payload, created_at) "
             "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
-            "?, ?, ?, ?, ?, ?, ?, ?)",
+            "?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
                 key,
+                kind,
                 fields.get("workload", "?"),
-                fields.get("mode", "?"),
+                # a race has no protection mode: its kind stands in
+                fields.get("mode", kind),
                 fields.get("drc_entries", 0) or 0,
                 fields.get("seed"),
                 fields.get("scale"),
@@ -509,6 +304,7 @@ class RunStore:
                 round(host_seconds, 6),
                 stats.get("host_instructions"),
                 error,
+                payload,
                 created_at if created_at is not None else time.time(),
             ),
         )
@@ -534,7 +330,7 @@ class RunStore:
         rows = self._conn.execute(
             "SELECT workload, mode, drc_entries, %s AS value, attempts, "
             "source, created_at FROM runs "
-            "WHERE status = 'ok' AND %s IS NOT NULL%s "
+            "WHERE kind = 'run' AND status = 'ok' AND %s IS NOT NULL%s "
             "ORDER BY workload ASC, value %s, created_at ASC"
             % (metric, metric, where, order),
             params,
@@ -588,7 +384,7 @@ class RunStore:
             params.append(int(drc))
         rows = self._conn.execute(
             "SELECT workload, %s FROM runs "
-            "WHERE status = 'ok' AND %s IS NOT NULL%s "
+            "WHERE kind = 'run' AND status = 'ok' AND %s IS NOT NULL%s "
             "ORDER BY created_at ASC" % (metric, metric, where),
             params,
         ).fetchall()
@@ -597,24 +393,37 @@ class RunStore:
 
     def history(self, *, workload: Optional[str] = None,
                 mode: Optional[str] = None, limit: int = 20) -> List[dict]:
-        """Most recent runs (including failures), newest first."""
+        """Most recent jobs of every kind (including failures), newest
+        first; race and fleet rows are labelled by their kind."""
         where, params = _filters(mode=mode, workload=workload)
         rows = self._conn.execute(
             "SELECT workload, mode, drc_entries, status, source, attempts, "
-            "cached, ipc, host_seconds, error, created_at "
+            "cached, ipc, host_seconds, error, created_at, kind "
             "FROM runs WHERE 1=1%s ORDER BY created_at DESC, id DESC "
             "LIMIT ?" % where,
             params + [limit],
         ).fetchall()
         return [
             {
-                "workload": r[0], "label": _mode_label(r[1], r[2]),
+                "workload": r[0],
+                "label": _mode_label(r[1], r[2]) if r[11] == "run" else r[11],
                 "status": r[3], "source": r[4], "attempts": r[5],
                 "cached": bool(r[6]), "ipc": r[7], "host_seconds": r[8],
                 "error": r[9], "created_at": r[10],
             }
             for r in rows
         ]
+
+    def payloads(self, kind: str) -> List[dict]:
+        """Result payloads of the ``kind`` jobs (``race``/``fleet``):
+        the latest ok row per spec and machine config, oldest first."""
+        rows = self._conn.execute(
+            "SELECT payload FROM runs WHERE id IN (SELECT MAX(id) FROM runs "
+            "WHERE kind = ? AND status = 'ok' "
+            "GROUP BY spec_key, config_digest) ORDER BY id",
+            (kind,),
+        ).fetchall()
+        return [json.loads(payload) for (payload,) in rows]
 
     def query(self, sql: str, params: Sequence = ()) -> Tuple[List[str], List[tuple]]:
         """Raw SQL passthrough: ``(column names, rows)``."""
@@ -673,9 +482,10 @@ class RunStore:
         present — older entries predate it) becomes the row's
         ``config_digest``; the file mtime becomes ``created_at``, making
         re-runs idempotent (the uniqueness constraint ignores exact
-        duplicates).  Pickle entries (emulation results) store no spec
-        and are skipped, as are work-queue ``claim`` files and orphaned
-        ``.tmp-*`` writes.
+        duplicates).  Pickle entries (emulation, race and fleet results)
+        store no spec and are skipped, as are work-queue ``claim`` files
+        and orphaned ``.tmp-*`` writes; re-running a race or fleet grid
+        on the cache records its rows as cache hits instead.
         """
         ingested = skipped = 0
         for dirpath, dirnames, filenames in os.walk(root):
@@ -776,8 +586,16 @@ def _filters(*, mode: Optional[str],
     return where, params
 
 
+#: Metric columns read off a result object (None where it has none).
+_RESULT_COLUMNS = (
+    "instructions", "cycles", "ipc", "il1_miss_rate", "dl1_miss_rate",
+    "l2_miss_rate", "drc_lookups", "drc_misses", "drc_miss_rate",
+    "host_instructions",
+)
+
+
 def _result_columns(result) -> dict:
-    """Key stats from a duck-typed result (SimResult / emulation / dict)."""
+    """Key stats from a duck-typed result (any job kind, or a dict)."""
     if isinstance(result, dict):
         data = result
         if "cycles" in data and "il1" in data:
@@ -796,29 +614,12 @@ def _result_columns(result) -> dict:
                                         data.get("drc_lookups")),
             }
         # run_end event shape (events backfill): rates precomputed.
-        return {key: data.get(key) for key in (
-            "instructions", "cycles", "ipc", "il1_miss_rate",
-            "dl1_miss_rate", "l2_miss_rate", "drc_lookups", "drc_misses",
-            "drc_miss_rate", "host_instructions",
-        )}
-    if hasattr(result, "cycles"):  # SimResult
-        return {
-            "instructions": result.instructions,
-            "cycles": result.cycles,
-            "ipc": result.ipc,
-            "il1_miss_rate": result.il1_miss_rate,
-            "dl1_miss_rate": result.dl1_miss_rate,
-            "l2_miss_rate": result.l2_miss_rate,
-            "drc_lookups": result.drc_lookups,
-            "drc_misses": result.drc_misses,
-            "drc_miss_rate": result.drc_miss_rate,
-        }
-    if hasattr(result, "icount"):  # EmulationResult
-        return {
-            "instructions": result.icount,
-            "host_instructions": getattr(result, "host_instructions", None),
-        }
-    return {}
+        return {key: data.get(key) for key in _RESULT_COLUMNS}
+    columns = {key: getattr(result, key, None) for key in _RESULT_COLUMNS}
+    if columns["instructions"] is None:
+        # EmulationResult counts guest instructions as ``icount``.
+        columns["instructions"] = getattr(result, "icount", None)
+    return columns
 
 
 def _ratio(numerator, denominator):

@@ -38,7 +38,6 @@ from .race import (
     RaceResult,
     RaceSpec,
     run_race,
-    sweep_race,
 )
 
 __all__ = [
@@ -78,6 +77,5 @@ __all__ = [
     "RaceSpec",
     "RaceResult",
     "run_race",
-    "sweep_race",
     "SERVICE_WORKLOAD",
 ]

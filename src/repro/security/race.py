@@ -10,16 +10,19 @@ attacker's harvest stays *usable* (the gadget-availability window)
 against what the defense paid for it (rotation cycles and flushed
 simulator structures).
 
-Everything is seed-deterministic: :func:`sweep_race` produces
-bit-identical :class:`RaceResult` rows whether the points run
+Everything is seed-deterministic: a :class:`RaceSpec` is a job of the
+harness's one scheduler (``ExperimentSession.sweep``), which caches,
+retries and pools race points like any other spec, and the
+:class:`RaceResult` rows are bit-identical whether the points run
 sequentially or across a process pool.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Dict, Optional
 
 from ..arch.config import MachineConfig
 from ..arch.context import TimeSharedCPU
@@ -34,7 +37,6 @@ __all__ = [
     "RaceSpec",
     "RaceResult",
     "run_race",
-    "sweep_race",
     "build_service_image",
     "SERVICE_WORKLOAD",
 ]
@@ -109,7 +111,18 @@ input_buf:
 
 @dataclass(frozen=True)
 class RaceSpec:
-    """One point of the rotation-policy x disclosure-rate grid."""
+    """One point of the rotation-policy x disclosure-rate grid.
+
+    A scheduler job like :class:`~repro.harness.spec.RunSpec`: it
+    shares that class's ``normalized``/``label``/``event_fields``/
+    ``as_dict``/``is_simulation`` surface, and its results go in the
+    result cache's pickle entries.
+    """
+
+    #: job kind: picks the executor and the run-store row kind.
+    kind = "race"
+    #: the result is not a ``SimResult``: the cache pickles it.
+    is_simulation = False
 
     workload: str = SERVICE_WORKLOAD
     scale: float = 0.3
@@ -122,10 +135,20 @@ class RaceSpec:
     #: per-tenant instruction budget.
     max_instructions: int = 60_000
 
+    def normalized(self) -> "RaceSpec":
+        return self
+
+    def as_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
     def label(self) -> str:
-        return "%s/%s/disc%.2f" % (
+        label = "%s/%s/disc%.2f" % (
             self.workload, self.policy.label(), self.adversary.disclosure_rate,
         )
+        return label if self.adversary.enabled else label + "/adv-off"
+
+    def event_fields(self) -> Dict[str, object]:
+        return {"workload": self.workload}
 
 
 @dataclass
@@ -207,7 +230,11 @@ def _build_race_image(spec: RaceSpec):
 
 def run_race(spec: RaceSpec, events=None, tracer=None,
              config: Optional[MachineConfig] = None) -> RaceResult:
-    """Run one race point; deterministic in ``spec`` alone."""
+    """Run one race point; deterministic in ``spec`` alone.
+
+    With ``events``, every rotation is logged as a ``rotation`` record
+    and the finished point as one ``race_point`` record.
+    """
     image = _build_race_image(spec)
     programs = []
     flows = []
@@ -300,7 +327,7 @@ def run_race(spec: RaceSpec, events=None, tracer=None,
             getattr(race.adversary.report, key) for race in tenants.values()
         )
 
-    return RaceResult(
+    result = RaceResult(
         workload=spec.workload,
         seed=spec.seed,
         tenants=spec.tenants,
@@ -339,35 +366,6 @@ def run_race(spec: RaceSpec, events=None, tracer=None,
         ),
         first_goal_icount=min(firsts) if firsts else None,
     )
-
-
-def _race_point(spec: RaceSpec) -> RaceResult:
-    return run_race(spec)
-
-
-def sweep_race(specs: Iterable[RaceSpec], workers: int = 0, events=None,
-               store=None) -> List[RaceResult]:
-    """Run a grid of race points, optionally across a process pool.
-
-    Results come back in input order and are bit-identical between the
-    sequential and pooled paths (workers compute, the parent records:
-    all event emission and store writes happen here, after collection).
-    """
-    specs = list(specs)
     if events is not None:
-        events.emit("race_start", points=len(specs))
-    if workers and workers >= 2 and len(specs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_race_point, specs, chunksize=1))
-    else:
-        results = [run_race(spec) for spec in specs]
-    for result in results:
-        if events is not None:
-            events.emit("race_point", **result.as_dict())
-        if store is not None:
-            store.record_race_point(result.as_dict())
-    if events is not None:
-        events.emit("race_end", points=len(results))
-    return results
+        events.emit("race_point", **result.as_dict())
+    return result

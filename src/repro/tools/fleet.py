@@ -6,14 +6,17 @@ arrival shape by default) and prints per-tenant tail latency
 tenants serving open-loop traffic over M cores behind a genuinely
 shared L2 + DRAM.
 
-Observability uses the shared flag set from :mod:`repro.harness.cli`:
-``--events`` captures ``fleet_start`` / ``tenant_point`` / ``fleet_end``
-records (renderable via ``python -m repro.tools.stats``), ``--store``
-indexes every tenant row in the run store's ``fleet_points`` table
-(``python -m repro.tools.stats fleet STORE.db``), and ``--dashboard``
-renders the live tenant counters.  ``--workers N`` runs the grid
-across a process pool; results are bit-identical to the sequential
-path.
+The grid runs through one :class:`~repro.harness.session.
+ExperimentSession`, so fleet points get the scheduler's retry and
+quarantine handling, and the shared observability flags from
+:mod:`repro.harness.cli` apply: ``--events`` captures the scheduler's
+``spec_dispatch`` / ``spec_done`` records plus one ``tenant_point``
+record per tenant (renderable via ``python -m repro.tools.stats``),
+``--store`` indexes every point as a ``fleet`` row of the run store
+(``python -m repro.tools.stats fleet STORE.db``), ``--trace-out``
+writes the sweep's span tree, and ``--dashboard`` renders the live
+progress and tenant counters.  ``--workers N`` runs the grid across a
+process pool; results are bit-identical to the sequential path.
 """
 
 from __future__ import annotations
@@ -22,11 +25,9 @@ import argparse
 import json
 import sys
 
-from ..fleet import ARRIVAL_KINDS, ArrivalSpec, FleetSpec, sweep_fleet
-from ..harness.cli import add_observability_options
-from ..harness.dashboard import Dashboard
-from ..obs import open_log, status
-from ..obs.trace import NULL_TRACER, Tracer
+from ..fleet import ARRIVAL_KINDS, ArrivalSpec, FleetSpec
+from ..harness.cli import add_observability_options, sweep_from_args
+from ..obs import status
 from ..security.race import SERVICE_WORKLOAD
 
 from .stats import format_table
@@ -123,39 +124,16 @@ def main(argv=None) -> int:
     except ValueError as err:
         parser.error(str(err))
 
-    span_tracer = Tracer() if args.trace_out else NULL_TRACER
-    dashboard = None
-    store = None
-    try:
-        with open_log(args.events) as events:
-            if args.dashboard:
-                dashboard = Dashboard(total=len(specs))
-                dashboard.attach(events)
-            if args.store:
-                from ..obs.store import RunStore
-
-                store = RunStore(args.store)
-            with span_tracer.span("fleet_sweep", points=len(specs)):
-                results = sweep_fleet(
-                    specs, workers=args.workers, events=events, store=store,
-                )
-            if dashboard is not None:
-                dashboard.finish()
-    finally:
-        if store is not None:
-            store.close()
-    if args.trace_out:
-        count = span_tracer.to_chrome(args.trace_out)
-        status("wrote %s (%d spans)" % (args.trace_out, count))
+    outcomes = sweep_from_args(args, specs)
+    results = [outcome.result for outcome in outcomes if outcome.ok]
+    failed = len(results) != len(outcomes)
     if args.store:
-        tenant_rows = sum(len(r.tenant_results) for r in results)
-        status("recorded %d fleet tenant rows in %s"
-               % (tenant_rows, args.store))
+        status("recorded %d fleet points in %s" % (len(results), args.store))
 
     if args.json:
         for result in results:
             print(json.dumps(result.as_dict(), sort_keys=True))
-        return 0
+        return 1 if failed else 0
 
     rows = []
     for result in results:
@@ -178,7 +156,7 @@ def main(argv=None) -> int:
          "p99", "ipc", "fairness", "switches"),
         rows,
     ))
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

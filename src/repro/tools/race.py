@@ -11,14 +11,18 @@ prints — ``none``, ``periodic@20000``, ``on_probe@2``,
 ``on_syscall@400`` — so a policy read off a previous report can be
 pasted straight back into ``--policies``.
 
-Observability uses the shared flag set from :mod:`repro.harness.cli`:
-``--events`` captures ``race_start`` / ``rotation`` / ``race_point`` /
-``race_end`` records (renderable via ``python -m repro.tools.stats``),
-``--store`` indexes every point in the run store's ``race_points``
-table (``python -m repro.tools.stats race STORE.db``), and
-``--dashboard`` renders the live races/rotations counters.  ``--workers
-N`` runs the grid across a process pool; results are bit-identical to
-the sequential path.
+The grid runs through one :class:`~repro.harness.session.
+ExperimentSession`, so race points get the scheduler's retry and
+quarantine handling, and the shared observability flags from
+:mod:`repro.harness.cli` apply: ``--events`` captures the scheduler's
+``spec_dispatch`` / ``spec_done`` records plus one ``rotation`` record
+per rotation and one ``race_point`` record per point (renderable via
+``python -m repro.tools.stats``), ``--store`` indexes every point as a
+``race`` row of the run store (``python -m repro.tools.stats race
+STORE.db``), ``--trace-out`` writes the sweep's span tree, and
+``--dashboard`` renders the live progress and races/rotations counters.
+``--workers N`` runs the grid across a process pool; results are
+bit-identical to the sequential path.
 """
 
 from __future__ import annotations
@@ -27,12 +31,10 @@ import argparse
 import json
 import sys
 
-from ..harness.cli import add_observability_options
-from ..harness.dashboard import Dashboard
-from ..obs import open_log, status
-from ..obs.trace import NULL_TRACER, Tracer
+from ..harness.cli import add_observability_options, sweep_from_args
+from ..obs import status
 from ..security.adversary import AdversarySpec
-from ..security.race import SERVICE_WORKLOAD, RaceSpec, sweep_race
+from ..security.race import SERVICE_WORKLOAD, RaceSpec
 from ..security.rotation import POLICY_KINDS, RotationPolicy
 
 from .stats import format_table
@@ -154,37 +156,16 @@ def main(argv=None) -> int:
     except ValueError as err:
         parser.error(str(err))
 
-    span_tracer = Tracer() if args.trace_out else NULL_TRACER
-    dashboard = None
-    store = None
-    try:
-        with open_log(args.events) as events:
-            if args.dashboard:
-                dashboard = Dashboard(total=len(specs))
-                dashboard.attach(events)
-            if args.store:
-                from ..obs.store import RunStore
-
-                store = RunStore(args.store)
-            with span_tracer.span("race_sweep", points=len(specs)):
-                results = sweep_race(
-                    specs, workers=args.workers, events=events, store=store,
-                )
-            if dashboard is not None:
-                dashboard.finish()
-    finally:
-        if store is not None:
-            store.close()
-    if args.trace_out:
-        count = span_tracer.to_chrome(args.trace_out)
-        status("wrote %s (%d spans)" % (args.trace_out, count))
+    outcomes = sweep_from_args(args, specs)
+    results = [outcome.result for outcome in outcomes if outcome.ok]
+    failed = len(results) != len(outcomes)
     if args.store:
         status("recorded %d race points in %s" % (len(results), args.store))
 
     if args.json:
         for result in results:
             print(json.dumps(result.as_dict(), sort_keys=True))
-        return 0
+        return 1 if failed else 0
 
     rows = []
     for result in results:
@@ -204,7 +185,7 @@ def main(argv=None) -> int:
          "first goal", "rotations", "rot cycles", "ipc"),
         rows,
     ))
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ any JSONL:
 * ``compare vcfr@64 baseline`` — latest A-vs-B per workload,
 * ``history --workload mcf`` — recent runs including failures,
 * ``sql "SELECT ..."`` — raw SQL passthrough,
+* ``race`` / ``fleet`` — the race and fleet jobs' rows, by kind,
 * ``backfill --cache-dir DIR --events LOG`` — index pre-store artifacts,
 * ``tail events.jsonl`` — follow a live event log (``--dashboard`` for
   the rolling status block).
@@ -166,7 +167,8 @@ def tier_table(records: List[dict]) -> Optional[str]:
 
 
 def race_table(records: List[dict]) -> Optional[str]:
-    """Rotation-vs-adversary race points (``race_point`` events).
+    """Rotation-vs-adversary race points (``race_point`` records: events,
+    or the run store's race payloads).
 
     One row per sweep point: the gadget-availability-window metrics
     against the rotation cost the defense paid for them."""
@@ -202,7 +204,8 @@ def race_table(records: List[dict]) -> Optional[str]:
 
 
 def fleet_table(records: List[dict]) -> Optional[str]:
-    """Datacenter fleet tenant rows (``tenant_point`` events).
+    """Datacenter fleet tenant rows (``tenant_point`` records: events,
+    or the run store's fleet payloads split per tenant).
 
     One row per tenant per fleet point: tail latency (cycles), IPC,
     fleet fairness, and switch counts under shared-L2 contention."""
@@ -436,43 +439,26 @@ def _store_backfill(store: RunStore, args) -> int:
 
 
 def _store_race(store: RunStore, args) -> int:
-    rows = store.race_points(policy=args.policy)
-    if not rows:
+    points = [dict(point, kind="race_point")
+              for point in store.payloads("race")
+              if args.policy in (None, point["policy"])]
+    if not points:
         print("no race points recorded", file=sys.stderr)
         return 1
-    print(format_table(
-        ("workload", "policy", "disc", "probe", "tenants", "rotations",
-         "rot cycles", "exposure", "max window", "first goal", "ipc"),
-        [(r["workload"], r["policy"], "%.2f" % r["disclosure_rate"],
-          "%.2f" % r["probe_rate"], r["tenants"], r["rotations"],
-          r["rotation_cycles"],
-          "%.1f%%" % (100 * (r["exposure_fraction"] or 0.0)),
-          r["max_exposure_streak"],
-          r["first_goal_icount"] if r["first_goal_icount"] is not None
-          else "-",
-          "%.4f" % (r["ipc"] or 0.0))
-         for r in rows],
-    ))
+    print(race_table(points))
     return 0
 
 
 def _store_fleet(store: RunStore, args) -> int:
-    rows = store.fleet_points(arrival_kind=args.arrival, mode=args.mode)
+    rows = [dict(point, kind="tenant_point", **tenant)
+            for point in store.payloads("fleet")
+            if args.arrival in (None, point["arrival_kind"])
+            and args.mode in (None, point["mode"])
+            for tenant in point["tenant_results"]]
     if not rows:
         print("no fleet points recorded", file=sys.stderr)
         return 1
-    print(format_table(
-        ("workload", "mode", "arrival", "fleet", "tenant", "core",
-         "served", "p50", "p95", "p99", "ipc", "fairness", "switches"),
-        [(r["workload"], r["mode"], r["arrival_kind"],
-          "%st/%sc" % (r["tenants"], r["cores"]), r["tenant"], r["core"],
-          "%s/%s" % (r["served"], r["requests"]),
-          r["p50_latency"], r["p95_latency"], r["p99_latency"],
-          "%.4f" % (r["ipc"] or 0.0),
-          "%.4f" % (r["ipc_fairness"] or 0.0),
-          r["switches"])
-         for r in rows],
-    ))
+    print(fleet_table(rows))
     return 0
 
 

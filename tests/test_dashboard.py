@@ -76,6 +76,19 @@ class TestStateTracking:
             dashboard.observe({"kind": "checkpoint", "ipc": ipc})
         assert list(dashboard.ipc) == [0.6, 0.7, 0.8]
 
+    def test_engine_label_field_keys_running_specs(self):
+        dashboard, _ = make_dashboard()
+        label = "service/none/disc0.25"
+        dashboard.observe({"kind": "spec_dispatch", "workload": "service",
+                           "label": label, "attempt": 0})
+        assert dashboard.running == {label: 0}
+        dashboard.observe({"kind": "race_point", "policy": "none"})
+        dashboard.observe({"kind": "spec_done", "workload": "service",
+                           "label": label, "cached": False})
+        assert dashboard.running == {}
+        assert dashboard.done == 1  # the job point itself is not a "done"
+        assert dashboard.races == 1
+
     def test_unrelated_kinds_ignored(self):
         dashboard, stream = make_dashboard()
         dashboard.observe({"kind": "status", "message": "hi"})

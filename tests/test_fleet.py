@@ -11,10 +11,10 @@ from repro.fleet import (
     ArrivalSpec,
     FleetSpec,
     arrival_times,
+    datacenter,
     run_fleet,
-    sweep_fleet,
 )
-from repro.harness import ExperimentSession
+from repro.harness import ExperimentSession, FaultPlan, RetryPolicy
 from repro.ilr import RandomizerConfig, make_flow, randomize
 from repro.isa import assemble
 from repro.obs.events import EventLog, MemorySink
@@ -277,46 +277,121 @@ def _dump(results):
     return json.dumps([r.as_dict() for r in results], sort_keys=True)
 
 
-def test_sweep_fleet_sequential_matches_pooled():
+def _sweep(specs, **policy):
+    with ExperimentSession(**policy) as session:
+        outcomes = session.sweep(specs)
+    assert all(outcome.ok for outcome in outcomes)
+    return outcomes
+
+
+def test_sweep_fleet_sequential_matches_pooled(tmp_path, monkeypatch):
     specs = _grid()
-    sequential = sweep_fleet(specs, workers=0)
-    pooled = sweep_fleet(specs, workers=2)
-    assert _dump(sequential) == _dump(pooled)
+    cache_dir = str(tmp_path / "cache")
+    sequential = _sweep(specs, workers=0, cache_dir=cache_dir)
+    pooled = _sweep(specs, workers=2)
+    expected = _dump(run_fleet(spec) for spec in specs)
+    assert _dump(o.result for o in sequential) == expected
+    assert _dump(o.result for o in pooled) == expected
+
+    # Warm leg: every point is a cache hit; nothing executes.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("run_fleet called on a warm cache")
+
+    monkeypatch.setattr(datacenter, "run_fleet", must_not_run)
+    warm = _sweep(specs, workers=2, cache_dir=cache_dir)
+    assert all(outcome.cached for outcome in warm)
+    assert _dump(o.result for o in warm) == expected
 
 
-def test_sweep_fleet_emits_events_and_records_store(tmp_path):
+def test_sweep_fleet_emits_events_and_records_store(tmp_path, capsys):
+    from repro.tools import stats as stats_cli
+
     specs = _grid()[:2]
     sink = MemorySink()
-    events = EventLog(sink)
     store_path = str(tmp_path / "fleet.db")
-    with RunStore(store_path) as store:
-        results = sweep_fleet(specs, events=events, store=store)
+    outcomes = _sweep(specs, events=EventLog(sink), store_path=store_path)
+    results = [outcome.result for outcome in outcomes]
     kinds = [r["kind"] for r in sink.records]
-    assert kinds[0] == "fleet_start"
     assert kinds.count("tenant_point") == sum(
         len(r.tenant_results) for r in results)
-    assert kinds[-1] == "fleet_end"
+    assert kinds.count("spec_done") == len(specs)
+    points = [r for r in sink.records if r["kind"] == "tenant_point"]
+    assert points[0]["tenant"] == "t0"
+    assert points[0]["p99_latency"] == results[0].tenant_results[0].p99_latency
     with RunStore(store_path) as store:
-        rows = store.fleet_points()
-        assert len(rows) == sum(len(r.tenant_results) for r in results)
-        # Re-recording the same points is idempotent (INSERT OR IGNORE).
-        for result in results:
-            for point in result.tenant_points():
-                store.record_fleet_point(point)
-        assert len(store.fleet_points()) == len(rows)
-        bursty_rows = store.fleet_points(arrival_kind="bursty")
-        assert len(bursty_rows) == 4
-        assert all(r["arrival_kind"] == "bursty" for r in bursty_rows)
+        payloads = store.payloads("fleet")
+        assert [p["arrival_kind"] for p in payloads] == ["poisson", "bursty"]
+        assert payloads == [r.as_dict() for r in results]
+        assert store.best("ipc") == []  # fleet rows are not runs
+    assert stats_cli.main(["fleet", store_path, "--arrival", "bursty"]) == 0
+    lines = capsys.readouterr().out.splitlines()[2:]
+    assert len(lines) == 4 and all("bursty" in line for line in lines)
 
 
 def test_session_fleet_sweep_uses_session_plumbing():
     specs = _grid()[:1]
-    session = ExperimentSession(workers=0)
-    try:
-        results = session.fleet_sweep(specs)
-    finally:
-        session.close()
-    assert _dump(results) == _dump(sweep_fleet(specs))
+    with ExperimentSession(workers=0) as session:
+        session.prefetch(specs)
+        results = [session.run(spec) for spec in specs]
+    assert _dump(results) == _dump(run_fleet(spec) for spec in specs)
+
+
+# -- a crashed fleet grid resumes from its committed points -------------------
+
+
+CRASH_POINT = "service/vcfr/4t1c/poisson"
+
+
+def _rows(session):
+    from repro.harness.experiments import fleet
+
+    return fleet(session).rows
+
+
+@pytest.fixture(scope="module")
+def clean_fleet_rows():
+    with ExperimentSession() as session:
+        return _rows(session)
+
+
+def _resume(tmp_path, clean_rows, plan, attempts, workers):
+    """Crash one point of the fleet grid, then resume on the same cache."""
+    from repro.harness import FailedRunError
+
+    cache_dir = str(tmp_path / "cache")
+    retry = RetryPolicy(max_attempts=attempts, backoff=0.01)
+    with ExperimentSession(workers=workers, cache_dir=cache_dir,
+                           faults=FaultPlan.from_string(plan),
+                           retry=retry) as session:
+        with pytest.raises(FailedRunError):
+            _rows(session)
+        assert [spec.label() for spec in session.failures] == [CRASH_POINT]
+        assert session.cache.writes == 3
+
+    sink = MemorySink()
+    with ExperimentSession(workers=workers, cache_dir=cache_dir,
+                           events=EventLog(sink)) as session:
+        rows = _rows(session)
+        assert session.cache.hits == 3 and session.cache.writes == 1
+    executed = [r["label"] for r in sink.records
+                if r["kind"] == "spec_done" and not r["cached"]]
+    assert executed == [CRASH_POINT]
+    assert rows == clean_rows
+
+
+def test_crashed_fleet_grid_resumes(tmp_path, clean_fleet_rows):
+    _resume(tmp_path, clean_fleet_rows, "crash@%s#0" % CRASH_POINT,
+            attempts=1, workers=0)
+
+
+@pytest.mark.faults
+def test_crashed_pooled_fleet_grid_resumes(tmp_path, clean_fleet_rows):
+    # A real worker crash breaks the pool, so in-flight neighbours lose
+    # an attempt too; they win theirs in the probe pool, while the
+    # poisoned point crashes there again and is quarantined.
+    _resume(tmp_path, clean_fleet_rows,
+            "crash@{0}#0,crash@{0}#1".format(CRASH_POINT),
+            attempts=2, workers=2)
 
 
 # -- the CLI ------------------------------------------------------------------
@@ -338,7 +413,9 @@ def test_fleet_cli_table_events_and_store(tmp_path, capsys):
     points = read_events(events, kind="tenant_point")
     assert len(points) == 2
     with RunStore(store_path) as store:
-        assert len(store.fleet_points()) == 2
+        payloads = store.payloads("fleet")
+        assert len(payloads) == 1
+        assert len(payloads[0]["tenant_results"]) == 2
 
 
 def test_fleet_cli_json_output(capsys):
@@ -396,9 +473,11 @@ def test_dashboard_counts_fleet_tenants():
     dash = Dashboard(stream=open("/dev/null", "w"), ansi=False)
     dash.observe({"kind": "tenant_point", "served": 5})
     dash.observe({"kind": "tenant_point", "served": 3})
-    dash.observe({"kind": "fleet_end", "points": 1})
+    dash.observe({"kind": "spec_done", "label": "service/vcfr/2t1c/poisson",
+                  "cached": False})
     assert dash.fleet_tenants == 2
     assert dash.fleet_served == 8
+    assert dash.done == 1  # the job's spec_done, not its tenant rows
     assert "fleet 2 tenants 8 served" in dash.render()
 
 

@@ -116,6 +116,40 @@ class TestRecording:
         with pytest.raises(RuntimeError, match="backfill"):
             RunStore(path)
 
+    def test_schema_v1_store_refused(self, tmp_path):
+        # A v1 store's runs table has no kind column; it must be refused
+        # with the backfill hint, not fail on the v2 indexes.
+        path = str(tmp_path / "runs.sqlite")
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+            "INSERT INTO meta VALUES ('schema_version', '1');"
+            "CREATE TABLE runs (id INTEGER PRIMARY KEY, spec_key TEXT);")
+        conn.close()
+        with pytest.raises(RuntimeError, match="v1.*backfill"):
+            RunStore(path)
+
+    def test_job_kinds_share_the_runs_table(self, tmp_path):
+        from repro.security.race import RaceSpec, run_race
+
+        race = RaceSpec(max_instructions=4000)
+        result = run_race(race)
+        with RunStore(str(tmp_path / "runs.sqlite")) as store:
+            store.record_run(spec_dict(), fake_result(), created_at=1.0)
+            store.record_run(race, result, created_at=2.0)
+            store.record_failure(race, "boom", created_at=3.0)
+            columns, rows = store.query(
+                "SELECT kind, mode, ipc, payload IS NOT NULL FROM runs "
+                "ORDER BY id")
+            assert rows == [("run", "baseline", 0.5, 0),
+                            ("race", "race", result.ipc, 1),
+                            ("race", "race", None, 0)]
+            assert store.payloads("race") == [result.as_dict()]
+            assert store.payloads("fleet") == []
+            assert [r["workload"] for r in store.best("ipc")] == ["mcf"]
+            assert [r["label"] for r in store.history()] == [
+                "race", "race", "baseline"]
+
 
 class TestQueries:
     @pytest.fixture()

@@ -1,8 +1,8 @@
 """The attack/defense race: adversary, rotation service, race harness.
 
 Everything here is seed-pinned: the adversary's harvest, each rotation
-policy's trigger, and the sweep's sequential-vs-pooled bit-identity are
-all deterministic functions of the spec.
+policy's trigger, and the scheduler's sequential-vs-pooled-vs-cached
+bit-identity are all deterministic functions of the spec.
 """
 
 import json
@@ -16,12 +16,12 @@ from repro.obs.events import EventLog, MemorySink
 from repro.obs.store import RunStore
 from repro.qa.oracle import OracleConfig, check_attack
 from repro.security.adversary import AdversarySpec, JITROPAdversary
+from repro.security import race as race_module
 from repro.security.race import (
     SERVICE_WORKLOAD,
     RaceSpec,
     _build_race_image,
     run_race,
-    sweep_race,
 )
 from repro.security.rotation import RotationPolicy
 from repro.tools.race import parse_policy
@@ -147,7 +147,7 @@ def test_run_race_is_deterministic():
     assert first == second
 
 
-# -- sweep: sequential vs pooled bit-identity --------------------------------
+# -- scheduler jobs: sequential vs pooled vs cached bit-identity -------------
 
 
 def _grid():
@@ -174,45 +174,87 @@ def _dump(results):
     return json.dumps([r.as_dict() for r in results], sort_keys=True)
 
 
-def test_sweep_race_sequential_matches_pooled():
+def _sweep(specs, **policy):
+    with ExperimentSession(**policy) as session:
+        outcomes = session.sweep(specs)
+    assert all(outcome.ok for outcome in outcomes)
+    return outcomes
+
+
+def test_sweep_race_sequential_matches_pooled(tmp_path, monkeypatch):
     specs = _grid()
-    sequential = sweep_race(specs, workers=0)
-    pooled = sweep_race(specs, workers=2)
-    assert _dump(sequential) == _dump(pooled)
+    cache_dir = str(tmp_path / "cache")
+    sequential = _sweep(specs, workers=0, cache_dir=cache_dir)
+    pooled = _sweep(specs, workers=2)
+    expected = _dump(run_race(spec) for spec in specs)
+    assert _dump(o.result for o in sequential) == expected
+    assert _dump(o.result for o in pooled) == expected
+
+    # Warm leg: every point is a cache hit; nothing executes.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("run_race called on a warm cache")
+
+    monkeypatch.setattr(race_module, "run_race", must_not_run)
+    warm = _sweep(specs, workers=2, cache_dir=cache_dir)
+    assert all(outcome.cached for outcome in warm)
+    assert _dump(o.result for o in warm) == expected
 
 
-def test_sweep_race_emits_events_and_records_store(tmp_path):
+def test_sweep_race_emits_events_and_records_store(tmp_path, capsys):
+    from repro.tools import stats as stats_cli
+
     specs = _grid()[:2]
     sink = MemorySink()
-    events = EventLog(sink)
     store_path = str(tmp_path / "race.db")
-    with RunStore(store_path) as store:
-        results = sweep_race(specs, events=events, store=store)
+    outcomes = _sweep(specs, events=EventLog(sink), store_path=store_path)
     kinds = [r["kind"] for r in sink.records]
-    assert kinds[0] == "race_start"
     assert kinds.count("race_point") == len(specs)
-    assert kinds[-1] == "race_end"
+    assert kinds.count("spec_done") == len(specs)
+    assert kinds.index("race_point") < kinds.index("spec_done")
+    done = [r for r in sink.records if r["kind"] == "spec_done"]
+    assert [r["label"] for r in done] == [spec.label() for spec in specs]
+    # A second sweep adds rows; the race view keeps the latest per spec.
+    _sweep(specs, store_path=store_path)
     with RunStore(store_path) as store:
-        rows = store.race_points()
-        assert len(rows) == len(specs)
-        # Re-recording the same points is idempotent (INSERT OR IGNORE).
-        for result in results:
-            store.record_race_point(result.as_dict())
-        assert len(store.race_points()) == len(specs)
-        only = store.race_points(policy="none")
-        assert len(only) == 1 and only[0]["policy"] == "none"
-        assert only[0]["exposure_fraction"] == pytest.approx(
-            results[0].exposure_fraction)
+        points = store.payloads("race")
+        assert [p["policy"] for p in points] == ["none", "periodic@4000"]
+        assert points[0] == outcomes[0].result.as_dict()
+        assert store.counts()["runs"] == 2 * len(specs)
+        assert store.best("ipc") == []  # race rows are not runs
+    assert stats_cli.main(["race", store_path, "--policy", "none"]) == 0
+    out = capsys.readouterr().out
+    assert "none" in out and "periodic" not in out
 
 
-def test_session_race_sweep_uses_session_plumbing(tmp_path):
+@pytest.mark.parametrize("workers", [0, 2])
+def test_rotation_records_reach_the_event_log(workers):
+    specs = _grid()[1:]
+    sink = MemorySink()
+    outcomes = _sweep(specs, workers=workers, events=EventLog(sink))
+    rotations = [r for r in sink.records if r["kind"] == "rotation"]
+    expected = sum(outcome.result.rotations for outcome in outcomes)
+    assert expected > 0
+    assert len(rotations) == expected
+
+
+def test_gadget_window_specs_have_distinct_labels():
+    from repro.harness.experiments import gadget_window
+
+    sink = MemorySink()
+    with ExperimentSession(events=EventLog(sink)) as session:
+        gadget_window(session)
+    labels = [r["label"] for r in sink.records if r["kind"] == "spec_done"]
+    assert len(labels) == 11
+    assert len(set(labels)) == 11
+    assert "service/periodic@20000/disc0.25/adv-off" in labels
+
+
+def test_session_race_sweep_uses_session_plumbing():
     specs = _grid()[:2]
-    session = ExperimentSession(workers=0)
-    try:
-        results = session.race_sweep(specs)
-    finally:
-        session.close()
-    assert _dump(results) == _dump(sweep_race(specs))
+    with ExperimentSession(workers=0) as session:
+        session.prefetch(specs)
+        results = [session.run(spec) for spec in specs]
+    assert _dump(results) == _dump(run_race(spec) for spec in specs)
 
 
 # -- the CLI's policy grammar ------------------------------------------------
@@ -239,7 +281,7 @@ def test_race_cli_table_events_and_store(tmp_path, capsys):
     points = read_events(events, kind="race_point")
     assert len(points) == 2
     with RunStore(store_path) as store:
-        assert len(store.race_points()) == 2
+        assert len(store.payloads("race")) == 2
 
 
 def test_race_cli_json_output(capsys):
