@@ -2,17 +2,19 @@
 
 Runs a branchy-but-hot kernel (a long straight-line inner loop, a call
 per outer iteration — the shape the block cache and the superblock
-trace tier are built for) under all three cycle-simulated modes, once
-with the full fast path (``fastpath=True`` with the trace tier
-compiling hot superblocks) and once with the reference execute loop,
-and asserts two things:
+trace tier are built for) under all three cycle-simulated modes, with
+the full fast path (``fastpath=True`` with the trace tier compiling
+hot superblocks), with the block tier alone (``tracepath=False``) and
+with the reference execute loop, and asserts three things:
 
-1. **Equivalence** — the two paths return *identical* ``SimResult``
+1. **Equivalence** — all three paths return *identical* ``SimResult``
    serializations (every cycle, every counter).  Speed that changes the
    numbers is not an optimization.
-2. **Speedup** — the fast path is at least :data:`MIN_SPEEDUP` times
-   faster than the reference loop in every mode (the trace-tier
-   acceptance floor is 3.0x; blocks alone gated 1.8x).
+2. **Speedup** — the full fast path is at least :data:`MIN_SPEEDUP`
+   times faster than the reference loop in every mode.
+3. **Block-tier speedup** — the block tier alone is at least
+   :data:`MIN_BLOCKS_SPEEDUP` times faster than the reference loop, so
+   a regression in the block handlers cannot hide under the traces.
 
 Run directly (the ``Makefile verify`` target does)::
 
@@ -34,6 +36,7 @@ from repro.workloads.builder import ProgramBuilder
 MAX_INSTRUCTIONS = 120_000
 REPETITIONS = 3
 MIN_SPEEDUP = 3.0
+MIN_BLOCKS_SPEEDUP = 1.8
 MODES = ("baseline", "naive_ilr", "vcfr")
 
 _INNER_ITERS = 40
@@ -95,10 +98,15 @@ def _image_for(mode, program):
     }[mode]
 
 
-def _run_once(program, mode, fastpath):
+#: leg -> (fastpath, tracepath), in run order within each repetition
+LEGS = {"fast": (True, True), "ref": (False, False), "blocks": (True, False)}
+
+
+def _run_once(program, mode, fastpath, tracepath=True):
     """One fresh simulation; returns (host_seconds, result_dict)."""
     config = default_config()
     config.fastpath = fastpath
+    config.tracepath = tracepath
     cpu = CycleCPU(_image_for(mode, program), make_flow(mode, program),
                    config)
     start = time.perf_counter()
@@ -107,45 +115,49 @@ def _run_once(program, mode, fastpath):
 
 
 def measure_mode(program, mode):
-    """Returns (seconds_ref, seconds_fast, speedup) after asserting the
-    two loops produced identical results."""
-    # Warm both paths once (allocator, bytecode caches) before timing.
-    _, warm_fast = _run_once(program, mode, True)
-    _, warm_ref = _run_once(program, mode, False)
-    assert warm_fast == warm_ref, (
-        "%s: fast path diverged from the reference loop" % mode
-    )
-    fast_times, ref_times = [], []
+    """Best host seconds per leg (:data:`LEGS`) after asserting every
+    leg produced the reference loop's results."""
+    # Warm every leg once (allocator, bytecode caches) before timing.
+    warm = {leg: _run_once(program, mode, *flags)[1]
+            for leg, flags in LEGS.items()}
+    for leg in ("blocks", "fast"):
+        assert warm[leg] == warm["ref"], (
+            "%s: %s path diverged from the reference loop" % (mode, leg)
+        )
+    times = {leg: [] for leg in LEGS}
     for _ in range(REPETITIONS):  # interleave to share host noise
-        seconds, _result = _run_once(program, mode, True)
-        fast_times.append(seconds)
-        seconds, _result = _run_once(program, mode, False)
-        ref_times.append(seconds)
-    best_fast = min(fast_times)
-    best_ref = min(ref_times)
-    return best_ref, best_fast, best_ref / best_fast
+        for leg, flags in LEGS.items():
+            times[leg].append(_run_once(program, mode, *flags)[0])
+    return {leg: min(seconds) for leg, seconds in times.items()}
 
 
 def test_fast_path_speedup_and_equivalence():
     program = _build_program()
     failures = []
     for mode in MODES:
-        ref, fast, speedup = measure_mode(program, mode)
+        best = measure_mode(program, mode)
+        speedup = best["ref"] / best["fast"]
+        blocks_speedup = best["ref"] / best["blocks"]
         print(
-            "\nhot loop [%s]: ref %.4fs, fast %.4fs -> %.2fx"
-            % (mode, ref, fast, speedup)
+            "\nhot loop [%s]: ref %.4fs, blocks %.4fs -> %.2fx, "
+            "fast %.4fs -> %.2fx"
+            % (mode, best["ref"], best["blocks"], blocks_speedup,
+               best["fast"], speedup)
         )
         if not record("hot_loop", "%s_speedup" % mode,
                       round(speedup, 2), MIN_SPEEDUP):
-            failures.append((mode, speedup))
+            failures.append((mode + " fast", speedup))
+        if not record("hot_loop", "%s_blocks_speedup" % mode,
+                      round(blocks_speedup, 2), MIN_BLOCKS_SPEEDUP):
+            failures.append((mode + " blocks", blocks_speedup))
     assert not failures, (
-        "fast path below the %.1fx floor: %s"
-        % (MIN_SPEEDUP,
+        "below the %.1fx (fast) / %.1fx (blocks) floors: %s"
+        % (MIN_SPEEDUP, MIN_BLOCKS_SPEEDUP,
            ", ".join("%s %.2fx" % pair for pair in failures))
     )
 
 
 if __name__ == "__main__":
     test_fast_path_speedup_and_equivalence()
-    print("OK: fast path >= %.1fx in every mode, results identical"
-          % MIN_SPEEDUP)
+    print("OK: fast path >= %.1fx and blocks alone >= %.1fx in every "
+          "mode, results identical" % (MIN_SPEEDUP, MIN_BLOCKS_SPEEDUP))

@@ -34,8 +34,9 @@ Correctness contract
 Op tuple layout (index: field) — consumed by ``_execute_loop_fast``:
 
 ====  =========================================================
- 0    executor handler, specialized to the instruction at decode
-      time (:func:`~repro.arch.executor.specialize_handler`)
+ 0    executor handler: the instruction's shape handler
+      (:func:`shape_handler`), or the generic ``DISPATCH`` handler
+      for shapes without a template
  1    decoded :class:`Instruction`
  2    fetch PC
  3    architectural PC (``flow.arch_pc_of(fetch_pc)``)
@@ -60,12 +61,23 @@ Op tuple layout (index: field) — consumed by ``_execute_loop_fast``:
 
 from __future__ import annotations
 
+import functools
+import re
 from typing import Dict, Optional
 
 from ..isa import opcodes
 from ..isa.decoder import DecodeError, decode
 from ..isa.instruction import Instruction
-from .executor import DISPATCH, EXEC_EXTRA, ExecutionError, specialize_handler
+from .executor import (
+    CTRL_NONE,
+    DISPATCH,
+    EXEC_EXTRA,
+    FIELDS,
+    ExecutionError,
+    exec_template,
+    shape_of,
+    term_template,
+)
 
 #: Mnemonics whose handlers can return a non-``CTRL_NONE`` kind; any
 #: such instruction terminates its block.
@@ -84,6 +96,85 @@ def _missing_handler(mnemonic: str):
         raise ExecutionError("no semantics for %s" % mnemonic)
 
     return raise_no_semantics
+
+
+#: Generated-scope names a shape handler binds from its ``(inst, st,
+#: flow)`` arguments, each only when its body uses it.
+_PROLOGUE = (
+    ("regs", "regs = st.regs.regs"),
+    ("flags", "flags = st.flags"),
+    ("rd", "rd = st.mem.read_u32"),
+    ("wr", "wr = st.mem.write_u32"),
+    ("syscall", "syscall = st.syscall"),
+    ("fixup", "fixup = flow.fixup_load"),
+    ("note_store", "note_store = flow.note_store"),
+    ("note_push", "note_push = flow.note_retaddr_push"),
+    ("call_ret", "call_ret = flow.call_retaddr"),
+)
+
+
+class _FieldNames(dict):
+    """Renders every template field as its own name, recording it."""
+
+    def __missing__(self, key):
+        self[key] = key
+        return key
+
+
+@functools.lru_cache(maxsize=None)
+def _compile_shape(shape: tuple):
+    """Compile the handler factory of one shape from its template, or
+    None for a shape without one.
+
+    The factory takes an instruction of the shape and returns a handler
+    ``(inst, state, flow) -> (kind, target)`` with the instruction's
+    fields bound, so each call runs the template body straight-line.
+    Each shape compiles once per process; shapes range over the opcode
+    table times the flow traits, never over program size.
+    """
+    sequential = "return (%d, 0)" % CTRL_NONE
+    if shape[0] in _TERMINAL_MNEMONICS:
+        plan = term_template(shape)
+        if plan is None:
+            return None
+        taken = "return (%d, {target})" % plan["ctrl"]
+        if plan["cond"] is not None:
+            body = ["if %s:" % plan["cond"], "    " + taken, sequential]
+        elif plan["target_var"] is None:
+            body = plan["lines"] + [taken]
+        else:
+            body = plan["lines"] + [
+                "return (%d, %s)" % (plan["ctrl"], plan["target_var"])]
+    else:
+        plan = exec_template(shape)
+        if plan is None:
+            return None
+        body = plan["lines"] + [sequential]
+    names = _FieldNames(inst="inst")
+    body = [line.format_map(names) for line in body]
+    text = "\n".join(body)
+    # Fields bind as defaults (one tuple per handler, no closure cells).
+    fields = "".join(", %s=%s" % (name, FIELDS[name]) for name in names
+                     if name != "inst")
+    src = ["def make(inst):", "    def handler(inst, st, flow%s):" % fields]
+    src += ["        " + bind for name, bind in _PROLOGUE
+            if re.search(r"\b%s\b" % name, text)]
+    src += ["        " + line for line in body]
+    src.append("    return handler")
+    namespace: Dict[str, object] = {"__builtins__": {}}
+    exec(compile("\n".join(src) + "\n", "<shape:%s>" % shape[0], "exec"),
+         namespace)
+    return namespace["make"]
+
+
+def shape_handler(inst: Instruction, randomized: bool, derand_map):
+    """The block-tier handler of ``inst``: its shape's factory
+    (compiled once per process) instantiated with the instruction's
+    fields, or the generic handler when the shape has no template."""
+    make = _compile_shape(shape_of(inst, randomized, derand_map))
+    if make is None:
+        return DISPATCH[inst.mnemonic]
+    return make(inst)
 
 
 class Block:
@@ -194,6 +285,8 @@ class BlockCache:
         fetch_pc: Optional[int] = leader
         decoded = self.decoded
         max_insts = self.max_insts
+        randomized = bool(getattr(flow, "randomized", False))
+        derand_map = getattr(flow, "derand_map", None)
         while len(ops) < max_insts and fetch_pc is not None:
             inst = decoded.get(fetch_pc)
             if inst is None:
@@ -206,7 +299,7 @@ class BlockCache:
                     inst = self.decode_one(fetch_pc, mem)
 
             if inst.mnemonic in DISPATCH:
-                handler = specialize_handler(inst)
+                handler = shape_handler(inst, randomized, derand_map)
                 is_control = inst.mnemonic in _TERMINAL_MNEMONICS
             else:
                 if ops:

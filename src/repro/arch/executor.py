@@ -14,12 +14,17 @@ software emulation) is delegated to a :class:`ModeAdapter`:
 All four execution paths in this repo drive this one executor, which is
 what makes the cross-mode equivalence invariant testable.
 
-Semantics are organized as one handler function per mnemonic, dispatched
-through :data:`DISPATCH`.  :func:`execute` remains the public entry
-point (per-instruction prologue + table dispatch); the cycle simulator's
-basic-block fast path binds handlers per pre-decoded instruction so its
-hot loop pays neither the mnemonic lookup nor the wrapper frame — both
-paths run the *same* handler bodies, so they cannot diverge.
+Semantics are written in two forms.  The generic handlers — one
+function per mnemonic, dispatched through :data:`DISPATCH` behind the
+public :func:`execute` — are the reference: the functional paths and
+the cycle simulator's reference loop run them.  The shape templates
+(:func:`exec_template`, :func:`term_template`) are the one specialized
+copy: source for one instruction shape with its operand fields as
+placeholders, which the block tier compiles into per-shape handlers
+and the trace tier renders into per-trace functions.  Two forms can
+diverge, so the differential suites hold the templates to the generic
+handlers shape by shape (``tests/test_block_shapes.py``) and program
+by program (``repro.qa``, ``tests/test_fastpath_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -364,356 +369,82 @@ DISPATCH.update(
 )
 
 
-def handler_for(inst: Instruction):
-    """The semantics handler for ``inst`` (raises like :func:`execute`
-    would for an instruction with no defined semantics)."""
-    handler = DISPATCH.get(inst.mnemonic)
-    if handler is None:
-        raise ExecutionError("no semantics for %s" % inst.mnemonic)
-    return handler
-
-
-# -- decode-time specialization (block fast path) -----------------------------
-
-#: Shared sequential-outcome tuple; handlers may return the same object
-#: every call (callers only unpack it).
-_NONE0 = (CTRL_NONE, 0)
-
-
-def specialize_handler(inst: Instruction):
-    """A handler specialized to ``inst`` at decode time.
-
-    Semantically identical to :func:`handler_for`'s result — same side
-    effects, same flag updates, same exceptions — but with the mnemonic
-    and operand-mode dispatch resolved *once* and the instruction's
-    fields (register indices, displacement, immediate, branch target)
-    captured as locals, so the per-call body is straight-line.  Shapes
-    not worth specializing fall back to the generic handler.  The block
-    cache binds these into its op tuples; the functional paths keep
-    dispatching through :data:`DISPATCH`, and
-    ``tests/test_fastpath_equivalence.py`` locks the two together.
-    """
-    m = inst.mnemonic
-    mode = inst.mode
-    RR, RI = opcodes.MODE_RR, opcodes.MODE_RI
-    RM, MR = opcodes.MODE_RM, opcodes.MODE_MR
-
-    if m == "movi":
-        def h(inst, state, adapter, _r=inst.reg, _v=inst.imm & MASK32,
-              _bit=1 << inst.reg):
-            state.regs.regs[_r] = _v
-            if _v in adapter.derand_map:
-                adapter.tagmask |= _bit
-            elif adapter.tagmask:
-                adapter.tagmask &= ~_bit
-            return _NONE0
-        return h
-
-    if inst.cc is not None:  # the conditional-branch family
-        def h(inst, state, adapter, _cc=inst.cc,
-              _taken=(CTRL_JUMP, inst.target)):
-            if state.flags.evaluate(_cc):
-                return _taken
-            return _NONE0
-        return h
-
-    if m in ("jmp", "jmp8"):
-        def h(inst, state, adapter, _out=(CTRL_JUMP, inst.target)):
-            return _out
-        return h
-
-    if m == "call":
-        def h(inst, state, adapter, _out=(CTRL_CALL, inst.target)):
-            ret = adapter.call_retaddr(inst)
-            slot = state.push(ret)
-            adapter.note_retaddr_push(slot, ret)
-            state.last_store_addr = slot
-            state.last_retaddr = ret
-            return _out
-        return h
-
-    if m == "push":
-        def h(inst, state, adapter, _r=inst.reg, _bit=1 << inst.reg):
-            value = state.regs.regs[_r]
-            slot = state.push(value)
-            adapter.note_store(slot, value, bool(adapter.tagmask & _bit))
-            state.last_store_addr = slot
-            return _NONE0
-        return h
-
-    if m == "pop":
-        def h(inst, state, adapter, _r=inst.reg, _bit=1 << inst.reg):
-            value, slot = state.pop()
-            state.regs.regs[_r] = adapter.fixup_load(slot, value)
-            if adapter.tagmask:
-                adapter.tagmask &= ~_bit
-            state.last_load_addr = slot
-            return _NONE0
-        return h
-
-    if m in ("shl", "shr", "sar"):
-        count = inst.imm & 31
-        if m == "shl":
-            def h(inst, state, adapter, _rm=inst.rm, _c=count,
-                  _bit=1 << inst.rm):
-                regs = state.regs.regs
-                result = (regs[_rm] << _c) & MASK32
-                regs[_rm] = result
-                if adapter.tagmask:
-                    adapter.tagmask &= ~_bit
-                state.flags.set_logic(result)
-                return _NONE0
-        elif m == "shr":
-            def h(inst, state, adapter, _rm=inst.rm, _c=count,
-                  _bit=1 << inst.rm):
-                regs = state.regs.regs
-                result = (regs[_rm] >> _c) & MASK32
-                regs[_rm] = result
-                if adapter.tagmask:
-                    adapter.tagmask &= ~_bit
-                state.flags.set_logic(result)
-                return _NONE0
-        else:
-            def h(inst, state, adapter, _rm=inst.rm, _c=count,
-                  _bit=1 << inst.rm):
-                regs = state.regs.regs
-                result = (to_signed32(regs[_rm]) >> _c) & MASK32
-                regs[_rm] = result
-                if adapter.tagmask:
-                    adapter.tagmask &= ~_bit
-                state.flags.set_logic(result)
-                return _NONE0
-        return h
-
-    if m == "lea" and mode == opcodes.MODE_RM:
-        def h(inst, state, adapter, _r=inst.reg, _rm=inst.rm,
-              _d=inst.disp, _bit=1 << inst.reg):
-            regs = state.regs.regs
-            regs[_r] = (regs[_rm] + _d) & MASK32
-            if adapter.tagmask:
-                adapter.tagmask &= ~_bit
-            return _NONE0
-        return h
-
-    if m == "int":
-        def h(inst, state, adapter, _imm=inst.imm):
-            state.syscall(_imm)
-            if adapter.tagmask:
-                adapter.tagmask &= ~1
-            return _NONE0
-        return h
-
-    if m == "mov":
-        if mode == RR:
-            def h(inst, state, adapter, _r=inst.reg, _rm=inst.rm,
-                  _dbit=1 << inst.reg, _sbit=1 << inst.rm):
-                regs = state.regs.regs
-                regs[_r] = regs[_rm]
-                t = adapter.tagmask
-                if t:  # register moves propagate the tag bit
-                    adapter.tagmask = (t | _dbit) if t & _sbit \
-                        else (t & ~_dbit)
-                return _NONE0
-            return h
-        if mode == RI:
-            def h(inst, state, adapter, _r=inst.reg,
-                  _v=inst.imm & MASK32, _bit=1 << inst.reg):
-                state.regs.regs[_r] = _v
-                if _v in adapter.derand_map:
-                    adapter.tagmask |= _bit
-                elif adapter.tagmask:
-                    adapter.tagmask &= ~_bit
-                return _NONE0
-            return h
-        if mode == RM:
-            def h(inst, state, adapter, _r=inst.reg, _rm=inst.rm,
-                  _d=inst.disp, _bit=1 << inst.reg):
-                regs = state.regs.regs
-                addr = (regs[_rm] + _d) & MASK32
-                regs[_r] = adapter.fixup_load(addr, state.mem.read_u32(addr))
-                if adapter.tagmask:
-                    adapter.tagmask &= ~_bit
-                state.last_load_addr = addr
-                return _NONE0
-            return h
-        if mode == MR:
-            def h(inst, state, adapter, _r=inst.reg, _rm=inst.rm,
-                  _d=inst.disp, _bit=1 << inst.reg):
-                regs = state.regs.regs
-                addr = (regs[_rm] + _d) & MASK32
-                value = regs[_r]
-                state.mem.write_u32(addr, value)
-                adapter.note_store(addr, value,
-                                   bool(adapter.tagmask & _bit))
-                state.last_store_addr = addr
-                return _NONE0
-            return h
-        return _op_alu
-
-    if m == "add":
-        if mode == RR:
-            def h(inst, state, adapter, _r=inst.reg, _rm=inst.rm,
-                  _bit=1 << inst.reg):
-                regs = state.regs.regs
-                a = regs[_r]
-                b = regs[_rm]
-                total = a + b
-                regs[_r] = total & MASK32
-                if adapter.tagmask:
-                    adapter.tagmask &= ~_bit
-                state.flags.set_add(a, b, total)
-                return _NONE0
-            return h
-        if mode == RI:
-            def h(inst, state, adapter, _r=inst.reg,
-                  _b=inst.imm & MASK32, _bit=1 << inst.reg):
-                regs = state.regs.regs
-                a = regs[_r]
-                total = a + _b
-                regs[_r] = total & MASK32
-                if adapter.tagmask:
-                    adapter.tagmask &= ~_bit
-                state.flags.set_add(a, _b, total)
-                return _NONE0
-            return h
-        if mode == RM:
-            def h(inst, state, adapter, _r=inst.reg, _rm=inst.rm,
-                  _d=inst.disp, _bit=1 << inst.reg):
-                regs = state.regs.regs
-                addr = (regs[_rm] + _d) & MASK32
-                a = regs[_r]
-                b = adapter.fixup_load(addr, state.mem.read_u32(addr))
-                state.last_load_addr = addr
-                total = a + b
-                regs[_r] = total & MASK32
-                if adapter.tagmask:
-                    adapter.tagmask &= ~_bit
-                state.flags.set_add(a, b, total)
-                return _NONE0
-            return h
-        if mode == MR:
-            def h(inst, state, adapter, _r=inst.reg, _rm=inst.rm,
-                  _d=inst.disp):
-                regs = state.regs.regs
-                addr = (regs[_rm] + _d) & MASK32
-                b = regs[_r]
-                a = adapter.fixup_load(addr, state.mem.read_u32(addr))
-                state.last_load_addr = addr
-                total = a + b
-                result = total & MASK32
-                state.flags.set_add(a, b, total)
-                state.mem.write_u32(addr, result)
-                adapter.note_store(addr, result)
-                state.last_store_addr = addr
-                return _NONE0
-            return h
-        return _op_alu
-
-    if m in ("sub", "cmp", "test", "and", "or", "xor", "imul"):
-        if mode not in (RR, RI):
-            return _op_alu  # rare store/load forms: generic ladder
-        reg = inst.reg
-        rm = inst.rm
-        imm = inst.imm & MASK32 if mode == RI else 0
-        is_ri = mode == RI
-        if m == "sub":
-            def h(inst, state, adapter, _r=reg, _rm=rm, _imm=imm,
-                  _ri=is_ri, _bit=1 << reg):
-                regs = state.regs.regs
-                a = regs[_r]
-                b = _imm if _ri else regs[_rm]
-                regs[_r] = (a - b) & MASK32
-                if adapter.tagmask:
-                    adapter.tagmask &= ~_bit
-                state.flags.set_sub(a, b)
-                return _NONE0
-        elif m == "cmp":
-            def h(inst, state, adapter, _r=reg, _rm=rm, _imm=imm,
-                  _ri=is_ri):
-                regs = state.regs.regs
-                state.flags.set_sub(
-                    regs[_r], _imm if _ri else regs[_rm]
-                )
-                return _NONE0
-        elif m == "test":
-            def h(inst, state, adapter, _r=reg, _rm=rm, _imm=imm,
-                  _ri=is_ri):
-                regs = state.regs.regs
-                state.flags.set_logic(
-                    regs[_r] & (_imm if _ri else regs[_rm])
-                )
-                return _NONE0
-        elif m == "and":
-            def h(inst, state, adapter, _r=reg, _rm=rm, _imm=imm,
-                  _ri=is_ri, _bit=1 << reg):
-                regs = state.regs.regs
-                result = regs[_r] & (_imm if _ri else regs[_rm])
-                regs[_r] = result
-                if adapter.tagmask:
-                    adapter.tagmask &= ~_bit
-                state.flags.set_logic(result)
-                return _NONE0
-        elif m == "or":
-            def h(inst, state, adapter, _r=reg, _rm=rm, _imm=imm,
-                  _ri=is_ri, _bit=1 << reg):
-                regs = state.regs.regs
-                result = regs[_r] | (_imm if _ri else regs[_rm])
-                regs[_r] = result
-                if adapter.tagmask:
-                    adapter.tagmask &= ~_bit
-                state.flags.set_logic(result)
-                return _NONE0
-        elif m == "xor":
-            def h(inst, state, adapter, _r=reg, _rm=rm, _imm=imm,
-                  _ri=is_ri, _bit=1 << reg):
-                regs = state.regs.regs
-                result = regs[_r] ^ (_imm if _ri else regs[_rm])
-                regs[_r] = result
-                if adapter.tagmask:
-                    adapter.tagmask &= ~_bit
-                state.flags.set_logic(result)
-                return _NONE0
-        else:  # imul
-            def h(inst, state, adapter, _r=reg, _rm=rm, _imm=imm,
-                  _ri=is_ri, _bit=1 << reg):
-                regs = state.regs.regs
-                a = regs[_r]
-                b = _imm if _ri else regs[_rm]
-                product = to_signed32(a) * to_signed32(b)
-                regs[_r] = product & MASK32
-                if adapter.tagmask:
-                    adapter.tagmask &= ~_bit
-                state.flags.set_mul(product)
-                return _NONE0
-        return h
-
-    return handler_for(inst)
-
-
-# -- compile-time source templates (superblock trace tier) --------------------
+# -- specialized semantics: the shape template table -------------------------
 #
-# The trace tier (:mod:`repro.arch.tracecache`) compiles hot block
-# sequences into one specialized Python function via source generation +
-# ``exec``.  The templates below emit, for one decoded instruction, the
-# straight-line source implementing exactly the matching handler body
-# above — same side effects, same observable intermediate state on a
-# fault, same flag algebra — with the instruction's fields baked in as
-# literals.  Keeping the templates next to the handlers is what keeps
-# them honest: any semantics change must touch both, and the
-# differential suites (tests/test_fastpath_equivalence.py, repro.qa)
-# compare the tiers instruction-by-instruction.
+# The block and trace tiers run RX86 semantics as generated Python, and
+# the templates below are their one source.  For one instruction
+# *shape* (:func:`shape_of`) a template emits the straight-line source
+# implementing exactly the matching ``_op_*`` handler above — same side
+# effects, same observable intermediate state on a fault, same flag
+# algebra — with the instruction's operand fields as ``{field}``
+# placeholders (:data:`FIELDS`).  The trace tier
+# (:mod:`repro.arch.tracecache`) renders the fields as literals into one
+# function per hot superblock; the block tier
+# (:mod:`repro.arch.blockcache`) renders them as parameter names,
+# compiles one handler factory per shape and instantiates it per
+# instruction.  The generic handlers stay the reference: the
+# differential suites (tests/test_block_shapes.py,
+# tests/test_fastpath_equivalence.py, repro.qa) hold both tiers to them.
 #
-# Generated-scope name contract (bound by the trace compiler):
+# Generated-scope name contract (bound by both compilers):
 #
 # ``st`` (MachineState), ``regs`` (register list), ``flags``, ``rd``/
-# ``wr`` (mem.read_u32/write_u32), ``syscall``, ``flow``, ``events``,
-# ``fixup`` (flow.fixup_load), ``note_store``, ``note_push``
-# (note_retaddr_push), ``call_ret`` (call_retaddr), ``i{n}`` (this op's
-# Instruction).  Templates may define locals ``a``, ``b_``, ``r_``,
-# ``t_``, ``v``, ``ov``, ``addr``, ``sp``, ``tgt``, ``ret_``.
+# ``wr`` (mem.read_u32/write_u32), ``syscall``, ``flow``, ``fixup``
+# (flow.fixup_load), ``note_store``, ``note_push`` (note_retaddr_push),
+# ``call_ret`` (call_retaddr).  Templates may define locals ``a``,
+# ``b_``, ``r_``, ``t_``, ``v``, ``ov``, ``addr``, ``sp``, ``tgt``,
+# ``ret_``.
 
 _M32 = "4294967295"
 _SIGN = "2147483648"
+
+#: Operand fields a template references as ``{name}``: name -> the
+#: Python expression of the field's value over an Instruction ``inst``.
+#: The trace tier evaluates it into a literal; the block tier inlines
+#: it into each shape's handler factory.  The renderers bind two more
+#: names: ``{inst}`` (the Instruction object) and ``{ret}`` (a return
+#: address the trace tier folded at compile time).
+FIELDS = {
+    "reg": "inst.reg",
+    "rm": "inst.rm",
+    "disp": "inst.disp",
+    "imm": "inst.imm & " + _M32,
+    "count": "inst.imm & 31",
+    "vector": "inst.imm",
+    "rbit": "1 << inst.reg",
+    "rnot": "~(1 << inst.reg)",
+    "mbit": "1 << inst.rm",
+    "mnot": "~(1 << inst.rm)",
+    "target": "inst.target",
+}
+_FIELD_VALUE = {name: eval("lambda inst: " + expr)
+                for name, expr in FIELDS.items()}
+
+#: ``addr = regs[rm] + disp`` (32-bit wrap): every memory operand.
+_ADDR = "addr = (regs[{rm}] + {disp}) & " + _M32
+
+
+def shape_of(inst: Instruction, randomized: bool, derand_map) -> tuple:
+    """The template key of ``inst`` under a flow.
+
+    ``(mnemonic, mode, cc, randomized, tagged, aliased)``.  ``tagged``
+    is the ``value in derand_map`` outcome of an immediate
+    materialization (``movi``/``mov ri``) under a randomized flow,
+    folded at compile time: the producer map only changes on a
+    re-randomization epoch, which flushes every compiled block and
+    trace (the same contract that lets the block cache freeze per-op
+    ``arch_pc``).  ``aliased`` marks ``add``/``sub`` register forms
+    that name one register twice: their flag update needs the source
+    operand's value from before the write-back.
+    """
+    m = inst.mnemonic
+    mode = inst.mode
+    tagged = (randomized
+              and (m == "movi" or (m == "mov" and mode == opcodes.MODE_RI))
+              and (inst.imm & MASK32) in derand_map)
+    aliased = (mode == opcodes.MODE_RR and inst.reg == inst.rm
+               and m in ("add", "sub"))
+    return (m, mode, inst.cc, randomized, tagged, aliased)
 
 
 def _src_flags_logic(result: str):
@@ -748,26 +479,27 @@ def _src_flags_sub(a: str, b: str, result: str):
     ]
 
 
-def _src_tag_clear(bit: int):
-    """Inline the handlers' ``if tagmask: tagmask &= ~bit`` maintenance."""
+def _src_tag_clear(keep: str):
+    """Inline the handlers' ``if tagmask: tagmask &= ~bit`` maintenance
+    (``keep`` renders ``~bit``)."""
     return [
         "if flow.tagmask:",
-        "    flow.tagmask &= %d" % ~bit,
+        "    flow.tagmask &= %s" % keep,
     ]
 
 
-def _src_tag_imm(value: int, bit: int, derand_map):
-    """Tag maintenance for materializing immediate ``value``.
+def _src_result(randomized: bool, dest: str = "{reg}",
+                keep: str = "{rnot}"):
+    """Write ``r_`` back to ``regs[dest]``: an arithmetic result, hence
+    untagged."""
+    lines = ["regs[%s] = r_" % dest]
+    if randomized:
+        lines += _src_tag_clear(keep)
+    return lines
 
-    The ``value in derand_map`` membership is folded at compile time:
-    the producer map only ever changes on a re-randomization epoch,
-    which flushes every compiled trace (the same contract that lets the
-    block cache freeze per-op ``arch_pc``).
-    """
-    if value in derand_map:
-        return ["flow.tagmask |= %d" % bit]
-    return _src_tag_clear(bit)
 
+#: Python operator of each logic mnemonic (``test`` is a flags-only and).
+_LOGIC_OPS = {"test": "&", "and": "&", "or": "|", "xor": "^"}
 
 #: Condition-code expressions, mirroring ``Flags.evaluate``.
 _CC_SRC = {
@@ -789,21 +521,18 @@ def _load_src(randomized: bool, dest: str, addr: str):
     return "%s = rd(%s)" % (dest, addr)
 
 
-def inline_exec_src(inst: Instruction, n: int, randomized: bool,
-                    derand_map=None):
-    """Execute-stage source for a CTRL_NONE instruction.
+def exec_template(shape: tuple):
+    """Execute-stage template for a CTRL_NONE shape.
 
     Returns ``{"lines", "loads", "stores", "can_event"}`` — ``loads``/
     ``stores`` name locals holding data addresses (in the order the fast
     loop probes them), ``can_event`` says whether the op can append flow
     events (loads through ``fixup``) — or None when the shape has no
-    template (caller falls back to the bound handler).  ``int`` is not
-    handled here: its ExitProgram unwind is control flow the trace
-    compiler owns.
+    template (callers bind the generic handler).  For ``int`` the
+    syscall is the first line: the trace tier wraps it in its own
+    ExitProgram unwind.
     """
-    m = inst.mnemonic
-    mode = inst.mode
-    derand_map = derand_map if derand_map is not None else {}
+    m, mode, _cc, randomized, tagged, aliased = shape
     RR, RI = opcodes.MODE_RR, opcodes.MODE_RI
     RM, MR = opcodes.MODE_RM, opcodes.MODE_MR
 
@@ -818,79 +547,71 @@ def inline_exec_src(inst: Instruction, n: int, randomized: bool,
     if m == "nop":
         return out([])
 
+    if m == "int":
+        lines = ["syscall({vector})"]
+        if randomized:  # syscalls may write EAX (ICOUNT): plain data
+            lines += _src_tag_clear("-2")
+        return out(lines)
+
     if m == "movi" or (m == "mov" and mode == RI):
-        value = inst.imm & MASK32
-        lines = ["regs[%d] = %d" % (inst.reg, value)]
+        lines = ["regs[{reg}] = {imm}"]
         if randomized:
-            lines += _src_tag_imm(value, 1 << inst.reg, derand_map)
+            lines += (["flow.tagmask |= {rbit}"] if tagged
+                      else _src_tag_clear("{rnot}"))
         return out(lines)
 
     if m == "mov":
         if mode == RR:
-            lines = ["regs[%d] = regs[%d]" % (inst.reg, inst.rm)]
-            if randomized:
+            lines = ["regs[{reg}] = regs[{rm}]"]
+            if randomized:  # register moves propagate the tag bit
                 lines += [
                     "t_ = flow.tagmask",
                     "if t_:",
-                    "    flow.tagmask = (t_ | %d) if t_ & %d else (t_ & %d)"
-                    % (1 << inst.reg, 1 << inst.rm, ~(1 << inst.reg)),
+                    "    flow.tagmask = (t_ | {rbit}) if t_ & {mbit}"
+                    " else (t_ & {rnot})",
                 ]
             return out(lines)
         if mode == RM:
-            lines = [
-                "addr = (regs[%d] + %d) & %s" % (inst.rm, inst.disp, _M32),
-                _load_src(randomized, "regs[%d]" % inst.reg, "addr"),
-            ]
+            lines = [_ADDR, _load_src(randomized, "regs[{reg}]", "addr")]
             if randomized:
-                lines += _src_tag_clear(1 << inst.reg)
+                lines += _src_tag_clear("{rnot}")
             lines.append("st.last_load_addr = addr")
             return out(lines, loads=["addr"])
         if mode == MR:
-            lines = [
-                "addr = (regs[%d] + %d) & %s" % (inst.rm, inst.disp, _M32),
-                "v = regs[%d]" % inst.reg,
-                "wr(addr, v)",
-            ]
+            lines = [_ADDR, "v = regs[{reg}]", "wr(addr, v)"]
             if randomized:
-                lines.append(
-                    "note_store(addr, v, flow.tagmask & %d != 0)"
-                    % (1 << inst.reg)
-                )
+                lines.append("note_store(addr, v, flow.tagmask & {rbit} != 0)")
             lines.append("st.last_store_addr = addr")
             return out(lines, stores=["addr"])
         return None
 
+    # The source operand of a register form, re-read by the flag update
+    # after the write-back — except when that read would see the result.
+    source = "a" if aliased else "regs[{rm}]"
+
     if m == "add":
         if mode == RR or mode == RI:
-            b = "regs[%d]" % inst.rm if mode == RR else str(inst.imm & MASK32)
-            lines = [
-                "a = regs[%d]" % inst.reg,
-                "t_ = a + %s" % b,
-                "r_ = t_ & %s" % _M32,
-                "regs[%d] = r_" % inst.reg,
-            ]
-            if randomized:
-                lines += _src_tag_clear(1 << inst.reg)
-            lines += _src_flags_add("a", b, "t_", "r_")
-            return out(lines)
+            b = source if mode == RR else "{imm}"
+            lines = ["a = regs[{reg}]", "t_ = a + %s" % b,
+                     "r_ = t_ & %s" % _M32]
+            lines += _src_result(randomized)
+            return out(lines + _src_flags_add("a", b, "t_", "r_"))
         if mode == RM:
             lines = [
-                "addr = (regs[%d] + %d) & %s" % (inst.rm, inst.disp, _M32),
-                "a = regs[%d]" % inst.reg,
+                _ADDR,
+                "a = regs[{reg}]",
                 _load_src(randomized, "b_", "addr"),
                 "st.last_load_addr = addr",
                 "t_ = a + b_",
                 "r_ = t_ & %s" % _M32,
-                "regs[%d] = r_" % inst.reg,
             ]
-            if randomized:
-                lines += _src_tag_clear(1 << inst.reg)
+            lines += _src_result(randomized)
             lines += _src_flags_add("a", "b_", "t_", "r_")
             return out(lines, loads=["addr"])
         if mode == MR:
             lines = [
-                "addr = (regs[%d] + %d) & %s" % (inst.rm, inst.disp, _M32),
-                "b_ = regs[%d]" % inst.reg,
+                _ADDR,
+                "b_ = regs[{reg}]",
                 _load_src(randomized, "a", "addr"),
                 "st.last_load_addr = addr",
                 "t_ = a + b_",
@@ -898,7 +619,7 @@ def inline_exec_src(inst: Instruction, n: int, randomized: bool,
             ]
             lines += _src_flags_add("a", "b_", "t_", "r_")
             lines.append("wr(addr, r_)")
-            if randomized:
+            if randomized:  # a read-modify-write result is untagged
                 lines.append("note_store(addr, r_)")
             lines.append("st.last_store_addr = addr")
             return out(lines, loads=["addr"], stores=["addr"])
@@ -907,51 +628,27 @@ def inline_exec_src(inst: Instruction, n: int, randomized: bool,
     if m in ("sub", "cmp", "test", "and", "or", "xor", "imul"):
         if mode != RR and mode != RI:
             return None  # rare load/store forms: generic handler ladder
-        b = "regs[%d]" % inst.rm if mode == RR else str(inst.imm & MASK32)
-        bit = 1 << inst.reg
-        if m == "sub":
-            lines = [
-                "a = regs[%d]" % inst.reg,
-                "r_ = (a - %s) & %s" % (b, _M32),
-                "regs[%d] = r_" % inst.reg,
-            ]
-            if randomized:
-                lines += _src_tag_clear(bit)
-            lines += _src_flags_sub("a", b, "r_")
-            return out(lines)
-        if m == "cmp":
-            lines = [
-                "a = regs[%d]" % inst.reg,
-                "r_ = (a - %s) & %s" % (b, _M32),
-            ]
-            lines += _src_flags_sub("a", b, "r_")
-            return out(lines)
-        if m == "test":
-            lines = ["r_ = regs[%d] & %s" % (inst.reg, b)]
-            lines += _src_flags_logic("r_")
-            return out(lines)
-        if m in ("and", "or", "xor"):
-            op_ch = {"and": "&", "or": "|", "xor": "^"}[m]
-            lines = [
-                "r_ = regs[%d] %s %s" % (inst.reg, op_ch, b),
-                "regs[%d] = r_" % inst.reg,
-            ]
-            if randomized:
-                lines += _src_tag_clear(bit)
-            lines += _src_flags_logic("r_")
-            return out(lines)
+        b = source if mode == RR else "{imm}"
+        if m in ("sub", "cmp"):
+            lines = ["a = regs[{reg}]", "r_ = (a - %s) & %s" % (b, _M32)]
+            if m == "sub":
+                lines += _src_result(randomized)
+            return out(lines + _src_flags_sub("a", b, "r_"))
+        if m in _LOGIC_OPS:
+            lines = ["r_ = regs[{reg}] %s %s" % (_LOGIC_OPS[m], b)]
+            if m != "test":
+                lines += _src_result(randomized)
+            return out(lines + _src_flags_logic("r_"))
         # imul RR/RI: exact signed product for the CF/OF overflow rule.
         lines = [
-            "a = regs[%d]" % inst.reg,
+            "a = regs[{reg}]",
             "a = a - 4294967296 if a & %s else a" % _SIGN,
             "b_ = %s" % b,
             "b_ = b_ - 4294967296 if b_ & %s else b_" % _SIGN,
             "t_ = a * b_",
             "r_ = t_ & %s" % _M32,
-            "regs[%d] = r_" % inst.reg,
         ]
-        if randomized:
-            lines += _src_tag_clear(bit)
+        lines += _src_result(randomized)
         lines += [
             "v = r_ - 4294967296 if r_ & %s else r_" % _SIGN,
             "ov = v != t_",
@@ -963,44 +660,34 @@ def inline_exec_src(inst: Instruction, n: int, randomized: bool,
         return out(lines)
 
     if m in ("shl", "shr", "sar"):
-        count = inst.imm & 31
-        bit = 1 << inst.rm
         if m == "shl":
-            lines = ["r_ = (regs[%d] << %d) & %s" % (inst.rm, count, _M32)]
+            lines = ["r_ = (regs[{rm}] << {count}) & " + _M32]
         elif m == "shr":
-            lines = ["r_ = regs[%d] >> %d" % (inst.rm, count)]
+            lines = ["r_ = regs[{rm}] >> {count}"]
         else:
             lines = [
-                "v = regs[%d]" % inst.rm,
+                "v = regs[{rm}]",
                 "v = v - 4294967296 if v & %s else v" % _SIGN,
-                "r_ = (v >> %d) & %s" % (count, _M32),
+                "r_ = (v >> {count}) & " + _M32,
             ]
-        lines.append("regs[%d] = r_" % inst.rm)
-        if randomized:
-            lines += _src_tag_clear(bit)
-        lines += _src_flags_logic("r_")
-        return out(lines)
+        lines += _src_result(randomized, "{rm}", "{mnot}")
+        return out(lines + _src_flags_logic("r_"))
 
     if m == "lea" and mode == RM:
-        lines = [
-            "regs[%d] = (regs[%d] + %d) & %s"
-            % (inst.reg, inst.rm, inst.disp, _M32)
-        ]
+        lines = ["regs[{reg}] = (regs[{rm}] + {disp}) & " + _M32]
         if randomized:
-            lines += _src_tag_clear(1 << inst.reg)
+            lines += _src_tag_clear("{rnot}")
         return out(lines)
 
     if m == "push":
         lines = [
-            "v = regs[%d]" % inst.reg,
+            "v = regs[{reg}]",
             "sp = (regs[4] - 4) & %s" % _M32,
             "regs[4] = sp",
             "wr(sp, v)",
         ]
         if randomized:
-            lines.append(
-                "note_store(sp, v, flow.tagmask & %d != 0)" % (1 << inst.reg)
-            )
+            lines.append("note_store(sp, v, flow.tagmask & {rbit} != 0)")
         lines.append("st.last_store_addr = sp")
         return out(lines, stores=["sp"])
 
@@ -1011,10 +698,10 @@ def inline_exec_src(inst: Instruction, n: int, randomized: bool,
             "regs[4] = (sp + 4) & %s" % _M32,
         ]
         if randomized:
-            lines.append("regs[%d] = fixup(sp, v)" % inst.reg)
-            lines += _src_tag_clear(1 << inst.reg)
+            lines.append("regs[{reg}] = fixup(sp, v)")
+            lines += _src_tag_clear("{rnot}")
         else:
-            lines.append("regs[%d] = v" % inst.reg)
+            lines.append("regs[{reg}] = v")
         lines.append("st.last_load_addr = sp")
         return out(lines, loads=["sp"])
 
@@ -1041,42 +728,42 @@ def inline_exec_src(inst: Instruction, n: int, randomized: bool,
     return None
 
 
-def inline_term_src(inst: Instruction, n: int, randomized: bool,
-                    retaddr=None):
-    """Control-flow source plan for a block-terminal instruction.
+def term_template(shape: tuple, fold_ret: bool = False):
+    """Control-flow template for a block-terminal shape.
 
     Returns a dict with ``kind`` ('jcc'/'jump'/'call'/'ret'/'calli'/
     'jmpi'), side-effect ``lines`` (run before the data-stall probes),
-    ``loads``/``stores``, the branch-unit kind number ``ctrl``, and
-    either a static ``target`` or the name of the ``target_var`` local —
-    or None when the mnemonic has no plan (never the case for blocks the
-    trace recorder accepted).  ``retaddr`` carries a compile-time-folded
-    return-address value for call/calli when the flow records no events
-    (baseline, naive ILR); with events recording the generated code must
-    call ``call_ret`` at run time so the DRC sees the 'rand' lookup.
+    ``loads``/``stores``, the control kind ``ctrl``, the condition
+    expression ``cond`` (jcc only), and ``target_var``: the local
+    holding a dynamic target, or None for a direct transfer to
+    ``{target}`` — or None when the shape has no template (``halt``).
+    With ``fold_ret`` a call pushes the ``{ret}`` literal instead of
+    calling ``call_ret`` at run time; the trace tier folds it when the
+    flow records no events (with events recording, the DRC must see the
+    'rand' lookup).
     """
-    m = inst.mnemonic
+    m, mode, cc, randomized, _tagged, _aliased = shape
 
-    if inst.cc is not None:
+    def plan(kind, ctrl, lines=(), loads=(), stores=(), cond=None,
+             target_var=None):
         return {
-            "kind": "jcc", "ctrl": CTRL_JUMP, "cond": _CC_SRC[inst.cc],
-            "lines": [], "loads": [], "stores": [], "target": inst.target,
-            "target_var": None,
+            "kind": kind, "ctrl": ctrl, "cond": cond, "lines": list(lines),
+            "loads": list(loads), "stores": list(stores),
+            "target_var": target_var,
         }
+
+    if cc is not None:
+        return plan("jcc", CTRL_JUMP, cond=_CC_SRC[cc])
     if m in ("jmp", "jmp8"):
-        return {
-            "kind": "jump", "ctrl": CTRL_JUMP, "cond": None, "lines": [],
-            "loads": [], "stores": [], "target": inst.target,
-            "target_var": None,
-        }
+        return plan("jump", CTRL_JUMP)
 
     def push_ret():
-        if retaddr is None:
-            lines = ["ret_ = call_ret(i%d)" % n]
-            ret = "ret_"
-        else:
+        if fold_ret:
             lines = []
-            ret = str(retaddr)
+            ret = "{ret}"
+        else:
+            lines = ["ret_ = call_ret({inst})"]
+            ret = "ret_"
         lines += [
             "sp = (regs[4] - 4) & %s" % _M32,
             "regs[4] = sp",
@@ -1091,11 +778,7 @@ def inline_term_src(inst: Instruction, n: int, randomized: bool,
         return lines
 
     if m == "call":
-        return {
-            "kind": "call", "ctrl": CTRL_CALL, "cond": None,
-            "lines": push_ret(), "loads": [], "stores": ["sp"],
-            "target": inst.target, "target_var": None,
-        }
+        return plan("call", CTRL_CALL, push_ret(), stores=["sp"])
     if m == "ret":
         # The popped value is a control target: NOT run through fixup.
         lines = [
@@ -1104,33 +787,57 @@ def inline_term_src(inst: Instruction, n: int, randomized: bool,
             "regs[4] = (sp + 4) & %s" % _M32,
             "st.last_load_addr = sp",
         ]
-        return {
-            "kind": "ret", "ctrl": CTRL_RET, "cond": None, "lines": lines,
-            "loads": ["sp"], "stores": [], "target": None,
-            "target_var": "tgt",
-        }
+        return plan("ret", CTRL_RET, lines, loads=["sp"], target_var="tgt")
     if m in ("calli", "jmpi"):
-        if inst.mode == opcodes.MODE_RR:
-            lines = ["tgt = regs[%d]" % inst.rm]
+        if mode == opcodes.MODE_RR:
+            lines = ["tgt = regs[{rm}]"]
             loads = []
         else:
-            lines = [
-                "addr = (regs[%d] + %d) & %s" % (inst.rm, inst.disp, _M32),
-                "tgt = rd(addr)",
-                "st.last_load_addr = addr",
-            ]
+            lines = [_ADDR, "tgt = rd(addr)", "st.last_load_addr = addr"]
             loads = ["addr"]
         if m == "calli":
-            return {
-                "kind": "calli", "ctrl": CTRL_CALL, "cond": None,
-                "lines": lines + push_ret(), "loads": loads,
-                "stores": ["sp"], "target": None, "target_var": "tgt",
-            }
-        return {
-            "kind": "jmpi", "ctrl": CTRL_JUMP, "cond": None, "lines": lines,
-            "loads": loads, "stores": [], "target": None, "target_var": "tgt",
-        }
+            return plan("calli", CTRL_CALL, lines + push_ret(), loads,
+                        stores=["sp"], target_var="tgt")
+        return plan("jmpi", CTRL_JUMP, lines, loads, target_var="tgt")
     return None
+
+
+class _Literals(dict):
+    """One instruction's template fields as source literals, computed
+    on first use (fields a shape does not have are never read)."""
+
+    def __init__(self, decoded: Instruction, **bound):
+        super().__init__(bound)
+        self.decoded = decoded
+
+    def __missing__(self, key):
+        return _FIELD_VALUE[key](self.decoded)
+
+
+def _render(plan, inst: Instruction, n: int, ret=None):
+    """``plan`` with ``inst``'s fields rendered as literals and
+    ``{inst}`` as the trace-scope name ``i{n}`` (None passes through)."""
+    if plan is not None:
+        fields = _Literals(inst, inst="i%d" % n, ret=ret)
+        plan["lines"] = [line.format_map(fields) for line in plan["lines"]]
+    return plan
+
+
+def inline_exec_src(inst: Instruction, n: int, randomized: bool,
+                    derand_map=None):
+    """:func:`exec_template` of ``inst``, rendered for the trace tier."""
+    return _render(exec_template(shape_of(inst, randomized,
+                                          derand_map or {})), inst, n)
+
+
+def inline_term_src(inst: Instruction, n: int, randomized: bool,
+                    retaddr=None):
+    """:func:`term_template` of ``inst``, rendered for the trace tier;
+    ``retaddr`` is a return address folded at compile time (see
+    ``fold_ret``)."""
+    plan = term_template(shape_of(inst, randomized, {}),
+                         fold_ret=retaddr is not None)
+    return _render(plan, inst, n, retaddr)
 
 
 def execute(inst: Instruction, state: MachineState, adapter: ModeAdapter):

@@ -10,9 +10,10 @@ blocks across their observed (predicted) branch directions into
 *superblocks*, and compiles each one into a specialized Python function
 via source generation + ``exec``.
 
-The generated function is straight-line code with the instruction
-fields baked in as literals (templates live next to the handlers in
-:mod:`repro.arch.executor`): no tuple unpack, no dispatch, flag algebra
+The generated function is straight-line code rendered from the shape
+templates of :mod:`repro.arch.executor` — the block tier's handlers
+come from the same table — with the instruction fields baked in as
+literals: no tuple unpack, no dispatch, flag algebra
 and stack traffic inlined, fetch-page/line checks elided wherever the
 previous instruction in the trace pins their value, and the flow traits
 (baseline vs. randomized, DRC event recording on/off) specialized out
@@ -55,11 +56,6 @@ from .state import ExitProgram
 
 #: Hotness-counter table bound: profiling state, not simulation state.
 _COUNTS_CAP = 65536
-
-#: Mnemonics with an :func:`inline_term_src` control plan.
-_CONTROL_MNEMONICS = frozenset(
-    ("jmp", "jmp8", "call", "calli", "jmpi", "ret")
-)
 
 
 class TraceCompileError(Exception):
@@ -264,8 +260,9 @@ class TraceCache:
             trace = self._generate(rec, looping)
         except Exception:
             # Never fatal: the anchor is blacklisted and the block path
-            # keeps executing it.  Differential suites assert zero
-            # compile failures on the supported instruction set.
+            # keeps executing it, bit-identically — so the repro.qa
+            # oracle and tests/test_tracecache.py count every compile
+            # failure as a finding of their own.
             self.compile_failures += 1
             self._failed.add(anchor)
             return
@@ -648,8 +645,9 @@ class _TraceGen:
         ]
 
     def _exec_plan(self, op, n):
-        """Inline execute-stage plan for a CTRL_NONE op; falls back to a
-        generic specialized-handler call when no template exists."""
+        """Inline execute-stage plan for a CTRL_NONE op; falls back to
+        calling the op's (generic) block handler when its shape has no
+        template."""
         inst = op[1]
         touch = op[13]
         plan = inline_exec_src(
@@ -725,6 +723,7 @@ class _TraceGen:
         immediately with status 1."""
         (_handler, inst, fpc, arch, extra, *_rest) = op
         uses_stall = bool(fetch) or extra > 0
+        syscall, *after = inline_exec_src(inst, n, self.randomized)["lines"]
         w.line("st.pc = %d" % arch)
         if uses_stall:
             w.line("stall = %d" % extra)
@@ -732,13 +731,11 @@ class _TraceGen:
         w.line("icount += 1")
         w.line("st.icount = icount")
         w.line("try:")
-        w.line("    syscall(%d)" % inst.imm)
+        w.line("    " + syscall)
         w.line("except X:")
         w.line("    cycle += 1")
         w.line("    return (1, %d)" % fpc)
-        if self.randomized:
-            w.line("if flow.tagmask:")
-            w.line("    flow.tagmask &= -2")
+        w.extend(after)
         if self.record_events:
             w.line("if events:")
             w.line("    drc(False, 0)")
@@ -771,8 +768,7 @@ class _TraceGen:
         (handler, inst, fpc, arch, extra, _page, _line, _pf1, _cross,
          _addr2, _line2, _pf2, seq, touch, is_int) = op
         mnemonic = inst.mnemonic
-        is_control = inst.cc is not None or mnemonic in _CONTROL_MNEMONICS
-        if not is_control:
+        if not inst.is_control:
             # Cap-split / decode-boundary terminal: identical to an
             # interior op except the fall-through continues the trace.
             # The reference path's branch query is statically (0, True)
@@ -830,14 +826,14 @@ class _TraceGen:
         w.extend(plan["lines"])
         w.extend(self._stall_lines(plan["loads"], plan["stores"]))
 
-        if plan["target"] is not None:
+        if plan["target_var"] is None:
             # Direct transfer: deterministic between flushes, no guard.
-            setup, nfp_expr, nfp_val = self._static_nfp(plan["target"])
+            setup, nfp_expr, nfp_val = self._static_nfp(inst.target)
             w.extend(setup)
             if nfp_val is not None and nfp_val != expected:
                 raise TraceCompileError("static edge mismatch")
             guard = False
-            target_expr = str(plan["target"])
+            target_expr = str(inst.target)
         else:
             if self.identity_transfer:
                 nfp_expr = "tgt"
@@ -860,7 +856,7 @@ class _TraceGen:
     def _emit_jcc(self, w, op, plan, n, expected, final):
         (_handler, inst, fpc, arch, _extra, _page, _line, _pf1, _cross,
          _addr2, _line2, _pf2, seq, _touch, _is_int) = op
-        taken_setup, taken_expr, _ = self._static_nfp(plan["target"])
+        taken_setup, taken_expr, _ = self._static_nfp(inst.target)
         seq_val = seq if seq is not None else \
             self._fold(self.flow.sequential, inst)
         if seq_val is not None:
@@ -871,7 +867,7 @@ class _TraceGen:
         w.line("if %s:" % plan["cond"])
         w.extend(taken_setup, extra=1)
         w.line("    kk = 1")
-        w.line("    tt = %d" % plan["target"])
+        w.line("    tt = %d" % inst.target)
         w.line("    nfp = %s" % taken_expr)
         w.line("else:")
         w.extend(seq_setup, extra=1)

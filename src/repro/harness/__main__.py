@@ -9,6 +9,7 @@ Options:
   --events PATH           write a JSONL structured event log
   --progress              heartbeat line per simulation checkpoint
   --profile-phases        attribute host time to CPU pipeline phases
+                          (reference loop; block/trace tiers off)
   --checkpoint-interval N instructions between checkpoints (0 = auto)
   --workers N             parallel sweep worker processes
   --backlog N             streaming-scheduler intake window beyond workers
@@ -73,7 +74,10 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="PATH", default=None,
                         help='write results as JSON to PATH ("-" = stdout)')
     parser.add_argument("--profile-phases", action="store_true",
-                        help="attribute host time to CPU pipeline phases")
+                        help="attribute host time to CPU pipeline phases "
+                             "(times the reference loop: the block and "
+                             "trace tiers are off, so runs are slower; "
+                             "results are identical)")
     add_observability_options(parser)
     add_sweep_options(parser)
     add_fault_options(parser)

@@ -14,7 +14,8 @@ the whole matrix and cross-checks:
   are, by the paper's construction, semantics-preserving);
 * **fast-path purity** — ``fastpath=True`` (blocks only, and blocks
   with compiled traces) must be *bit-identical* to the reference loop:
-  cycles, every counter, every checkpoint, DRC lookups included;
+  cycles, every counter, every checkpoint, DRC lookups included — and
+  every trace the trace tier records must compile;
 * **statistics invariants** — misses never exceed accesses, rates stay
   in [0, 1], cycles bound instructions, DRC traffic exists exactly in
   the mode that owns a DRC;
@@ -96,8 +97,9 @@ class Divergence:
 
     #: machine-readable kind: ``output:<engine>``, ``icount:<engine>``,
     #: ``exit:<engine>``, ``fastpath:<mode>``, ``tracepath:<mode>``,
-    #: ``invariant:<which>``, ``roundtrip:<type>``, ``crash:<engine>``,
-    #: ``budget:<engine>``, ``rerandomize:<what>``.
+    #: ``tracecompile:<engine>``, ``invariant:<which>``,
+    #: ``roundtrip:<type>``, ``crash:<engine>``, ``budget:<engine>``,
+    #: ``rerandomize:<what>``.
     kind: str
     detail: str
 
@@ -461,6 +463,17 @@ def _tiers(cfg: OracleConfig):
     return [t for t in _TIERS if cfg.check_traces or not t[2]]
 
 
+def _check_trace_compiles(cpu: CycleCPU, label: str,
+                          report: OracleReport) -> None:
+    """A recording that fails to compile leaves its anchor on the block
+    tier, so the run stays bit-identical and the comparisons below
+    cannot see a broken template: every failure is a finding."""
+    failures = cpu.tier_stats().get("traces", {}).get("compile_failures")
+    if failures:
+        report.add("tracecompile:%s" % label,
+                   "%d trace compile failure(s)" % failures)
+
+
 def _check_cycle_mode(program, mode, reference, cfg, report):
     image = _IMAGE_FOR[mode](program)
     results: Dict[str, SimResult] = {}
@@ -475,6 +488,7 @@ def _check_cycle_mode(program, mode, reference, cfg, report):
             report.add("crash:%s" % label, traceback.format_exc())
             continue
         report.runs += 1
+        _check_trace_compiles(cpu, label, report)
         if not result.finished:
             report.add("budget:%s" % label, "budget exhausted")
             continue
@@ -549,6 +563,7 @@ def _check_rerandomization(program, reference, cfg, report):
             report.add("crash:%s" % label, traceback.format_exc())
             return None
         report.runs += 1
+        _check_trace_compiles(cpu, label, report)
         if not result.finished:
             report.add("budget:%s" % label, "budget exhausted")
             return None

@@ -100,6 +100,35 @@ class TestTraceTier:
         assert stats["entries"] > 0, "the loop must actually run traced"
         assert _comparable(result.to_dict()) == _comparable(ref.to_dict())
 
+    def test_one_register_add_sub_flags_match_reference(self):
+        """``add r, r``/``sub r, r`` take OF (and sub's CF) from the
+        source's value before the write-back; a trace that re-read the
+        written register took the wrong ``jl`` on every iteration."""
+        b = ProgramBuilder("aliased")
+        b.label("main")
+        b.emits("movi ecx, 0", "movi edx, 0")
+        b.label("top")
+        b.emits("movi eax, 1073741824", "add eax, eax", "jl skip_add",
+                "add edx, 1")
+        b.label("skip_add")
+        b.emits("movi ebx, 2147483648", "sub ebx, ebx", "jl skip_sub",
+                "add edx, 1")
+        b.label("skip_sub")
+        b.emits("add ecx, 1", "cmp ecx, 200", "jl top")
+        b.emit_word("edx")
+        b.exit(0)
+        image = b.image()
+
+        def run(cfg):
+            cpu = CycleCPU(image, make_flow("baseline", image=image), cfg)
+            return cpu, cpu.run(max_instructions=100_000)
+
+        cpu, result = run(_config())
+        _ref_cpu, ref = run(_config(fastpath=False))
+        assert cpu.tier_stats()["traces"]["entries"] > 0
+        assert list(ref.output.words) == [400]
+        assert _comparable(result.to_dict()) == _comparable(ref.to_dict())
+
     @pytest.mark.parametrize("mode", ["baseline", "naive_ilr", "vcfr"])
     def test_workload_traces_match_reference(self, mode):
         """Real workload, aggressive tracing: every counter identical."""
@@ -109,6 +138,9 @@ class TestTraceTier:
         result_fast = fast.run(max_instructions=80_000)
         result_ref = ref.run(max_instructions=80_000)
         assert fast.tier_stats()["traces"]["entries"] > 0
+        # A failed compile falls back to blocks and stays bit-identical,
+        # so only this count shows a broken template.
+        assert fast.tier_stats()["traces"]["compile_failures"] == 0
         assert _comparable(result_fast.to_dict()) == _comparable(
             result_ref.to_dict()
         )
@@ -377,6 +409,7 @@ def test_trace_tier_matches_reference_on_random_programs(seed):
         ref = _mode_cpu(mode, program, _config(fastpath=False))
         result_fast = fast.run(max_instructions=150_000)
         result_ref = ref.run(max_instructions=150_000)
+        assert fast.tier_stats()["traces"]["compile_failures"] == 0
         assert result_fast.instructions == result_ref.instructions
         assert _comparable(result_fast.to_dict()) == _comparable(
             result_ref.to_dict()
