@@ -16,6 +16,14 @@ with the reference execute loop, and asserts three things:
    :data:`MIN_BLOCKS_SPEEDUP` times faster than the reference loop, so
    a regression in the block handlers cannot hide under the traces.
 
+A second leg runs the gcc workload, whose hot code is short-trip loops
+and branchy paths, with traces on and with the block tier alone
+(results asserted identical), and asserts the trace tier costs it at
+most a little: blocks-only seconds / traces-on seconds must stay at or
+above :data:`MIN_BRANCHY_VS_BLOCKS` in every mode.  On the hot kernel
+every trace loops, so only code like this shows a trace tier that
+compiles more than it retires.
+
 Run directly (the ``Makefile verify`` target does)::
 
     PYTHONPATH=src python benchmarks/bench_hot_loop.py
@@ -31,12 +39,14 @@ from repro.arch.config import default_config
 from repro.arch.cpu import CycleCPU
 from repro.ilr import RandomizerConfig, make_flow, randomize
 from repro.tools.benchgate import record
+from repro.workloads import build_image
 from repro.workloads.builder import ProgramBuilder
 
 MAX_INSTRUCTIONS = 120_000
 REPETITIONS = 3
 MIN_SPEEDUP = 3.0
 MIN_BLOCKS_SPEEDUP = 1.8
+MIN_BRANCHY_VS_BLOCKS = 0.8
 MODES = ("baseline", "naive_ilr", "vcfr")
 
 _INNER_ITERS = 40
@@ -100,6 +110,7 @@ def _image_for(mode, program):
 
 #: leg -> (fastpath, tracepath), in run order within each repetition
 LEGS = {"fast": (True, True), "ref": (False, False), "blocks": (True, False)}
+BRANCHY_LEGS = {"fast": LEGS["fast"], "blocks": LEGS["blocks"]}
 
 
 def _run_once(program, mode, fastpath, tracepath=True):
@@ -114,19 +125,19 @@ def _run_once(program, mode, fastpath, tracepath=True):
     return time.perf_counter() - start, result.to_dict()
 
 
-def measure_mode(program, mode):
-    """Best host seconds per leg (:data:`LEGS`) after asserting every
-    leg produced the reference loop's results."""
+def measure_mode(program, mode, legs=LEGS, base="ref"):
+    """Best host seconds per leg of ``legs`` after asserting every leg
+    produced the ``base`` leg's results."""
     # Warm every leg once (allocator, bytecode caches) before timing.
     warm = {leg: _run_once(program, mode, *flags)[1]
-            for leg, flags in LEGS.items()}
-    for leg in ("blocks", "fast"):
-        assert warm[leg] == warm["ref"], (
-            "%s: %s path diverged from the reference loop" % (mode, leg)
+            for leg, flags in legs.items()}
+    for leg in legs:
+        assert warm[leg] == warm[base], (
+            "%s: %s path diverged from the %s path" % (mode, leg, base)
         )
-    times = {leg: [] for leg in LEGS}
+    times = {leg: [] for leg in legs}
     for _ in range(REPETITIONS):  # interleave to share host noise
-        for leg, flags in LEGS.items():
+        for leg, flags in legs.items():
             times[leg].append(_run_once(program, mode, *flags)[0])
     return {leg: min(seconds) for leg, seconds in times.items()}
 
@@ -157,7 +168,37 @@ def test_fast_path_speedup_and_equivalence():
     )
 
 
+def test_branchy_traces_keep_pace_with_blocks():
+    program = randomize(build_image("gcc", scale=1.0),
+                        RandomizerConfig(seed=42))
+    failures = []
+    for mode in MODES:
+        best = measure_mode(program, mode, BRANCHY_LEGS, base="blocks")
+        ratio = best["blocks"] / best["fast"]
+        print("\nbranchy gcc [%s]: blocks %.4fs, fast %.4fs -> %.2fx"
+              % (mode, best["blocks"], best["fast"], ratio))
+        if not record("hot_loop", "%s_branchy_vs_blocks" % mode,
+                      round(ratio, 2), MIN_BRANCHY_VS_BLOCKS):
+            failures.append((mode, ratio))
+    assert not failures, (
+        "traces-on gcc below %.1fx of blocks alone: %s"
+        % (MIN_BRANCHY_VS_BLOCKS,
+           ", ".join("%s %.2fx" % pair for pair in failures))
+    )
+
+
 if __name__ == "__main__":
-    test_fast_path_speedup_and_equivalence()
+    # Run both legs before failing, so BENCH_hot_loop.json holds every
+    # gate's value.
+    errors = []
+    for leg in (test_fast_path_speedup_and_equivalence,
+                test_branchy_traces_keep_pace_with_blocks):
+        try:
+            leg()
+        except AssertionError as exc:
+            errors.append(str(exc))
+    if errors:
+        raise SystemExit("FAILED: " + "; ".join(errors))
     print("OK: fast path >= %.1fx and blocks alone >= %.1fx in every "
-          "mode, results identical" % (MIN_SPEEDUP, MIN_BLOCKS_SPEEDUP))
+          "mode, traced gcc >= %.1fx of blocks alone, results identical"
+          % (MIN_SPEEDUP, MIN_BLOCKS_SPEEDUP, MIN_BRANCHY_VS_BLOCKS))

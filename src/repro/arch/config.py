@@ -117,17 +117,20 @@ class MachineConfig:
     block_cache_capacity: int = 4096
     #: maximum instructions pre-decoded into one block (host-side).
     block_max_insts: int = 32
-    #: run the superblock trace tier on top of the block fast path: hot
-    #: blocks are linked across predicted branches into traces and each
-    #: trace is compiled to a specialized Python function (host-side
-    #: knob; cycle/stat-exact by contract, like ``fastpath``).
+    #: run the superblock trace tier on top of the block fast path: a
+    #: hot block's path, linked across predicted branches, is compiled
+    #: to a specialized Python function when it loops back to that
+    #: block (host-side knob; cycle/stat-exact by contract, like
+    #: ``fastpath``).
     tracepath: bool = True
     #: block executions before a leader is hot enough to anchor a trace
     #: recording (host-side).
     trace_hot_threshold: int = 16
-    #: maximum blocks linked into one trace (host-side).
+    #: maximum blocks linked into one trace; a recording that reaches
+    #: it before looping back is rejected, not compiled (host-side).
     trace_max_blocks: int = 16
-    #: maximum instructions across one trace (host-side).
+    #: maximum instructions across one trace; a recording that reaches
+    #: it before looping back is rejected, not compiled (host-side).
     trace_max_insts: int = 256
     #: bounded capacity of the compiled-trace cache, in traces
     #: (host-side; flush-on-overflow like the block cache).

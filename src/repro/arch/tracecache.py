@@ -1,14 +1,28 @@
-"""Superblock trace tier: hot block sequences compiled to Python.
+"""Superblock trace tier: hot loops compiled to Python.
 
 The block fast path (:mod:`repro.arch.blockcache`) removed per-
 instruction decode and translation, but still pays, on every retired
 instruction, the op-tuple unpack, the dynamic page/line compares, the
 handler indirection, and per-block dict dispatch.  This module removes
 those for steady-state code with the standard Python-JIT idiom: it
-profiles block-to-block edges in ``_execute_loop_fast``, links hot
-blocks across their observed (predicted) branch directions into
-*superblocks*, and compiles each one into a specialized Python function
-via source generation + ``exec``.
+counts block executions in ``_execute_loop_fast``, records the block
+sequence that follows a hot leader across its observed (predicted)
+branch directions, and compiles the recording into a specialized
+Python function via source generation + ``exec``.
+
+Selection is loop-only, as in TraceMonkey (Gal et al., PLDI 2009): a
+recording is compiled only when it closes back on its *anchor* (the
+block where recording started), and the compiled trace loops in place
+until a guard fails.  A recording that revisits another member block
+or reaches ``trace_max_blocks``/``trace_max_insts`` is *rejected* and
+its anchor blacklisted until the next invalidation.  ``compile()``
+costs 6.5-9 us per generated source line (shared 2-vCPU x86-64 host)
+and a trace has about 25 lines per instruction, so a trace must retire
+hundreds of times its own length to pay for itself.  On gcc, xalan,
+sjeng and bzip2, looping traces retired 1,700-2,200 instructions per
+ms of compile, linear ones cut at an inner cycle 240-340 and those cut
+at a cap about 30; the linear ones made those runs slower than the
+block tier alone.
 
 The generated function is straight-line code rendered from the shape
 templates of :mod:`repro.arch.executor` — the block tier's handlers
@@ -39,7 +53,7 @@ Correctness contract
   (re-randomization epochs go through ``invalidate_blocks()``), and any
   invalidation also aborts an in-progress recording.
 * A trace is only entered when it fits the remaining instruction
-  budget whole (looping traces re-check per iteration), so checkpoint
+  budget whole (and re-checks before every iteration), so checkpoint
   and slice boundaries clip identically to the block path.
 * Block-cache *capacity* flushes do not touch traces: a compiled trace
   holds strong references to its member :class:`Block` objects, whose
@@ -64,7 +78,7 @@ class TraceCompileError(Exception):
 
 
 class Trace:
-    """One compiled superblock.
+    """One compiled loop superblock.
 
     ``fn(cycle, icount, budget, last_page, last_line, tracer, out)``
     returns ``(status, next_fetch_pc)`` — status 1 means the program
@@ -74,15 +88,12 @@ class Trace:
     loop's own ``finally``.
     """
 
-    __slots__ = ("anchor", "fn", "n", "nblocks", "looping", "entries",
-                 "blocks", "lo", "hi")
+    __slots__ = ("anchor", "fn", "n", "entries", "blocks", "lo", "hi")
 
-    def __init__(self, anchor, fn, n, nblocks, looping, blocks, lo, hi):
+    def __init__(self, anchor, fn, n, blocks, lo, hi):
         self.anchor = anchor
         self.fn = fn
         self.n = n
-        self.nblocks = nblocks
-        self.looping = looping
         self.entries = 0
         self.blocks = blocks
         self.lo = lo
@@ -120,7 +131,7 @@ class TraceCache:
     __slots__ = (
         "hot_threshold", "max_blocks", "max_insts", "capacity",
         "traces", "builds", "flushes", "invalidations", "aborts",
-        "compile_failures", "_bail", "_counts", "_failed",
+        "rejected", "compile_failures", "_bail", "_counts", "_failed",
         "_entries_retired", "_rec", "_rec_insts", "_rec_expect",
         "_flow", "_consts_base", "_il1_latency", "_dl1_latency",
         "_load_use", "_prefetch", "_burst", "_record_events",
@@ -142,11 +153,14 @@ class TraceCache:
         self.invalidations = 0
         #: recordings dropped (tail interruption, unexpected successor).
         self.aborts = 0
+        #: recordings that did not close on their anchor (not compiled).
+        self.rejected = 0
         self.compile_failures = 0
         #: shared guard side-exit counter cell (closed over by every
         #: generated function).
         self._bail = [0]
         self._counts: Dict[int, int] = {}
+        #: blacklisted anchors: rejected or failed to compile.
         self._failed = set()
         self._entries_retired = 0
         self._rec: Optional[List[Tuple[object, int]]] = None
@@ -199,9 +213,8 @@ class TraceCache:
     def on_block(self, block, next_fetch_pc: int) -> None:
         """Fast-loop hook: ``block`` just retired and control continues
         at ``next_fetch_pc``.  Drives hotness counting and, once a
-        leader is hot, records the observed block sequence until it
-        closes (back-edge to the anchor, revisit of a member, or the
-        length caps) and compiles it."""
+        leader is hot, records the observed block sequence from it
+        until the sequence closes; see :meth:`_advance_recording`."""
         rec = self._rec
         if rec is not None:
             if block.leader != self._rec_expect:
@@ -231,33 +244,35 @@ class TraceCache:
         self._advance_recording(next_fetch_pc)
 
     def _advance_recording(self, next_fetch_pc: int) -> None:
+        """Compile the recording when control returns to its anchor;
+        reject it (and blacklist the anchor) when it revisits another
+        member block or reaches a length cap, since a trace that does
+        not loop retires too little to pay for its ``compile()``."""
         rec = self._rec
-        if next_fetch_pc == rec[0][0].leader:
-            self._compile(rec, looping=True)
+        anchor = rec[0][0].leader
+        if next_fetch_pc == anchor:
+            self._compile(rec)
             self._rec = None
             return
         if (len(rec) >= self.max_blocks
-                or self._rec_insts >= self.max_insts):
-            self._compile(rec, looping=False)
+                or self._rec_insts >= self.max_insts
+                or any(member.leader == next_fetch_pc
+                       for member, _ in rec)):
+            # An inner cycle (the revisited leader can anchor its own
+            # loop) or a path longer than the caps.
+            self.rejected += 1
+            self._failed.add(anchor)
             self._rec = None
             return
-        for member, _ in rec:
-            if member.leader == next_fetch_pc:
-                # Inner cycle that does not pass through the anchor:
-                # close here; the revisited leader can anchor its own
-                # trace.
-                self._compile(rec, looping=False)
-                self._rec = None
-                return
         self._rec_expect = next_fetch_pc
 
     # -- compilation -------------------------------------------------------
 
-    def _compile(self, rec, looping: bool) -> None:
+    def _compile(self, rec) -> None:
         anchor = rec[0][0].leader
         self.builds += 1
         try:
-            trace = self._generate(rec, looping)
+            trace = self._generate(rec)
         except Exception:
             # Never fatal: the anchor is blacklisted and the block path
             # keeps executing it, bit-identically — so the repro.qa
@@ -274,17 +289,17 @@ class TraceCache:
             self.flushes += 1
         self.traces[anchor] = trace
 
-    def _generate(self, rec, looping: bool) -> Trace:
+    def _generate(self, rec) -> Trace:
         anchor = rec[0][0].leader
-        gen = _TraceGen(self, rec, looping)
+        gen = _TraceGen(self, rec)
         src, consts = gen.build()
         namespace: Dict[str, object] = {"__builtins__": {}}
         exec(compile(src, "<trace:0x%x>" % anchor, "exec"), namespace)
         fn = namespace["__make"](consts)
         blocks = tuple(b for b, _ in rec)
         return Trace(
-            anchor, fn, sum(b.n for b in blocks), len(blocks), looping,
-            blocks, min(b.lo for b in blocks), max(b.hi for b in blocks),
+            anchor, fn, sum(b.n for b in blocks), blocks,
+            min(b.lo for b in blocks), max(b.hi for b in blocks),
         )
 
     # -- lookup ------------------------------------------------------------
@@ -296,7 +311,8 @@ class TraceCache:
 
     def invalidate_all(self) -> None:
         """Drop everything: table swap / re-randomization epoch.  The
-        blacklist goes too — a new epoch's tables may compile fine."""
+        blacklist goes too — a new epoch's tables may compile fine, and
+        a rejected anchor may loop cleanly the next time it records."""
         if self.traces:
             self.invalidations += 1
             self._entries_retired += sum(
@@ -345,6 +361,7 @@ class TraceCache:
             "flushes": self.flushes,
             "invalidations": self.invalidations,
             "aborts": self.aborts,
+            "rejected": self.rejected,
             "compile_failures": self.compile_failures,
             "bailouts": self._bail[0],
             "entries": self._entries_retired + live,
@@ -364,12 +381,12 @@ def __make(C):
 
 
 class _TraceGen:
-    """Generates the ``__make``/``__trace`` source for one recording."""
+    """Generates the ``__make``/``__trace`` source for one recording
+    (a loop: the last block's recorded successor is the anchor)."""
 
-    def __init__(self, cache: TraceCache, rec, looping: bool):
+    def __init__(self, cache: TraceCache, rec):
         self.cache = cache
         self.rec = rec
-        self.looping = looping
         self.anchor = rec[0][0].leader
         self.flow = cache._flow
         self.randomized = cache._randomized
@@ -456,25 +473,17 @@ class _TraceGen:
         n_total = sum(b.n for b, _ in self.rec)
         body = _Writer(indent=2)
         body.line("try:")
-        inner = _Writer(indent=3)
-        if self.looping:
-            inner.line("while 1:")
-            inner.indent = 4
-            inner.line("if icount + %d > budget:" % n_total)
-            inner.line("    return (0, %d)" % self.anchor)
+        body.line("    while 1:")
+        body.indent = 4
+        body.line("if icount + %d > budget:" % n_total)
+        body.line("    return (0, %d)" % self.anchor)
 
         seq_index = 0
-        last = len(self.rec) - 1
-        for bi, (block, expected) in enumerate(self.rec):
-            self.know = ([None, None] if (self.looping and bi == 0)
-                         else self.know)
-            ops = list(block.interior) + [block.term]
-            for op in ops[:-1]:
-                self._emit_interior(inner, op, seq_index)
+        for block, expected in self.rec:
+            for op in block.interior:
+                self._emit_interior(body, op, seq_index)
                 seq_index += 1
-            self._emit_terminal(
-                inner, ops[-1], seq_index, expected, final=(bi == last)
-            )
+            self._emit_terminal(body, block.term, seq_index, expected)
             seq_index += 1
 
         src_lines = [_HEADER]
@@ -487,7 +496,6 @@ class _TraceGen:
             "last_line, tracer, out):"
         )
         src_lines.extend(body.lines)
-        src_lines.extend(inner.lines)
         src_lines.append("        finally:")
         src_lines.append("            out[0] = cycle")
         src_lines.append("            out[1] = icount")
@@ -688,9 +696,9 @@ class _TraceGen:
             ]
         return lines, self.record_events, touch
 
-    def _emit_interior(self, w, op, n, continue_to=None):
+    def _emit_interior(self, w, op, n):
         """One CTRL_NONE instruction (interior, or a cap-split terminal
-        when ``continue_to`` carries its asserted fall-through)."""
+        whose fall-through the caller has checked)."""
         (_handler, inst, fpc, arch, extra, _page, _line, _pf1, _cross,
          _addr2, _line2, _pf2, _seq, _touch, is_int) = op
         self._register(op, n)
@@ -764,7 +772,7 @@ class _TraceGen:
         return ("pen, ok = bstall(i%d, %d, %s, %s)"
                 % (n, ctrl, nfp_expr, target_expr))
 
-    def _emit_terminal(self, w, op, n, expected, final):
+    def _emit_terminal(self, w, op, n, expected):
         (handler, inst, fpc, arch, extra, _page, _line, _pf1, _cross,
          _addr2, _line2, _pf2, seq, touch, is_int) = op
         mnemonic = inst.mnemonic
@@ -779,11 +787,7 @@ class _TraceGen:
                 raise TraceCompileError(
                     "non-constant fall-through at 0x%x" % fpc
                 )
-            self._emit_interior(w, op, n, continue_to=expected)
-            if final and not self.looping:
-                w.line("return (0, %d)" % expected)
-            elif self.looping and final and expected != self.anchor:
-                raise TraceCompileError("loop closure mismatch")
+            self._emit_interior(w, op, n)
             return
 
         retaddr = None
@@ -815,7 +819,7 @@ class _TraceGen:
         drain = self.record_events
         kind = plan["kind"]
         if kind == "jcc":
-            self._emit_jcc(w, op, plan, n, expected, final)
+            self._emit_jcc(w, op, plan, n, expected)
             return
 
         # Replay the folded retaddr's DRC events where ``call_retaddr``
@@ -851,9 +855,10 @@ class _TraceGen:
             w.line("    stall += drc(not ok, pen)")
         w.extend(self._tracer_lines(n, arch, fpc, "True", target_expr))
         w.line("cycle += 1 + stall")
-        self._emit_continue(w, expected, final, guard, nfp_expr)
+        if guard:
+            self._emit_guard(w, expected, nfp_expr)
 
-    def _emit_jcc(self, w, op, plan, n, expected, final):
+    def _emit_jcc(self, w, op, plan, n, expected):
         (_handler, inst, fpc, arch, _extra, _page, _line, _pf1, _cross,
          _addr2, _line2, _pf2, seq, _touch, _is_int) = op
         taken_setup, taken_expr, _ = self._static_nfp(inst.target)
@@ -882,19 +887,11 @@ class _TraceGen:
             w.line("    stall += drc(not ok, pen)")
         w.extend(self._tracer_lines(n, arch, fpc, "kk != 0", "tt"))
         w.line("cycle += 1 + stall")
-        self._emit_continue(w, expected, final, True, "nfp")
+        self._emit_guard(w, expected, "nfp")
 
-    def _emit_continue(self, w, expected, final, guard, nfp_expr):
-        """Trace continuation after an op's cycle retire: guard the
-        recorded edge, close the loop, or return to the dispatcher."""
-        if final and not self.looping:
-            # Linear exit: no guard needed, the dispatcher resumes at
-            # whatever the actual target was.
-            w.line("return (0, %s)" % nfp_expr)
-            return
-        target = self.anchor if (final and self.looping) else expected
-        if not guard:
-            return
-        w.line("if %s != %d:" % (nfp_expr, target))
+    def _emit_guard(self, w, expected, nfp_expr):
+        """Side-exit after an op's cycle retire unless control took the
+        recorded edge (the last block's edge is the loop's back edge)."""
+        w.line("if %s != %d:" % (nfp_expr, expected))
         w.line("    bail[0] += 1")
         w.line("    return (0, %s)" % nfp_expr)

@@ -148,7 +148,8 @@ def tier_table(records: List[dict]) -> Optional[str]:
     run's ``run_end`` event (``tiers``); aggregated they show how the
     sweep's instructions were actually executed — reference loop only
     (no table), decoded blocks, or compiled traces — and how healthy
-    the trace tier was (bailouts, aborts, compile failures)."""
+    the trace tier was (bailouts, aborts, rejections of recordings that
+    did not loop back to their anchor, compile failures)."""
     totals: "OrderedDict[Tuple[str, str], int]" = OrderedDict()
     runs = 0
     for record in records:

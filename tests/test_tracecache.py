@@ -27,7 +27,7 @@ from repro.arch.cpu import CycleCPU
 from repro.harness.spec import config_fingerprint
 from repro.ilr import RandomizerConfig, make_flow, randomize, rerandomize
 from repro.ilr.rerandomize import apply_rerandomization
-from repro.isa import assemble
+from repro.isa import assemble, opcodes
 from repro.workloads import build_image
 from repro.workloads.builder import ProgramBuilder
 
@@ -144,6 +144,190 @@ class TestTraceTier:
         assert _comparable(result_fast.to_dict()) == _comparable(
             result_ref.to_dict()
         )
+
+
+def _loop_image(body, tail=(), data=(), iterations=200):
+    """``body`` once per iteration of a counted loop, emitting ``edx``
+    at the end; ``tail`` follows the exit (callees, cold targets) and
+    ``data`` fills the data section.  Lines ending in ``:`` are labels."""
+    b = ProgramBuilder("terminal")
+    b.label("main")
+    b.emits("movi ecx, 0", "movi edx, 0")
+    b.label("looptop")
+    b.emits(*body)
+    b.emits("add ecx, 1", "cmp ecx, %d" % iterations, "jl looptop")
+    b.emit_word("edx")
+    b.exit(0)
+    b.emits(*tail)
+    for line in data:
+        b.data(line)
+    return b.image()
+
+
+def _run_modes(image, cfg, budget=100_000):
+    """Run ``image`` traced (``cfg``) and on the reference loop in every
+    mode; yields ``(mode, traced_cpu, traced_result, ref_result)``."""
+    program = randomize(image, RandomizerConfig(seed=SEED))
+    ref_cfg = copy.deepcopy(cfg)
+    ref_cfg.fastpath = False
+    for mode in ("baseline", "naive_ilr", "vcfr"):
+        cpu = _mode_cpu(mode, program, cfg)
+        result = cpu.run(max_instructions=budget)
+        ref = _mode_cpu(mode, program, ref_cfg).run(max_instructions=budget)
+        yield mode, cpu, result, ref
+
+
+def _traced_ops(cpu):
+    """``(inst, left_by_branch)`` for every instruction of every compiled
+    trace.  ``left_by_branch`` is None for interior ops; for a block's
+    terminal it says whether the recording left the block other than by
+    its fall-through (the last block's successor is the anchor)."""
+    for trace in cpu._tracecache.traces.values():
+        blocks = trace.blocks
+        for i, block in enumerate(blocks):
+            for op in block.interior:
+                yield op[1], None
+            successor = blocks[(i + 1) % len(blocks)].leader
+            yield block.term[1], successor != block.term[12]
+
+
+def _op(mnemonic, mode=None, taken=None):
+    """Matcher for :func:`_traced_ops` items (None matches anything)."""
+    return lambda inst, left: (inst.mnemonic == mnemonic
+                               and mode in (None, inst.mode)
+                               and taken in (None, left))
+
+
+def _cap_split(inst, left):
+    """A block terminal that is not a control transfer."""
+    return left is not None and not inst.is_control
+
+
+#: cc -> (cmp operands that make it hold, operands that make it fail);
+#: signed and unsigned conditions get operands that tell them apart.
+_CC_OPERANDS = {
+    "z": ((5, 5), (5, 6)),
+    "nz": ((5, 6), (5, 5)),
+    "l": ((-3, 7), (7, -3)),
+    "ge": ((7, -3), (-3, 7)),
+    "le": ((5, 5), (7, 3)),
+    "g": ((7, 3), (5, 5)),
+    "b": ((3, 7), (-3, 7)),
+    "ae": ((-3, 7), (3, 7)),
+}
+
+_HELPER = ("helper:", "add edx, 1", "ret")
+_SKIP = ["add edx, 100", "over:", "add edx, 1"]
+
+
+def _jcc_case(cc, taken):
+    a, b = _CC_OPERANDS[cc][0 if taken else 1]
+    body = ["movi eax, %d" % a, "movi ebx, %d" % b, "cmp eax, ebx"]
+    if taken:
+        body += ["j%s over" % cc] + _SKIP
+    else:
+        body += ["j%s cold" % cc, "add edx, 1"]
+    return (body, ("cold:", "jmp looptop"), (),
+            (_op("j" + cc, taken=taken),))
+
+
+#: case -> (body, tail, data, matchers): every matcher must match an
+#: instruction of a compiled trace.  Each case's construct runs on
+#: every iteration.
+_TERMINAL_CASES = {
+    "j%s_%s" % (cc, "taken" if taken else "fallthrough"):
+        _jcc_case(cc, taken)
+    for cc in _CC_OPERANDS for taken in (True, False)
+}
+_TERMINAL_CASES.update({
+    "jmp": (["jmp over"] + _SKIP, (), (), (_op("jmp"),)),
+    "jmp8": (["jmp8 over"] + _SKIP, (), (), (_op("jmp8"),)),
+    "call_ret": (["call helper"], _HELPER, (),
+                 (_op("call"), _op("ret"))),
+    "calli_reg": (["movi esi, helper", "calli esi", "movi esi, 0"],
+                  _HELPER, (), (_op("calli", opcodes.MODE_RR),)),
+    "calli_mem": (["movi esi, fptr", "calli [esi+0]"], _HELPER,
+                  ("fptr:", ".word helper"),
+                  (_op("calli", opcodes.MODE_RM),)),
+    "jmpi_reg": (["movi esi, over", "jmpi esi", "add edx, 100", "over:",
+                  "movi esi, 0", "add edx, 1"], (), (),
+                 (_op("jmpi", opcodes.MODE_RR),)),
+    "jmpi_mem": (["movi esi, jt", "jmpi [esi+0]"] + _SKIP, (),
+                 ("jt:", ".word over"), (_op("jmpi", opcodes.MODE_RM),)),
+    "int": (["movi eax, 7", "int 0x80", "add edx, eax"], (), (),
+            (_op("int"),)),
+    "cap_split": (["add edx, %d" % k for k in range(1, 7)]
+                  + ["xor edx, ecx"], (), (), (_cap_split,)),
+})
+
+
+class TestTerminalCoverage:
+    """Every trace terminal template, compiled and held to the reference
+    loop in every mode.  Loop-only selection compiles fewer traces, so
+    real workloads no longer reach every terminal; these loops do."""
+
+    @pytest.mark.parametrize("case", sorted(_TERMINAL_CASES))
+    def test_terminal_is_traced_and_exact(self, case):
+        body, tail, data, matchers = _TERMINAL_CASES[case]
+        cfg = _config()
+        if case == "cap_split":
+            cfg.block_max_insts = 3
+        for mode, cpu, result, ref in _run_modes(
+                _loop_image(body, tail, data), cfg):
+            wanted = matchers
+            if (case, mode) == ("jmp8", "naive_ilr"):
+                # The naive layout widens jmp8 to a rel32 jmp (rewriter).
+                wanted = (_op("jmp"),)
+            traced = list(_traced_ops(cpu))
+            for match in wanted:
+                assert any(match(inst, left) for inst, left in traced), (
+                    "%s: no compiled trace holds %s" % (mode, case))
+            assert cpu.tier_stats()["traces"]["compile_failures"] == 0
+            assert result.finished
+            assert _comparable(result.to_dict()) == _comparable(
+                ref.to_dict()), mode
+
+
+class TestLoopOnlySelection:
+    """Only a recording that closes on its anchor is compiled; one that
+    revisits another member or outgrows a cap is rejected and its
+    anchor blacklisted, with results untouched."""
+
+    BODIES = {
+        # The inner loop runs ``2 * ecx`` times: never on the first pass,
+        # so the outer head turns hot first, and twice on the pass it
+        # records, so that recording meets ``inner`` again.
+        "inner_revisit": [
+            "jmp outer", "outer:", "mov edi, ecx", "add edi, ecx",
+            "cmp edi, 0", "jz done", "inner:", "sub edi, 1", "cmp edi, 0",
+            "jg inner", "done:"],
+        # Three blocks per iteration against ``trace_max_blocks=2``.
+        "over_cap": [
+            "movi eax, 1", "cmp eax, 1", "jz over", "add edx, 100",
+            "over:", "add edx, 1", "jmp join", "join:", "add edx, ecx"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(BODIES))
+    def test_non_looping_recording_is_rejected(self, case):
+        cfg = _config()
+        if case == "over_cap":
+            cfg.trace_max_blocks = 2
+        image = _loop_image(self.BODIES[case], iterations=60)
+        for mode, cpu, result, ref in _run_modes(image, cfg):
+            cache = cpu._tracecache
+            stats = cpu.tier_stats()["traces"]
+            assert stats["rejected"] >= 1, mode
+            assert stats["compile_failures"] == 0
+            # With no compile failures the blacklist holds exactly the
+            # rejected anchors.
+            assert cache._failed and not cache._failed & set(cache.traces)
+            if case == "over_cap":
+                assert stats["builds"] == 0
+            if mode == "baseline" and case == "inner_revisit":
+                assert image.symbols.resolve("outer") in cache._failed
+            assert result.finished
+            assert _comparable(result.to_dict()) == _comparable(
+                ref.to_dict()), mode
 
 
 class TestGuardBailout:
