@@ -7,8 +7,10 @@ This gate runs the same specs two ways:
 1. **raw** — a bare loop over :func:`execute_spec` plus a direct
    ``cache.get``/``cache.put`` per spec: the minimum any correct
    cache-aware harness must do;
-2. **engine** — :func:`sweep` with the default :class:`RetryPolicy`
-   and no fault plan: the exact no-fault production path.
+2. **engine** — :meth:`AsyncScheduler.stream
+   <repro.harness.scheduler.AsyncScheduler.stream>` with the default
+   :class:`RetryPolicy` and no fault plan: the exact no-fault
+   production path.
 
 and asserts the engine's wall-clock overhead stays under 2% (plus
 results bit-identical, as everywhere else).  Wall-clock on a shared
@@ -40,8 +42,9 @@ import time
 
 from repro.arch.config import default_config
 from repro.harness.resultcache import ResultCache
+from repro.harness.scheduler import AsyncScheduler
 from repro.harness.spec import RunSpec
-from repro.harness.sweep import execute_spec, sweep
+from repro.harness.sweep import execute_spec
 from repro.tools.benchgate import gate
 
 #: Per-spec instruction budget.  Sized so one pass runs long enough
@@ -84,8 +87,8 @@ def _engine_pass(config, workdir):
     """The production path: cold cache, default retry policy, no faults."""
     cache = ResultCache(tempfile.mkdtemp(dir=workdir))
     start = time.perf_counter()
-    outcomes = sweep(SPECS, config, workers=0, cache=cache,
-                     program_cache={})
+    outcomes = list(AsyncScheduler(config, workers=0, cache=cache,
+                                   program_cache={}).stream(SPECS))
     elapsed = time.perf_counter() - start
     return elapsed, [json.dumps(o.result.as_dict(), sort_keys=True)
                      for o in outcomes]

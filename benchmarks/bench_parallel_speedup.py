@@ -29,7 +29,7 @@ import shutil
 import tempfile
 import time
 
-from repro.harness import Runner, suite_specs
+from repro.harness import ExperimentSession, suite_specs
 from repro.harness.spec import RunSpec
 from repro.tools.benchgate import gate
 
@@ -46,14 +46,14 @@ def _suite() -> list:
     """The cold suite: every distinct cycle-simulation spec the paper
     experiments need (emulation excluded: this gate times the cycle
     simulator's sweep)."""
-    runner = Runner(max_instructions=BUDGET)
+    runner = ExperimentSession(max_instructions=BUDGET)
     return [spec for spec in suite_specs(runner) if spec.is_simulation]
 
 
 def _timed_sweep(specs, workers=0, cache_dir=None):
     """(seconds, results-as-dicts, runner) for one fresh sweep."""
-    runner = Runner(max_instructions=BUDGET, workers=workers,
-                    cache_dir=cache_dir)
+    runner = ExperimentSession(max_instructions=BUDGET, workers=workers,
+                               cache_dir=cache_dir)
     start = time.perf_counter()
     runner.prefetch(specs)
     elapsed = time.perf_counter() - start

@@ -1,18 +1,19 @@
 """Gate benchmark: streaming intake must be free on batch workloads.
 
-ISSUE 7 replaced the one-shot pooled fan-out with the streaming
-:class:`~repro.harness.scheduler.AsyncScheduler`.  Batch callers (the
-``sweep()`` shim, ``prefetch``) now hand their whole spec list to the
-same engine that also serves million-spec generators, so the streaming
-machinery — bounded intake window, input-order emission parking,
-async bridging on the pooled path — must cost ~nothing when the
-source is just a 200-spec batch.  This gate runs the same 200 specs
+Batch callers (``ExperimentSession.sweep``, ``prefetch``) hand their
+whole spec list to the streaming
+:class:`~repro.harness.scheduler.AsyncScheduler`, the same engine that
+also serves million-spec generators, so the streaming machinery —
+bounded intake window, input-order emission parking, async bridging on
+the pooled path — must cost ~nothing when the source is just a
+200-spec batch.  This gate runs the same 200 specs
 two ways:
 
-1. **batch** — the list-in/list-out ``sweep()`` shim, i.e. exactly
-   what every pre-ISSUE-7 caller gets;
+1. **batch** — ``ExperimentSession.sweep``, the list-in/list-out
+   surface every batch caller gets;
 2. **streamed** — the same specs fed one by one from a generator
-   through :meth:`AsyncScheduler.stream`;
+   through :meth:`AsyncScheduler.stream` of the same session's
+   scheduler;
 
 and asserts the streamed pass stays within 5% of the batch pass (plus
 results bit-identical, as everywhere else).  Timing is median-of-3
@@ -41,9 +42,8 @@ import statistics
 import time
 
 from repro.arch.config import default_config
-from repro.harness.scheduler import AsyncScheduler
+from repro.harness.session import ExperimentSession
 from repro.harness.spec import RunSpec
-from repro.harness.sweep import sweep
 from repro.tools.benchgate import gate
 
 BUDGET = int(os.environ.get("BENCH_SCHED_BUDGET", "1500"))
@@ -68,20 +68,18 @@ SPECS = [
 ]
 
 
-def _batch_pass(config, program_cache):
-    """The legacy batch surface: one sweep() call over the full list."""
+def _batch_pass(session):
+    """The batch surface: one session.sweep() call over the full list."""
     start = time.perf_counter()
-    outcomes = sweep(SPECS, config, workers=WORKERS,
-                     program_cache=program_cache)
+    outcomes = session.sweep(SPECS)
     elapsed = time.perf_counter() - start
     return elapsed, [json.dumps(o.result.as_dict(), sort_keys=True)
                      for o in outcomes]
 
 
-def _stream_pass(config, program_cache):
+def _stream_pass(session):
     """The streaming surface: the same specs fed from a generator."""
-    scheduler = AsyncScheduler(config, workers=WORKERS,
-                               program_cache=program_cache)
+    scheduler = session.scheduler()
     start = time.perf_counter()
     outcomes = list(scheduler.stream(spec for spec in SPECS))
     elapsed = time.perf_counter() - start
@@ -91,22 +89,22 @@ def _stream_pass(config, program_cache):
 
 
 def test_streaming_overhead_is_negligible():
-    config = default_config()
-    # One shared program cache: both paths then pay the randomization
-    # cost once, and the measured passes compare pure engine overhead.
-    program_cache = {}
-    _batch_pass(config, program_cache)
-    _stream_pass(config, program_cache)
+    # One session, so one program memo: both paths then pay the
+    # randomization cost once, and the measured passes compare pure
+    # engine overhead.
+    session = ExperimentSession(default_config(), workers=WORKERS)
+    _batch_pass(session)
+    _stream_pass(session)
 
     ratios, batch_times, stream_times = [], [], []
     reference = None
     for iteration in range(REPEATS):
         if iteration % 2 == 0:
-            batch_s, batch_results = _batch_pass(config, program_cache)
-            stream_s, stream_results = _stream_pass(config, program_cache)
+            batch_s, batch_results = _batch_pass(session)
+            stream_s, stream_results = _stream_pass(session)
         else:
-            stream_s, stream_results = _stream_pass(config, program_cache)
-            batch_s, batch_results = _batch_pass(config, program_cache)
+            stream_s, stream_results = _stream_pass(session)
+            batch_s, batch_results = _batch_pass(session)
         batch_times.append(batch_s)
         stream_times.append(stream_s)
         ratios.append(stream_s / batch_s)

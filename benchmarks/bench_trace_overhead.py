@@ -19,7 +19,7 @@ transient host noise.
 
 import time
 
-from repro.harness import RunSpec, sweep
+from repro.harness import AsyncScheduler, RunSpec
 from repro.obs.trace import Tracer
 from repro.tools.benchgate import gate
 
@@ -41,7 +41,7 @@ def _run_once(traced: bool) -> float:
     """One fresh sequential sweep; returns host seconds."""
     tracer = Tracer() if traced else None
     start = time.perf_counter()
-    sweep(list(SPECS), workers=0, tracer=tracer)
+    list(AsyncScheduler(workers=0, tracer=tracer).stream(SPECS))
     return time.perf_counter() - start
 
 

@@ -1,13 +1,13 @@
 """Shared fixtures for the per-figure benchmark suite.
 
-All benches share one :class:`~repro.harness.Runner`, so each
+All benches share one :class:`~repro.harness.ExperimentSession`, so each
 (workload, mode, DRC-size) cycle simulation happens exactly once per
 pytest session regardless of how many figures consume it.
 """
 
 import pytest
 
-from repro.harness import Runner
+from repro.harness import ExperimentSession
 from repro.tools.benchgate import emit_experiment
 
 #: Per-run instruction budget.  300k instructions gives steady-state cache
@@ -17,8 +17,8 @@ BENCH_MAX_INSTRUCTIONS = 300_000
 
 
 @pytest.fixture(scope="session")
-def runner() -> Runner:
-    return Runner(max_instructions=BENCH_MAX_INSTRUCTIONS)
+def runner() -> ExperimentSession:
+    return ExperimentSession(max_instructions=BENCH_MAX_INSTRUCTIONS)
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ Run:
 
 import time
 
-from repro.harness import Runner, format_table
+from repro.harness import ExperimentSession, format_table
 from repro.harness.spec import RunSpec
 
 WORKLOADS = ("gcc", "mcf", "xalan", "h264ref")
@@ -25,43 +25,43 @@ WORKERS = 4
 CACHE_DIR = ".repro-cache-example"
 
 
-def sweep_specs(runner: Runner) -> list:
+def sweep_specs(session: ExperimentSession) -> list:
     """Baseline + every DRC size, per workload — one RunSpec each."""
     specs = []
     for workload in WORKLOADS:
-        specs.append(runner.spec(workload, "baseline"))
+        specs.append(session.spec(workload, "baseline"))
         for size in DRC_SIZES:
-            specs.append(runner.spec(workload, "vcfr", drc_entries=size))
+            specs.append(session.spec(workload, "vcfr", drc_entries=size))
     return specs
 
 
-def run_sweep(tag: str) -> Runner:
-    runner = Runner(max_instructions=MAX_INSTRUCTIONS, workers=WORKERS,
-                    cache_dir=CACHE_DIR)
-    specs = sweep_specs(runner)
+def run_sweep(tag: str) -> ExperimentSession:
+    session = ExperimentSession(max_instructions=MAX_INSTRUCTIONS,
+                                workers=WORKERS, cache_dir=CACHE_DIR)
+    specs = sweep_specs(session)
     start = time.perf_counter()
-    runner.prefetch(specs)
+    session.prefetch(specs)
     elapsed = time.perf_counter() - start
-    stats = runner.cache.stats()
+    stats = session.cache.stats()
     print("%s: %d specs in %.2fs  (cache: %d hits, %d simulated)"
           % (tag, len(specs), elapsed, stats["hits"], stats["misses"]))
-    return runner
+    return session
 
 
 def main():
     print("sweep: %d workloads x (baseline + DRC %s), %d workers\n"
           % (len(WORKLOADS), "/".join(map(str, DRC_SIZES)), WORKERS))
     run_sweep("cold (or prior cache)")
-    runner = run_sweep("warm rerun       ")
+    session = run_sweep("warm rerun       ")
 
     rows = []
     for workload in WORKLOADS:
-        base = runner.run(runner.spec(workload, "baseline"))
+        base = session.run(session.spec(workload, "baseline"))
         row = [workload]
         for size in DRC_SIZES:
-            vcfr = runner.run(
-                RunSpec(workload, "vcfr", drc_entries=size, seed=runner.seed,
-                        scale=runner.scale,
+            vcfr = session.run(
+                RunSpec(workload, "vcfr", drc_entries=size,
+                        seed=session.seed, scale=session.scale,
                         max_instructions=MAX_INSTRUCTIONS)
             )
             row.append("%.3f" % (vcfr.ipc / base.ipc if base.ipc else 0.0))

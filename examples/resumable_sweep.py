@@ -24,10 +24,9 @@ import json
 import shutil
 import tempfile
 
-from repro.harness import FaultPlan, RetryPolicy
+from repro.harness import ExperimentSession, FaultPlan, RetryPolicy
 from repro.harness.resultcache import ResultCache
 from repro.harness.spec import RunSpec
-from repro.harness.sweep import sweep
 from repro.obs import get_registry
 
 MAX_INSTRUCTIONS = 20_000
@@ -47,7 +46,7 @@ def fingerprints(outcomes):
 
 
 def main():
-    clean = sweep(SPECS, workers=0)
+    clean = ExperimentSession().sweep(SPECS)
     print("clean sequential sweep: %d specs" % len(SPECS))
 
     # 1. A worker crash + a software failure, recovered transparently.
@@ -55,7 +54,8 @@ def main():
     plan = FaultPlan.from_string(
         "crash@mcf/vcfr@64#0,raise@bzip2/naive_ilr#0"
     )
-    recovered = sweep(SPECS, workers=2, retry=RETRY, faults=plan)
+    recovered = ExperimentSession(workers=2, retry=RETRY,
+                                  faults=plan).sweep(SPECS)
     print("\nfaulted sweep (worker crash + task failure):")
     for outcome in recovered:
         print("  %-18s %d attempt(s)"
@@ -76,14 +76,15 @@ def main():
         poison = FaultPlan.from_string(
             "crash@mcf/baseline#0,crash@mcf/baseline#1,crash@mcf/baseline#2"
         )
-        first = sweep(SPECS, workers=2, cache=ResultCache(cache_dir),
-                      retry=RETRY, faults=poison)
+        first = ExperimentSession(workers=2, cache=ResultCache(cache_dir),
+                                  retry=RETRY, faults=poison).sweep(SPECS)
         lost = [o.spec.label() for o in first if not o.ok]
         print("\ninterrupted sweep: quarantined %s, committed %d results"
               % (", ".join(lost), sum(1 for o in first if o.ok)))
 
         resumed_cache = ResultCache(cache_dir)
-        resumed = sweep(SPECS, workers=2, cache=resumed_cache)
+        resumed = ExperimentSession(workers=2,
+                                    cache=resumed_cache).sweep(SPECS)
         print("resumed sweep:     %d served from cache, %d executed"
               % (sum(1 for o in resumed if o.cached),
                  sum(1 for o in resumed if not o.cached)))

@@ -20,7 +20,7 @@ import os
 import shutil
 import tempfile
 
-from repro.harness import Runner, format_table
+from repro.harness import ExperimentSession, format_table
 from repro.obs.events import open_log
 from repro.obs.store import RunStore
 from repro.obs.trace import Tracer
@@ -30,12 +30,12 @@ DRC_SIZES = (64, 512)
 MAX_INSTRUCTIONS = 20_000
 
 
-def specs_for(runner):
+def specs_for(session):
     specs = []
     for workload in WORKLOADS:
-        specs.append(runner.spec(workload, "baseline"))
+        specs.append(session.spec(workload, "baseline"))
         for size in DRC_SIZES:
-            specs.append(runner.spec(workload, "vcfr", drc_entries=size))
+            specs.append(session.spec(workload, "vcfr", drc_entries=size))
     return specs
 
 
@@ -56,15 +56,15 @@ def main():
     try:
         # 1. A traced sweep, indexed into the store as it completes.
         with open_log(events_path) as events:
-            runner = Runner(
+            session = ExperimentSession(
                 max_instructions=MAX_INSTRUCTIONS,
                 cache_dir=cache_dir,
                 events=events,
                 tracer=Tracer(),
                 store_path=store_path,
             )
-            runner.prefetch(specs_for(runner))
-        with runner.store as store:
+            session.prefetch(specs_for(session))
+        with session.store as store:
             counts = store.counts()
             print("recorded %d runs (%d span rollups) in %s"
                   % (counts["runs"], counts["span_rollups"], store_path))

@@ -17,10 +17,11 @@ memory::
     for outcome in session.stream(grid()):   # generator-fed streaming
         ...
 
-(The legacy ``Runner`` dataclass remains as an exact deprecated shim
-over ``ExperimentSession``.)
+Engine-level knobs a session does not expose (an explicit program
+memo or profiler, an event log without checkpoints) are arguments of
+``AsyncScheduler(config, ...).stream(specs)``.
 
-or from the command line::
+Or from the command line::
 
     python -m repro.harness                       # full report
     python -m repro.harness fig12                 # a single experiment
@@ -37,7 +38,6 @@ from .experiments import (
 from .faults import FaultPlan, InjectedFault
 from .report import format_report, format_result, format_table
 from .resultcache import ResultCache
-from .runner import Runner
 from .scheduler import AsyncScheduler
 from .session import ExperimentSession
 from .spec import RunSpec, config_fingerprint
@@ -48,14 +48,12 @@ from .sweep import (
     RetryPolicy,
     SweepOutcome,
     execute_spec,
-    sweep,
 )
 
 __all__ = [
     "ExperimentSession",
     "AsyncScheduler",
     "WorkQueue",
-    "Runner",
     "RunSpec",
     "ResultCache",
     "SweepOutcome",
@@ -64,7 +62,6 @@ __all__ = [
     "FailedRunError",
     "FaultPlan",
     "InjectedFault",
-    "sweep",
     "execute_spec",
     "suite_specs",
     "config_fingerprint",

@@ -24,13 +24,13 @@ from ..arch.cpu import simulate
 from ..ilr import RandomizerConfig, make_flow, randomize
 from ..workloads import build_image
 from .experiments import ExperimentResult
-from .runner import Runner
+from .session import ExperimentSession
 
 #: Apps with enough translation pressure to make ablations informative.
 ABLATION_APPS: List[str] = ["gcc", "xalan", "h264ref", "namd"]
 
 
-def drc_associativity(runner: Runner) -> ExperimentResult:
+def drc_associativity(runner: ExperimentSession) -> ExperimentResult:
     """Direct-mapped vs 4-way vs fully-associative DRC at 128 entries."""
     result = ExperimentResult(
         "abl_drc_assoc", "DRC associativity ablation (128 entries)",
@@ -75,7 +75,7 @@ def drc_associativity(runner: Runner) -> ExperimentResult:
     return result
 
 
-def retaddr_policy(runner: Runner) -> ExperimentResult:
+def retaddr_policy(runner: ExperimentSession) -> ExperimentResult:
     """Conservative (software) vs architectural (§IV-C) return-address policy."""
     result = ExperimentResult(
         "abl_retaddr", "Return-address randomization policy ablation",
@@ -120,7 +120,7 @@ def retaddr_policy(runner: Runner) -> ExperimentResult:
     return result
 
 
-def spread_factor(runner: Runner) -> ExperimentResult:
+def spread_factor(runner: ExperimentSession) -> ExperimentResult:
     """Entropy vs performance across layout spread factors."""
     result = ExperimentResult(
         "abl_spread", "Layout spread-factor ablation (VCFR vs naive)",
@@ -165,7 +165,7 @@ def spread_factor(runner: Runner) -> ExperimentResult:
     return result
 
 
-def prefetcher(runner: Runner) -> ExperimentResult:
+def prefetcher(runner: ExperimentSession) -> ExperimentResult:
     """Next-line IL1 prefetcher on/off, per mode (Table I's third row)."""
     result = ExperimentResult(
         "abl_prefetch", "IL1 next-line prefetcher ablation",
@@ -205,7 +205,7 @@ def prefetcher(runner: Runner) -> ExperimentResult:
     return result
 
 
-def context_switching(runner: Runner) -> ExperimentResult:
+def context_switching(runner: ExperimentSession) -> ExperimentResult:
     """DRC cold-start sensitivity to scheduling quantum (§IV-D system impact).
 
     The paper extends the process context with the RDR tables; a context
@@ -247,7 +247,7 @@ def context_switching(runner: Runner) -> ExperimentResult:
     return result
 
 
-def page_confined_layout(runner: Runner) -> ExperimentResult:
+def page_confined_layout(runner: ExperimentSession) -> ExperimentResult:
     """§IV-D iTLB mitigation: page-confined vs whole-region randomization."""
     from ..ilr import RandomizerConfig, make_flow, randomize
 
@@ -301,6 +301,6 @@ ALL_ABLATIONS = {
 }
 
 
-def run_all_ablations(runner: Runner):
+def run_all_ablations(runner: ExperimentSession):
     """Run every ablation, sharing the runner's caches."""
     return {name: fn(runner) for name, fn in ALL_ABLATIONS.items()}

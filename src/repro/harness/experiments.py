@@ -1,10 +1,11 @@
 """One experiment per paper table/figure.
 
-Each function takes a shared :class:`~repro.harness.runner.Runner` and
-returns an :class:`ExperimentResult` with per-application rows, a summary,
-and the paper's reference numbers for side-by-side reporting.  The
-``checks`` list holds (description, bool) shape assertions — the criteria
-DESIGN.md §4 commits to.
+Each function takes a shared :class:`~repro.harness.session.
+ExperimentSession` (the parameter keeps its historical name, ``runner``)
+and returns an :class:`ExperimentResult` with per-application rows, a
+summary, and the paper's reference numbers for side-by-side reporting.
+The ``checks`` list holds (description, bool) shape assertions — the
+criteria DESIGN.md §4 commits to.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from ..arch.simstats import ratio
 from ..security import can_build_payload, scan_gadgets, survey_image
 from ..workloads import build_image
 from . import paper
-from .runner import Runner
+from .session import ExperimentSession
 from .spec import RunSpec
 
 
@@ -47,7 +48,7 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def table1(runner: Runner) -> ExperimentResult:
+def table1(runner: ExperimentSession) -> ExperimentResult:
     """Differences between straightforward ILR and VCFR (Table I).
 
     The qualitative rows are *measured*, not asserted: locality is judged
@@ -93,7 +94,7 @@ def table1(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig2(runner: Runner) -> ExperimentResult:
+def fig2(runner: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "fig2", "Software ILR emulation slowdown vs native execution",
         ("app", "native cycles", "emulator host instructions", "slowdown"),
@@ -123,7 +124,7 @@ def fig2(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig3(runner: Runner) -> ExperimentResult:
+def fig3(runner: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "fig3", "Impact of naive hardware ILR on IL1/L2 (vs baseline)",
         ("app", "IL1 miss ratio (x)", "prefetch waste +pp", "L2 pressure +%"),
@@ -171,7 +172,7 @@ def fig3(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig4(runner: Runner) -> ExperimentResult:
+def fig4(runner: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "fig4", "Normalized IPC of naive hardware ILR",
         ("app", "baseline IPC", "naive IPC", "normalized"),
@@ -199,7 +200,7 @@ def fig4(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def table2(runner: Runner) -> ExperimentResult:
+def table2(runner: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "table2", "Static analysis of control flow",
         ("app", "direct", "indirect", "calls", "indirect calls"),
@@ -229,7 +230,7 @@ def table2(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig9(runner: Runner) -> ExperimentResult:
+def fig9(runner: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "fig9", "Functions with and without ret instructions",
         ("app", "with ret", "without ret"),
@@ -256,7 +257,7 @@ def fig9(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig11(runner: Runner) -> ExperimentResult:
+def fig11(runner: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "fig11", "Gadgets removed by control flow randomization",
         ("app", "gadgets before", "usable after", "removed %", "payload before",
@@ -295,7 +296,7 @@ def fig11(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig12(runner: Runner) -> ExperimentResult:
+def fig12(runner: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "fig12", "VCFR speedup over straightforward hardware ILR (DRC 128)",
         ("app", "naive IPC", "VCFR IPC", "speedup"),
@@ -328,7 +329,7 @@ def fig12(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig13(runner: Runner) -> ExperimentResult:
+def fig13(runner: ExperimentSession) -> ExperimentResult:
     sizes = (512, 128, 64)
     result = ExperimentResult(
         "fig13", "VCFR normalized IPC under different DRC sizes",
@@ -365,7 +366,7 @@ def fig13(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig14(runner: Runner) -> ExperimentResult:
+def fig14(runner: ExperimentSession) -> ExperimentResult:
     sizes = (512, 128, 64)
     result = ExperimentResult(
         "fig14", "DRC miss rates under different DRC sizes",
@@ -403,7 +404,7 @@ def fig14(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig15(runner: Runner) -> ExperimentResult:
+def fig15(runner: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "fig15", "DRC dynamic power overhead (DRC 128)",
         ("app", "DRC lookups", "overhead %"),
@@ -431,7 +432,7 @@ def fig15(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def gadget_window(runner: Runner) -> ExperimentResult:
+def gadget_window(runner: ExperimentSession) -> ExperimentResult:
     """Gadget-availability window vs rotation cost, by policy x rate.
 
     Sweeps rotation policy against memory-disclosure rate for a
@@ -579,7 +580,7 @@ def gadget_window(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fleet(runner: Runner) -> ExperimentResult:
+def fleet(runner: ExperimentSession) -> ExperimentResult:
     """Per-tenant tail latency and IPC fairness for a protected fleet.
 
     Four VCFR tenants serve open-loop traffic over two cores behind a
@@ -691,7 +692,8 @@ def fleet(runner: Runner) -> ExperimentResult:
 
 
 #: Ordered registry of every experiment.
-ALL_EXPERIMENTS: Dict[str, Callable[[Runner], ExperimentResult]] = {
+ALL_EXPERIMENTS: Dict[str,
+                      Callable[[ExperimentSession], ExperimentResult]] = {
     "table1": table1,
     "fig2": fig2,
     "fig3": fig3,
@@ -736,7 +738,7 @@ _EXPERIMENT_RUNS: Dict[str, List[Tuple[Sequence[str], str, int]]] = {
 }
 
 
-def suite_specs(runner: Runner,
+def suite_specs(runner: ExperimentSession,
                 experiments: Sequence[str] = ()) -> List[RunSpec]:
     """Every :class:`RunSpec` the named experiments will ask for.
 
@@ -755,7 +757,7 @@ def suite_specs(runner: Runner,
     return list(dict.fromkeys(specs))
 
 
-def run_all(runner: Runner,
+def run_all(runner: ExperimentSession,
             experiments: Sequence[str] = ()) -> Dict[str, ExperimentResult]:
     """Run every experiment (or the named subset), sharing the runner's
     caches.

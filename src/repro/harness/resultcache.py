@@ -25,9 +25,10 @@ The per-entry directory is what makes the cache a coordination point
 for multiple host processes draining one sweep: the
 :class:`~repro.harness.workqueue.WorkQueue` claim file lives next to
 the result it gates, and "complete" is simply "the result file exists".
-Two legacy layouts are read through transparently — the original flat
-``root/<digest>.ext`` and the interim two-level ``root/ab/<digest>.ext``
-— and :meth:`migrate` rewrites them in place into the sharded layout.
+Entries in the pre-sharding layouts (flat ``root/<digest>.ext`` and
+two-level ``root/ab/<digest>.ext``) are not read: they miss and are
+recomputed.  :meth:`~repro.obs.store.RunStore.backfill_cache` still
+indexes them, as it walks any layout.
 
 Cycle-simulation results are stored as JSON
 (:meth:`~repro.arch.simstats.SimResult.as_dict` round-trip — human
@@ -72,10 +73,13 @@ _PROCESS_START = time.time()
 #: spec — old on-disk entries then miss instead of serving stale numbers.
 #: (v2: block fast path + flattened stall kernels; cycle counts are
 #: unchanged by construction, but the fingerprint schema gained the
-#: timing-model version and dropped host-tuning fields.  The ISSUE 7
-#: sharded layout does not bump the salt: results are unchanged and
-#: legacy entries remain readable in place.)
+#: timing-model version and dropped host-tuning fields.  Moving to the
+#: sharded layout did not bump the salt: results are unchanged.)
 CACHE_SALT = "repro-results-v2"
+
+#: What reading a missing, corrupt or incompatible entry raises.
+_UNREADABLE = (OSError, ValueError, KeyError, pickle.UnpicklingError,
+               EOFError, AttributeError)
 
 
 class ResultCache:
@@ -142,15 +146,6 @@ class ResultCache:
         ext = "json" if spec.is_simulation else "pkl"
         return os.path.join(self.entry_dir(spec, config), "result." + ext)
 
-    def _legacy_paths(self, spec: RunSpec, config):
-        """Pre-sharding locations, newest layout first: the interim
-        two-level ``root/ab/<digest>.ext`` and the original flat
-        ``root/<digest>.ext``."""
-        digest = self.key(spec, config)
-        ext = "json" if spec.is_simulation else "pkl"
-        yield os.path.join(self.root, digest[:2], "%s.%s" % (digest, ext))
-        yield os.path.join(self.root, "%s.%s" % (digest, ext))
-
     # -- lookup / store ----------------------------------------------------
 
     def _load(self, path: str, simulation: bool):
@@ -163,42 +158,31 @@ class ResultCache:
             return pickle.load(fh)
 
     def get(self, spec: RunSpec, config):
-        """Stored result for ``spec``, or None (counts a hit/miss).
-
-        Reads the sharded layout first, then falls back to the legacy
-        two-level and flat layouts, so a pre-ISSUE-7 cache keeps
-        serving without a migration step.
-        """
-        for path in (self.path(spec, config),
-                     *self._legacy_paths(spec, config)):
-            try:
-                result = self._load(path, spec.is_simulation)
-            except FileNotFoundError:
-                continue
-            except (OSError, ValueError, KeyError, pickle.UnpicklingError,
-                    EOFError, AttributeError):
-                # Corrupt or incompatible entry: treat as a miss and
-                # drop it so the rewrite below repairs the cache.
-                self._discard(path)
-                continue
-            self.hits += 1
-            return result
-        self.misses += 1
-        return None
+        """Stored result for ``spec``, or None (counts a hit/miss)."""
+        path = self.path(spec, config)
+        try:
+            result = self._load(path, spec.is_simulation)
+        except FileNotFoundError:
+            self.misses += 1
+            return None
+        except _UNREADABLE:
+            # Corrupt or incompatible entry: treat as a miss and drop
+            # it so the caller's rewrite repairs the cache.
+            self._discard(path)
+            self.misses += 1
+            return None
+        self.hits += 1
+        return result
 
     def peek(self, spec: RunSpec, config):
         """Like :meth:`get` but side-effect free: no hit/miss counting,
         no corrupt-entry removal.  Used by work-queue pollers waiting on
         a peer host's result, where every poll counting a miss would
         make the stats meaningless."""
-        for path in (self.path(spec, config),
-                     *self._legacy_paths(spec, config)):
-            try:
-                return self._load(path, spec.is_simulation)
-            except (OSError, ValueError, KeyError, pickle.UnpicklingError,
-                    EOFError, AttributeError):
-                continue
-        return None
+        try:
+            return self._load(self.path(spec, config), spec.is_simulation)
+        except _UNREADABLE:
+            return None
 
     def put(self, spec: RunSpec, config, result) -> str:
         """Store ``result`` for ``spec`` (atomic); returns the path."""
@@ -228,49 +212,6 @@ class ResultCache:
             raise
         self.writes += 1
         return path
-
-    # -- migration ---------------------------------------------------------
-
-    def migrate(self) -> dict:
-        """Move legacy-layout entries into the sharded layout, in place.
-
-        Renames are atomic per entry, so a concurrent reader sees each
-        entry at exactly one of its locations at any moment (and
-        :meth:`get` checks all of them).  Returns
-        ``{"migrated": n, "skipped": n}`` — ``skipped`` counts legacy
-        files whose sharded destination already exists (the sharded
-        copy, being newer, wins; the legacy file is removed).
-        """
-        migrated = skipped = 0
-        for dirpath, dirnames, filenames in os.walk(self.root):
-            rel = os.path.relpath(dirpath, self.root)
-            depth = 0 if rel == "." else rel.count(os.sep) + 1
-            if depth > 1:
-                # Already inside a sharded entry directory.
-                dirnames[:] = []
-                continue
-            for name in sorted(filenames):
-                stem, dot, ext = name.rpartition(".")
-                if dot != "." or ext not in ("json", "pkl"):
-                    continue
-                if len(stem) != 64 or not all(
-                        c in "0123456789abcdef" for c in stem):
-                    continue
-                src = os.path.join(dirpath, name)
-                dest_dir = os.path.join(self.root, stem[:2], stem)
-                dest = os.path.join(dest_dir, "result." + ext)
-                if os.path.exists(dest):
-                    self._discard(src)
-                    skipped += 1
-                    continue
-                os.makedirs(dest_dir, exist_ok=True)
-                try:
-                    os.replace(src, dest)
-                except OSError:
-                    skipped += 1
-                    continue
-                migrated += 1
-        return {"migrated": migrated, "skipped": skipped}
 
     @staticmethod
     def _discard(path: str) -> None:

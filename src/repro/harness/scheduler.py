@@ -1,16 +1,16 @@
 """Streaming asyncio sweep scheduler: the experiment-service core.
 
-ISSUE 7 replaces the one-shot ``sweep(list_of_specs)`` fan-out with a
-**streaming** engine: :class:`AsyncScheduler` consumes specs (run,
-race and fleet jobs alike) from any iterable — including generators
-that enumerate a million-spec design grid lazily — and yields :class:`~repro.harness.sweep.
-SweepOutcome`\\ s in input order as they resolve.  At most
-``workers + backlog`` specs are ever materialized but unemitted
-(:attr:`AsyncScheduler.high_water` records the observed maximum), so
-memory is bounded by the window, not the grid.
+The harness's one engine is **streaming**: :class:`AsyncScheduler`
+consumes specs (run, race and fleet jobs alike) from any iterable —
+including generators that enumerate a million-spec design grid lazily
+— and yields :class:`~repro.harness.sweep.SweepOutcome`\\ s in input
+order as they resolve.  At most ``workers + backlog`` specs are ever
+materialized but unemitted (:attr:`AsyncScheduler.high_water` records
+the observed maximum), so memory is bounded by the window, not the
+grid.
 
-The scheduler preserves, exactly, the contracts of the engines it
-replaces:
+The scheduler keeps, exactly, the contracts of the batch engine it
+replaced:
 
 * **Bit-identical results** — every execution still funnels through
   :func:`~repro.harness.sweep.execute_spec`; outcomes are emitted in
@@ -225,9 +225,9 @@ class AsyncScheduler:
     config, workers, cache/store/tracer/events, retry, faults — and
     iterate :meth:`stream` over any spec iterable.  The
     :class:`~repro.harness.session.ExperimentSession` facade constructs
-    schedulers for callers; the deprecated
-    :func:`~repro.harness.sweep.sweep` shim adapts list-in/list-out
-    callers onto it.
+    schedulers for callers; construct one directly only for an engine
+    argument a session does not expose (``program_cache``,
+    ``profiler``, an event log without checkpoints).
     """
 
     def __init__(
@@ -287,7 +287,8 @@ class AsyncScheduler:
         ``specs`` may be any iterable — it is consumed lazily, at most
         :attr:`window` ahead of emission.  ``sweep_key``/``total`` pin
         the root sweep span's identity and ``specs`` field for batch
-        callers (the :func:`~repro.harness.sweep.sweep` shim); streaming
+        callers (:meth:`ExperimentSession.sweep
+        <repro.harness.session.ExperimentSession.sweep>`); streaming
         callers leave them unset and the count is filled in at close.
         Closing the generator mid-stream is safe: committed results stay
         in the cache/store, so a re-run resumes past them.

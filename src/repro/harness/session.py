@@ -1,9 +1,6 @@
 """ExperimentSession: the unified front end of the experiment service.
 
-ISSUE 7's API redesign collapses the harness's accumulated entry points
-— ``Runner`` construction knobs, the batch ``sweep()`` call, cache and
-store wiring, tracer/event plumbing — into **one object** that holds
-the complete experiment policy:
+One object holds the complete experiment policy:
 
 * *what to run*: :meth:`spec`, or any iterable/generator of jobs —
   :class:`~repro.harness.spec.RunSpec`\\ s, rotation-vs-adversary
@@ -27,8 +24,7 @@ The three execution surfaces, from largest to smallest:
 
 ``sweep(specs)`` / ``prefetch(specs)``
     Batch conveniences: materialize a list, deduplicate, return/memoize
-    outcomes — what the deprecated module-level
-    :func:`repro.harness.sweep.sweep` adapts onto.
+    outcomes.
 
 ``run(spec)`` / ``emulate(name)``
     Single-result lookups: memo, then disk cache, then execution
@@ -38,9 +34,12 @@ The three execution surfaces, from largest to smallest:
 Every surface takes every job kind: a race or fleet point is cached,
 retried, quarantined, pooled, traced and stored exactly like a run.
 
-:class:`~repro.harness.runner.Runner` is the legacy face of the same
-object — it subclasses ``ExperimentSession`` with the historical
-dataclass constructor and survives as a deprecated-but-exact shim.
+A session always memoizes programs and, whenever its event log is
+enabled, checkpoints cycle simulations.  Callers that need an engine
+argument a session does not expose — an explicit ``program_cache`` or
+``profiler``, an event log without checkpoints — drive
+:meth:`AsyncScheduler(config, ...).stream(specs)
+<repro.harness.scheduler.AsyncScheduler.stream>` directly.
 """
 
 from __future__ import annotations
@@ -89,19 +88,7 @@ class ExperimentSession:
                                store_path="runs.sqlite") as session:
             for outcome in session.stream(grid()):   # any generator
                 ...
-
-    Attribute names are shared with the legacy :class:`~repro.harness.
-    runner.Runner` dataclass (which subclasses this), so experiment
-    code that duck-types ``runner.workers`` / ``runner.cache`` /
-    ``runner.profiler`` works with either face.
     """
-
-    # Class-level fallbacks so the legacy Runner subclass (whose
-    # dataclass fields predate these knobs) inherits sane defaults.
-    backlog: Optional[int] = None
-    queue = None
-    queue_owner: Optional[str] = None
-    queue_stale_after: float = DEFAULT_STALE_AFTER
 
     def __init__(
         self,
@@ -133,46 +120,37 @@ class ExperimentSession:
         self.seed = seed
         self.max_instructions = max_instructions
         self.warmup_instructions = warmup_instructions
-        self.events = events
+        self.events = events if events is not None else EventLog()
         self.progress = progress
         self.checkpoint_interval = checkpoint_interval
         self.profile_phases = profile_phases
         self.workers = workers
         self.backlog = backlog
+        if cache is None and cache_dir:
+            cache = ResultCache(cache_dir)
         self.cache = cache
         self.cache_dir = cache_dir
         self.retry = retry
         self.faults = faults
         self.tracer = tracer
+        if store is None and store_path:
+            store = RunStore(store_path)
         self.store = store
         self.store_path = store_path
-        self.queue = queue
-        self.queue_owner = queue_owner
-        self.queue_stale_after = queue_stale_after
-        self._programs: Dict[ProgramKey, RandomizedProgram] = {}
-        #: results of this session's jobs, any kind: spec -> result.
-        self._results: Dict[object, object] = {}
-        #: quarantined specs from past sweeps: spec -> FailedRun.
-        self.failures: Dict[RunSpec, FailedRun] = {}
-        self._finish_init()
-
-    def _finish_init(self) -> None:
-        """Resolve paths/policies into live objects (shared with the
-        Runner dataclass's ``__post_init__``)."""
-        if self.events is None:
-            self.events = EventLog()
-        if self.cache is None and self.cache_dir:
-            self.cache = ResultCache(self.cache_dir)
-        if self.store is None and self.store_path:
-            self.store = RunStore(self.store_path)
-        if self.queue is True:
+        if queue is True:
             if self.cache is None:
                 raise ValueError(
                     "a work queue needs a shared cache: pass cache_dir "
                     "(or a ResultCache) alongside queue=True"
                 )
-            self.queue = WorkQueue(self.cache, owner=self.queue_owner,
-                                   stale_after=self.queue_stale_after)
+            queue = WorkQueue(self.cache, owner=queue_owner,
+                              stale_after=queue_stale_after)
+        self.queue = queue
+        self._programs: Dict[ProgramKey, RandomizedProgram] = {}
+        #: results of this session's jobs, any kind: spec -> result.
+        self._results: Dict[object, object] = {}
+        #: quarantined specs from past sweeps: spec -> FailedRun.
+        self.failures: Dict[RunSpec, FailedRun] = {}
         #: host wall-time attribution across harness stages (and, with
         #: ``profile_phases``, the CPU pipeline phases under ``sim.*``).
         self.profiler = PhaseProfiler(self.events)

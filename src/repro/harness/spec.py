@@ -1,8 +1,9 @@
 """RunSpec: the single currency describing one simulation run.
 
-Every layer of the harness — :class:`~repro.harness.runner.Runner`, the
-parallel sweep engine (:mod:`repro.harness.sweep`), the on-disk result
-cache (:mod:`repro.harness.resultcache`), CLI flags, and event-log
+Every layer of the harness — :class:`~repro.harness.session.
+ExperimentSession`, the streaming scheduler
+(:mod:`repro.harness.scheduler`), the on-disk result cache
+(:mod:`repro.harness.resultcache`), CLI flags, and event-log
 fields — identifies a run by one frozen, hashable, serializable
 :class:`RunSpec` instead of ad-hoc ``(name, mode, drc_entries)`` tuples.
 
@@ -48,8 +49,9 @@ class RunSpec:
     Instances are hashable (dict keys, set members), comparable, and
     round-trip through :meth:`as_dict`/:meth:`from_dict` for process
     boundaries and the on-disk cache.  Construct via
-    :meth:`Runner.spec() <repro.harness.runner.Runner.spec>` to inherit
-    the runner's seed/scale/budget defaults, or directly when all fields
+    :meth:`ExperimentSession.spec()
+    <repro.harness.session.ExperimentSession.spec>` to inherit the
+    session's seed/scale/budget defaults, or directly when all fields
     are known.
 
     The scheduler, result cache and session memo read only the surface

@@ -1,4 +1,4 @@
-"""Sweep vocabulary + the legacy batch ``sweep()`` shim.
+"""Sweep vocabulary: what every engine path shares.
 
 The harness's experiment suite is sweep-shaped — many independent
 (workload, mode, DRC-size) simulations whose results are only combined
@@ -8,23 +8,15 @@ this spec"), :func:`build_program`, :func:`_pool_task` (the pool-worker
 entry point), :class:`RetryPolicy`, :class:`SweepOutcome`,
 :class:`FailedRun`, and the result-integrity/cache-commit helpers.
 
-Since ISSUE 7 the engine itself lives in
-:class:`repro.harness.scheduler.AsyncScheduler` — a streaming,
-bounded-memory asyncio scheduler fronted by
-:class:`repro.harness.session.ExperimentSession`.  :func:`sweep` below
-is kept as a thin, exact batch adapter over it:
-
-1. deduplicating normalized specs,
-2. serving anything already in the on-disk
-   :class:`~repro.harness.resultcache.ResultCache`,
-3. fanning the rest over a process pool (``workers >= 2``) or running
-   them inline (``workers <= 1``), and
-4. merging worker observability back into the parent: buffered event
-   records are replayed into the parent's
-   :class:`~repro.obs.events.EventLog` (file sinks stay single-writer),
-   profiler phase totals fold into the parent's
-   :class:`~repro.obs.profile.PhaseProfiler`, and metrics snapshots
-   merge into the process-global registry.
+The engine itself is :class:`repro.harness.scheduler.AsyncScheduler` —
+a streaming, bounded-memory scheduler fronted by
+:class:`repro.harness.session.ExperimentSession`, whose
+:meth:`~repro.harness.session.ExperimentSession.sweep` is the batch
+surface: it deduplicates normalized specs, serves anything already in
+the on-disk :class:`~repro.harness.resultcache.ResultCache`, fans the
+rest over a process pool (``workers >= 2``) or runs them inline, and
+merges worker observability (buffered events, profiler phase totals,
+metrics snapshots) back into the parent.
 
 Every execution path funnels through :func:`execute_spec`, so a pooled
 sweep produces **bit-identical** results to a sequential one: each spec
@@ -93,11 +85,9 @@ from ..obs.trace import NULL_TRACER, Tracer
 from ..security import race
 from ..workloads import build_image
 from .faults import FaultPlan, apply_worker_fault
-from .resultcache import ResultCache
 from .spec import RunSpec
 
 __all__ = [
-    "sweep",
     "execute_spec",
     "build_program",
     "SweepOutcome",
@@ -448,94 +438,3 @@ def _interval_fn(checkpoint_interval) -> Callable[[RunSpec], int]:
     if callable(checkpoint_interval):
         return checkpoint_interval
     return lambda spec: int(checkpoint_interval)
-
-
-def sweep(
-    specs: Sequence[RunSpec],
-    config: Optional[MachineConfig] = None,
-    *,
-    workers: int = 0,
-    cache: Optional[ResultCache] = None,
-    events: Optional[EventLog] = None,
-    profiler: Optional[PhaseProfiler] = None,
-    checkpoint_interval=0,
-    profile_phases: bool = False,
-    on_checkpoint_for: Optional[Callable[[RunSpec], Optional[Callable]]] = None,
-    program_cache: Optional[Dict[ProgramKey, RandomizedProgram]] = None,
-    on_outcome: Optional[Callable[[SweepOutcome], None]] = None,
-    retry: Optional[RetryPolicy] = None,
-    faults: Optional[FaultPlan] = None,
-    tracer: Optional[Tracer] = None,
-    store: Optional[RunStore] = None,
-) -> List[SweepOutcome]:
-    """Execute ``specs`` (cache-aware, fault-tolerant, optionally parallel).
-
-    .. deprecated:: ISSUE 7
-        ``sweep()`` is the legacy batch entry point, kept as a thin
-        adapter over the streaming engine.  New code should construct
-        an :class:`~repro.harness.session.ExperimentSession` and use
-        :meth:`~repro.harness.session.ExperimentSession.stream` /
-        :meth:`~repro.harness.session.ExperimentSession.sweep`, which
-        add generator sources, bounded-memory intake, and multi-host
-        queue draining.  No runtime warning is emitted (the shim is
-        exact), but no new capability will be added here.
-
-    Returns one :class:`SweepOutcome` per input spec, in input order;
-    duplicate specs share one execution.  ``checkpoint_interval`` is an
-    int or a ``spec -> int`` callable.  ``on_checkpoint_for`` supplies
-    per-spec heartbeat callbacks and only applies to inline execution
-    (callbacks cannot cross the process boundary); pooled sweeps report
-    completion through ``on_outcome`` instead, which fires once per
-    unique spec in input order.
-
-    Results are bit-identical between ``workers=0`` and ``workers=N``
-    and under any recoverable fault schedule: execution is
-    deterministic per spec, retries re-run the identical computation,
-    and merging happens in input order.  A spec whose every attempt
-    fails is **quarantined** — its outcome carries a
-    :class:`FailedRun` (``outcome.failure``) instead of a result, and
-    the rest of the sweep completes normally.  Pass
-    ``retry=RetryPolicy(max_attempts=1)`` to fail fast; ``retry=None``
-    selects :data:`DEFAULT_RETRY`.
-
-    With a ``tracer``, the sweep records a ``sweep → spec → attempt →
-    phase`` span tree whose structure (names, ids, parents) is
-    identical between sequential and pooled execution — workers capture
-    their attempt subtree pickle-safely and the parent adopts it on
-    merge.  With a ``store``, every completed run (and quarantined
-    spec) is committed to the SQLite run store as it finishes, via the
-    same commit-as-you-go discipline as the result cache.
-    """
-    from .scheduler import AsyncScheduler  # local import: avoids a cycle
-
-    normalized = [spec.normalized() for spec in specs]
-    unique = list(dict.fromkeys(normalized))
-    scheduler = AsyncScheduler(
-        config,
-        workers=workers,
-        cache=cache,
-        events=events,
-        profiler=profiler,
-        checkpoint_interval=checkpoint_interval,
-        profile_phases=profile_phases,
-        on_checkpoint_for=on_checkpoint_for,
-        program_cache=program_cache,
-        retry=retry,
-        faults=faults,
-        tracer=tracer,
-        store=store,
-    )
-    outcomes: Dict[RunSpec, SweepOutcome] = {
-        outcome.spec: outcome
-        for outcome in scheduler.stream(unique,
-                                        sweep_key=_sweep_key(normalized),
-                                        total=len(normalized))
-    }
-    ordered = [outcomes[spec] for spec in normalized]
-    if on_outcome is not None:
-        seen = set()
-        for outcome in ordered:
-            if outcome.spec not in seen:
-                seen.add(outcome.spec)
-                on_outcome(outcome)
-    return ordered

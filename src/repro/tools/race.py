@@ -37,7 +37,7 @@ from ..security.adversary import AdversarySpec
 from ..security.race import SERVICE_WORKLOAD, RaceSpec
 from ..security.rotation import POLICY_KINDS, RotationPolicy
 
-from .stats import format_table
+from .stats import race_table
 
 
 def parse_policy(text: str) -> RotationPolicy:
@@ -167,24 +167,11 @@ def main(argv=None) -> int:
             print(json.dumps(result.as_dict(), sort_keys=True))
         return 1 if failed else 0
 
-    rows = []
-    for result in results:
-        first = result.first_goal_icount
-        rows.append((
-            result.workload, result.policy,
-            "%.2f" % result.disclosure_rate,
-            "%.1f%%" % (100 * result.exposure_fraction),
-            result.max_exposure_streak,
-            first if first is not None else "-",
-            result.rotations,
-            result.rotation_cycles,
-            "%.4f" % result.ipc,
-        ))
-    print(format_table(
-        ("workload", "policy", "disc", "exposure", "max window",
-         "first goal", "rotations", "rot cycles", "ipc"),
-        rows,
-    ))
+    # None when no point survived: every one was quarantined.
+    table = race_table([dict(result.as_dict(), kind="race_point")
+                        for result in results])
+    if table is not None:
+        print(table)
     return 1 if failed else 0
 
 

@@ -2,7 +2,7 @@
 
 import io
 
-from repro.harness import RunSpec, sweep
+from repro.harness import ExperimentSession, RunSpec
 from repro.harness.dashboard import Dashboard, _sparkline
 from repro.obs.events import EventLog, MemorySink
 
@@ -199,7 +199,8 @@ class TestSinkTee:
         dashboard.attach(log)
         specs = [RunSpec("mcf", "baseline", max_instructions=BUDGET),
                  RunSpec("bzip2", "naive_ilr", max_instructions=BUDGET)]
-        sweep(specs, workers=0, events=log, checkpoint_interval=1000)
+        ExperimentSession(events=log,
+                          checkpoint_interval=1000).sweep(specs)
         dashboard.finish()
         assert dashboard.done == 2
         assert dashboard.ipc  # checkpoints flowed through

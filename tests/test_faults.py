@@ -24,13 +24,10 @@ from repro.harness.faults import (
     apply_inline_fault,
 )
 from repro.harness.resultcache import ResultCache
-from repro.harness.runner import Runner
+from repro.harness.scheduler import AsyncScheduler
+from repro.harness.session import ExperimentSession
 from repro.harness.spec import RunSpec
-from repro.harness.sweep import (
-    FailedRunError,
-    RetryPolicy,
-    sweep,
-)
+from repro.harness.sweep import FailedRunError, RetryPolicy
 from repro.obs.events import EventLog, MemorySink
 from repro.obs.metrics import get_registry
 from repro.obs.profile import PhaseProfiler
@@ -56,7 +53,7 @@ def serialized(outcomes):
 @pytest.fixture(scope="module")
 def clean_reference():
     """The clean sequential sweep every fault schedule must reproduce."""
-    return serialized(sweep(SPECS, workers=0))
+    return serialized(ExperimentSession().sweep(SPECS))
 
 
 # -- plan parsing and determinism -------------------------------------------
@@ -144,14 +141,15 @@ class TestFaultDifferential:
     def test_recovered_pooled_sweep_is_bit_identical(
             self, plan_text, clean_reference):
         plan = FaultPlan.from_string(plan_text)
-        outcomes = sweep(SPECS, workers=2, retry=RETRY, faults=plan)
+        outcomes = ExperimentSession(workers=2, retry=RETRY,
+                                     faults=plan).sweep(SPECS)
         assert all(o.ok for o in outcomes)
         assert serialized(outcomes) == clean_reference
         assert any(o.attempts > 1 for o in outcomes)
 
     def test_inline_sweep_recovers_identically(self, clean_reference):
         plan = FaultPlan.from_string("raise@mcf/baseline#0,raise@mcf/baseline#1")
-        outcomes = sweep(SPECS, workers=0, retry=RETRY, faults=plan)
+        outcomes = ExperimentSession(retry=RETRY, faults=plan).sweep(SPECS)
         assert all(o.ok for o in outcomes)
         assert serialized(outcomes) == clean_reference
         assert outcomes[0].attempts == 3
@@ -162,7 +160,8 @@ class TestFaultDifferential:
             "crash@mcf/baseline#0,crash@mcf/baseline#1,crash@mcf/baseline#2"
         )
         get_registry().reset()
-        outcomes = sweep(SPECS, workers=2, retry=RETRY, faults=plan)
+        outcomes = ExperimentSession(workers=2, retry=RETRY,
+                                     faults=plan).sweep(SPECS)
         assert len(outcomes) == len(SPECS)  # reported, never dropped
         failed = outcomes[0]
         assert not failed.ok and failed.result is None
@@ -180,23 +179,25 @@ class TestFaultDifferential:
     def test_inline_quarantine_raises_only_on_demand(self):
         plan = FaultPlan.from_string("raise@mcf/baseline#0,raise@mcf/baseline#1,"
                                      "raise@mcf/baseline#2")
-        outcomes = sweep(SPECS[:2], workers=0, retry=RETRY, faults=plan)
+        outcomes = ExperimentSession(retry=RETRY,
+                                     faults=plan).sweep(SPECS[:2])
         assert not outcomes[0].ok and outcomes[0].failure.kind == "raise"
         assert outcomes[1].ok
-        # The Runner surfaces quarantine as a typed error.
-        runner = Runner(max_instructions=BUDGET, retry=RETRY, faults=plan)
+        # run() surfaces quarantine as a typed error.
+        session = ExperimentSession(max_instructions=BUDGET, retry=RETRY,
+                                    faults=plan)
         with pytest.raises(FailedRunError) as err:
-            runner.run(SPECS[0])
+            session.run(SPECS[0])
         assert err.value.failure.kind == "raise"
 
     def test_timeout_abandons_hung_attempt(self, clean_reference):
         plan = FaultPlan.from_string("hang@mcf/baseline#0,hang=5")
         get_registry().reset()
-        outcomes = sweep(
-            SPECS, workers=2,
+        outcomes = ExperimentSession(
+            workers=2,
             retry=RetryPolicy(max_attempts=3, timeout=1.0, backoff=0.01),
             faults=plan,
-        )
+        ).sweep(SPECS)
         assert all(o.ok for o in outcomes)
         assert serialized(outcomes) == clean_reference
         assert outcomes[0].attempts == 2
@@ -207,10 +208,11 @@ class TestFaultDifferential:
         # observable fields.  A clean pooled run must not be rejected
         # as corrupt, and a corrupted one must be retried.
         specs = [RunSpec("mcf", "emulate", max_instructions=BUDGET)]
-        ref = sweep(specs, workers=0)[0].result
+        ref = ExperimentSession().sweep(specs)[0].result
         plan = FaultPlan.from_string("corrupt@mcf/emulate#0")
         get_registry().reset()
-        outcome = sweep(specs, workers=2, retry=RETRY, faults=plan)[0]
+        outcome = ExperimentSession(workers=2, retry=RETRY,
+                                    faults=plan).sweep(specs)[0]
         assert outcome.ok and outcome.attempts == 2
         assert outcome.result.run.snapshot() == ref.run.snapshot()
         assert outcome.result.host_instructions == ref.host_instructions
@@ -224,11 +226,12 @@ class TestFaultDifferential:
 class TestResumability:
     def test_results_commit_as_they_finish(self, tmp_path, clean_reference):
         cache = ResultCache(str(tmp_path))
-        outcomes = sweep(SPECS, workers=2, cache=cache, retry=RETRY)
+        outcomes = ExperimentSession(workers=2, cache=cache,
+                                     retry=RETRY).sweep(SPECS)
         assert cache.writes == len(SPECS)
         # A fresh sweep over the same cache re-executes nothing.
         warm = ResultCache(str(tmp_path))
-        rerun = sweep(SPECS, workers=0, cache=warm)
+        rerun = ExperimentSession(cache=warm).sweep(SPECS)
         assert all(o.cached for o in rerun)
         assert serialized(rerun) == serialized(outcomes) == clean_reference
 
@@ -238,8 +241,12 @@ class TestResumability:
         cache = ResultCache(str(tmp_path))
         sink = MemorySink()
         get_registry().reset()
-        outcomes = sweep(SPECS, workers=2, cache=cache, retry=RETRY,
-                         faults=plan, events=EventLog(sink))
+        # An event log without checkpoints: only the scheduler offers
+        # it (a session checkpoints whenever its log is enabled, and a
+        # checkpoint's host_seconds would differ from the reference).
+        outcomes = list(AsyncScheduler(
+            workers=2, cache=cache, retry=RETRY, faults=plan,
+            events=EventLog(sink)).stream(SPECS))
         assert serialized(outcomes) == clean_reference  # result kept
         assert cache.writes == len(SPECS) - 1
         counters = get_registry().counters("sweep.")
@@ -248,7 +255,7 @@ class TestResumability:
                    in r.get("message", "") for r in sink.records)
         # Resume recomputes only the uncommitted spec.
         warm = ResultCache(str(tmp_path))
-        rerun = sweep(SPECS, workers=0, cache=warm)
+        rerun = ExperimentSession(cache=warm).sweep(SPECS)
         assert [o.cached for o in rerun] == [False, True, True, True]
         assert serialized(rerun) == clean_reference
 
@@ -265,8 +272,9 @@ class TestIdempotentObservability:
         get_registry().reset()
         plan = FaultPlan.from_string("raise@mcf/baseline#0,"
                                      "crash@bzip2/naive_ilr#0")
-        outcomes = sweep(SPECS, workers=2, retry=RETRY, faults=plan,
-                         events=EventLog(sink), profiler=profiler)
+        outcomes = list(AsyncScheduler(
+            workers=2, retry=RETRY, faults=plan, events=EventLog(sink),
+            profiler=profiler).stream(SPECS))
         assert serialized(outcomes) == clean_reference
 
         # Exactly one run_start/run_end pair per spec, in input order,
@@ -284,8 +292,9 @@ class TestIdempotentObservability:
     def test_replayed_records_carry_their_attempt_id(self):
         sink = MemorySink()
         plan = FaultPlan.from_string("raise@mcf/baseline#0")
-        outcomes = sweep(SPECS[:1], workers=2, retry=RETRY, faults=plan,
-                         events=EventLog(sink))
+        outcomes = list(AsyncScheduler(
+            workers=2, retry=RETRY, faults=plan,
+            events=EventLog(sink)).stream(SPECS[:1]))
         assert outcomes[0].attempts == 2
         replayed = [r for r in sink.records
                     if r["kind"] in ("run_start", "run_end")]
@@ -300,8 +309,8 @@ class TestIdempotentObservability:
 _RESUME_SCRIPT = r"""
 import json, sys
 from repro.harness.resultcache import ResultCache
+from repro.harness.session import ExperimentSession
 from repro.harness.spec import RunSpec
-from repro.harness.sweep import sweep
 
 root, budget = sys.argv[1], int(sys.argv[2])
 specs = [
@@ -312,7 +321,7 @@ specs = [
     RunSpec("gcc", "baseline", max_instructions=budget),
     RunSpec("gcc", "vcfr", drc_entries=512, max_instructions=budget),
 ]
-outcomes = sweep(specs, workers=2, cache=ResultCache(root))
+outcomes = ExperimentSession(workers=2, cache=ResultCache(root)).sweep(specs)
 print(json.dumps({
     "cached": [o.cached for o in outcomes],
     "results": [json.dumps(o.result.as_dict(), sort_keys=True)
@@ -363,7 +372,7 @@ def test_sigkilled_sweep_resumes_from_committed_results(tmp_path):
         RunSpec("gcc", "baseline", max_instructions=budget),
         RunSpec("gcc", "vcfr", drc_entries=512, max_instructions=budget),
     ]
-    clean = serialized(sweep(specs, workers=0))
+    clean = serialized(ExperimentSession().sweep(specs))
     assert resumed["results"] == clean
 
 

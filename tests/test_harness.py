@@ -4,7 +4,6 @@ import pytest
 
 from repro.harness import (
     ExperimentSession,
-    Runner,
     format_report,
     format_result,
     format_table,
@@ -44,26 +43,6 @@ class TestSessionCaching:
         base = runner.run(runner.spec("mcf", "baseline"))
         vcfr = runner.run(runner.spec("mcf", "vcfr"))
         assert base.instructions == vcfr.instructions
-
-
-class TestLegacyRunnerShim:
-    """Runner keeps the pre-session surface alive, with warnings."""
-
-    def test_sim_warns_and_matches_run(self):
-        legacy = Runner(max_instructions=20_000)
-        with pytest.warns(DeprecationWarning, match="Runner.sim"):
-            via_shim = legacy.sim("mcf", "vcfr", drc_entries=64)
-        direct = legacy.run(legacy.spec("mcf", "vcfr", drc_entries=64))
-        assert via_shim is direct
-
-    def test_program_warns_and_matches_program_for(self):
-        legacy = Runner(max_instructions=20_000)
-        with pytest.warns(DeprecationWarning, match="Runner.program"):
-            via_shim = legacy.program("mcf")
-        assert via_shim is legacy.program_for(legacy.spec("mcf"))
-
-    def test_runner_is_a_session(self):
-        assert issubclass(Runner, ExperimentSession)
 
 
 class TestReportFormatting:

@@ -6,7 +6,7 @@ import sqlite3
 
 import pytest
 
-from repro.harness import RunSpec, sweep
+from repro.harness import ExperimentSession, RunSpec
 from repro.harness.resultcache import ResultCache
 from repro.harness.spec import config_fingerprint
 from repro.arch.config import default_config
@@ -212,7 +212,7 @@ class TestBackfill:
     def test_backfill_cache_round_trips_rows(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         config = default_config()
-        outcomes = sweep(list(SPECS), config, workers=0, cache=cache)
+        outcomes = ExperimentSession(config, cache=cache).sweep(SPECS)
         with RunStore(str(tmp_path / "runs.sqlite")) as store:
             report = store.backfill_cache(str(tmp_path / "cache"))
             assert report["ingested"] == len(SPECS)
@@ -235,7 +235,7 @@ class TestBackfill:
     def test_backfill_events(self, tmp_path):
         path = str(tmp_path / "ev.jsonl")
         log = EventLog(FileSink(path))
-        sweep(list(SPECS), workers=0, events=log)
+        ExperimentSession(events=log).sweep(SPECS)
         log.close()
         with RunStore(str(tmp_path / "runs.sqlite")) as store:
             report = store.backfill_events(path)
@@ -259,7 +259,7 @@ class TestSweepParity:
     def _rows(self, tmp_path, workers):
         path = str(tmp_path / ("runs%d.sqlite" % workers))
         with RunStore(path) as store:
-            sweep(list(SPECS), workers=workers, store=store)
+            ExperimentSession(workers=workers, store=store).sweep(SPECS)
             _, rows = store.query(
                 "SELECT %s FROM runs ORDER BY spec_key" % self.COLUMNS
             )
@@ -281,7 +281,7 @@ class TestSweepParity:
     def test_config_digest_recorded(self, tmp_path):
         config = default_config()
         with RunStore(str(tmp_path / "runs.sqlite")) as store:
-            sweep([SPECS[0]], config, workers=0, store=store)
+            ExperimentSession(config, store=store).sweep([SPECS[0]])
             _, rows = store.query("SELECT config_digest FROM runs")
             assert rows == [(config_fingerprint(config),)]
 
@@ -329,7 +329,7 @@ class TestStatsStoreCli:
 
     def test_backfill_cache_cli(self, tmp_path, capsys):
         cache = ResultCache(str(tmp_path / "cache"))
-        sweep([SPECS[0]], workers=0, cache=cache)
+        ExperimentSession(cache=cache).sweep([SPECS[0]])
         path = str(tmp_path / "new.sqlite")
         assert stats.main(["backfill", path, "--cache-dir",
                            str(tmp_path / "cache")]) == 0
@@ -341,7 +341,7 @@ class TestStatsStoreCli:
         # The store subcommands must not break positional-file usage.
         path = str(tmp_path / "ev.jsonl")
         log = EventLog(FileSink(path))
-        sweep([SPECS[0]], workers=0, events=log)
+        ExperimentSession(events=log).sweep([SPECS[0]])
         log.close()
         assert stats.main([path, "--section", "runs"]) == 0
         assert "baseline" in capsys.readouterr().out
@@ -349,11 +349,9 @@ class TestStatsStoreCli:
 
 class TestHarnessCliIntegration:
     def test_runner_store_path_records_runs(self, tmp_path):
-        from repro.harness import Runner
-
         store_path = str(tmp_path / "runs.sqlite")
-        runner = Runner(max_instructions=BUDGET,
-                        store_path=store_path)
+        runner = ExperimentSession(max_instructions=BUDGET,
+                                   store_path=store_path)
         runner.prefetch([runner.spec("mcf", "baseline")])
         runner.store.close()
         with RunStore(store_path) as store:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.arch.config import default_config
 from repro.arch.cpu import CycleCPU
-from repro.harness import RunSpec, sweep
+from repro.harness import ExperimentSession, RunSpec
 from repro.harness.sweep import _spec_key
 from repro.ilr import RandomizerConfig, make_flow, randomize, rerandomize
 from repro.ilr.rerandomize import apply_rerandomization
@@ -153,7 +153,7 @@ class TestTracerBasics:
 class TestSweepTraceDeterminism:
     def _structure(self, workers):
         tracer = Tracer(clock=TickClock())
-        sweep(list(SPECS), workers=workers, tracer=tracer)
+        ExperimentSession(workers=workers, tracer=tracer).sweep(SPECS)
         return tracer.structure()
 
     def test_sequential_tree_is_reproducible(self):
@@ -195,7 +195,7 @@ class TestSweepTraceDeterminism:
             RunSpec("mcf", "baseline", max_instructions=BUDGET),
             RunSpec("mcf", "naive_ilr", max_instructions=BUDGET),
         ]
-        sweep(specs, workers=0, tracer=tracer)
+        ExperimentSession(tracer=tracer).sweep(specs)
         (root,) = tracer.structure()
         for node in root["children"]:
             (attempt,) = node["children"]

@@ -10,15 +10,16 @@ import pytest
 
 from repro.arch.config import default_config
 from repro.arch.simstats import Checkpoint, SimResult
-from repro.harness import ResultCache, Runner, RunSpec
+from repro.harness import ExperimentSession, ResultCache, RunSpec
 from repro.isa.syscalls import OutputStream
 
 
 @pytest.fixture(scope="module")
 def sim_result():
     """A real simulation result with every optional field populated."""
-    runner = Runner(max_instructions=4000, checkpoint_interval=500)
-    return runner.run(runner.spec("mcf", "vcfr", 64))
+    session = ExperimentSession(max_instructions=4000,
+                                checkpoint_interval=500)
+    return session.run(session.spec("mcf", "vcfr", 64))
 
 
 class TestSimResultSerialization:
@@ -180,7 +181,7 @@ class TestResultCache:
 
 
 class TestShardedLayout:
-    """ISSUE 7: per-entry directories plus legacy-layout read-through."""
+    """Per-entry directories; pre-sharding layouts are not read."""
 
     def _put(self, tmp_path, sim_result):
         cache = ResultCache(str(tmp_path))
@@ -197,52 +198,16 @@ class TestShardedLayout:
             str(tmp_path), digest[:2], digest, "result.json")
         assert cache.entry_dir(spec, config) == os.path.dirname(path)
 
-    def test_flat_legacy_entry_reads_through(self, sim_result, tmp_path):
+    def test_flat_pre_sharding_entry_is_a_miss(self, sim_result,
+                                               tmp_path):
         cache, spec, config, path = self._put(tmp_path, sim_result)
         digest = cache.key(spec, config)
         flat = os.path.join(str(tmp_path), digest + ".json")
         os.replace(path, flat)
         os.rmdir(os.path.dirname(path))
-        loaded = cache.get(spec, config)
-        assert loaded is not None
-        assert loaded.as_dict() == sim_result.as_dict()
-
-    def test_two_level_legacy_entry_reads_through(self, sim_result,
-                                                  tmp_path):
-        cache, spec, config, path = self._put(tmp_path, sim_result)
-        digest = cache.key(spec, config)
-        two_level = os.path.join(str(tmp_path), digest[:2],
-                                 digest + ".json")
-        os.replace(path, two_level)
-        os.rmdir(os.path.dirname(path))
-        assert cache.get(spec, config) is not None
-
-    def test_migrate_moves_legacy_entries_in_place(self, sim_result,
-                                                   tmp_path):
-        cache, spec, config, path = self._put(tmp_path, sim_result)
-        digest = cache.key(spec, config)
-        flat = os.path.join(str(tmp_path), digest + ".json")
-        os.replace(path, flat)
-        os.rmdir(os.path.dirname(path))
-        assert cache.migrate() == {"migrated": 1, "skipped": 0}
-        assert not os.path.exists(flat)
-        assert os.path.exists(path)
-        assert cache.get(spec, config) is not None
-        # Idempotent: nothing legacy left to move.
-        assert cache.migrate() == {"migrated": 0, "skipped": 0}
-
-    def test_migrate_prefers_existing_sharded_entry(self, sim_result,
-                                                    tmp_path):
-        cache, spec, config, path = self._put(tmp_path, sim_result)
-        digest = cache.key(spec, config)
-        flat = os.path.join(str(tmp_path), digest + ".json")
-        with open(path) as fh:
-            blob = fh.read()
-        with open(flat, "w") as fh:
-            fh.write(blob)
-        assert cache.migrate() == {"migrated": 0, "skipped": 1}
-        assert not os.path.exists(flat)  # stale copy discarded
-        assert cache.get(spec, config) is not None
+        assert cache.get(spec, config) is None
+        assert cache.stats()["misses"] == 1
+        assert os.path.exists(flat)  # RunStore.backfill_cache indexes it
 
     def test_peek_is_side_effect_free(self, sim_result, tmp_path):
         cache, spec, config, path = self._put(tmp_path, sim_result)

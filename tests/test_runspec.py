@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch.config import default_config
-from repro.harness import Runner, RunSpec, config_fingerprint
+from repro.harness import ExperimentSession, RunSpec, config_fingerprint
 from repro.harness.spec import DEFAULT_DRC_ENTRIES
 
 
@@ -76,13 +76,13 @@ class TestPresentation:
 
 class TestRunnerSpecFactory:
     def test_inherits_runner_defaults(self):
-        runner = Runner(scale=0.5, seed=9, max_instructions=7000)
+        runner = ExperimentSession(scale=0.5, seed=9, max_instructions=7000)
         spec = runner.spec("mcf", "vcfr")
         assert spec == RunSpec("mcf", "vcfr", 128, seed=9, scale=0.5,
                                max_instructions=7000)
 
     def test_emulate_budget_scaled(self):
-        runner = Runner(max_instructions=5000)
+        runner = ExperimentSession(max_instructions=5000)
         assert runner.spec("mcf", "emulate").max_instructions == 50_000
 
 

@@ -2,10 +2,11 @@
 
 The scheduler's contract tests (retry/timeout/quarantine semantics,
 span trees, store rows) live in test_faults / test_obs_trace /
-test_obs_store and run against the same engine through the ``sweep()``
-shim.  This file covers what is *new* in the streaming service: lazy
-generator intake with a bounded window, mid-stream cancellation
-leaving a resumable cache, and the multi-process pull queue.
+test_obs_store and run against the same engine through
+``ExperimentSession.sweep`` or ``AsyncScheduler.stream``.  This file
+covers what is *new* in the streaming service: lazy generator intake
+with a bounded window, mid-stream cancellation leaving a resumable
+cache, and the multi-process pull queue.
 """
 
 import dataclasses
@@ -19,7 +20,6 @@ import pytest
 
 from repro.harness import ExperimentSession, ResultCache, WorkQueue
 from repro.harness.scheduler import AsyncScheduler
-from repro.harness.sweep import sweep
 
 
 def _specs(session, count, budget=None):
@@ -96,12 +96,12 @@ class TestBoundedIntake:
 
 class TestStreamingParity:
     def test_stream_matches_batch_sweep(self):
-        """A generator-fed stream is byte-identical to the batch shim
-        (which is itself pinned to the old engine by test_sweep)."""
+        """A generator-fed stream is byte-identical to a fresh
+        session's batch sweep."""
         session = ExperimentSession(max_instructions=3_000)
         specs = _specs(session, 4)
         streamed = list(session.stream(iter(specs)))
-        batch = sweep(specs)
+        batch = ExperimentSession().sweep(specs)
         assert [o.spec for o in streamed] == [o.spec for o in batch]
         assert [o.result.as_dict() for o in streamed] == \
             [o.result.as_dict() for o in batch]

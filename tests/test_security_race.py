@@ -299,6 +299,22 @@ def test_race_cli_json_output(capsys):
     assert point["policy"] == "none"
 
 
+def test_race_cli_exits_1_when_every_point_is_quarantined(monkeypatch,
+                                                         capsys):
+    from repro.tools import race as race_cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected race failure")
+
+    monkeypatch.setattr(race_module, "run_race", boom)
+    rc = race_cli.main(["--policies", "none", "--rates", "0.25",
+                        "--budget", "4000"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no table: nothing survived
+    assert "QUARANTINED" in captured.err
+
+
 def test_parse_policy_rejects_garbage():
     for bad in ("sometimes", "periodic@fast", "none@3", "periodic@0"):
         with pytest.raises(ValueError):

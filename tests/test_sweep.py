@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness import Runner, RunSpec, sweep
+from repro.harness import AsyncScheduler, ExperimentSession, RunSpec
 from repro.harness.experiments import suite_specs, table1
 from repro.obs.events import EventLog, MemorySink
 from repro.obs.metrics import get_registry
@@ -23,25 +23,27 @@ def result_dicts(outcomes):
 
 @pytest.fixture(scope="module")
 def sequential_outcomes():
-    return sweep(list(SPECS), workers=0)
+    return ExperimentSession().sweep(SPECS)
 
 
 class TestParallelDeterminism:
     def test_pool_matches_sequential_bit_for_bit(self, sequential_outcomes):
-        pooled = sweep(list(SPECS), workers=2)
+        pooled = ExperimentSession(workers=2).sweep(SPECS)
         assert result_dicts(pooled) == result_dicts(sequential_outcomes)
 
     def test_table1_rows_identical_under_workers(self):
         rows_by_workers = []
         for workers in (0, 2):
-            runner = Runner(max_instructions=BUDGET, workers=workers)
+            runner = ExperimentSession(max_instructions=BUDGET,
+                                       workers=workers)
             runner.prefetch(suite_specs(runner, ["table1"]))
             rows_by_workers.append(table1(runner).rows)
         assert rows_by_workers[0] == rows_by_workers[1]
 
     def test_duplicate_specs_share_one_execution(self):
         spec = RunSpec("mcf", "baseline", max_instructions=BUDGET)
-        outcomes = sweep([spec, spec, spec.normalized()], workers=0)
+        outcomes = ExperimentSession().sweep(
+            [spec, spec, spec.normalized()])
         assert len(outcomes) == 3
         assert outcomes[0].result is outcomes[1].result is outcomes[2].result
 
@@ -50,8 +52,8 @@ class TestObservabilityMerge:
     def test_worker_events_replayed_into_parent_log(self):
         sink = MemorySink()
         log = EventLog(sink)
-        sweep(list(SPECS), workers=2, events=log,
-              checkpoint_interval=1000)
+        ExperimentSession(workers=2, events=log,
+                          checkpoint_interval=1000).sweep(SPECS)
         kinds = [record["kind"] for record in sink.records]
         assert kinds.count("run_start") == len(SPECS)
         assert kinds.count("run_end") == len(SPECS)
@@ -71,7 +73,8 @@ class TestObservabilityMerge:
         from repro.obs.profile import PhaseProfiler
 
         profiler = PhaseProfiler()
-        sweep(list(SPECS), workers=2, events=log, profiler=profiler)
+        list(AsyncScheduler(workers=2, events=log,
+                            profiler=profiler).stream(SPECS))
         assert profiler.stats["simulate"].calls == len(SPECS)
         assert profiler.stats["simulate"].seconds > 0
         assert registry.counter("sim.runs").value == len(SPECS)
@@ -83,12 +86,14 @@ class TestObservabilityMerge:
 class TestWarmCache:
     def test_warm_rerun_simulates_nothing(self, tmp_path,
                                           sequential_outcomes):
-        cold = Runner(max_instructions=BUDGET, cache_dir=str(tmp_path))
+        cold = ExperimentSession(max_instructions=BUDGET,
+                                 cache_dir=str(tmp_path))
         cold.prefetch(SPECS)
         assert cold.cache.stats()["writes"] == len(SPECS)
         assert cold.profiler.stats["simulate"].calls == len(SPECS)
 
-        warm = Runner(max_instructions=BUDGET, cache_dir=str(tmp_path))
+        warm = ExperimentSession(max_instructions=BUDGET,
+                                 cache_dir=str(tmp_path))
         warm.prefetch(SPECS)
         assert "simulate" not in warm.profiler.stats
         assert warm.cache.stats() == {
@@ -98,11 +103,11 @@ class TestWarmCache:
             assert warm.run(spec).as_dict() == sequential.result.as_dict()
 
     def test_parallel_warm_rerun_also_hits(self, tmp_path):
-        cold = Runner(max_instructions=BUDGET, workers=2,
-                      cache_dir=str(tmp_path))
+        cold = ExperimentSession(max_instructions=BUDGET, workers=2,
+                                 cache_dir=str(tmp_path))
         cold.prefetch(SPECS)
-        warm = Runner(max_instructions=BUDGET, workers=2,
-                      cache_dir=str(tmp_path))
+        warm = ExperimentSession(max_instructions=BUDGET, workers=2,
+                                 cache_dir=str(tmp_path))
         warm.prefetch(SPECS)
         assert warm.cache.stats()["hits"] == len(SPECS)
         assert "simulate" not in warm.profiler.stats
@@ -110,14 +115,14 @@ class TestWarmCache:
 
 class TestRunnerIntegration:
     def test_run_and_prefetch_share_memo(self):
-        runner = Runner(max_instructions=BUDGET)
+        runner = ExperimentSession(max_instructions=BUDGET)
         runner.prefetch(SPECS)
         first = runner.run(SPECS[0])
         assert runner.run(RunSpec("mcf", "baseline",
                                   max_instructions=BUDGET)) is first
 
     def test_emulate_specs_flow_through_prefetch(self):
-        runner = Runner(max_instructions=2000, workers=2)
+        runner = ExperimentSession(max_instructions=2000, workers=2)
         spec = runner.spec("mcf", "emulate")
         runner.prefetch([spec])
         result = runner.emulate("mcf")
