@@ -11,7 +11,7 @@ export PYTHONPATH := src
 .PHONY: verify test test-slow fuzz-quick fuzz perfbench-selftest \
         bench-obs bench-trace bench-sweep bench-scheduler bench-hotloop \
         bench-faults bench-race bench-fleet benchgate-compare bench \
-        backfill-store
+        backfill-store sloc
 
 verify: test test-slow fuzz-quick perfbench-selftest bench-obs \
         bench-trace bench-sweep bench-scheduler bench-hotloop bench-faults \
@@ -78,3 +78,10 @@ benchgate-compare:
 # Full per-figure benchmark suite (slow; regenerates paper tables).
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q
+
+# Source size as ROADMAP.md and CHANGES.md quote it: lines of
+# src/**/*.py that are neither blank nor a comment (first non-space
+# character '#').  Docstrings count.
+sloc:
+	@find src -name '*.py' -exec cat {} + | \
+		grep -cv '^[[:space:]]*\(#\|$$\)'

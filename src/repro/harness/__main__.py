@@ -8,8 +8,8 @@ Options:
   --json PATH             write all results as JSON ("-" for stdout)
   --events PATH           write a JSONL structured event log
   --progress              heartbeat line per simulation checkpoint
-  --profile-phases        attribute host time to CPU pipeline phases
-                          (reference loop; block/trace tiers off)
+  --profile-phases        split simulation host time by layer (sampled
+                          on the tiers that run)
   --checkpoint-interval N instructions between checkpoints (0 = auto)
   --workers N             parallel sweep worker processes
   --backlog N             streaming-scheduler intake window beyond workers
@@ -74,10 +74,10 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="PATH", default=None,
                         help='write results as JSON to PATH ("-" = stdout)')
     parser.add_argument("--profile-phases", action="store_true",
-                        help="attribute host time to CPU pipeline phases "
-                             "(times the reference loop: the block and "
-                             "trace tiers are off, so runs are slower; "
-                             "results are identical)")
+                        help="split each simulation's host time by layer "
+                             "(arch.cache, ilr.flow, ...) with a sampling "
+                             "profiler on the tiers that run; results are "
+                             "identical")
     add_observability_options(parser)
     add_sweep_options(parser)
     add_fault_options(parser)

@@ -626,12 +626,11 @@ class AsyncScheduler:
                         if self.store is not None:
                             spans = payload.get("spans") or None
                             rollup = rollup_spans(spans) if spans else None
-                            host = sum(entry["seconds"] for entry in
-                                       payload["phases"].values())
                             self.store.record_run(
                                 spec, payload["result"],
                                 config_digest=self.config_digest,
-                                attempts=won + 1, host_seconds=host,
+                                attempts=won + 1,
+                                host_seconds=payload["host_seconds"],
                                 spans=rollup)
                         return _Resolution(spec, payload=payload)
                 nxt = attempt + 1

@@ -152,7 +152,8 @@ class ExperimentSession:
         #: quarantined specs from past sweeps: spec -> FailedRun.
         self.failures: Dict[RunSpec, FailedRun] = {}
         #: host wall-time attribution across harness stages (and, with
-        #: ``profile_phases``, the CPU pipeline phases under ``sim.*``).
+        #: ``profile_phases``, each simulation's sampled per-layer split
+        #: under ``sim.*``).
         self.profiler = PhaseProfiler(self.events)
 
     # -- policy ------------------------------------------------------------

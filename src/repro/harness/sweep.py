@@ -69,6 +69,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -172,6 +174,20 @@ def build_program(
     return program
 
 
+@contextmanager
+def _main_phase(name: str, tracer: Tracer, profiler: PhaseProfiler,
+                profile_phases: bool, **fields):
+    """The span and profiler phase around a job's simulation (or
+    emulation); with ``profile_phases`` the sampler also splits its host
+    time by layer into nested ``sim.<layer>`` phases."""
+    with tracer.span(name), profiler.phase(name, **fields):
+        if profile_phases:
+            with profiler.sample(**fields):
+                yield
+        else:
+            yield
+
+
 def execute_spec(
     spec: RunSpec,
     config: Optional[MachineConfig] = None,
@@ -202,8 +218,8 @@ def execute_spec(
         # Looked up on their modules at call time (never held in a
         # table), so wrappers installed on the module attributes see
         # every race and fleet run.
-        with tracer.span("simulate"), \
-                profiler.phase("simulate", **spec.event_fields()):
+        with _main_phase("simulate", tracer, profiler, profile_phases,
+                         **spec.event_fields()):
             if spec.kind == "race":
                 return race.run_race(spec, events=events, tracer=tracer,
                                      config=config)
@@ -211,8 +227,8 @@ def execute_spec(
     program = build_program(spec, profiler, program_cache, tracer)
 
     if spec.mode == "emulate":
-        with tracer.span("emulate"), \
-                profiler.phase("emulate", workload=spec.workload):
+        with _main_phase("emulate", tracer, profiler, profile_phases,
+                         workload=spec.workload):
             return ILREmulator(
                 program,
                 max_instructions=spec.max_instructions,
@@ -237,15 +253,8 @@ def execute_spec(
         on_checkpoint=on_checkpoint,
         event_fields=spec.event_fields(),
     )
-    with tracer.span("simulate"), \
-            profiler.phase("simulate", workload=spec.workload,
-                           mode=spec.mode):
-        if profile_phases:
-            return cpu.run_profiled(
-                spec.max_instructions,
-                spec.warmup_instructions,
-                profiler=profiler,
-            )
+    with _main_phase("simulate", tracer, profiler, profile_phases,
+                     workload=spec.workload, mode=spec.mode):
         return cpu.run(spec.max_instructions, spec.warmup_instructions)
 
 
@@ -391,8 +400,9 @@ def _pool_task(spec, config: MachineConfig,
     Events are buffered in a :class:`MemorySink` (file sinks are
     single-writer; see :meth:`EventLog.replay`); profiler phases, a
     per-task metrics snapshot, exported trace spans (when the parent is
-    tracing), the attempt id, and a result-integrity digest ride back
-    with the result for the parent to verify and merge exactly once.
+    tracing), the attempt id, the attempt's host seconds, and a
+    result-integrity digest ride back with the result for the parent to
+    verify and merge exactly once.
     Module-level so the pool can pickle it.
     """
     action = apply_worker_fault(faults, spec.label(), attempt)
@@ -405,6 +415,7 @@ def _pool_task(spec, config: MachineConfig,
     # the sequential path keys it, so the parent's adopt() grafts it
     # onto the same ids an inline sweep would have derived.
     tracer = Tracer(enabled=trace)
+    started = time.perf_counter()
     with tracer.span("attempt", span_key=_spec_key(spec) + "#%d" % attempt,
                      attempt=attempt):
         result = execute_spec(
@@ -417,6 +428,7 @@ def _pool_task(spec, config: MachineConfig,
             program_cache=_WORKER_PROGRAMS,
             tracer=tracer,
         )
+    host_seconds = time.perf_counter() - started
     digest = _result_digest(result)
     if action == "corrupt":
         result = _CORRUPT_SENTINEL
@@ -427,6 +439,7 @@ def _pool_task(spec, config: MachineConfig,
         "phases": profiler.snapshot(),
         "metrics": registry.snapshot(),
         "spans": tracer.export(),
+        "host_seconds": host_seconds,
         "digest": digest,
     }
 

@@ -15,15 +15,45 @@ parent's), matching how one reads a flame graph top-down.  When an
 :class:`~repro.obs.events.EventLog` is attached, each completed phase
 also emits a ``phase`` record, so offline analysis
 (``repro.tools.stats``) sees the same attribution as the live process.
+
+:meth:`PhaseProfiler.sample` splits a block's time by *layer* without
+touching the code it measures: a ``SIGPROF`` interval timer charges
+each tick to the innermost frame in the ``repro`` package, keyed by
+module (``arch.cache``, ``ilr.flow``, ...; generated trace code and
+block-tier shape handlers count as ``<trace>`` and ``<shape>``), and
+the block's seconds are split in proportion to the ticks as nested
+``sim.<layer>`` phases.  Whatever tier runs is what gets sampled.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 from contextlib import contextmanager
 from typing import Dict, Optional
 
 __all__ = ["PhaseProfiler"]
+
+#: Interval of the sampler's ``ITIMER_PROF`` timer, in seconds of
+#: process CPU time.  The kernel rounds it up to its tick (4 ms at
+#: ``HZ=250``), so this is a request, not a guarantee.
+SAMPLE_PERIOD = 0.001
+
+#: Source directory of the ``repro`` package, with a trailing separator.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) \
+    + os.sep
+
+
+def _layer_of(filename: str) -> Optional[str]:
+    """Layer a code object's ``co_filename`` belongs to, or None when
+    the code lies outside the ``repro`` package."""
+    if filename.startswith(("<trace:", "<shape:")):
+        return filename[:6] + ">"  # "<trace:0x401000>" -> "<trace>"
+    if not filename.startswith(_PACKAGE_DIR):
+        return None
+    module = os.path.splitext(filename[len(_PACKAGE_DIR):])[0]
+    return module.replace(os.sep, ".")
 
 
 class PhaseStat:
@@ -64,14 +94,49 @@ class PhaseProfiler:
             if self.events is not None:
                 self.events.phase(name, elapsed, **fields)
 
+    @contextmanager
+    def sample(self, **fields):
+        """Split the block's host time by layer (see the module doc).
+
+        Arms ``ITIMER_PROF`` at :data:`SAMPLE_PERIOD` with a ``SIGPROF``
+        handler that counts ticks per layer; on exit the timer and the
+        handler in force before are restored (also when the block
+        raises) and each layer's share of the block's wall seconds is
+        added as phase ``sim.<layer>``, with its tick count as calls.
+        ``fields`` annotate the emitted events.  Signal handlers can
+        only be installed on the main thread, so enter it there.
+        """
+        ticks: Dict[str, int] = {}
+
+        def tick(_signum, frame):
+            while frame is not None:
+                layer = _layer_of(frame.f_code.co_filename)
+                if layer is not None:
+                    ticks[layer] = ticks.get(layer, 0) + 1
+                    return
+                frame = frame.f_back
+
+        previous = signal.signal(signal.SIGPROF, tick)
+        timer = signal.setitimer(signal.ITIMER_PROF, SAMPLE_PERIOD,
+                                 SAMPLE_PERIOD)
+        start = time.perf_counter()
+        try:
+            yield self
+        finally:
+            elapsed = time.perf_counter() - start
+            signal.setitimer(signal.ITIMER_PROF, *timer)
+            signal.signal(signal.SIGPROF, previous)
+            total = sum(ticks.values())
+            for layer, count in sorted(ticks.items()):
+                self.add("sim." + layer, elapsed * count / total,
+                         calls=count, **fields)
+
     def add(self, name: str, seconds: float, calls: int = 1,
             **fields) -> None:
         """Fold externally-measured time into phase ``name``.
 
-        Hot loops (e.g. the profiled pipeline loop in
-        :mod:`repro.arch.cpu`) time sections with raw ``perf_counter``
-        arithmetic and deposit totals here once per run, instead of
-        entering a context manager per instruction.
+        :meth:`sample` deposits each layer's share here once per block
+        instead of timing anything per instruction.
         """
         stat = self.stats.get(name)
         if stat is None:
@@ -116,14 +181,16 @@ class PhaseProfiler:
         lines = []
         if title:
             lines.append(title)
-        lines.append("%-18s %10s %7s %7s" % ("phase", "seconds", "calls", "%"))
+        width = max([len("phase")] + [len(name) for name in self.stats])
+        lines.append("%-*s %10s %7s %7s"
+                     % (width, "phase", "seconds", "calls", "%"))
         for name, stat in sorted(
             self.stats.items(), key=lambda kv: -kv[1].seconds
         ):
             share = 100.0 * stat.seconds / total if total else 0.0
             lines.append(
-                "%-18s %10.4f %7d %6.1f%%"
-                % (name, stat.seconds, stat.calls, share)
+                "%-*s %10.4f %7d %6.1f%%"
+                % (width, name, stat.seconds, stat.calls, share)
             )
-        lines.append("%-18s %10.4f" % ("total", total))
+        lines.append("%-*s %10.4f" % (width, "total", total))
         return "\n".join(lines)

@@ -330,6 +330,25 @@ print(json.dumps({
 """
 
 
+def _live_group_members(pgid):
+    """PIDs in process group ``pgid`` that are still running.  Zombies
+    do not count: a killed worker whose parent died first waits for
+    init to reap it, and some init processes never do."""
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/%s/stat" % entry) as fh:
+                # "pid (comm) state ppid pgrp ..."; comm may hold spaces
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            live.append(int(entry))
+    return live
+
+
 @pytest.mark.slow
 @pytest.mark.faults
 def test_sigkilled_sweep_resumes_from_committed_results(tmp_path):
@@ -340,8 +359,10 @@ def test_sigkilled_sweep_resumes_from_committed_results(tmp_path):
     env = dict(os.environ, PYTHONPATH="src")
     cmd = [sys.executable, "-c", _RESUME_SCRIPT, root, str(budget)]
 
+    # Its own session, so one killpg reaches the pool workers too.
     victim = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL)
+                              stderr=subprocess.DEVNULL,
+                              start_new_session=True)
     # Wait for at least one committed entry, then kill -9 the sweep.
     deadline = time.time() + 120
     def entries():
@@ -349,8 +370,12 @@ def test_sigkilled_sweep_resumes_from_committed_results(tmp_path):
                 if not f.startswith(".tmp-")]
     while time.time() < deadline and victim.poll() is None and not entries():
         time.sleep(0.02)
-    victim.kill()
+    os.killpg(victim.pid, signal.SIGKILL)
     victim.wait()
+    deadline = time.time() + 30
+    while _live_group_members(victim.pid) and time.time() < deadline:
+        time.sleep(0.05)
+    assert not _live_group_members(victim.pid)
     committed = len(entries())
     assert committed >= 1, "sweep was killed before any result committed"
 

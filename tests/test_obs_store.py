@@ -3,6 +3,7 @@
 import json
 import os
 import sqlite3
+import time
 
 import pytest
 
@@ -277,6 +278,22 @@ class TestSweepParity:
         assert len(seq_rows) == len(SPECS)
         assert seq_rows == par_rows
         assert [r[:2] for r in seq_rollups] == [r[:2] for r in par_rollups]
+
+    def test_pooled_host_seconds_fit_in_the_sweep(self, tmp_path):
+        """A pooled row's host_seconds is its worker attempt's wall
+        time, so no row can exceed the sweep's own wall time -- also
+        with ``profile_phases``, whose nested ``sim.*`` phases repeat
+        time the ``simulate`` phase already holds."""
+        specs = [RunSpec("gcc", "vcfr", 64, max_instructions=60_000),
+                 RunSpec("mcf", "baseline", max_instructions=60_000)]
+        with RunStore(str(tmp_path / "runs.sqlite")) as store:
+            started = time.perf_counter()
+            ExperimentSession(workers=2, store=store,
+                              profile_phases=True).sweep(specs)
+            wall = time.perf_counter() - started
+            _, rows = store.query("SELECT host_seconds FROM runs")
+        assert len(rows) == len(specs)
+        assert all(0 < host <= wall for (host,) in rows), (rows, wall)
 
     def test_config_digest_recorded(self, tmp_path):
         config = default_config()

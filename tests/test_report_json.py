@@ -1,6 +1,10 @@
 """Report JSON export and harness CLI tests."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -40,7 +44,41 @@ class TestJsonExport:
         assert data["x"]["passed"] is False
 
 
+def _cli(module, *args):
+    """Run ``python -m module args`` against this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + env.get("PYTHONPATH", "").split(os.pathsep))
+    return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 class TestHarnessCLI:
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_profile_phases_end_to_end(self, tmp_path, workers):
+        """``--profile-phases`` through the CLI, the session, the
+        scheduler and (at ``--workers 2``) the pool workers: the report
+        is unchanged, and the sampled ``sim.arch.*`` layers reach the
+        stderr table and the events file alike."""
+        def harness(events, *flags):
+            return _cli("repro.harness", "fig12", "--scale", "0.3",
+                        "--max-instructions", "20000", "--workers", workers,
+                        "--events", str(tmp_path / events), *flags)
+
+        plain = harness("plain.jsonl")
+        profiled = harness("profiled.jsonl", "--profile-phases")
+        assert profiled.returncode == plain.returncode == 0
+        assert profiled.stdout == plain.stdout
+        table = profiled.stderr.split("host-time by phase", 1)[1]
+        layers = set(re.findall(r"^sim\.arch\.\S+", table, re.M))
+        assert layers
+        stats = _cli("repro.tools.stats", str(tmp_path / "profiled.jsonl"),
+                     "--section", "phases")
+        assert stats.returncode == 0
+        assert set(re.findall(r"^sim\.arch\.\S+", stats.stdout,
+                              re.M)) == layers
+
     def test_single_cheap_experiment(self, capsys, tmp_path):
         path = str(tmp_path / "r.json")
         status = harness_main(

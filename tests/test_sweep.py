@@ -6,6 +6,8 @@ from repro.harness import AsyncScheduler, ExperimentSession, RunSpec
 from repro.harness.experiments import suite_specs, table1
 from repro.obs.events import EventLog, MemorySink
 from repro.obs.metrics import get_registry
+from tests.test_fleet import _grid as fleet_grid
+from tests.test_security_race import _grid as race_grid
 
 BUDGET = 3000
 
@@ -81,6 +83,34 @@ class TestObservabilityMerge:
         assert registry.counter("sim.instructions").value == (
             BUDGET * len(SPECS)
         )
+
+
+class TestProfilePhases:
+    """``profile_phases`` samples the tiers that run and changes no
+    result, for every job kind, inline and in pool workers."""
+
+    @pytest.fixture(scope="class")
+    def kinds(self):
+        specs = [RunSpec("lbm", "vcfr", 64, max_instructions=20_000),
+                 RunSpec("mcf", "emulate", max_instructions=BUDGET),
+                 race_grid()[1], fleet_grid()[0]]
+        return specs, result_dicts(ExperimentSession().sweep(specs))
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_results_match_unprofiled(self, kinds, workers):
+        specs, plain = kinds
+        session = ExperimentSession(workers=workers, profile_phases=True)
+        assert result_dicts(session.sweep(specs)) == plain
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_cycle_runs_keep_the_default_tiers(self, workers):
+        registry = get_registry()
+        registry.reset()
+        ExperimentSession(workers=workers, profile_phases=True).sweep(
+            [RunSpec("lbm", "baseline", max_instructions=20_000)])
+        counters = registry.counters()
+        assert counters["sim.tier.blocks.execs"] > 0
+        assert counters["sim.tier.traces.entries"] > 0
 
 
 class TestWarmCache:
