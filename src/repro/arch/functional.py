@@ -56,49 +56,60 @@ class FunctionalCPU:
         self.state = MachineState(self.mem, stack_top=info.stack_top)
         self.flow = flow if flow is not None else BaselineFlow(image.entry)
         self.max_instructions = max_instructions
+        self.halted = False
         self._decode_cache: Dict[int, Instruction] = {}
+        self._fetch_pc = self.flow.initial_fetch_pc()
 
-    def _fetch(self, fetch_pc: int) -> Instruction:
-        inst = self._decode_cache.get(fetch_pc)
-        if inst is None:
-            raw = self.mem.read_block(fetch_pc, 8)
-            inst = decode(raw, 0, fetch_pc)
-            self._decode_cache[fetch_pc] = inst
+    def _decode(self, fetch_pc: int) -> Instruction:
+        """Decode-cache miss: text does not change during a run, so each
+        fetch address is decoded once."""
+        raw = self.mem.read_block(fetch_pc, 8)
+        inst = self._decode_cache[fetch_pc] = decode(raw, 0, fetch_pc)
         return inst
 
     def run(self) -> RunResult:
         """Run to EXIT/halt; raises on faults or instruction-budget overrun."""
+        if not self.run_until(self.max_instructions):
+            raise InstructionLimitExceeded(
+                "no termination after %d instructions" % self.max_instructions
+            )
+        return self.result()
+
+    def run_until(self, stop: int) -> bool:
+        """Execute until the program terminates (True) or ``state.icount``
+        reaches ``stop`` (False); the next call resumes where it stopped."""
         state = self.state
         flow = self.flow
-        fetch_pc = flow.initial_fetch_pc()
-        limit = self.max_instructions
-        halted = False
-
-        while True:
-            if state.icount >= limit:
-                raise InstructionLimitExceeded(
-                    "no termination after %d instructions" % limit
-                )
-            inst = self._fetch(fetch_pc)
+        cached = self._decode_cache.get
+        fetch_pc = self._fetch_pc
+        while state.icount < stop:
+            inst = cached(fetch_pc)
+            if inst is None:
+                inst = self._decode(fetch_pc)
             state.pc = flow.arch_pc_of(fetch_pc)
             try:
                 kind, target = execute(inst, state, flow)
             except ExitProgram:
-                break
+                return True
             if kind == CTRL_NONE:
                 fetch_pc = flow.sequential(inst)
             elif kind == CTRL_HALT:
-                halted = True
-                break
+                self.halted = True
+                return True
             else:
                 fetch_pc = flow.transfer(target)
+        self._fetch_pc = fetch_pc
+        return False
 
+    def result(self) -> RunResult:
+        """The run's outcome so far."""
+        state = self.state
         return RunResult(
             exit_code=state.exit_code,
             icount=state.icount,
             output=state.out,
             state=state,
-            halted=halted,
+            halted=self.halted,
         )
 
 

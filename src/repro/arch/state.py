@@ -91,14 +91,3 @@ class MachineState:
             self.regs.regs[EAX] = self.icount & MASK32
         else:
             raise SyscallError("unknown syscall %d" % num)
-
-    # -- comparisons ---------------------------------------------------------------
-
-    def architectural_snapshot(self) -> tuple:
-        """Everything the cross-mode equivalence check compares.
-
-        Deliberately excludes ESP-relative garbage and the PC (which lives
-        in different address spaces per mode): output streams, exit code
-        and the non-stack-pointer register values at exit.
-        """
-        return (self.out.snapshot(), self.exit_code)

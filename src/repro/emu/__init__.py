@@ -1,18 +1,17 @@
 """Software-based ILR execution: the paper's Fig. 2 baseline.
 
-:class:`ILREmulator` interprets a randomized binary one instruction at a
-time (de-randomize PC, fetch, decode, execute, apply rewrite rules) and
-accounts deterministic host costs, reproducing the hundreds-of-times
-slowdown that motivates hardware support.
+:class:`ILREmulator` runs a randomized binary and charges the host cost
+of a software-ILR VM that de-randomizes, fetches and decodes *every*
+executed instruction, reproducing the slowdown that motivates hardware
+support; the host itself decodes each virtual PC once.
 """
 
 from .hostcost import HostCostCounters, HostCostParams
-from .vm import EmulationResult, ILREmulator, emulate
+from .vm import EmulationResult, ILREmulator
 
 __all__ = [
     "ILREmulator",
     "EmulationResult",
-    "emulate",
     "HostCostParams",
     "HostCostCounters",
 ]

@@ -57,9 +57,6 @@ class HostCostCounters:
 
     by_activity: Dict[str, int] = field(default_factory=dict)
 
-    def charge(self, activity: str, amount: int) -> None:
-        self.by_activity[activity] = self.by_activity.get(activity, 0) + amount
-
     @property
     def total(self) -> int:
         return sum(self.by_activity.values())

@@ -1,40 +1,43 @@
 """The software-ILR virtual machine (paper §III baseline, Fig. 2).
 
-An instruction-level emulator in the style of Hiser et al.'s ILR VM: it
-executes a randomized binary by, *for every guest instruction*,
+The modelled VM (after Hiser et al.'s ILR VM) de-randomizes the virtual PC
+(vPC) through the software RDR mapping, fetches, decodes and interprets
+the instruction and applies the rewrite rules for the next vPC — for
+every guest instruction, since complete ILR makes each instruction its
+own translation unit.  :class:`HostCostParams` charges that work per
+executed instruction, reproducing the paper's hundreds-of-times slowdown.
 
-1. de-randomizing the virtual PC through the (software) RDR mapping,
-2. fetching and decoding the instruction bytes,
-3. interpreting its semantics (registers/flags live in host memory),
-4. applying the rewrite rules to compute the next virtual PC.
-
-Complete ILR makes every instruction its own translation unit, so no
-block-level caching is possible — which is exactly why the paper measures
-hundreds-of-times slowdowns for this design and proposes hardware support
-instead.
-
-The VM is architecturally exact (it reuses the shared executor, so its
-output must equal every other mode) and accounts deterministic host costs
-via :class:`HostCostParams`.
+The host runs the guest on :class:`~repro.arch.functional.FunctionalCPU`'s
+loop under the naive-ILR flow, which decodes each vPC once (the emulator
+never rewrites code, so a fresh decode would return the same
+instruction).  A vPC's RDR check and static charges are fixed at its
+first decode; the loop counts executions per vPC and control transfers,
+and the counters settle at each checkpoint and at the end.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..arch.executor import CTRL_HALT, CTRL_NONE, execute
-from ..arch.functional import RunResult
-from ..arch.memory import SparseMemory
-from ..arch.state import ExitProgram, MachineState
-from ..binary import load_image
+from ..arch.functional import FunctionalCPU, RunResult
 from ..ilr.flow import NaiveILRFlow
 from ..ilr.randomizer import RandomizedProgram
-from ..isa.decoder import decode
+from ..isa.instruction import Instruction
+from ..isa.opcodes import MODE_MR, MODE_RM
 from ..isa.syscalls import OutputStream
 from ..obs.events import EventLog
 from .hostcost import HostCostCounters, HostCostParams
+
+
+def touches_memory(inst: Instruction) -> bool:
+    """Whether ``inst`` touches guest data memory (the model's ``memory_op``):
+    stack operations, and memory operands other than ``lea``'s address."""
+    if inst.mnemonic in ("push", "pop", "leave", "call", "calli", "ret"):
+        return True
+    return inst.mode in (MODE_RM, MODE_MR) and inst.mnemonic != "lea"
 
 
 @dataclass
@@ -107,8 +110,29 @@ class EmulationResult:
         )
 
 
-class ILREmulator:
-    """Instruction-level emulator for a randomized program."""
+class _CountingFlow(NaiveILRFlow):
+    """The naive-ILR flow, counting the executions per vPC and the control
+    transfers the functional loop asks it to resolve."""
+
+    def __init__(self, rdr, entry_rand: int):
+        super().__init__(rdr, entry_rand)
+        self.executions: Counter = Counter()  # vPC -> executions
+        self.transfers = 0
+
+    def arch_pc_of(self, fetch_pc: int) -> int:
+        self.executions[fetch_pc] += 1
+        return fetch_pc
+
+    def transfer(self, target: int) -> int:
+        self.transfers += 1
+        return NaiveILRFlow.transfer(self, target)
+
+
+class ILREmulator(FunctionalCPU):
+    """Instruction-level emulator for a randomized program: the functional
+    CPU on its naive-ILR image, charging the host-cost model.  :meth:`run`
+    stops at the instruction budget instead of raising and returns an
+    :class:`EmulationResult`."""
 
     def __init__(
         self,
@@ -119,116 +143,89 @@ class ILREmulator:
         checkpoint_interval: int = 0,
         event_fields: Optional[dict] = None,
     ):
-        self.program = program
+        super().__init__(program.naive_image,
+                         _CountingFlow(program.rdr, program.entry_rand),
+                         max_instructions)
         self.params = params or HostCostParams()
-        self.max_instructions = max_instructions
         self.events = events if events is not None else EventLog()
         self.checkpoint_interval = max(0, checkpoint_interval)
-        self.event_fields = dict(event_fields or {})
-        self.event_fields.setdefault("mode", "emulate")
+        self.event_fields = {"mode": "emulate", **(event_fields or {})}
         self.checkpoints: List[dict] = []
+        #: vPC -> what its charges depend on: (length, memory op?, syscall?)
+        self._static: Dict[int, Tuple[int, bool, bool]] = {}
 
-        self.mem = SparseMemory()
-        info = load_image(program.naive_image, self.mem)
-        self.state = MachineState(self.mem, stack_top=info.stack_top)
-        # The emulator implements the same architectural semantics as the
-        # naive flow: the guest sees the randomized instruction space.
-        self.flow = NaiveILRFlow(program.rdr, program.entry_rand)
-        self.counters = HostCostCounters()
+    def _decode(self, fetch_pc: int) -> Instruction:
+        # The software de-randomization charged on every execution: a
+        # vPC with no derand entry is a wild jump and raises RDRError.
+        self.flow.rdr.to_original(fetch_pc)
+        inst = super()._decode(fetch_pc)
+        self._static[fetch_pc] = (inst.length, touches_memory(inst),
+                                  inst.mnemonic == "int")
+        return inst
+
+    def _settle(self, exited: bool) -> HostCostCounters:
+        """Charge the instructions executed so far; the one that ``exited``
+        (an EXIT ``int``) pays only dispatch, derand, decode and syscall.
+        An activity is listed once it has happened, even at zero cost."""
+        params = self.params
+        executed = self.state.icount
+        decoded_bytes = memory_ops = syscalls = 0
+        for vpc, count in self.flow.executions.items():
+            length, memory_op, syscall = self._static[vpc]
+            decoded_bytes += count * length
+            memory_ops += count * memory_op
+            syscalls += count * syscall
+        completed = executed - exited
+        transfers = self.flow.transfers
+        tallies = (
+            ("dispatch", executed, executed * params.dispatch),
+            ("derand_lookup", executed, executed * params.derand_lookup),
+            ("decode", executed, executed * params.decode_base
+             + decoded_bytes * params.decode_per_byte),
+            ("execute", completed, completed * params.execute),
+            ("syscall", syscalls, syscalls * params.syscall),
+            ("memory_op", memory_ops, memory_ops * params.memory_op),
+            ("flags", completed, completed * params.flags_update),
+            ("control_transfer", transfers,
+             transfers * params.control_transfer),
+        )
+        return HostCostCounters(
+            {name: amount for name, times, amount in tallies if times})
 
     def run(self) -> EmulationResult:
-        """Interpret to completion, charging host costs per instruction."""
-        params = self.params
-        counters = self.counters
+        """Emulate to termination or the instruction budget."""
         state = self.state
-        flow = self.flow
-        charge = counters.charge
-
-        self.events.emit(
-            "run_start",
-            max_instructions=self.max_instructions,
-            checkpoint_interval=self.checkpoint_interval,
-            **self.event_fields,
-        )
+        budget = self.max_instructions
+        interval = self.checkpoint_interval
+        self.events.emit("run_start", max_instructions=budget,
+                         checkpoint_interval=interval, **self.event_fields)
         run_t0 = time.perf_counter()
-        next_checkpoint = (
-            self.checkpoint_interval or self.max_instructions + 1
-        )
-        ckpt_icount = 0
-        ckpt_host = 0
-
-        vpc = flow.initial_fetch_pc()
-        halted = False
-
-        while state.icount < self.max_instructions:
-            # 1. dispatch + software de-randomization of the virtual PC.
-            charge("dispatch", params.dispatch)
-            charge("derand_lookup", params.derand_lookup)
-            # (the actual translation: randomized vpc -> original address
-            # is what a hardware DRC would do; here it costs host work)
-            _original = self.program.rdr.to_original(vpc)
-
-            # 2. fetch + decode, every time — complete ILR has no block
-            # cache to reuse decoded instructions across executions.
-            raw = self.mem.read_block(vpc, 8)
-            inst = decode(raw, 0, vpc)
-            charge("decode", params.decode_base + params.decode_per_byte * inst.length)
-
-            # 3. interpret semantics.
-            try:
-                kind, target = execute(inst, state, flow)
-            except ExitProgram:
-                charge("syscall", params.syscall)
-                break
-            charge("execute", params.execute)
-            if inst.mnemonic == "int":
-                charge("syscall", params.syscall)
-            if state.last_load_addr is not None or state.last_store_addr is not None:
-                charge("memory_op", params.memory_op)
-            charge("flags", params.flags_update)
-
-            # 4. rewrite rules for the next virtual PC.
-            if kind == CTRL_NONE:
-                vpc = flow.sequential(inst)
-            elif kind == CTRL_HALT:
-                halted = True
-                break
-            else:
-                charge("control_transfer", params.control_transfer)
-                vpc = flow.transfer(target)
-
-            if state.icount >= next_checkpoint:
-                window = state.icount - ckpt_icount
+        last_icount = last_host = 0  # at the last checkpoint
+        terminated = False
+        while not terminated and state.icount < budget:
+            stop = min(last_icount + interval, budget) if interval else budget
+            terminated = self.run_until(stop)
+            if (interval and not terminated
+                    and state.icount == last_icount + interval):
+                host = self._settle(exited=False).total
                 checkpoint = {
                     "instructions": state.icount,
-                    "host_instructions": counters.total,
-                    "host_per_guest": round(
-                        (counters.total - ckpt_host) / window, 3
-                    ) if window else 0.0,
-                    "host_seconds": round(
-                        time.perf_counter() - run_t0, 6
-                    ),
+                    "host_instructions": host,
+                    "host_per_guest": round((host - last_host) / interval, 3),
+                    "host_seconds": round(time.perf_counter() - run_t0, 6),
                 }
                 self.checkpoints.append(checkpoint)
-                self.events.emit(
-                    "checkpoint", **checkpoint, **self.event_fields
-                )
-                ckpt_icount = state.icount
-                ckpt_host = counters.total
-                next_checkpoint = state.icount + self.checkpoint_interval
+                self.events.emit("checkpoint", **checkpoint,
+                                 **self.event_fields)
+                last_icount, last_host = state.icount, host
 
-        run = RunResult(
-            exit_code=state.exit_code,
-            icount=state.icount,
-            output=state.out,
-            state=state,
-            halted=halted,
-        )
+        counters = self._settle(exited=terminated and not self.halted)
+        run = self.result()
         self.events.emit(
             "run_end",
             instructions=run.icount,
             host_instructions=counters.total,
-            halted=halted,
+            halted=run.halted,
             host_seconds=round(time.perf_counter() - run_t0, 6),
             **self.event_fields,
         )
@@ -238,8 +235,3 @@ class ILREmulator:
             counters=counters,
             checkpoints=list(self.checkpoints),
         )
-
-
-def emulate(program: RandomizedProgram, **kwargs) -> EmulationResult:
-    """One-shot helper."""
-    return ILREmulator(program, **kwargs).run()

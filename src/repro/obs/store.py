@@ -203,7 +203,7 @@ class RunStore:
         ``spec`` is a job spec (its ``kind`` becomes the row's; a plain
         dict is a ``run``).  ``result`` is duck-typed: a cycle-simulator
         :class:`~repro.arch.simstats.SimResult`, an emulator result (has
-        ``icount``), a race or fleet result (also kept whole as the
+        ``run.icount``), a race or fleet result (also kept whole as the
         row's JSON ``payload``), or a plain stats dict from a backfill.
         ``spans`` is a :func:`~repro.obs.trace.rollup_spans`-shaped
         mapping.
@@ -613,12 +613,15 @@ def _result_columns(result) -> dict:
                 "drc_miss_rate": _ratio(data.get("drc_misses"),
                                         data.get("drc_lookups")),
             }
-        # run_end event shape (events backfill): rates precomputed.
-        return {key: data.get(key) for key in _RESULT_COLUMNS}
+        # run_end event shape (events backfill): rates precomputed.  An
+        # EmulationResult.as_dict counts guest instructions as ``icount``.
+        columns = {key: data.get(key) for key in _RESULT_COLUMNS}
+        columns["instructions"] = data.get("instructions", data.get("icount"))
+        return columns
     columns = {key: getattr(result, key, None) for key in _RESULT_COLUMNS}
-    if columns["instructions"] is None:
-        # EmulationResult counts guest instructions as ``icount``.
-        columns["instructions"] = getattr(result, "icount", None)
+    if columns["instructions"] is None and hasattr(result, "run"):
+        # EmulationResult counts guest instructions as ``run.icount``.
+        columns["instructions"] = result.run.icount
     return columns
 
 

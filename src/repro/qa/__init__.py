@@ -4,9 +4,9 @@ The engine hierarchy this package polices (most- to least-trusted):
 
 1. :class:`~repro.arch.functional.FunctionalCPU` — untimed
    architectural reference; the ground truth for program outcomes.
-2. :class:`~repro.emu.vm.ILREmulator` — shares the executor but none
-   of the timing machinery; agreeing with it checks the ISA semantics
-   end to end.
+2. :class:`~repro.emu.vm.ILREmulator` — the host-cost model over engine
+   1's loop (naive-ILR flow); its leg checks RDR-mapped fetch, the
+   budget stop and the serialization round trip.
 3. :class:`~repro.arch.cpu.CycleCPU` reference loop
    (``fastpath=False``) — adds the full timing model.
 4. :class:`~repro.arch.cpu.CycleCPU` block fast path

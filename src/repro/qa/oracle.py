@@ -1,8 +1,8 @@
 """Differential oracle: one program, every engine, every flow.
 
-The repo carries five executors that must agree architecturally — the
-untimed :class:`~repro.arch.functional.FunctionalCPU` reference, the
-software-ILR :class:`~repro.emu.vm.ILREmulator`, and the cycle
+The repo carries four executors that must agree architecturally — the
+untimed :class:`~repro.arch.functional.FunctionalCPU` reference (the
+software-ILR :class:`~repro.emu.vm.ILREmulator` runs on it), and the cycle
 simulator's three tiers (reference loop, block fast path, and the
 compiled superblock trace tier on top of it) — each runnable under
 three control-flow models (baseline / naive_ilr / vcfr) plus live
@@ -412,12 +412,7 @@ def _functional_snapshot(program, mode, cfg, report):
     except Exception:
         report.add("crash:%s" % label, traceback.format_exc())
         return None
-    report.runs += 1
-    if run.exit_code is None and not run.halted:
-        report.add("budget:%s" % label,
-                   "did not terminate within %d instructions"
-                   % cfg.max_instructions)
-        return None
+    report.runs += 1  # run() returns only after EXIT or halt
     return _snapshot(run.exit_code, run.icount, run.output)
 
 

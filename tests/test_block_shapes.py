@@ -8,7 +8,9 @@ emit, so this test drives every shape the decoder can produce through
 both, from identical random register, flag, tag and memory states,
 under a baseline flow and under a VCFR flow with the immediate both in
 and out of the tag-producer map.  It compares everything an instruction
-can touch, including the exception when it faults.
+can touch, including the exception when it faults, and holds the software
+emulator's per-shape ``memory_op`` classification to what ``execute()``
+accessed.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.arch.cpu import CycleCPU
 from repro.arch.executor import DISPATCH, execute
 from repro.arch.memory import SparseMemory
 from repro.arch.state import MachineState
+from repro.emu.vm import touches_memory
 from repro.ilr import RandomizerConfig, make_flow, randomize
 from repro.ilr.flow import BaselineFlow, VCFRFlow
 from repro.ilr.rdr import RDRTable
@@ -249,6 +252,12 @@ def test_block_handler_matches_execute(shape, variant):
             inst.text(), seed,
             {k: (block[k], reference[k]) for k in block
              if block[k] != reference[k]})
+        if reference["outcome"][0] == "ok":
+            # The emulator decides its memory_op charge per vPC from the
+            # shape; a fault ends the run, so only completed ones count.
+            load, store, _ret = reference["last"]
+            assert touches_memory(inst) == (
+                load is not None or store is not None), inst.text()
 
 
 def test_handler_compilation_is_bounded_by_shapes():

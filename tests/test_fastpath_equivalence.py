@@ -20,7 +20,7 @@ import pytest
 from repro.arch import attach_tracer
 from repro.arch.config import default_config
 from repro.arch.cpu import CycleCPU
-from repro.emu import emulate
+from repro.emu import ILREmulator
 from repro.ilr import RandomizerConfig, make_flow, randomize, rerandomize
 from repro.ilr.rerandomize import apply_rerandomization
 from repro.workloads import build_image
@@ -243,7 +243,7 @@ class TestEmulatorCrossCheck:
         """The emulator shares the executor but none of the fast path,
         so agreeing with it checks architectural semantics end to end."""
         program = _program("libquantum")
-        emu = emulate(program, max_instructions=5_000_000)
+        emu = ILREmulator(program, max_instructions=5_000_000).run()
         assert emu.run.exit_code is not None, "emulator must finish"
         for mode in ("baseline", "naive_ilr", "vcfr"):
             cpu = _cpu(mode, program, True)

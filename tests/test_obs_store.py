@@ -233,6 +233,24 @@ class TestBackfill:
             assert store.backfill_cache(
                 str(tmp_path / "cache"))["ingested"] == 0
 
+    def test_emulate_rows_count_guest_instructions(self, tmp_path):
+        session = ExperimentSession(scale=0.3, max_instructions=5000)
+        spec = session.spec("mcf", "emulate")
+        result = session.run(spec)
+        # The cache keeps emulation results as pickles; a JSON entry
+        # holding ``as_dict()`` is the backfill's dict branch.
+        entry = tmp_path / "cache" / "ab" / "abcd" / "result.json"
+        entry.parent.mkdir(parents=True)
+        entry.write_text(json.dumps({"spec": spec.normalized().as_dict(),
+                                     "result": result.as_dict()}))
+        with RunStore(str(tmp_path / "runs.sqlite")) as store:
+            store.record_run(spec, result, created_at=1.0)
+            store.backfill_cache(str(tmp_path / "cache"))
+            _columns, rows = store.query(
+                "SELECT source, instructions FROM runs ORDER BY id")
+        assert rows == [("sweep", result.run.icount),
+                        ("backfill-cache", result.run.icount)]
+
     def test_backfill_events(self, tmp_path):
         path = str(tmp_path / "ev.jsonl")
         log = EventLog(FileSink(path))
