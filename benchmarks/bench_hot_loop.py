@@ -100,14 +100,6 @@ def _build_program():
     return randomize(build_hot_loop_image(), RandomizerConfig(seed=42))
 
 
-def _image_for(mode, program):
-    return {
-        "baseline": program.original,
-        "naive_ilr": program.naive_image,
-        "vcfr": program.vcfr_image,
-    }[mode]
-
-
 #: leg -> (fastpath, tracepath), in run order within each repetition
 LEGS = {"fast": (True, True), "ref": (False, False), "blocks": (True, False)}
 BRANCHY_LEGS = {"fast": LEGS["fast"], "blocks": LEGS["blocks"]}
@@ -118,7 +110,7 @@ def _run_once(program, mode, fastpath, tracepath=True):
     config = default_config()
     config.fastpath = fastpath
     config.tracepath = tracepath
-    cpu = CycleCPU(_image_for(mode, program), make_flow(mode, program),
+    cpu = CycleCPU(program.image_for(mode), make_flow(mode, program),
                    config)
     start = time.perf_counter()
     result = cpu.run(max_instructions=MAX_INSTRUCTIONS)

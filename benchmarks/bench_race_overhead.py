@@ -37,7 +37,7 @@ from repro.arch.context import TimeSharedCPU
 from repro.ilr.flow import make_flow
 from repro.ilr.randomizer import RandomizerConfig, randomize
 from repro.security.adversary import AdversarySpec
-from repro.security.race import RaceSpec, _build_race_image, run_race
+from repro.security.race import RaceSpec, build_tenant_image, run_race
 from repro.security.rotation import RotationPolicy
 from repro.tools.benchgate import gate
 
@@ -55,7 +55,7 @@ SPEC = RaceSpec(
 def _raw_pass():
     """Everything run_race does minus the race machinery."""
     start = time.perf_counter()
-    image = _build_race_image(SPEC)
+    image = build_tenant_image(SPEC)
     program = randomize(image, RandomizerConfig(seed=SPEC.seed))
     shared = TimeSharedCPU(
         [("t0", program.vcfr_image, make_flow("vcfr", program))],

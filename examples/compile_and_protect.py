@@ -66,14 +66,9 @@ def main():
     assert survey.usable_after < survey.total_before
 
     print("\ncycle simulation:")
-    images = {
-        "baseline": program.original,
-        "naive_ilr": program.naive_image,
-        "vcfr": program.vcfr_image,
-    }
     base_ipc = None
     for mode in ("baseline", "naive_ilr", "vcfr"):
-        result = simulate(images[mode], make_flow(mode, program))
+        result = simulate(program.image_for(mode), make_flow(mode, program))
         if base_ipc is None:
             base_ipc = result.ipc
         print("  %-10s IPC %.3f (%.1f%% of baseline)"

@@ -87,14 +87,9 @@ def main():
 
     # -- cycle-simulate ------------------------------------------------------
     print("\ncycle simulation (paper machine parameters):")
-    images = {
-        "baseline": program.original,
-        "naive_ilr": program.naive_image,
-        "vcfr": program.vcfr_image,
-    }
     baseline_ipc = None
     for mode in ("baseline", "naive_ilr", "vcfr"):
-        result = simulate(images[mode], make_flow(mode, program))
+        result = simulate(program.image_for(mode), make_flow(mode, program))
         if baseline_ipc is None:
             baseline_ipc = result.ipc
         print("  %-10s IPC %.3f (%.1f%% of baseline)  IL1 miss %.4f  "

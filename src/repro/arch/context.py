@@ -171,30 +171,15 @@ class TimeSharedCPU:
 
     def _on_switch_in(self, cpu: CycleCPU) -> None:
         """Model what a context switch costs the incoming process."""
+        # Whether tenants share an L2 depends on construction: by
+        # default every tenant owns a private hierarchy (warm lines only
+        # help the same tenant on its next quantum), while with
+        # ``shared_memory`` the tenants contend in one L2 and warm
+        # RDR-table lines genuinely survive switches.
         stats = self.switch_stats
         stats.switches += 1
         stats.total_switch_cycles += stats.switch_cycles_each
-        cpu.cycle += stats.switch_cycles_each
-        # The DRC held the *outgoing* process's translations: its context
-        # (the RDR tables) is swapped, so the cache contents are dead.
-        cpu.drc.flush()
-        # The decoded block cache needs NO invalidation here: each process
-        # has its own CycleCPU (and so its own block cache), and a switch
-        # changes neither the process's text image nor its RDR tables —
-        # the precomputed per-op metadata stays valid.  Only table swaps
-        # (ilr.rerandomize.apply_rerandomization) or code rewrites
-        # (CycleCPU.rewrite_code) invalidate blocks.
-        # New address space: TLBs flush.  Data/instruction caches keep
-        # their contents across the switch (physically tagged); whether
-        # tenants actually *share* an L2 depends on construction: by
-        # default every tenant owns a private hierarchy (nothing is
-        # shared, warm lines only help the same tenant on its next
-        # quantum), while with ``shared_memory`` the tenants contend in
-        # one L2 and warm RDR-table lines genuinely survive switches.
-        cpu.itlb.flush()
-        cpu.dtlb.flush()
-        cpu._last_fetch_line = -1
-        cpu._last_fetch_page = -1
+        cpu.switch_in(stats.switch_cycles_each)
 
 
 def measure_switch_sensitivity(

@@ -242,6 +242,20 @@ class CycleCPU:
         if self._tracecache is not None:
             self._tracecache.invalidate_range(addr, len(data))
 
+    def switch_in(self, switch_cycles: int) -> None:
+        """Charge a context switch to this, the incoming, process: the
+        kernel's ``switch_cycles``, and a flush of the DRC and TLBs,
+        which held the outgoing process's translations."""
+        # Caches keep their lines (physically tagged).  Decoded blocks
+        # and traces stay valid: a switch changes neither this
+        # process's text nor its RDR tables.
+        self.cycle += switch_cycles
+        self.drc.flush()
+        self.itlb.flush()
+        self.dtlb.flush()
+        self._last_fetch_line = -1
+        self._last_fetch_page = -1
+
     def _fetch_stall(self, fetch_pc: int, length: int) -> int:
         """Instruction-side stall: IL1 (with prefetch) + iTLB."""
         stall = 0

@@ -38,8 +38,7 @@ from ..arch.cpu import CycleCPU
 from ..arch.sharedmem import SharedMemorySystem
 from ..ilr.flow import make_flow
 from ..ilr.randomizer import RandomizerConfig, randomize
-from ..security.race import SERVICE_WORKLOAD, build_service_image
-from ..workloads import build_image
+from ..security.race import SERVICE_WORKLOAD, build_tenant_image
 from .traffic import ArrivalSpec, arrival_times
 
 __all__ = [
@@ -48,8 +47,6 @@ __all__ = [
     "FleetResult",
     "run_fleet",
 ]
-
-MODES = ("baseline", "naive_ilr", "vcfr")
 
 
 @dataclass(frozen=True)
@@ -60,10 +57,9 @@ class FleetSpec:
     :class:`~repro.security.race.RaceSpec`.
     """
 
-    #: job kind: picks the executor and the run-store row kind.
+    #: job kind: picks the executor, the cached result's type and the
+    #: run-store row kind.
     kind = "fleet"
-    #: the result is not a ``SimResult``: the cache pickles it.
-    is_simulation = False
 
     workload: str = SERVICE_WORKLOAD
     scale: float = 0.3
@@ -177,6 +173,11 @@ class FleetResult:
         out["core_stats"] = [dict(c) for c in self.core_stats]
         return out
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "FleetResult":
+        tenants = [TenantResult(**t) for t in data["tenant_results"]]
+        return cls(**dict(data, tenant_results=tenants))
+
     def by_tenant(self, name: str) -> TenantResult:
         for tenant in self.tenant_results:
             if tenant.tenant == name:
@@ -286,22 +287,6 @@ def _derived_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + index * 7919 + 29) % (1 << 62)
 
 
-def _build_fleet_image(spec: FleetSpec):
-    if spec.workload == SERVICE_WORKLOAD:
-        return build_service_image()
-    return build_image(spec.workload, spec.scale)
-
-
-def _image_for(mode: str, program):
-    if mode == "baseline":
-        return program.original
-    if mode == "naive_ilr":
-        return program.naive_image
-    if mode == "vcfr":
-        return program.vcfr_image
-    raise ValueError("unknown mode: %r" % (mode,))
-
-
 def _percentile(sorted_values: List[int], pct: float) -> int:
     """Nearest-rank percentile; 0 for an empty sample."""
     if not sorted_values:
@@ -323,18 +308,11 @@ def _jain_fairness(values: List[float]) -> float:
 def _switch_in(tenant: _Tenant, switch_cycles: int) -> None:
     """Charge the incoming tenant for the core handover.
 
-    Mirrors :meth:`TimeSharedCPU._on_switch_in`: the DRC held the
-    outgoing tenant's RDR translations and the TLBs its address space;
-    both flush.  L1/L2 contents survive (physically tagged), which with
-    the shared L2 is exactly the cross-tenant contention under study.
+    :meth:`CycleCPU.switch_in` flushes the DRC and TLBs; L1/L2 contents
+    survive (physically tagged), which with the shared L2 is exactly the
+    cross-tenant contention under study.
     """
-    cpu = tenant.cpu
-    cpu.cycle += switch_cycles
-    cpu.drc.flush()
-    cpu.itlb.flush()
-    cpu.dtlb.flush()
-    cpu._last_fetch_line = -1
-    cpu._last_fetch_page = -1
+    tenant.cpu.switch_in(switch_cycles)
     tenant.switches += 1
     tenant.switch_cycles_total += switch_cycles
 
@@ -422,7 +400,7 @@ def run_fleet(spec: FleetSpec, config: Optional[MachineConfig] = None,
     if spec.request_instructions < 1:
         raise ValueError("request_instructions must be positive")
 
-    image = _build_fleet_image(spec)
+    image = build_tenant_image(spec)
     shared = SharedMemorySystem(config)
 
     tenants: List[_Tenant] = []
@@ -432,7 +410,7 @@ def run_fleet(spec: FleetSpec, config: Optional[MachineConfig] = None,
         )
         flow = make_flow(spec.mode, program)
         cpu = CycleCPU(
-            _image_for(spec.mode, program),
+            program.image_for(spec.mode),
             flow,
             config,
             memory=shared.port(index),

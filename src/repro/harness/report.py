@@ -5,20 +5,8 @@ from __future__ import annotations
 from typing import Dict
 
 from ..arch.simstats import ratio
+from ..obs import format_table
 from .experiments import ExperimentResult
-
-
-def format_table(headers, rows) -> str:
-    """Align ``rows`` under ``headers`` with simple column padding."""
-    table = [tuple(str(c) for c in headers)]
-    table += [tuple(str(c) for c in row) for row in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
-    lines = []
-    for idx, row in enumerate(table):
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-        if idx == 0:
-            lines.append("  ".join("-" * widths[i] for i in range(len(headers))))
-    return "\n".join(lines)
 
 
 def format_result(result: ExperimentResult) -> str:

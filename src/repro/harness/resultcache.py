@@ -12,13 +12,12 @@ cycle simulations.  The key is a SHA-256 digest over:
   semantics change, so stale results from an older simulator can never
   be served.
 
-On-disk layout (ISSUE 7)
-------------------------
+On-disk layout
+--------------
 
 Entries are **sharded by digest prefix into a directory per entry**::
 
-    root/ab/abcd0123.../result.json    (simulation modes)
-    root/ab/abcd0123.../result.pkl     (emulate mode, race and fleet jobs)
+    root/ab/abcd0123.../result.json    (every job kind)
     root/ab/abcd0123.../claim          (multi-host work-queue claim file)
 
 The per-entry directory is what makes the cache a coordination point
@@ -30,13 +29,15 @@ two-level ``root/ab/<digest>.ext``) are not read: they miss and are
 recomputed.  :meth:`~repro.obs.store.RunStore.backfill_cache` still
 indexes them, as it walks any layout.
 
-Cycle-simulation results are stored as JSON
-(:meth:`~repro.arch.simstats.SimResult.as_dict` round-trip — human
-inspectable, diffable) together with the spec and the machine-config
-fingerprint (so :meth:`~repro.obs.store.RunStore.backfill_cache` can
-recover the config digest); every other result — emulation (its
-payload includes full machine state), race and fleet — is stored as
-pickle.  Entries are written
+Every job kind — cycle run, emulation, race and fleet point — is one
+JSON document holding its ``kind``, the spec, the machine-config
+fingerprint and the result's ``as_dict()`` (inspectable, diffable).
+:meth:`ResultCache.get` rebuilds the result with its type's
+``from_dict`` (an emulation comes back without ``run.state``), and
+:meth:`~repro.obs.store.RunStore.backfill_cache` indexes the entry as
+a run-store row of its kind.  Nothing is unpickled, so a cache shared
+between hosts (``--queue``) carries data, not code, and the
+``result.pkl`` of an older build is a miss.  Entries are written
 atomically (temp file + rename) so a crashed or parallel writer can
 never leave a half-written entry, and unreadable/corrupt entries
 degrade to cache misses rather than errors.
@@ -52,12 +53,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 import time
-from typing import Optional
 
 from ..arch.simstats import SimResult
+from ..emu import EmulationResult
+from ..fleet import FleetResult
+from ..security.race import RaceResult
 from .spec import RunSpec, config_fingerprint
 
 __all__ = ["ResultCache", "CACHE_SALT"]
@@ -74,12 +76,26 @@ _PROCESS_START = time.time()
 #: (v2: block fast path + flattened stall kernels; cycle counts are
 #: unchanged by construction, but the fingerprint schema gained the
 #: timing-model version and dropped host-tuning fields.  Moving to the
-#: sharded layout did not bump the salt: results are unchanged.)
+#: sharded layout, and to JSON entries for every job kind, did not bump
+#: the salt: results are unchanged.)
 CACHE_SALT = "repro-results-v2"
 
 #: What reading a missing, corrupt or incompatible entry raises.
-_UNREADABLE = (OSError, ValueError, KeyError, pickle.UnpicklingError,
-               EOFError, AttributeError)
+_UNREADABLE = (OSError, ValueError, KeyError, TypeError, AttributeError)
+
+#: The type whose ``from_dict`` rebuilds a stored result, by job kind
+#: (a ``run`` in ``emulate`` mode is an emulation).
+_RESULT_TYPES = {
+    "run": SimResult,
+    "emulate": EmulationResult,
+    "race": RaceResult,
+    "fleet": FleetResult,
+}
+
+
+def _result_type(spec):
+    mode = getattr(spec, "mode", None)
+    return _RESULT_TYPES["emulate" if mode == "emulate" else spec.kind]
 
 
 class ResultCache:
@@ -143,32 +159,27 @@ class ResultCache:
 
     def path(self, spec: RunSpec, config) -> str:
         """Where ``spec``'s result is (or would be) stored."""
-        ext = "json" if spec.is_simulation else "pkl"
-        return os.path.join(self.entry_dir(spec, config), "result." + ext)
+        return os.path.join(self.entry_dir(spec, config), "result.json")
 
     # -- lookup / store ----------------------------------------------------
 
-    def _load(self, path: str, simulation: bool):
-        """Read one entry file; raises on missing/corrupt."""
-        if simulation:
-            with open(path) as fh:
-                entry = json.load(fh)
-            return SimResult.from_dict(entry["result"])
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
+    def _load(self, spec, config):
+        """Read ``spec``'s entry; raises on missing/corrupt."""
+        with open(self.path(spec, config)) as fh:
+            entry = json.load(fh)
+        return _result_type(spec).from_dict(entry["result"])
 
     def get(self, spec: RunSpec, config):
         """Stored result for ``spec``, or None (counts a hit/miss)."""
-        path = self.path(spec, config)
         try:
-            result = self._load(path, spec.is_simulation)
+            result = self._load(spec, config)
         except FileNotFoundError:
             self.misses += 1
             return None
         except _UNREADABLE:
             # Corrupt or incompatible entry: treat as a miss and drop
             # it so the caller's rewrite repairs the cache.
-            self._discard(path)
+            self._discard(self.path(spec, config))
             self.misses += 1
             return None
         self.hits += 1
@@ -180,7 +191,7 @@ class ResultCache:
         a peer host's result, where every poll counting a miss would
         make the stats meaningless."""
         try:
-            return self._load(self.path(spec, config), spec.is_simulation)
+            return self._load(spec, config)
         except _UNREADABLE:
             return None
 
@@ -192,20 +203,17 @@ class ResultCache:
             dir=os.path.dirname(path), prefix=".tmp-"
         )
         try:
-            if spec.is_simulation:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(
-                        {
-                            "spec": spec.normalized().as_dict(),
-                            "config": config_fingerprint(config),
-                            "result": result.as_dict(),
-                        },
-                        fh,
-                        sort_keys=True,
-                    )
-            else:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(fd, "w") as fh:
+                json.dump(
+                    {
+                        "kind": spec.kind,
+                        "spec": spec.normalized().as_dict(),
+                        "config": config_fingerprint(config),
+                        "result": result.as_dict(),
+                    },
+                    fh,
+                    sort_keys=True,
+                )
             os.replace(tmp, path)
         except BaseException:
             self._discard(tmp)

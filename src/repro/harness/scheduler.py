@@ -216,8 +216,8 @@ class AsyncScheduler:
     Every job kind (:class:`~repro.harness.spec.RunSpec`,
     :class:`~repro.security.race.RaceSpec`,
     :class:`~repro.fleet.FleetSpec`) takes the same path: the scheduler
-    reads only their shared ``normalized``/``label``/``event_fields``/
-    ``as_dict``/``is_simulation`` surface and leaves execution to
+    reads only their shared ``kind``/``normalized``/``label``/
+    ``event_fields``/``as_dict`` surface and leaves execution to
     :func:`~repro.harness.sweep.execute_spec`.
 
     One scheduler executes one stream (pools live for the duration of a

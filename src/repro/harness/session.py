@@ -170,10 +170,11 @@ class ExperimentSession:
         return 0
 
     def _interval_for(self, spec) -> int:
-        # Only cycle simulations and the emulator checkpoint; of those,
-        # the emulator is the non-simulation job.
+        # Only cycle simulations and the emulator checkpoint (race and
+        # fleet jobs ignore the cadence); an emulation's budget, and so
+        # its cadence, is EMULATE_BUDGET_FACTOR times a cycle run's.
         interval = self.effective_checkpoint_interval()
-        if not spec.is_simulation:
+        if spec.kind == "run" and spec.mode == "emulate":
             interval *= EMULATE_BUDGET_FACTOR
         return interval
 

@@ -57,11 +57,12 @@ class RunSpec:
     The scheduler, result cache and session memo read only the surface
     this class shares with the other job kinds
     (:class:`~repro.security.race.RaceSpec`,
-    :class:`~repro.fleet.FleetSpec`): :meth:`normalized`, :meth:`label`,
-    :meth:`event_fields`, :meth:`as_dict` and :attr:`is_simulation`.
+    :class:`~repro.fleet.FleetSpec`): :attr:`kind`, :meth:`normalized`,
+    :meth:`label`, :meth:`event_fields` and :meth:`as_dict`.
     """
 
-    #: job kind: picks the executor and the run-store row kind.
+    #: job kind: picks the executor, the cached result's type and the
+    #: run-store row kind.
     kind = "run"
 
     workload: str
@@ -102,8 +103,7 @@ class RunSpec:
 
     @property
     def is_simulation(self) -> bool:
-        """True for cycle-simulator modes, whose ``SimResult`` the cache
-        stores as JSON (False for ``emulate``: pickled)."""
+        """True for cycle-simulator modes (False for ``emulate``)."""
         return self.mode in SIM_MODES
 
     # -- serialization -----------------------------------------------------

@@ -237,11 +237,7 @@ def execute_spec(
                 event_fields=spec.event_fields(),
             ).run()
 
-    image = {
-        "baseline": program.original,
-        "naive_ilr": program.naive_image,
-        "vcfr": program.vcfr_image,
-    }[spec.mode]
+    image = program.image_for(spec.mode)
     if spec.mode == "vcfr":
         config = config.with_drc_entries(spec.drc_entries)
     cpu = CycleCPU(

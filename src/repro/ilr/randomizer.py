@@ -98,6 +98,17 @@ class RandomizedProgram:
     config: RandomizerConfig = field(default_factory=RandomizerConfig)
     stats: RandomizeStats = field(default_factory=RandomizeStats)
 
+    def image_for(self, mode: str) -> BinaryImage:
+        """The image ``mode`` executes: ``baseline`` the original,
+        ``naive_ilr`` the scattered image, ``vcfr`` the VCFR image."""
+        if mode == "baseline":
+            return self.original
+        if mode == "naive_ilr":
+            return self.naive_image
+        if mode == "vcfr":
+            return self.vcfr_image
+        raise ValueError("unknown mode: %r" % (mode,))
+
 
 def _copy_image(image: BinaryImage) -> BinaryImage:
     return BinaryImage.from_bytes(image.to_bytes())

@@ -23,7 +23,9 @@ subsystem without coupling them to each other:
 
 ``repro.tools.stats`` consumes both surfaces: JSONL logs for one-sweep
 analysis, the run store for cross-history queries (``best`` /
-``compare`` / ``history`` / raw SQL).
+``compare`` / ``history`` / raw SQL).  :func:`status` (stderr chatter)
+and :func:`format_table` (aligned text tables) are the output helpers
+every CLI and report shares.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ __all__ = [
     "rollup_spans",
     "RunStore",
     "status",
+    "format_table",
 ]
 
 
@@ -78,3 +81,19 @@ def status(message: str) -> None:
     report tables) is never polluted.
     """
     print(message, file=sys.stderr, flush=True)
+
+
+def format_table(headers, rows) -> str:
+    """Align ``rows`` under ``headers`` with simple column padding."""
+    table = [tuple(str(c) for c in headers)]
+    table += [tuple(str(c) for c in row) for row in rows]
+    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
+    lines = []
+    for idx, row in enumerate(table):
+        lines.append("  ".join(
+            cell.ljust(widths[i]) for i, cell in enumerate(row)
+        ).rstrip())
+        if idx == 0:
+            lines.append("  ".join("-" * widths[i]
+                                   for i in range(len(headers))))
+    return "\n".join(lines)

@@ -25,8 +25,9 @@ store created by a different schema is *refused*, not migrated —
 the store is a derived index, so the recovery path is cheap and total:
 delete the file and re-run :meth:`backfill_cache` /
 :meth:`backfill_events` over the primary artifacts (cache directories,
-JSONL logs), and re-run race or fleet grids on their cache (all hits).
-That keeps this module free of migration machinery.
+JSONL logs).  The cache holds every job kind, so a backfill restores
+race and fleet rows along with the cycle and emulation runs.  That
+keeps this module free of migration machinery.
 
 This module is importable with **zero** repro dependencies beyond
 ``repro.obs`` itself (specs and results are duck-typed), so the obs
@@ -193,25 +194,28 @@ class RunStore:
 
     # -- recording ---------------------------------------------------------
 
-    def record_run(self, spec, result, *, config_digest: str = "",
-                   source: str = "sweep", attempts: int = 1,
-                   cached: bool = False, host_seconds: float = 0.0,
+    def record_run(self, spec, result, *, kind: Optional[str] = None,
+                   config_digest: str = "", source: str = "sweep",
+                   attempts: int = 1, cached: bool = False,
+                   host_seconds: float = 0.0,
                    spans: Optional[Dict[str, dict]] = None,
                    created_at: Optional[float] = None) -> int:
         """Index one completed job of any kind; commits before returning.
 
-        ``spec`` is a job spec (its ``kind`` becomes the row's; a plain
-        dict is a ``run``).  ``result`` is duck-typed: a cycle-simulator
+        ``spec`` is a job spec (its ``kind`` becomes the row's) or a
+        plain spec dict, whose job kind is ``kind`` (default ``run``).
+        ``result`` is duck-typed: a cycle-simulator
         :class:`~repro.arch.simstats.SimResult`, an emulator result (has
         ``run.icount``), a race or fleet result (also kept whole as the
-        row's JSON ``payload``), or a plain stats dict from a backfill.
-        ``spans`` is a :func:`~repro.obs.trace.rollup_spans`-shaped
-        mapping.
+        row's JSON ``payload``), or any of these as its ``as_dict()``
+        from a backfill.  ``spans`` is a
+        :func:`~repro.obs.trace.rollup_spans`-shaped mapping.
         """
-        kind = getattr(spec, "kind", "run")
+        kind = kind or getattr(spec, "kind", "run")
         payload = None
         if kind != "run":
-            payload = json.dumps(result.as_dict(), sort_keys=True)
+            data = result if isinstance(result, dict) else result.as_dict()
+            payload = json.dumps(data, sort_keys=True)
         run_id = self._insert_run(
             kind, _spec_dict(spec), _result_columns(result), status="ok",
             source=source, attempts=attempts, cached=cached,
@@ -470,22 +474,25 @@ class RunStore:
     # -- backfill ----------------------------------------------------------
 
     def backfill_cache(self, root: str) -> Dict[str, int]:
-        """Ingest a :class:`ResultCache` directory's JSON entries.
+        """Ingest a :class:`ResultCache` directory: one row per entry.
 
         Works on every cache layout by walking the whole tree and
         recognizing entry files by shape rather than location: the flat
         ``root/<digest>.json``, the two-level ``root/ab/<digest>.json``,
         and the sharded ``root/ab/<digest>/result.json`` all hold the
-        same ``{"spec": ..., "config": ..., "result": ...}`` document.
-        The walk order is sorted, so ingestion is deterministic across
-        filesystems; the entry's own ``config`` fingerprint (when
-        present — older entries predate it) becomes the row's
-        ``config_digest``; the file mtime becomes ``created_at``, making
-        re-runs idempotent (the uniqueness constraint ignores exact
-        duplicates).  Pickle entries (emulation, race and fleet results)
-        store no spec and are skipped, as are work-queue ``claim`` files
-        and orphaned ``.tmp-*`` writes; re-running a race or fleet grid
-        on the cache records its rows as cache hits instead.
+        same ``{"kind": ..., "spec": ..., "config": ..., "result": ...}``
+        document, for every job kind.  Each entry becomes a row of its
+        ``kind`` (entries written before the field existed are cycle
+        runs), race and fleet results with their ``payload``, so a store
+        rebuilt from the cache answers ``stats race`` and ``stats
+        fleet`` too.  The walk order is sorted, so ingestion is
+        deterministic across filesystems; the entry's own ``config``
+        fingerprint (when present — older entries predate it) becomes
+        the row's ``config_digest``; the file mtime becomes
+        ``created_at``, making re-runs idempotent (the uniqueness
+        constraint ignores exact duplicates).  Work-queue ``claim``
+        files, orphaned ``.tmp-*`` writes and any other non-JSON file
+        are ignored; an unreadable JSON entry is counted as skipped.
         """
         ingested = skipped = 0
         for dirpath, dirnames, filenames in os.walk(root):
@@ -493,8 +500,6 @@ class RunStore:
             for name in sorted(filenames):
                 path = os.path.join(dirpath, name)
                 if not name.endswith(".json") or name.startswith(".tmp-"):
-                    if name.endswith(".pkl"):
-                        skipped += 1
                     continue
                 try:
                     with open(path) as fh:
@@ -504,8 +509,9 @@ class RunStore:
                     skipped += 1
                     continue
                 run_id = self.record_run(
-                    spec, result, source="backfill-cache",
-                    cached=True, created_at=os.stat(path).st_mtime,
+                    spec, result, kind=entry.get("kind", "run"),
+                    source="backfill-cache", cached=True,
+                    created_at=os.stat(path).st_mtime,
                     config_digest=entry.get("config", ""),
                 )
                 if run_id >= 0:

@@ -217,13 +217,6 @@ def _comparable(result: SimResult) -> dict:
     return data
 
 
-_IMAGE_FOR = {
-    "baseline": lambda p: p.original,
-    "naive_ilr": lambda p: p.naive_image,
-    "vcfr": lambda p: p.vcfr_image,
-}
-
-
 def check_image(image: BinaryImage, *, seed: int,
                 config: Optional[OracleConfig] = None) -> OracleReport:
     """Run ``image`` through the full differential matrix.
@@ -328,7 +321,7 @@ def check_attack(*, seed: int,
         reference = None
         for label, engine, machine in engines:
             injected = BinaryImage.from_bytes(
-                _IMAGE_FOR[mode](program).to_bytes())
+                program.image_for(mode).to_bytes())
             inject_input(injected, exploit)
             try:
                 outcome = deliver(
@@ -399,7 +392,7 @@ def check_source(source: str, *, seed: int,
 
 def _functional_snapshot(program, mode, cfg, report):
     label = "functional:%s" % mode
-    image = _IMAGE_FOR[mode](program)
+    image = program.image_for(mode)
     try:
         cpu = FunctionalCPU(image, make_flow(mode, program),
                             max_instructions=cfg.max_instructions)
@@ -470,7 +463,7 @@ def _check_trace_compiles(cpu: CycleCPU, label: str,
 
 
 def _check_cycle_mode(program, mode, reference, cfg, report):
-    image = _IMAGE_FOR[mode](program)
+    image = program.image_for(mode)
     results: Dict[str, SimResult] = {}
     for tier, fastpath, tracepath in _tiers(cfg):
         label = "cycle:%s:%s" % (mode, tier)

@@ -38,6 +38,7 @@ __all__ = [
     "RaceResult",
     "run_race",
     "build_service_image",
+    "build_tenant_image",
     "SERVICE_WORKLOAD",
 ]
 
@@ -114,15 +115,14 @@ class RaceSpec:
     """One point of the rotation-policy x disclosure-rate grid.
 
     A scheduler job like :class:`~repro.harness.spec.RunSpec`: it
-    shares that class's ``normalized``/``label``/``event_fields``/
-    ``as_dict``/``is_simulation`` surface, and its results go in the
-    result cache's pickle entries.
+    shares that class's ``kind``/``normalized``/``label``/
+    ``event_fields``/``as_dict`` surface, and its results go in the
+    result cache as JSON like every other kind's.
     """
 
-    #: job kind: picks the executor and the run-store row kind.
+    #: job kind: picks the executor, the cached result's type and the
+    #: run-store row kind.
     kind = "race"
-    #: the result is not a ``SimResult``: the cache pickles it.
-    is_simulation = False
 
     workload: str = SERVICE_WORKLOAD
     scale: float = 0.3
@@ -195,6 +195,10 @@ class RaceResult:
     def as_dict(self) -> dict:
         return dict(self.__dict__)
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "RaceResult":
+        return cls(**data)
+
 
 class _TenantRace:
     """Per-tenant attacker-side bookkeeping for one race."""
@@ -222,7 +226,9 @@ def build_service_image():
     return assemble(_SERVICE_SOURCE)
 
 
-def _build_race_image(spec: RaceSpec):
+def build_tenant_image(spec):
+    """The image each tenant of a race or fleet point randomizes: the
+    service image, or ``spec``'s suite workload at its scale."""
     if spec.workload == SERVICE_WORKLOAD:
         return build_service_image()
     return build_image(spec.workload, spec.scale)
@@ -235,7 +241,7 @@ def run_race(spec: RaceSpec, events=None, tracer=None,
     With ``events``, every rotation is logged as a ``rotation`` record
     and the finished point as one ``race_point`` record.
     """
-    image = _build_race_image(spec)
+    image = build_tenant_image(spec)
     programs = []
     flows = []
     for idx in range(spec.tenants):

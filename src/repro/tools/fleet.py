@@ -6,31 +6,23 @@ arrival shape by default) and prints per-tenant tail latency
 tenants serving open-loop traffic over M cores behind a genuinely
 shared L2 + DRAM.
 
-The grid runs through one :class:`~repro.harness.session.
-ExperimentSession`, so fleet points get the scheduler's retry and
-quarantine handling, and the shared observability flags from
-:mod:`repro.harness.cli` apply: ``--events`` captures the scheduler's
-``spec_dispatch`` / ``spec_done`` records plus one ``tenant_point``
-record per tenant (renderable via ``python -m repro.tools.stats``),
-``--store`` indexes every point as a ``fleet`` row of the run store
-(``python -m repro.tools.stats fleet STORE.db``), ``--trace-out``
-writes the sweep's span tree, and ``--dashboard`` renders the live
-progress and tenant counters.  ``--workers N`` runs the grid across a
-process pool; results are bit-identical to the sequential path.
+The grid runs through :func:`repro.tools.stats.job_main`, the body
+the race CLI shares (session, retry and quarantine, ``--workers``,
+``--json`` and the :mod:`repro.harness.cli` observability flags).
+``--events`` logs one ``tenant_point`` record per tenant, ``--store``
+indexes each point as a ``fleet`` row, and the table is the one
+``python -m repro.tools.stats fleet STORE.db`` prints.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ..fleet import ARRIVAL_KINDS, ArrivalSpec, FleetSpec
-from ..harness.cli import add_observability_options, sweep_from_args
-from ..obs import status
 from ..security.race import SERVICE_WORKLOAD
 
-from .stats import format_table
+from .stats import job_main
 
 
 def build_specs(args) -> list:
@@ -110,53 +102,7 @@ def main(argv=None) -> int:
                         help="service demand per request (default 600)")
     parser.add_argument("--budget", type=int, default=400_000,
                         help="per-tenant instruction safety budget")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="worker processes for the fleet grid "
-                             "(0/1 = sequential; results bit-identical)")
-    parser.add_argument("--json", action="store_true",
-                        help="print one JSON object per fleet point "
-                             "instead of the table")
-    add_observability_options(parser)
-    args = parser.parse_args(argv)
-
-    try:
-        specs = build_specs(args)
-    except ValueError as err:
-        parser.error(str(err))
-
-    outcomes = sweep_from_args(args, specs)
-    results = [outcome.result for outcome in outcomes if outcome.ok]
-    failed = len(results) != len(outcomes)
-    if args.store:
-        status("recorded %d fleet points in %s" % (len(results), args.store))
-
-    if args.json:
-        for result in results:
-            print(json.dumps(result.as_dict(), sort_keys=True))
-        return 1 if failed else 0
-
-    rows = []
-    for result in results:
-        for tenant in result.tenant_results:
-            rows.append((
-                result.arrival_kind,
-                "%dt/%dc" % (result.tenants, result.cores),
-                tenant.tenant,
-                tenant.core,
-                "%d/%d" % (tenant.served, tenant.requests),
-                tenant.p50_latency,
-                tenant.p95_latency,
-                tenant.p99_latency,
-                "%.4f" % tenant.ipc,
-                "%.4f" % result.ipc_fairness,
-                tenant.switches,
-            ))
-    print(format_table(
-        ("arrival", "fleet", "tenant", "core", "served", "p50", "p95",
-         "p99", "ipc", "fairness", "switches"),
-        rows,
-    ))
-    return 1 if failed else 0
+    return job_main("fleet", parser, build_specs, argv)
 
 
 if __name__ == "__main__":

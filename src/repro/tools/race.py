@@ -11,33 +11,25 @@ prints — ``none``, ``periodic@20000``, ``on_probe@2``,
 ``on_syscall@400`` — so a policy read off a previous report can be
 pasted straight back into ``--policies``.
 
-The grid runs through one :class:`~repro.harness.session.
-ExperimentSession`, so race points get the scheduler's retry and
-quarantine handling, and the shared observability flags from
-:mod:`repro.harness.cli` apply: ``--events`` captures the scheduler's
-``spec_dispatch`` / ``spec_done`` records plus one ``rotation`` record
-per rotation and one ``race_point`` record per point (renderable via
-``python -m repro.tools.stats``), ``--store`` indexes every point as a
-``race`` row of the run store (``python -m repro.tools.stats race
-STORE.db``), ``--trace-out`` writes the sweep's span tree, and
-``--dashboard`` renders the live progress and races/rotations counters.
-``--workers N`` runs the grid across a process pool; results are
-bit-identical to the sequential path.
+The grid runs through :func:`repro.tools.stats.job_main`, the body
+the fleet CLI shares (session, retry and quarantine, ``--workers``,
+``--json`` and the :mod:`repro.harness.cli` observability flags).
+``--events`` logs one ``rotation`` record per rotation and one
+``race_point`` record per point, ``--store`` indexes each point as a
+``race`` row, and the table is the one ``python -m repro.tools.stats
+race STORE.db`` prints.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from ..harness.cli import add_observability_options, sweep_from_args
-from ..obs import status
 from ..security.adversary import AdversarySpec
 from ..security.race import SERVICE_WORKLOAD, RaceSpec
 from ..security.rotation import POLICY_KINDS, RotationPolicy
 
-from .stats import race_table
+from .stats import job_main
 
 
 def parse_policy(text: str) -> RotationPolicy:
@@ -142,37 +134,7 @@ def main(argv=None) -> int:
                              "their trigger has a signal)")
     parser.add_argument("--no-adversary", action="store_true",
                         help="disable the adversary (overhead baseline)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="worker processes for the race grid "
-                             "(0/1 = sequential; results bit-identical)")
-    parser.add_argument("--json", action="store_true",
-                        help="print one JSON object per race point "
-                             "instead of the table")
-    add_observability_options(parser)
-    args = parser.parse_args(argv)
-
-    try:
-        specs = build_specs(args)
-    except ValueError as err:
-        parser.error(str(err))
-
-    outcomes = sweep_from_args(args, specs)
-    results = [outcome.result for outcome in outcomes if outcome.ok]
-    failed = len(results) != len(outcomes)
-    if args.store:
-        status("recorded %d race points in %s" % (len(results), args.store))
-
-    if args.json:
-        for result in results:
-            print(json.dumps(result.as_dict(), sort_keys=True))
-        return 1 if failed else 0
-
-    # None when no point survived: every one was quarantined.
-    table = race_table([dict(result.as_dict(), kind="race_point")
-                        for result in results])
-    if table is not None:
-        print(table)
-    return 1 if failed else 0
+    return job_main("race", parser, build_specs, argv)
 
 
 if __name__ == "__main__":

@@ -156,11 +156,8 @@ def main(argv=None) -> int:
                 finish(result, time.perf_counter() - start)
                 return run.exit_code or 0
 
-            target = image if program is None else {
-                "baseline": program.original,
-                "naive_ilr": program.naive_image,
-                "vcfr": program.vcfr_image,
-            }[args.mode]
+            target = (image if program is None
+                      else program.image_for(args.mode))
             flow = make_flow(args.mode, program=program, image=target)
 
             if args.timing:

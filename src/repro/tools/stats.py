@@ -33,32 +33,18 @@ any JSONL:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..arch.simstats import ratio
+from ..obs import format_table, status
 from ..obs.events import follow_events, read_events
 from ..obs.store import STORE_METRICS, RunStore
 
 #: Eight-level bar glyphs for inline IPC-over-time sparklines.
 _SPARK = "▁▂▃▄▅▆▇█"
-
-
-def format_table(headers, rows) -> str:
-    """Align ``rows`` under ``headers`` with simple column padding."""
-    table = [tuple(str(c) for c in headers)]
-    table += [tuple(str(c) for c in row) for row in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
-    lines = []
-    for idx, row in enumerate(table):
-        lines.append("  ".join(
-            cell.ljust(widths[i]) for i, cell in enumerate(row)
-        ).rstrip())
-        if idx == 0:
-            lines.append("  ".join("-" * widths[i]
-                                   for i in range(len(headers))))
-    return "\n".join(lines)
 
 
 def sparkline(values: List[float]) -> str:
@@ -208,8 +194,9 @@ def fleet_table(records: List[dict]) -> Optional[str]:
     """Datacenter fleet tenant rows (``tenant_point`` records: events,
     or the run store's fleet payloads split per tenant).
 
-    One row per tenant per fleet point: tail latency (cycles), IPC,
-    fleet fairness, and switch counts under shared-L2 contention."""
+    One row per tenant per fleet point: its core, tail latency
+    (cycles), IPC, fleet fairness, and switch counts under shared-L2
+    contention."""
     rows = []
     for record in records:
         if record.get("kind") != "tenant_point":
@@ -221,6 +208,7 @@ def fleet_table(records: List[dict]) -> Optional[str]:
             "%st/%sc" % (record.get("tenants", "?"),
                          record.get("cores", "?")),
             record.get("tenant", "?"),
+            record.get("core", "?"),
             "%s/%s" % (record.get("served", 0),
                        record.get("requests", 0)),
             record.get("p50_latency", 0),
@@ -233,10 +221,92 @@ def fleet_table(records: List[dict]) -> Optional[str]:
     if not rows:
         return None
     return format_table(
-        ("workload", "mode", "arrival", "fleet", "tenant", "served",
-         "p50", "p95", "p99", "ipc", "fairness", "switches"),
+        ("workload", "mode", "arrival", "fleet", "tenant", "core",
+         "served", "p50", "p95", "p99", "ipc", "fairness", "switches"),
         rows,
     )
+
+
+#: The race and fleet job kinds, read as values by the JSONL sections,
+#: the ``stats <kind> STORE`` subcommands and the ``repro.tools.race`` /
+#: ``repro.tools.fleet`` CLIs: the event each table row is, the section
+#: title, the table renderer, how one result's ``as_dict()`` splits into
+#: rows, and the store filters as (flag, result field, help).
+JOB_KINDS = {
+    "race": {
+        "event": "race_point",
+        "title": "rotation races",
+        "table": race_table,
+        "rows": lambda point: [point],
+        "filters": (
+            ("--policy", "policy", "restrict to one rotation policy label"),
+        ),
+    },
+    "fleet": {
+        "event": "tenant_point",
+        "title": "datacenter fleet",
+        "table": fleet_table,
+        "rows": lambda point: [dict(point, **tenant)
+                               for tenant in point["tenant_results"]],
+        "filters": (
+            ("--arrival", "arrival_kind",
+             "restrict to one arrival kind (poisson/bursty/uniform)"),
+            ("--mode", "mode", "restrict to one protection mode"),
+        ),
+    },
+}
+
+
+def job_table(kind: str, points: List[dict]) -> Optional[str]:
+    """The ``kind`` table over result dicts (None when there are none)."""
+    entry = JOB_KINDS[kind]
+    return entry["table"]([dict(row, kind=entry["event"])
+                           for point in points
+                           for row in entry["rows"](point)])
+
+
+def job_main(kind: str, parser: argparse.ArgumentParser, build_specs,
+             argv=None) -> int:
+    """Body of the ``repro.tools.race`` and ``repro.tools.fleet`` CLIs.
+
+    ``parser`` holds the kind's own flags; this adds ``--workers``,
+    ``--json`` and the observability flags, sweeps ``build_specs(args)``
+    through one :class:`~repro.harness.session.ExperimentSession`
+    (retries, quarantine, a process pool with bit-identical results),
+    and prints one JSON line per point or the kind's table.  Returns 1
+    when any point was quarantined.
+    """
+    from ..harness.cli import add_observability_options, sweep_from_args
+
+    parser.add_argument("--workers", type=int, default=0,
+                        help="worker processes for the %s grid "
+                             "(0/1 = sequential; results bit-identical)"
+                             % kind)
+    parser.add_argument("--json", action="store_true",
+                        help="print one JSON object per %s point "
+                             "instead of the table" % kind)
+    add_observability_options(parser)
+    args = parser.parse_args(argv)
+    try:
+        specs = build_specs(args)
+    except ValueError as err:
+        parser.error(str(err))
+
+    outcomes = sweep_from_args(args, specs)
+    points = [outcome.result.as_dict() for outcome in outcomes
+              if outcome.ok]
+    if args.store:
+        status("recorded %d %s points in %s"
+               % (len(points), kind, args.store))
+    if args.json:
+        for point in points:
+            print(json.dumps(point, sort_keys=True))
+    else:
+        # None when no point survived: every one was quarantined.
+        table = job_table(kind, points)
+        if table is not None:
+            print(table)
+    return 0 if len(points) == len(outcomes) else 1
 
 
 def phase_breakdown(records: List[dict]) -> Optional[str]:
@@ -359,8 +429,8 @@ def compare_modes(records: List[dict], mode_a: str,
 #: First-positional tokens routed to :func:`store_main` instead of the
 #: JSONL analyzer (an event file named ``best`` would shadow the
 #: subcommand; rename the file).
-STORE_COMMANDS = ("best", "compare", "history", "sql", "backfill", "race",
-                  "fleet", "tail")
+STORE_COMMANDS = ("best", "compare", "history", "sql", "backfill",
+                  *JOB_KINDS, "tail")
 
 
 def _store_best(store: RunStore, args) -> int:
@@ -439,27 +509,15 @@ def _store_backfill(store: RunStore, args) -> int:
     return 0
 
 
-def _store_race(store: RunStore, args) -> int:
-    points = [dict(point, kind="race_point")
-              for point in store.payloads("race")
-              if args.policy in (None, point["policy"])]
+def _store_job(store: RunStore, args) -> int:
+    entry = JOB_KINDS[args.command]
+    points = [point for point in store.payloads(args.command)
+              if all(getattr(args, flag[2:]) in (None, point[field])
+                     for flag, field, _help in entry["filters"])]
     if not points:
-        print("no race points recorded", file=sys.stderr)
+        print("no %s points recorded" % args.command, file=sys.stderr)
         return 1
-    print(race_table(points))
-    return 0
-
-
-def _store_fleet(store: RunStore, args) -> int:
-    rows = [dict(point, kind="tenant_point", **tenant)
-            for point in store.payloads("fleet")
-            if args.arrival in (None, point["arrival_kind"])
-            and args.mode in (None, point["mode"])
-            for tenant in point["tenant_results"]]
-    if not rows:
-        print("no fleet points recorded", file=sys.stderr)
-        return 1
-    print(fleet_table(rows))
+    print(job_table(args.command, points))
     return 0
 
 
@@ -533,22 +591,12 @@ def store_main(argv) -> int:
                    metavar="PATH", help="JSONL event log(s) to ingest")
     p.set_defaults(func=_store_backfill)
 
-    p = sub.add_parser("race",
-                       help="rotation-vs-adversary race points")
-    p.add_argument("store", help="run store path (SQLite)")
-    p.add_argument("--policy", default=None,
-                   help="restrict to one rotation policy label")
-    p.set_defaults(func=_store_race)
-
-    p = sub.add_parser("fleet",
-                       help="datacenter fleet per-tenant rows")
-    p.add_argument("store", help="run store path (SQLite)")
-    p.add_argument("--arrival", default=None,
-                   help="restrict to one arrival kind "
-                        "(poisson/bursty/uniform)")
-    p.add_argument("--mode", default=None,
-                   help="restrict to one protection mode")
-    p.set_defaults(func=_store_fleet)
+    for kind, entry in JOB_KINDS.items():
+        p = sub.add_parser(kind, help=entry["title"])
+        p.add_argument("store", help="run store path (SQLite)")
+        for flag, _field, help_text in entry["filters"]:
+            p.add_argument(flag, default=None, help=help_text)
+        p.set_defaults(func=_store_job)
 
     p = sub.add_parser("tail", help="follow a live JSONL event log")
     p.add_argument("file", help="JSONL event log being written")
@@ -590,7 +638,7 @@ def main(argv=None) -> int:
                         help="A-vs-B IPC-over-time comparison "
                              "(e.g. --compare vcfr naive_ilr)")
     parser.add_argument("--section", action="append", default=None,
-                        choices=("kinds", "runs", "tiers", "race", "fleet",
+                        choices=("kinds", "runs", "tiers", *JOB_KINDS,
                                  "phases", "ipc"),
                         help="only render the named section(s)")
     args = parser.parse_args(argv)
@@ -619,8 +667,8 @@ def main(argv=None) -> int:
     section("kinds", "events", kind_summary(records))
     section("runs", "runs", runs_table(records))
     section("tiers", "execution tiers", tier_table(records))
-    section("race", "rotation races", race_table(records))
-    section("fleet", "datacenter fleet", fleet_table(records))
+    for kind, entry in JOB_KINDS.items():
+        section(kind, entry["title"], entry["table"](records))
     section("phases", "host-time by phase", phase_breakdown(records))
     section("ipc", "IPC over time", ipc_over_time(records))
     if args.compare:

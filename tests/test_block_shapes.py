@@ -265,16 +265,13 @@ def test_handler_compilation_is_bounded_by_shapes():
     programs, on fresh CPUs, compiles nothing new."""
     program = randomize(build_image("gcc", scale=0.3),
                         RandomizerConfig(seed=3))
-    images = {"baseline": program.original,
-              "naive_ilr": program.naive_image,
-              "vcfr": program.vcfr_image}
 
     def run_all():
-        for mode, image in images.items():
+        for mode in ("baseline", "naive_ilr", "vcfr"):
             cfg = default_config()
             cfg.tracepath = False
-            CycleCPU(image, make_flow(mode, program), cfg).run(
-                max_instructions=20_000)
+            CycleCPU(program.image_for(mode), make_flow(mode, program),
+                     cfg).run(max_instructions=20_000)
 
     run_all()
     compiled = blockcache._compile_shape.cache_info().misses

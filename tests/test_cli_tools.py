@@ -1,8 +1,15 @@
-"""CLI tool tests: asm, objdump, randomize, run, ropscan."""
+"""CLI tool tests: asm, objdump, randomize, run, ropscan, and the race
+and fleet CLIs' flags."""
+
+import argparse
+import hashlib
+import json
 
 import pytest
 
 from repro.tools import asm, mcc, objdump, randomize as randomize_tool, ropscan, run
+from repro.tools import fleet as fleet_cli
+from repro.tools import race as race_cli
 
 SRC = """
 .code 0x400000
@@ -177,3 +184,89 @@ class TestMcc:
         assert randomize_tool.main([binary, "-o", bundle, "--verify"]) == 0
         assert run.main([bundle, "--mode", "vcfr"]) == 0
         assert "0x2d" in capsys.readouterr().out  # 45
+
+
+# -- race and fleet CLI flags -------------------------------------------------
+
+#: Both CLIs' options as (option strings, default, type, choices), in
+#: parser order, pinned before their shared body moved into
+#: ``repro.tools.stats.job_main``.
+_SHARED_FLAGS = [
+    (["--workers"], 0, "int", None),
+    (["--json"], False, None, None),
+    (["--events"], None, None, None),
+    (["--progress"], False, None, None),
+    (["--checkpoint-interval"], 0, "int", None),
+    (["--store"], None, None, None),
+    (["--trace-out"], None, None, None),
+    (["--dashboard"], False, None, None),
+]
+RACE_FLAGS = [
+    (["-h", "--help"], argparse.SUPPRESS, None, None),
+    (["--policies"], ["none", "periodic@20000", "periodic@5000",
+                      "on_probe@2", "on_syscall@400"], "_csv_strs", None),
+    (["--rates"], [0.25, 0.5], "_csv_floats", None),
+    (["--workload"], "service", None, None),
+    (["--scale"], 0.3, "float", None),
+    (["--seed"], 42, "int", None),
+    (["--tenants"], 1, "int", None),
+    (["--budget"], 60000, "int", None),
+    (["--window"], 2000, "int", None),
+    (["--mappings-per-disclosure"], 12, "int", None),
+    (["--probe-rate"], 0.0, "float", None),
+    (["--no-adversary"], False, None, None),
+] + _SHARED_FLAGS
+FLEET_FLAGS = [
+    (["-h", "--help"], argparse.SUPPRESS, None, None),
+    (["--tenants"], 4, "int", None),
+    (["--cores"], 2, "int", None),
+    (["--mode"], "vcfr", None, ("baseline", "naive_ilr", "vcfr")),
+    (["--workload"], "service", None, None),
+    (["--scale"], 0.3, "float", None),
+    (["--seed"], 42, "int", None),
+    (["--arrivals"], ["poisson", "bursty"], "_csv_strs", None),
+    (["--requests"], 30, "int", None),
+    (["--mean-gap"], 2500, "int", None),
+    (["--burst"], 8, "int", None),
+    (["--burst-gap"], 50, "int", None),
+    (["--quantum"], 2000, "int", None),
+    (["--switch-cycles"], 200, "int", None),
+    (["--request-instructions"], 600, "int", None),
+    (["--budget"], 400000, "int", None),
+] + _SHARED_FLAGS
+
+#: SHA-256 over what ``--help`` renders from (prog, description, and each
+#: option's strings, metavar, nargs and help text), pinned with the flags.
+HELP_DIGESTS = {
+    "race": "06884c7dace04c64ef199f718d28cbeab18de6983d8a6f73f4ceadcb9a9f06d9",
+    "fleet": "afae6ee91acb188d30e50c23348f898add1a7f4f403249eac96a8d187ddc2ecf",
+}
+
+
+def _cli_parser(cli, monkeypatch):
+    """The CLI's complete parser, caught as ``main`` parses its argv."""
+
+    class Parsed(Exception):
+        pass
+
+    def catch(self, args=None, namespace=None):
+        raise Parsed(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", catch)
+    with pytest.raises(Parsed) as caught:
+        cli.main([])
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("name, cli, flags", [
+    ("race", race_cli, RACE_FLAGS),
+    ("fleet", fleet_cli, FLEET_FLAGS),
+])
+def test_job_cli_flags_are_pinned(name, cli, flags, monkeypatch):
+    parser = _cli_parser(cli, monkeypatch)
+    actions = parser._actions
+    assert [(a.option_strings, a.default, getattr(a.type, "__name__", None),
+             a.choices) for a in actions] == flags
+    surface = json.dumps([parser.prog, parser.description] + [
+        [a.option_strings, a.metavar, a.nargs, a.help] for a in actions])
+    assert hashlib.sha256(surface.encode()).hexdigest() == HELP_DIGESTS[name]

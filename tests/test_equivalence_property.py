@@ -144,12 +144,7 @@ def test_cycle_simulator_matches_functional(seed):
     program = randomize(image, RandomizerConfig(seed=seed))
     reference = verify_equivalence(program, max_instructions=300_000).baseline
     for mode in ("baseline", "naive_ilr", "vcfr"):
-        img = {
-            "baseline": program.original,
-            "naive_ilr": program.naive_image,
-            "vcfr": program.vcfr_image,
-        }[mode]
-        result = simulate(img, make_flow(mode, program),
+        result = simulate(program.image_for(mode), make_flow(mode, program),
                           max_instructions=400_000)
         assert result.finished
         assert result.exit_code == reference.exit_code

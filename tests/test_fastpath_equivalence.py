@@ -39,20 +39,12 @@ def _program(name):
     return _programs[name]
 
 
-def _image_for(mode, program):
-    return {
-        "baseline": program.original,
-        "naive_ilr": program.naive_image,
-        "vcfr": program.vcfr_image,
-    }[mode]
-
-
 def _cpu(mode, program, fastpath, checkpoint_interval=0, tracepath=True):
     cfg = default_config()
     cfg.fastpath = fastpath
     cfg.tracepath = tracepath
     return CycleCPU(
-        _image_for(mode, program),
+        program.image_for(mode),
         make_flow(mode, program),
         cfg,
         checkpoint_interval=checkpoint_interval,

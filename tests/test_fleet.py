@@ -434,6 +434,22 @@ def test_fleet_cli_json_output(capsys):
     assert point["tenant_results"][0]["tenant"] == "t0"
 
 
+def test_fleet_cli_exits_1_when_every_point_is_quarantined(monkeypatch,
+                                                          capsys):
+    from repro.tools import fleet as fleet_cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected fleet failure")
+
+    monkeypatch.setattr(datacenter, "run_fleet", boom)
+    rc = fleet_cli.main(["--tenants", "1", "--cores", "1", "--requests", "3",
+                         "--arrivals", "uniform"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no table: nothing survived
+    assert "QUARANTINED" in captured.err
+
+
 def test_fleet_cli_rejects_unknown_arrival(capsys):
     from repro.tools import fleet as fleet_cli
 
@@ -465,6 +481,33 @@ def test_stats_fleet_section_and_store_subcommand(tmp_path, capsys):
     assert stats_cli.main(["fleet", store_path]) == 0
     out = capsys.readouterr().out
     assert "t0" in out and "t1" in out and "p99" in out
+
+
+def test_fleet_cli_table_is_the_stats_table(tmp_path, capsys):
+    from repro.tools import fleet as fleet_cli
+    from repro.tools import stats as stats_cli
+
+    events = str(tmp_path / "fleet.jsonl")
+    store_path = str(tmp_path / "fleet.db")
+    assert fleet_cli.main([
+        "--tenants", "3", "--cores", "2", "--requests", "3",
+        "--arrivals", "uniform,bursty", "--events", events,
+        "--store", store_path,
+    ]) == 0
+    table = capsys.readouterr().out
+    lines = table.splitlines()
+    assert len(lines) == 2 + 2 * 3
+    assert lines[0].split() == [
+        "workload", "mode", "arrival", "fleet", "tenant", "core", "served",
+        "p50", "p95", "p99", "ipc", "fairness", "switches"]
+    assert [line.split()[5] for line in lines[2:]] == ["0", "1", "0"] * 2
+
+    assert stats_cli.main(["fleet", store_path]) == 0
+    assert capsys.readouterr().out == table
+
+    assert stats_cli.main([events, "--section", "fleet"]) == 0
+    assert capsys.readouterr().out == (
+        "== datacenter fleet ==\n" + table + "\n")
 
 
 def test_dashboard_counts_fleet_tenants():

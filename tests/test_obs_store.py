@@ -7,12 +7,15 @@ import time
 
 import pytest
 
+from repro.fleet import ArrivalSpec, FleetSpec
 from repro.harness import ExperimentSession, RunSpec
 from repro.harness.resultcache import ResultCache
 from repro.harness.spec import config_fingerprint
 from repro.arch.config import default_config
 from repro.obs.events import EventLog, FileSink
 from repro.obs.store import LOWER_IS_BETTER, STORE_METRICS, RunStore
+from repro.security.race import RaceSpec
+from repro.security.rotation import RotationPolicy
 from repro.tools import stats
 
 BUDGET = 3000
@@ -237,8 +240,9 @@ class TestBackfill:
         session = ExperimentSession(scale=0.3, max_instructions=5000)
         spec = session.spec("mcf", "emulate")
         result = session.run(spec)
-        # The cache keeps emulation results as pickles; a JSON entry
-        # holding ``as_dict()`` is the backfill's dict branch.
+        # A hand-written entry with no ``kind`` (as entries written
+        # before the field were) backfills as a ``run`` row, through the
+        # dict branch.
         entry = tmp_path / "cache" / "ab" / "abcd" / "result.json"
         entry.parent.mkdir(parents=True)
         entry.write_text(json.dumps({"spec": spec.normalized().as_dict(),
@@ -250,6 +254,49 @@ class TestBackfill:
                 "SELECT source, instructions FROM runs ORDER BY id")
         assert rows == [("sweep", result.run.icount),
                         ("backfill-cache", result.run.icount)]
+
+    def test_backfill_cache_records_every_kind(self, tmp_path):
+        specs = [
+            RunSpec("mcf", "vcfr", 64, scale=0.3, max_instructions=BUDGET),
+            RunSpec("mcf", "emulate", scale=0.3, max_instructions=BUDGET),
+            RaceSpec(policy=RotationPolicy(kind="periodic",
+                                           period_instructions=2000),
+                     max_instructions=4000),
+            FleetSpec(tenants=2, cores=1, max_instructions=20_000,
+                      arrival=ArrivalSpec(kind="uniform", requests=3)),
+        ]
+        cache_dir = str(tmp_path / "cache")
+        live_path = str(tmp_path / "live.sqlite")
+        with ExperimentSession(cache_dir=cache_dir,
+                               store_path=live_path) as session:
+            outcomes = session.sweep(specs)
+        results = {o.spec.kind: o.result for o in outcomes
+                   if o.spec.kind != "run"}
+        with RunStore(str(tmp_path / "runs.sqlite")) as store:
+            assert store.backfill_cache(cache_dir) == {
+                "ingested": 4, "skipped": 0}
+            _cols, rows = store.query(
+                "SELECT kind, mode, instructions FROM runs ORDER BY kind, "
+                "mode")
+            assert rows == [
+                ("fleet", "vcfr", results["fleet"].instructions),
+                ("race", "race", results["race"].instructions),
+                ("run", "emulate", outcomes[1].result.run.icount),
+                ("run", "vcfr", outcomes[0].result.instructions),
+            ]
+            assert store.payloads("race") == [results["race"].as_dict()]
+            assert store.payloads("fleet") == [results["fleet"].as_dict()]
+            columns = ("spec_key, kind, workload, mode, drc_entries, seed, "
+                       "scale, max_instructions, config_digest, "
+                       "instructions, cycles, ipc, il1_miss_rate, "
+                       "l2_miss_rate, drc_miss_rate, host_instructions, "
+                       "payload")
+            _cols, rebuilt = store.query(
+                "SELECT %s FROM runs ORDER BY spec_key" % columns)
+        with RunStore(live_path) as live:
+            _cols, recorded = live.query(
+                "SELECT %s FROM runs ORDER BY spec_key" % columns)
+        assert rebuilt == recorded
 
     def test_backfill_events(self, tmp_path):
         path = str(tmp_path / "ev.jsonl")

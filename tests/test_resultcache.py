@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -10,8 +11,12 @@ import pytest
 
 from repro.arch.config import default_config
 from repro.arch.simstats import Checkpoint, SimResult
+from repro.fleet import ArrivalSpec, FleetSpec
 from repro.harness import ExperimentSession, ResultCache, RunSpec
 from repro.isa.syscalls import OutputStream
+from repro.security.adversary import AdversarySpec
+from repro.security.race import RaceSpec
+from repro.security.rotation import RotationPolicy
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +25,28 @@ def sim_result():
     session = ExperimentSession(max_instructions=4000,
                                 checkpoint_interval=500)
     return session.run(session.spec("mcf", "vcfr", 64))
+
+
+def kind_specs():
+    """One small spec of each job kind: cycle run, emulation, race point
+    and fleet point."""
+    return [
+        RunSpec("mcf", "vcfr", 64, scale=0.3, max_instructions=3000),
+        RunSpec("mcf", "emulate", scale=0.3, max_instructions=3000),
+        RaceSpec(policy=RotationPolicy(kind="periodic",
+                                       period_instructions=2000),
+                 adversary=AdversarySpec(disclosure_rate=0.5),
+                 max_instructions=4000),
+        FleetSpec(tenants=2, cores=1, max_instructions=20_000,
+                  arrival=ArrivalSpec(kind="uniform", requests=3)),
+    ]
+
+
+@pytest.fixture(scope="module")
+def kind_results():
+    """Fresh results of :func:`kind_specs`, checkpoints on."""
+    session = ExperimentSession(checkpoint_interval=500)
+    return [(spec, session.run(spec)) for spec in kind_specs()]
 
 
 class TestSimResultSerialization:
@@ -178,6 +205,52 @@ class TestResultCache:
         # ... and a rewrite repairs it.
         cache.put(spec, config, sim_result)
         assert cache.get(spec, config) is not None
+
+
+class TestEveryKind:
+    """Every job kind is one ``result.json`` entry, read back as its
+    own result type."""
+
+    def test_put_get_round_trips_every_kind(self, kind_results, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        config = default_config()
+        for spec, result in kind_results:
+            path = cache.put(spec, config, result)
+            assert os.path.basename(path) == "result.json"
+            with open(path) as fh:
+                entry = json.load(fh)
+            assert entry["kind"] == spec.kind
+            assert entry["spec"] == spec.normalized().as_dict()
+            loaded = cache.get(spec, config)
+            assert type(loaded) is type(result)
+            assert loaded.as_dict() == result.as_dict()
+        assert cache.stats() == {"hits": 4, "misses": 0, "writes": 4}
+        assert [spec.kind for spec, _ in kind_results] == [
+            "run", "run", "race", "fleet"]
+
+    def test_emulation_comes_back_without_machine_state(self, kind_results,
+                                                        tmp_path):
+        cache = ResultCache(str(tmp_path))
+        spec, result = kind_results[1]
+        assert result.run.state is not None
+        cache.put(spec, default_config(), result)
+        loaded = cache.get(spec, default_config())
+        assert loaded.run.state is None
+        assert loaded.host_instructions == result.host_instructions
+
+    def test_pickled_entry_of_an_older_build_is_a_miss(self, kind_results,
+                                                       tmp_path):
+        cache = ResultCache(str(tmp_path))
+        config = default_config()
+        for spec, result in kind_results[1:]:
+            entry = cache.entry_dir(spec, config)
+            os.makedirs(entry)
+            with open(os.path.join(entry, "result.pkl"), "wb") as fh:
+                pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+            assert cache.get(spec, config) is None
+            assert cache.peek(spec, config) is None
+            assert os.path.exists(os.path.join(entry, "result.pkl"))
+        assert cache.stats() == {"hits": 0, "misses": 3, "writes": 0}
 
 
 class TestShardedLayout:

@@ -20,7 +20,7 @@ from repro.security import race as race_module
 from repro.security.race import (
     SERVICE_WORKLOAD,
     RaceSpec,
-    _build_race_image,
+    build_tenant_image,
     run_race,
 )
 from repro.security.rotation import RotationPolicy
@@ -28,7 +28,7 @@ from repro.tools.race import parse_policy
 
 
 def _service_program(seed=42):
-    image = _build_race_image(RaceSpec(seed=seed))
+    image = build_tenant_image(RaceSpec(seed=seed))
     return randomize(image, RandomizerConfig(seed=seed))
 
 
@@ -282,6 +282,31 @@ def test_race_cli_table_events_and_store(tmp_path, capsys):
     assert len(points) == 2
     with RunStore(store_path) as store:
         assert len(store.payloads("race")) == 2
+
+
+def test_race_cli_table_is_the_stats_table(tmp_path, capsys):
+    from repro.obs.events import read_events
+    from repro.tools import race as race_cli
+    from repro.tools import stats as stats_cli
+
+    events = str(tmp_path / "race.jsonl")
+    store_path = str(tmp_path / "race.db")
+    assert race_cli.main([
+        "--policies", "none,periodic@3000", "--rates", "0.25,0.5",
+        "--budget", "8000", "--events", events, "--store", store_path,
+    ]) == 0
+    table = capsys.readouterr().out
+    assert len(table.splitlines()) == 2 + 4
+
+    assert stats_cli.main(["race", store_path]) == 0
+    assert capsys.readouterr().out == table
+
+    assert stats_cli.main([events, "--section", "race"]) == 0
+    rotations = len(read_events(events, kind="rotation"))
+    assert rotations > 0
+    assert capsys.readouterr().out == (
+        "== rotation races ==\n" + table
+        + "(%d individual rotation events logged)\n\n" % rotations)
 
 
 def test_race_cli_json_output(capsys):

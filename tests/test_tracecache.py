@@ -69,16 +69,8 @@ def _program(name):
     return randomize(image, RandomizerConfig(seed=SEED))
 
 
-def _image_for(mode, program):
-    return {
-        "baseline": program.original,
-        "naive_ilr": program.naive_image,
-        "vcfr": program.vcfr_image,
-    }[mode]
-
-
 def _mode_cpu(mode, program, cfg):
-    return CycleCPU(_image_for(mode, program), make_flow(mode, program), cfg)
+    return CycleCPU(program.image_for(mode), make_flow(mode, program), cfg)
 
 
 class TestTraceTier:
