@@ -1,10 +1,11 @@
 """Micro-benchmark: the always-on observability path must stay cheap.
 
-Compares a 50k-instruction cycle simulation with the always-on metrics
-path active (global registry enabled + periodic checkpointing into a
-null event log) against the same simulation with everything disabled,
-and asserts the overhead is below 5% of host runtime (ISSUE 1
-acceptance criterion).
+Compares a 50k-instruction cycle simulation with the always-on
+observability path active (periodic checkpointing into a null event
+log) against the same simulation with checkpointing off, and asserts
+the overhead is below 5% of host runtime.  The gate keeps its
+historical ``metrics_overhead`` key so ``benchgate --compare`` reads
+the committed baseline.
 
 Run directly (the ``Makefile verify`` target does)::
 
@@ -13,15 +14,14 @@ Run directly (the ``Makefile verify`` target does)::
 or through pytest: ``pytest benchmarks/bench_obs_overhead.py -q``.
 Timing uses min-of-N interleaved repetitions, which is robust to
 transient host noise; the bound itself (5%) is ~10x the typical
-measured overhead (one integer compare per retired instruction plus a
-per-run registry sync).
+measured overhead (one integer compare per retired instruction plus
+the checkpoint samples).
 """
 
 import time
 
 from repro.arch.cpu import CycleCPU
 from repro.ilr import RandomizerConfig, make_flow, randomize
-from repro.obs.metrics import get_registry
 from repro.tools.benchgate import gate
 from repro.workloads import build_image
 
@@ -42,15 +42,9 @@ def _run_once(program, instrumented: bool) -> float:
         make_flow("vcfr", program),
         checkpoint_interval=MAX_INSTRUCTIONS // 100 if instrumented else 0,
     )
-    registry = get_registry()
-    was_enabled = registry.enabled
-    registry.enabled = instrumented
-    try:
-        start = time.perf_counter()
-        cpu.run(max_instructions=MAX_INSTRUCTIONS)
-        return time.perf_counter() - start
-    finally:
-        registry.enabled = was_enabled
+    start = time.perf_counter()
+    cpu.run(max_instructions=MAX_INSTRUCTIONS)
+    return time.perf_counter() - start
 
 
 def measure_overhead():
@@ -70,7 +64,7 @@ def measure_overhead():
     return best_plain, best_instrumented, overhead
 
 
-def test_always_on_metrics_overhead_under_5_percent():
+def test_always_on_obs_overhead_under_5_percent():
     plain, instrumented, overhead = measure_overhead()
     print(
         "\nobs overhead: plain %.4fs, instrumented %.4fs -> %+.2f%%"
@@ -81,6 +75,6 @@ def test_always_on_metrics_overhead_under_5_percent():
 
 
 if __name__ == "__main__":
-    test_always_on_metrics_overhead_under_5_percent()
-    print("OK: always-on metrics overhead within the %.0f%% budget"
+    test_always_on_obs_overhead_under_5_percent()
+    print("OK: always-on observability overhead within the %.0f%% budget"
           % (100 * OVERHEAD_LIMIT))

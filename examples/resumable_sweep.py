@@ -27,7 +27,7 @@ import tempfile
 from repro.harness import ExperimentSession, FaultPlan, RetryPolicy
 from repro.harness.resultcache import ResultCache
 from repro.harness.spec import RunSpec
-from repro.obs import get_registry
+from repro.harness.sweep import FAULT_COUNTS
 
 MAX_INSTRUCTIONS = 20_000
 SPECS = [
@@ -50,7 +50,7 @@ def main():
     print("clean sequential sweep: %d specs" % len(SPECS))
 
     # 1. A worker crash + a software failure, recovered transparently.
-    get_registry().reset()
+    FAULT_COUNTS.clear()
     plan = FaultPlan.from_string(
         "crash@mcf/vcfr@64#0,raise@bzip2/naive_ilr#0"
     )
@@ -64,8 +64,7 @@ def main():
           % (fingerprints(recovered) == fingerprints(clean)))
     print("  fault handling: %s" % ", ".join(
         "%s=%d" % (name.split(".", 1)[1], value)
-        for name, value in sorted(get_registry().counters("sweep.").items())
-        if value
+        for name, value in sorted(FAULT_COUNTS.items())
     ))
 
     # 2. Commit-as-you-go resumability: a sweep that loses one spec

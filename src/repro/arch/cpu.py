@@ -35,7 +35,6 @@ from typing import Callable, Dict, Optional
 from ..binary import BinaryImage, load_image
 from ..isa.instruction import Instruction
 from ..obs.events import EventLog
-from ..obs.metrics import get_registry
 from .blockcache import BlockCache
 from .branch import BranchStats, BranchUnit
 from .cache import Cache
@@ -176,8 +175,6 @@ class CycleCPU:
         #: counter writeback cell shared with generated trace functions
         #: (cycle, icount, last_page, last_line).
         self._trace_out = [0, 0, 0, 0]
-        #: previously-synced tier telemetry (see _sync_metrics).
-        self._tier_synced: Dict[str, int] = {}
 
     # -- DRC refill path -----------------------------------------------------
 
@@ -510,6 +507,8 @@ class CycleCPU:
             except ExitProgram:
                 self._finished = True
                 self.cycle += 1
+                if self.tracer is not None:
+                    self.tracer.record(inst, state.pc, fetch_pc, False, 0)
                 break
 
             stall += EXEC_EXTRA.get(inst.mnemonic, 0)
@@ -520,6 +519,8 @@ class CycleCPU:
             elif kind == CTRL_HALT:
                 self._finished = True
                 self.cycle += 1 + stall
+                if self.tracer is not None:
+                    self.tracer.record(inst, state.pc, fetch_pc, False, 0)
                 break
             else:
                 next_fetch_pc = flow.transfer(target)
@@ -709,6 +710,8 @@ class CycleCPU:
                         tracer.record(inst, arch_pc, fpc, False, 0)
                     cycle += 1 + stall
                 if halted:
+                    if tracer is not None:
+                        tracer.record(inst, arch_pc, fpc, False, 0)
                     break
 
                 (handler, inst, fpc, arch_pc, extra, page, line, pf1,
@@ -747,6 +750,8 @@ class CycleCPU:
                     self._finished = True
                     cycle += 1
                     fetch_pc = fpc
+                    if tracer is not None:
+                        tracer.record(inst, arch_pc, fpc, False, 0)
                     break
 
                 if touch:
@@ -767,6 +772,8 @@ class CycleCPU:
                     self._finished = True
                     cycle += 1 + stall
                     fetch_pc = fpc
+                    if tracer is not None:
+                        tracer.record(inst, arch_pc, fpc, False, 0)
                     break
                 else:
                     next_fetch_pc = transfer(target)
@@ -936,7 +943,6 @@ class CycleCPU:
         result.energy = compute_energy(
             self._activity(result), EnergyParams(), self.config.drc.entries
         )
-        self._sync_metrics(result)
         return result
 
     def tier_stats(self) -> Dict[str, Dict[str, int]]:
@@ -947,46 +953,6 @@ class CycleCPU:
         if self._tracecache is not None:
             stats["traces"] = self._tracecache.stats()
         return stats
-
-    #: tier_stats keys that are point-in-time sizes (synced as gauges);
-    #: everything else is monotonic and synced as counter deltas.
-    _TIER_GAUGES = frozenset(("blocks", "decoded", "traces",
-                              "live_entries"))
-
-    def _sync_tier_metrics(self, registry) -> None:
-        for tier, tier_stats in self.tier_stats().items():
-            for key, value in tier_stats.items():
-                name = "sim.tier.%s.%s" % (tier, key)
-                if key in self._TIER_GAUGES:
-                    registry.gauge(name).set(value)
-                    continue
-                delta = value - self._tier_synced.get(name, 0)
-                self._tier_synced[name] = value
-                if delta > 0:
-                    registry.counter(name).inc(delta)
-
-    def _sync_metrics(self, result: SimResult) -> None:
-        """Fold the finished run into the process-global metrics
-        registry (end-of-run only, so the hot loop never touches it)."""
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        self._sync_tier_metrics(registry)
-        mode = result.mode
-        registry.counter("sim.runs").inc()
-        registry.counter("sim.instructions").inc(result.instructions)
-        registry.counter("sim.cycles").inc(result.cycles)
-        registry.counter("sim.%s.instructions" % mode).inc(result.instructions)
-        registry.counter("sim.%s.cycles" % mode).inc(result.cycles)
-        if result.drc_lookups:
-            registry.counter("sim.drc.lookups").inc(result.drc_lookups)
-            registry.counter("sim.drc.misses").inc(result.drc_misses)
-        registry.gauge("sim.%s.last_ipc" % mode).set(result.ipc)
-        histogram = registry.histogram(
-            "sim.checkpoint.ipc", bounds=(0.2, 0.4, 0.6, 0.8, 1.0)
-        )
-        for checkpoint in result.checkpoints:
-            histogram.observe(checkpoint.ipc)
 
     def _activity(self, result: SimResult) -> Dict[str, int]:
         """Activity counters for the power model."""

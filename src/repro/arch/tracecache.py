@@ -727,8 +727,8 @@ class _TraceGen:
     def _emit_int(self, w, op, n, fetch):
         """``int``: the only op whose handler can raise ExitProgram.
         On exit the pending fetch stall is discarded (reference loop
-        charges a bare ``cycle += 1``), so the except arm returns
-        immediately with status 1."""
+        charges a bare ``cycle += 1``), so the except arm records the
+        exiting ``int`` and returns immediately with status 1."""
         (_handler, inst, fpc, arch, extra, *_rest) = op
         uses_stall = bool(fetch) or extra > 0
         syscall, *after = inline_exec_src(inst, n, self.randomized)["lines"]
@@ -742,6 +742,7 @@ class _TraceGen:
         w.line("    " + syscall)
         w.line("except X:")
         w.line("    cycle += 1")
+        w.extend(self._tracer_lines(n, arch, fpc), extra=1)
         w.line("    return (1, %d)" % fpc)
         w.extend(after)
         if self.record_events:

@@ -42,7 +42,6 @@ import sys
 import time
 
 from ..obs import open_log, status
-from ..obs.metrics import get_registry
 from ..obs.trace import Tracer
 from .ablations import ALL_ABLATIONS
 from .dashboard import Dashboard
@@ -55,7 +54,7 @@ from .cli import (
 from .experiments import ALL_EXPERIMENTS, suite_specs
 from .report import format_result, results_to_dict, write_json
 from .session import ExperimentSession
-from .sweep import FailedRunError
+from .sweep import FAULT_COUNTS, FailedRunError
 
 
 def main(argv=None) -> int:
@@ -183,15 +182,10 @@ def main(argv=None) -> int:
             status("(queue %s: %d claimed, %d yielded, %d takeovers)"
                    % (runner.queue.owner, qstats["claimed"],
                       qstats["yielded"], qstats["takeovers"]))
-        fault_counters = {
-            name: value
-            for name, value in get_registry().counters("sweep.").items()
-            if value
-        }
-        if fault_counters:
+        if FAULT_COUNTS:
             status("(sweep fault handling: %s)" % ", ".join(
                 "%s=%d" % (name.split(".", 1)[1], value)
-                for name, value in sorted(fault_counters.items())
+                for name, value in sorted(FAULT_COUNTS.items())
             ))
         if args.events or args.progress or args.profile_phases:
             status("")

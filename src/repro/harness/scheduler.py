@@ -22,8 +22,9 @@ replaced:
   integrity digests, commit-as-you-go cache writes, quarantine as
   :class:`~repro.harness.sweep.FailedRun`, and idempotent attempt-tagged
   observability merge (winning attempt only, input order).  The
-  ``sweep.*`` counters and ``run_retry``/``run_failed``/``pool_rebuild``
-  events are unchanged.
+  ``sweep.*`` fault counts (:data:`~repro.harness.sweep.FAULT_COUNTS`)
+  and ``run_retry``/``run_failed``/``pool_rebuild`` events are
+  unchanged.
 * **ISSUE 6 span/store parity** — the ``sweep → spec → attempt →
   phase`` span tree is byte-identical between inline and pooled
   execution, and store rows are committed as results complete.
@@ -63,7 +64,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..arch.config import MachineConfig, default_config
 from ..obs.events import EventLog
-from ..obs.metrics import get_registry
 from ..obs.profile import PhaseProfiler
 from ..obs.store import RunStore
 from ..obs.trace import NULL_TRACER, Tracer, rollup_spans, span_id_for_key
@@ -72,6 +72,7 @@ from .resultcache import ResultCache
 from .spec import RunSpec, config_fingerprint
 from .sweep import (
     DEFAULT_RETRY,
+    FAULT_COUNTS,
     FailedRun,
     RetryPolicy,
     SweepOutcome,
@@ -183,7 +184,7 @@ class _PoolState:
         future.add_done_callback(_release)
 
     async def handle_break(self, probe: bool, gen: int, reason: str,
-                           events, registry) -> None:
+                           events) -> None:
         """Replace a broken (or fully wedged) pool, once per generation."""
         async with self._rebuild_lock:
             current = self.probe_gen if probe else self.main_gen
@@ -198,7 +199,7 @@ class _PoolState:
                 self.main_gen += 1
                 self.main_sem = asyncio.Semaphore(self.nworkers)
                 self.main_wedged = 0
-            registry.counter("sweep.pool_rebuilds").inc()
+            FAULT_COUNTS["sweep.pool_rebuilds"] += 1
             events.emit("pool_rebuild", pool="probe" if probe else "main",
                         reason=reason)
             if old is not None:
@@ -320,9 +321,9 @@ class AsyncScheduler:
                                   cached=True, attempts=0)
 
     def _quarantine(self, spec: RunSpec, attempts: int, kind: str,
-                    error: str, detail: str, registry) -> FailedRun:
+                    error: str, detail: str) -> FailedRun:
         failure = FailedRun(spec, attempts, kind, error, detail)
-        registry.counter("sweep.quarantined").inc()
+        FAULT_COUNTS["sweep.quarantined"] += 1
         self.events.emit("run_failed", attempts=attempts, reason=kind,
                          error=error, **_job_fields(spec))
         if self.store is not None:
@@ -335,9 +336,9 @@ class AsyncScheduler:
             self.queue.release(spec, self.config)
         return failure
 
-    def _note_retry(self, spec: RunSpec, nxt: int, kind: str, error: str,
-                    registry) -> float:
-        registry.counter("sweep.retries").inc()
+    def _note_retry(self, spec: RunSpec, nxt: int, kind: str,
+                    error: str) -> float:
+        FAULT_COUNTS["sweep.retries"] += 1
         self.events.emit("run_retry", attempt=nxt, reason=kind,
                          error=error, **_job_fields(spec))
         return self.retry.delay(nxt)
@@ -345,7 +346,6 @@ class AsyncScheduler:
     # -- inline execution ----------------------------------------------------
 
     def _stream_inline(self, specs, sweep_key, total):
-        registry = get_registry()
         count = 0
         with self.tracer.span("sweep", span_key=sweep_key,
                               specs=(total or 0)) as sweep_span:
@@ -366,7 +366,7 @@ class AsyncScheduler:
                             not self.queue.claim(spec, self.config):
                         yield self._await_foreign_inline(spec)
                         continue
-                    yield self._resolve_inline(spec, registry)
+                    yield self._resolve_inline(spec)
             finally:
                 if sweep_span is not None and total is None:
                     sweep_span.fields["specs"] = count
@@ -375,7 +375,6 @@ class AsyncScheduler:
         """Another host claimed ``spec``: poll the shared cache for its
         result, taking the claim over (and executing locally) if it
         goes stale."""
-        registry = get_registry()
         while True:
             if self.cache.peek(spec, self.config) is not None:
                 result = self._cache_lookup(spec)
@@ -386,10 +385,10 @@ class AsyncScheduler:
                         pass
                     return SweepOutcome(spec, result, cached=True)
             if self.queue.claim(spec, self.config):
-                return self._resolve_inline(spec, registry)
+                return self._resolve_inline(spec)
             time.sleep(_TICK)
 
-    def _resolve_inline(self, spec: RunSpec, registry) -> SweepOutcome:
+    def _resolve_inline(self, spec: RunSpec) -> SweepOutcome:
         """One spec's retry loop, inline — identical to the engine it
         replaces: attempts emit straight into the parent observability,
         injected at-dispatch faults fail before the attempt span opens,
@@ -430,13 +429,11 @@ class AsyncScheduler:
                     nxt = attempt + 1
                     if nxt >= self.retry.max_attempts:
                         failure = self._quarantine(spec, nxt, kind,
-                                                   repr(exc), detail,
-                                                   registry)
+                                                   repr(exc), detail)
                         outcome = SweepOutcome(spec, None, attempts=nxt,
                                                failure=failure)
                         break
-                    delay = self._note_retry(spec, nxt, kind, repr(exc),
-                                             registry)
+                    delay = self._note_retry(spec, nxt, kind, repr(exc))
                     time.sleep(delay)
                     tracer.add_span("retry-wait", delay,
                                     span_key=key + "#wait%d" % nxt,
@@ -444,7 +441,7 @@ class AsyncScheduler:
                     attempt = nxt
                     continue
                 _commit_result(self.cache, spec, self.config, result,
-                               self.faults, events, registry)
+                               self.faults, events)
                 if self.queue is not None:
                     self.queue.complete(spec, self.config)
                 outcome = SweepOutcome(spec, result, attempts=attempt + 1)
@@ -485,7 +482,6 @@ class AsyncScheduler:
                 loop.close()
 
     async def _astream(self, specs, sweep_key, total):
-        registry = get_registry()
         state = _PoolState(self.workers)
         it = iter(specs)
         exhausted = False
@@ -503,7 +499,7 @@ class AsyncScheduler:
                     while next_emit in ready:
                         resolution = ready.pop(next_emit)
                         next_emit += 1
-                        yield self._emit_pooled(resolution, registry)
+                        yield self._emit_pooled(resolution)
                     # Intake up to the window bound.
                     while not exhausted and \
                             len(tasks) + len(ready) < self.window:
@@ -523,10 +519,10 @@ class AsyncScheduler:
                         elif self.queue is not None and \
                                 not self.queue.claim(spec, self.config):
                             tasks[next_index] = asyncio.ensure_future(
-                                self._await_foreign(spec, state, registry))
+                                self._await_foreign(spec, state))
                         else:
                             tasks[next_index] = asyncio.ensure_future(
-                                self._resolve_pooled(spec, state, registry))
+                                self._resolve_pooled(spec, state))
                         next_index += 1
                     if next_emit in ready:
                         continue
@@ -549,7 +545,7 @@ class AsyncScheduler:
                                          return_exceptions=True)
                 state.shutdown()
 
-    def _emit_pooled(self, resolution: _Resolution, registry) -> SweepOutcome:
+    def _emit_pooled(self, resolution: _Resolution) -> SweepOutcome:
         """Materialize one resolution at its input-order slot: the spec
         span plus the winning attempt's observability merge — exactly
         once per spec, never double-counted."""
@@ -570,15 +566,14 @@ class AsyncScheduler:
         else:
             self.events.replay(payload["records"])
         self.profiler.merge_snapshot(payload["phases"])
-        registry.merge_snapshot(payload["metrics"])
         self.tracer.adopt(payload.get("spans", ()),
                           parent_id=span_id_for_key(key))
         return SweepOutcome(spec, payload["result"],
                             events=payload["records"],
                             attempts=attempt + 1)
 
-    async def _await_foreign(self, spec: RunSpec, state: _PoolState,
-                             registry) -> _Resolution:
+    async def _await_foreign(self, spec: RunSpec,
+                             state: _PoolState) -> _Resolution:
         """Async twin of :meth:`_await_foreign_inline`."""
         while True:
             if self.cache.peek(spec, self.config) is not None:
@@ -587,11 +582,11 @@ class AsyncScheduler:
                     self._emit_cached_events(spec, result)
                     return _Resolution(spec, result=result, cached=True)
             if self.queue.claim(spec, self.config):
-                return await self._resolve_pooled(spec, state, registry)
+                return await self._resolve_pooled(spec, state)
             await asyncio.sleep(_TICK)
 
-    async def _resolve_pooled(self, spec: RunSpec, state: _PoolState,
-                              registry) -> _Resolution:
+    async def _resolve_pooled(self, spec: RunSpec,
+                              state: _PoolState) -> _Resolution:
         """One spec's pooled retry loop: dispatch attempts, verify
         integrity, commit as results complete, quarantine at the
         attempt bound.  Never raises for a failing spec."""
@@ -602,13 +597,12 @@ class AsyncScheduler:
         try:
             while True:
                 outcome = await self._attempt_pooled(spec, key, attempt,
-                                                     probe, abandoned,
-                                                     state, registry)
+                                                     probe, abandoned, state)
                 if outcome.payload is not None:
                     payload = outcome.payload
                     won = payload["attempt"]
                     if payload["digest"] != _result_digest(payload["result"]):
-                        registry.counter("sweep.corrupt_results").inc()
+                        FAULT_COUNTS["sweep.corrupt_results"] += 1
                         outcome = _Attempt(
                             kind="corrupt",
                             error="result payload failed integrity check",
@@ -617,7 +611,7 @@ class AsyncScheduler:
                     else:
                         _commit_result(self.cache, spec, self.config,
                                        payload["result"], self.faults,
-                                       self.events, registry)
+                                       self.events)
                         if self.queue is not None:
                             self.queue.complete(spec, self.config)
                         self.events.emit("spec_done", cached=False,
@@ -636,11 +630,10 @@ class AsyncScheduler:
                 nxt = attempt + 1
                 if nxt >= self.retry.max_attempts:
                     failure = self._quarantine(spec, nxt, outcome.kind,
-                                               outcome.error, outcome.detail,
-                                               registry)
+                                               outcome.error, outcome.detail)
                     return _Resolution(spec, failure=failure)
                 delay = self._note_retry(spec, nxt, outcome.kind,
-                                         outcome.error, registry)
+                                         outcome.error)
                 await asyncio.sleep(delay)
                 self.tracer.add_span("retry-wait", delay,
                                      parent_id=span_id_for_key(key),
@@ -653,11 +646,11 @@ class AsyncScheduler:
             # no longer interesting — count them as ignored duplicates
             # when they land (the ISSUE 4 accounting).
             for future in abandoned:
-                future.add_done_callback(_count_duplicate(registry))
+                future.add_done_callback(_count_duplicate)
 
     async def _attempt_pooled(self, spec: RunSpec, key: str, attempt: int,
-                              probe: bool, abandoned, state: _PoolState,
-                              registry) -> _Attempt:
+                              probe: bool, abandoned,
+                              state: _PoolState) -> _Attempt:
         """Dispatch and await one pooled attempt.
 
         Returns the attempt's payload, or its failure classification
@@ -680,7 +673,7 @@ class AsyncScheduler:
                 # recycle the pool and resubmit without penalty.
                 sem.release()
                 await state.handle_break(probe, gen, "submit on broken pool",
-                                        self.events, registry)
+                                         self.events)
                 continue
             self.events.emit("spec_dispatch", attempt=attempt, probe=probe,
                              **_job_fields(spec))
@@ -705,9 +698,9 @@ class AsyncScheduler:
                     if exc is None:
                         return _Attempt(payload=future.result())
                     if isinstance(exc, BrokenProcessPool):
-                        registry.counter("sweep.requeued").inc()
+                        FAULT_COUNTS["sweep.requeued"] += 1
                         await state.handle_break(probe, gen, "worker crash",
-                                                self.events, registry)
+                                                 self.events)
                         return _Attempt(kind="crash",
                                         error="worker process died: %s" % exc,
                                         probe_next=True)
@@ -721,7 +714,7 @@ class AsyncScheduler:
                     # A previously timed-out attempt delivered first:
                     # accept it ("late results are still accepted") and
                     # let the in-flight attempt resolve as a duplicate.
-                    future.add_done_callback(_count_duplicate(registry))
+                    future.add_done_callback(_count_duplicate)
                     return _Attempt(payload=late)
                 if done:
                     continue  # only abandoned failures completed; re-wait
@@ -730,15 +723,14 @@ class AsyncScheduler:
                 # until it actually finishes, and recycle the pool if
                 # every main worker is wedged.
                 abandoned.append(future)
-                registry.counter("sweep.timeouts").inc()
+                FAULT_COUNTS["sweep.timeouts"] += 1
                 if probe:
                     sem.release()
                 else:
                     state.note_wedged(sem, future)
                     if state.main_wedged >= state.nworkers:
                         await state.handle_break(
-                            False, gen, "all workers wedged",
-                            self.events, registry)
+                            False, gen, "all workers wedged", self.events)
                 return _Attempt(kind="timeout",
                                 error="no result after %.2fs"
                                       % self.retry.timeout,
@@ -759,11 +751,11 @@ class AsyncScheduler:
         return None
 
 
-def _count_duplicate(registry):
-    def _done(future):
-        try:
-            if not future.cancelled() and future.exception() is None:
-                registry.counter("sweep.duplicates_ignored").inc()
-        except asyncio.CancelledError:
-            pass
-    return _done
+def _count_duplicate(future) -> None:
+    """Done-callback of an abandoned attempt: a valid late result that
+    lost the race is an ignored duplicate."""
+    try:
+        if not future.cancelled() and future.exception() is None:
+            FAULT_COUNTS["sweep.duplicates_ignored"] += 1
+    except asyncio.CancelledError:
+        pass

@@ -16,7 +16,7 @@ surface: it deduplicates normalized specs, serves anything already in
 the on-disk :class:`~repro.harness.resultcache.ResultCache`, fans the
 rest over a process pool (``workers >= 2``) or runs them inline, and
 merges worker observability (buffered events, profiler phase totals,
-metrics snapshots) back into the parent.
+trace spans) back into the parent.
 
 Every execution path funnels through :func:`execute_spec`, so a pooled
 sweep produces **bit-identical** results to a sequential one: each spec
@@ -53,20 +53,23 @@ guarantees, under a :class:`RetryPolicy` (on by default):
   is preserved and a re-invoked sweep picks up where it stopped.
 * **Idempotent observability** — worker snapshots are tagged with their
   attempt id and merged exactly once per spec (the winning attempt
-  only), so a retried spec can never double-count events, metrics, or
+  only), so a retried spec can never double-count events, spans, or
   phase totals in the parent.
 
-Failures and retries surface through the process-global metrics
-registry (``sweep.retries``, ``sweep.timeouts``, ``sweep.quarantined``,
-``sweep.pool_rebuilds``, ``sweep.requeued``, ``sweep.corrupt_results``,
-``sweep.cache_write_errors``, ``sweep.duplicates_ignored``) and the
-event log (``run_retry``, ``run_failed``, ``pool_rebuild`` records).
+Failures and retries surface through the event log (``run_retry``,
+``run_failed``, ``pool_rebuild`` records) and the process-global
+:data:`FAULT_COUNTS` counter (``sweep.retries``, ``sweep.timeouts``,
+``sweep.quarantined``, ``sweep.pool_rebuilds``, ``sweep.requeued``,
+``sweep.corrupt_results``, ``sweep.cache_write_errors``,
+``sweep.duplicates_ignored``), which only the parent increments and
+``python -m repro.harness`` prints as its fault-handling line.
 Deterministic fault injection for all of the above lives in
 :mod:`repro.harness.faults`.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import time
@@ -80,7 +83,6 @@ from ..emu import ILREmulator
 from ..fleet import datacenter
 from ..ilr import RandomizedProgram, RandomizerConfig, make_flow, randomize
 from ..obs.events import EventLog, MemorySink
-from ..obs.metrics import get_registry
 from ..obs.profile import PhaseProfiler
 from ..obs.store import RunStore
 from ..obs.trace import NULL_TRACER, Tracer
@@ -97,6 +99,7 @@ __all__ = [
     "FailedRun",
     "FailedRunError",
     "DEFAULT_RETRY",
+    "FAULT_COUNTS",
 ]
 
 #: Key of one randomized program build: workload identity + everything
@@ -105,6 +108,10 @@ ProgramKey = Tuple[str, int, float]
 
 #: What a ``corrupt`` fault leaves where the result should be.
 _CORRUPT_SENTINEL = "\x00corrupt-result\x00"
+
+#: Fault-handling counts of every sweep in this process, keyed
+#: ``sweep.<what>``.  Only the parent increments it.
+FAULT_COUNTS = collections.Counter()
 
 
 def program_key(spec: RunSpec) -> ProgramKey:
@@ -358,8 +365,7 @@ def _result_digest(result) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _commit_result(cache, spec, config, result, faults, events,
-                   registry) -> None:
+def _commit_result(cache, spec, config, result, faults, events) -> None:
     """Commit one finished result to the on-disk cache (non-fatal).
 
     Called as results complete — not at merge time — so a sweep killed
@@ -375,7 +381,7 @@ def _commit_result(cache, spec, config, result, faults, events,
             raise OSError("injected cache write failure")
         cache.put(spec, config, result)
     except OSError as exc:
-        registry.counter("sweep.cache_write_errors").inc()
+        FAULT_COUNTS["sweep.cache_write_errors"] += 1
         events.status("cache write failed", error=str(exc),
                       **_job_fields(spec))
 
@@ -394,16 +400,13 @@ def _pool_task(spec, config: MachineConfig,
     """Execute one attempt of ``spec`` (any job kind) in a pool worker.
 
     Events are buffered in a :class:`MemorySink` (file sinks are
-    single-writer; see :meth:`EventLog.replay`); profiler phases, a
-    per-task metrics snapshot, exported trace spans (when the parent is
-    tracing), the attempt id, the attempt's host seconds, and a
-    result-integrity digest ride back with the result for the parent to
-    verify and merge exactly once.
+    single-writer; see :meth:`EventLog.replay`); profiler phases,
+    exported trace spans (when the parent is tracing), the attempt id,
+    the attempt's host seconds, and a result-integrity digest ride back
+    with the result for the parent to verify and merge exactly once.
     Module-level so the pool can pickle it.
     """
     action = apply_worker_fault(faults, spec.label(), attempt)
-    registry = get_registry()
-    registry.reset()  # isolate this task's delta in a reused worker
     sink = MemorySink()
     log = EventLog(sink)
     profiler = PhaseProfiler(log)
@@ -433,7 +436,6 @@ def _pool_task(spec, config: MachineConfig,
         "result": result,
         "records": sink.records,
         "phases": profiler.snapshot(),
-        "metrics": registry.snapshot(),
         "spans": tracer.export(),
         "host_seconds": host_seconds,
         "digest": digest,

@@ -1,12 +1,8 @@
 """Simulator-wide observability layer.
 
-Five independent instruments, designed to be threaded through every
+Four independent instruments, designed to be threaded through every
 subsystem without coupling them to each other:
 
-* :mod:`repro.obs.metrics` — an always-on metrics registry (counters,
-  gauges, fixed-bucket histograms) with snapshot/reset semantics.  The
-  hot simulation loops keep their ``__slots__`` stat dataclasses; the
-  registry is the cross-run aggregation point they sync into.
 * :mod:`repro.obs.events` — a structured event log emitting typed JSONL
   records (``run_start``, ``phase``, ``checkpoint``, ``drc_evict``,
   ``spec_dispatch``, ``spec_done``, ``run_end``, ...) through a
@@ -21,6 +17,9 @@ subsystem without coupling them to each other:
   run (spec fingerprint, config digest, key stats, span rollups) plus
   fuzz findings, with backfill from cache directories and JSONL logs.
 
+Run statistics live on result objects and ``run_end`` events (tier
+telemetry in their ``tiers`` field); the sweep engine's fault counts
+are a plain counter, :data:`repro.harness.sweep.FAULT_COUNTS`.
 ``repro.tools.stats`` consumes both surfaces: JSONL logs for one-sweep
 analysis, the run store for cross-history queries (``best`` /
 ``compare`` / ``history`` / raw SQL).  :func:`status` (stderr chatter)
@@ -42,17 +41,11 @@ from .events import (
     open_log,
     read_events,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, get_registry
 from .profile import PhaseProfiler
 from .store import RunStore
 from .trace import NULL_TRACER, Span, TickClock, Tracer, rollup_spans
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_registry",
     "EventLog",
     "NullSink",
     "MemorySink",

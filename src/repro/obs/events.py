@@ -49,33 +49,7 @@ __all__ = [
     "open_log",
     "read_events",
     "follow_events",
-    "EVENT_KINDS",
 ]
-
-#: The typed record vocabulary (free-form kinds are allowed but these
-#: are what the stats CLI knows how to render).
-EVENT_KINDS = (
-    "run_start",
-    "checkpoint",
-    "phase",
-    "drc_evict",
-    "cache_fill_burst",
-    "run_end",
-    "spec_dispatch",
-    "spec_done",
-    "run_retry",
-    "run_failed",
-    "pool_rebuild",
-    "status",
-    # repro.qa differential fuzzing (tools/fuzz CLI):
-    "fuzz_program",
-    "fuzz_finding",
-    "fuzz_end",
-    # race and fleet jobs (emitted by the job itself, like run_end):
-    "rotation",
-    "race_point",
-    "tenant_point",
-)
 
 
 class NullSink:
@@ -168,12 +142,6 @@ class EventLog:
 
     # Convenience wrappers: keep producer call sites short and the
     # field names consistent across subsystems.
-
-    def run_start(self, workload: str, mode: str, **fields) -> None:
-        self.emit("run_start", workload=workload, mode=mode, **fields)
-
-    def run_end(self, workload: str, mode: str, **fields) -> None:
-        self.emit("run_end", workload=workload, mode=mode, **fields)
 
     def phase(self, phase: str, seconds: float, **fields) -> None:
         self.emit("phase", phase=phase, seconds=round(seconds, 6), **fields)

@@ -62,7 +62,8 @@ def main(argv=None) -> int:
     add_observability_options(parser, default_checkpoint_interval=10_000)
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="dump the bounded instruction trace as JSONL "
-                             "(requires --timing)")
+                             "(cycle simulator only: requires --timing, "
+                             "not --mode emulate)")
     parser.add_argument("--trace-capacity", type=int, default=4096,
                         help="trace ring size (last N instructions kept)")
     parser.add_argument("--inject-faults", metavar="PLAN", default=None,
@@ -79,9 +80,10 @@ def main(argv=None) -> int:
         except ValueError as err:
             parser.error(str(err))
 
-    if args.trace and not args.timing and args.mode != "emulate":
-        parser.error("--trace requires --timing (the tracer instruments "
-                     "the cycle simulator)")
+    if args.trace and (args.mode == "emulate" or not args.timing):
+        parser.error("--trace requires --timing and a simulated mode (the "
+                     "tracer instruments the cycle simulator; --mode "
+                     "emulate runs the software-ILR VM)")
 
     program, image = _load_any(args.path)
     if program is None and args.mode != "baseline":

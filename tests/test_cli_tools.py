@@ -132,6 +132,19 @@ class TestRun:
         assert run.main([binary_file, "--mode", "vcfr"]) == 1
         assert "RXRP" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("timing", [[], ["--timing"]])
+    def test_emulate_refuses_trace(self, bundle_file, tmp_path, capsys,
+                                   timing):
+        # The software-ILR VM has no instruction tracer: asking for one
+        # is a usage error, not a silent run that writes no file.
+        trace = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run.main([bundle_file, "--mode", "emulate", "--trace",
+                      str(trace)] + timing)
+        assert exc.value.code == 2
+        assert "cycle simulator" in capsys.readouterr().err
+        assert not trace.exists()
+
 
 class TestRopscan:
     def test_binary_scan_finds_payload(self, binary_file, capsys):

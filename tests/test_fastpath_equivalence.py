@@ -145,6 +145,42 @@ class TestTraceEquivalence:
             e.as_dict() for e in trace_ref.entries
         ]
 
+    @staticmethod
+    def _exit_program(how):
+        """A hot loop whose program ends in ``how``: ``int`` exits through
+        the loop's own ``int 0x80`` (the syscall number turns from 5,
+        emit, to 1, exit, without a branch, so the last iteration exits
+        inside a compiled trace); ``halt`` halts after the loop."""
+        b = ProgramBuilder("exit_" + how)
+        b.label("main")
+        b.emits("movi ecx, 0", "movi ebx, 0")
+        b.label("top")
+        if how == "int":
+            b.emits("add ecx, 1", "mov eax, ecx", "shr eax, 8",
+                    "shl eax, 2", "movi edx, 5", "sub edx, eax",
+                    "mov eax, edx", "int 0x80", "jmp top")
+        else:
+            b.emits("add ecx, 1", "cmp ecx, 300", "jl top", "halt")
+        return randomize(b.image(), RandomizerConfig(seed=SEED))
+
+    @pytest.mark.parametrize("how", ["int", "halt"])
+    @pytest.mark.parametrize("mode", ["baseline", "naive_ilr", "vcfr"])
+    def test_trace_ends_with_the_exiting_instruction(self, mode, how):
+        program = self._exit_program(how)
+        traces = []
+        for fastpath, tracepath in ((False, False), (True, False),
+                                    (True, True)):
+            cpu = _cpu(mode, program, fastpath, tracepath=tracepath)
+            tracer = attach_tracer(cpu, capacity=100_000)
+            result = cpu.run(max_instructions=BUDGET)
+            assert result.finished
+            assert tracer.retired == result.instructions
+            assert tracer.entries[-1].mnemonic == how
+            if tracepath:
+                assert cpu.tier_stats()["traces"]["entries"] > 0
+            traces.append([e.as_dict() for e in tracer.entries])
+        assert traces[0] == traces[1] == traces[2]
+
 
 class TestInvalidation:
     def test_rerandomization_invalidates_and_stays_equivalent(self):

@@ -27,9 +27,8 @@ from repro.harness.resultcache import ResultCache
 from repro.harness.scheduler import AsyncScheduler
 from repro.harness.session import ExperimentSession
 from repro.harness.spec import RunSpec
-from repro.harness.sweep import FailedRunError, RetryPolicy
+from repro.harness.sweep import FAULT_COUNTS, FailedRunError, RetryPolicy
 from repro.obs.events import EventLog, MemorySink
-from repro.obs.metrics import get_registry
 from repro.obs.profile import PhaseProfiler
 
 BUDGET = 3000
@@ -159,7 +158,7 @@ class TestFaultDifferential:
         plan = FaultPlan.from_string(
             "crash@mcf/baseline#0,crash@mcf/baseline#1,crash@mcf/baseline#2"
         )
-        get_registry().reset()
+        FAULT_COUNTS.clear()
         outcomes = ExperimentSession(workers=2, retry=RETRY,
                                      faults=plan).sweep(SPECS)
         assert len(outcomes) == len(SPECS)  # reported, never dropped
@@ -172,9 +171,8 @@ class TestFaultDifferential:
         # breaking, yet their results must be untouched.
         assert all(o.ok for o in outcomes[1:])
         assert serialized(outcomes[1:]) == clean_reference[1:]
-        counters = get_registry().counters("sweep.")
-        assert counters["sweep.quarantined"] == 1
-        assert counters["sweep.pool_rebuilds"] >= 1
+        assert FAULT_COUNTS["sweep.quarantined"] == 1
+        assert FAULT_COUNTS["sweep.pool_rebuilds"] >= 1
 
     def test_inline_quarantine_raises_only_on_demand(self):
         plan = FaultPlan.from_string("raise@mcf/baseline#0,raise@mcf/baseline#1,"
@@ -192,7 +190,7 @@ class TestFaultDifferential:
 
     def test_timeout_abandons_hung_attempt(self, clean_reference):
         plan = FaultPlan.from_string("hang@mcf/baseline#0,hang=5")
-        get_registry().reset()
+        FAULT_COUNTS.clear()
         outcomes = ExperimentSession(
             workers=2,
             retry=RetryPolicy(max_attempts=3, timeout=1.0, backoff=0.01),
@@ -201,7 +199,7 @@ class TestFaultDifferential:
         assert all(o.ok for o in outcomes)
         assert serialized(outcomes) == clean_reference
         assert outcomes[0].attempts == 2
-        assert get_registry().counters("sweep.")["sweep.timeouts"] == 1
+        assert FAULT_COUNTS["sweep.timeouts"] == 1
 
     def test_emulation_results_survive_the_integrity_check(self):
         # EmulationResult has no as_dict(): its digest is over the
@@ -210,13 +208,13 @@ class TestFaultDifferential:
         specs = [RunSpec("mcf", "emulate", max_instructions=BUDGET)]
         ref = ExperimentSession().sweep(specs)[0].result
         plan = FaultPlan.from_string("corrupt@mcf/emulate#0")
-        get_registry().reset()
+        FAULT_COUNTS.clear()
         outcome = ExperimentSession(workers=2, retry=RETRY,
                                     faults=plan).sweep(specs)[0]
         assert outcome.ok and outcome.attempts == 2
         assert outcome.result.run.snapshot() == ref.run.snapshot()
         assert outcome.result.host_instructions == ref.host_instructions
-        assert get_registry().counters("sweep.")["sweep.corrupt_results"] == 1
+        assert FAULT_COUNTS["sweep.corrupt_results"] == 1
 
 
 # -- resumability ------------------------------------------------------------
@@ -240,7 +238,7 @@ class TestResumability:
         plan = FaultPlan.from_string("cachefail@mcf/baseline#0")
         cache = ResultCache(str(tmp_path))
         sink = MemorySink()
-        get_registry().reset()
+        FAULT_COUNTS.clear()
         # An event log without checkpoints: only the scheduler offers
         # it (a session checkpoints whenever its log is enabled, and a
         # checkpoint's host_seconds would differ from the reference).
@@ -249,8 +247,7 @@ class TestResumability:
             events=EventLog(sink)).stream(SPECS))
         assert serialized(outcomes) == clean_reference  # result kept
         assert cache.writes == len(SPECS) - 1
-        counters = get_registry().counters("sweep.")
-        assert counters["sweep.cache_write_errors"] == 1
+        assert FAULT_COUNTS["sweep.cache_write_errors"] == 1
         assert any(r["kind"] == "status" and "cache write failed"
                    in r.get("message", "") for r in sink.records)
         # Resume recomputes only the uncommitted spec.
@@ -269,7 +266,6 @@ class TestIdempotentObservability:
             self, clean_reference):
         sink = MemorySink()
         profiler = PhaseProfiler()
-        get_registry().reset()
         plan = FaultPlan.from_string("raise@mcf/baseline#0,"
                                      "crash@bzip2/naive_ilr#0")
         outcomes = list(AsyncScheduler(
@@ -284,8 +280,6 @@ class TestIdempotentObservability:
             assert [(r["workload"], r["mode"]) for r in records] == [
                 (s.workload, s.mode) for s in SPECS
             ]
-        # Metrics from failed attempts never reach the parent registry.
-        assert get_registry().counters()["sim.runs"] == len(SPECS)
         # Phase totals likewise fold in once per spec.
         assert profiler.stats["simulate"].calls == len(SPECS)
 
@@ -419,3 +413,25 @@ def test_injected_crash_exits_with_the_crash_code(tmp_path):
     assert out.returncode == 75
     assert "INJECTED FAULT" in out.stderr
     assert CRASH_EXIT_CODE == 87  # the worker-kill status stays documented
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("extra, faults, line", [
+    ([], "raise@h264ref/baseline#0,cachefail@h264ref/vcfr@128#0",
+     "(sweep fault handling: cache_write_errors=1, retries=1)"),
+    (["--workers", "2"], "corrupt@h264ref/vcfr@128#0",
+     "(sweep fault handling: corrupt_results=1, retries=1)"),
+], ids=["inline", "pooled"])
+def test_harness_prints_the_fault_line(tmp_path, extra, faults, line):
+    """The harness ends with one stderr line of fault counts.  Run as a
+    subprocess: the counts are process-global, so an in-process main()
+    would also see what earlier tests left."""
+    env = dict(os.environ, PYTHONPATH="src")
+    out = subprocess.run(
+        [sys.executable, "-m", "repro.harness", "table1", "--scale", "0.3",
+         "--max-instructions", "20000", "--inject-faults", faults,
+         "--cache-dir", str(tmp_path)] + extra,
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert line in out.stderr.splitlines()

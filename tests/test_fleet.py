@@ -6,6 +6,7 @@ import pytest
 
 from repro.arch import SharedMemorySystem
 from repro.arch.context import TimeSharedCPU, measure_switch_sensitivity
+from repro.arch.cpu import CycleCPU
 from repro.arch.sharedmem import PHYS_BASE_SHIFT
 from repro.fleet import (
     ArrivalSpec,
@@ -19,7 +20,11 @@ from repro.ilr import RandomizerConfig, make_flow, randomize
 from repro.isa import assemble
 from repro.obs.events import EventLog, MemorySink
 from repro.obs.store import RunStore
-from repro.security.race import SERVICE_WORKLOAD, build_service_image
+from repro.security.race import (
+    SERVICE_WORKLOAD,
+    build_service_image,
+    build_tenant_image,
+)
 
 SRC = """
 .code 0x400000
@@ -260,6 +265,63 @@ class TestFleetModel:
             run_fleet(_spec(cores=0))
         with pytest.raises(ValueError):
             run_fleet(_spec(request_instructions=0))
+
+
+# -- metamorphic: a one-tenant fleet is a plain CycleCPU ----------------------
+
+
+_SOLO = {
+    "service-vcfr-poisson-1core": _spec(tenants=1, cores=1),
+    "service-vcfr-poisson-2cores": _spec(tenants=1, cores=2),
+    "service-vcfr-bursty-1core": _spec(tenants=1, cores=1, kind="bursty"),
+    "service-vcfr-bursty-2cores": _spec(tenants=1, cores=2, kind="bursty"),
+    "service-vcfr-uniform-1core": _spec(tenants=1, cores=1, kind="uniform"),
+    "service-vcfr-uniform-2cores": _spec(tenants=1, cores=2,
+                                         kind="uniform"),
+    "service-vcfr-quantum700": _spec(tenants=1, cores=1,
+                                     quantum_instructions=700),
+    "mcf-naive_ilr-budget": _spec(workload="mcf", mode="naive_ilr",
+                                  tenants=1, cores=1, requests=10,
+                                  max_instructions=5_000),
+    "gcc-baseline-to-exit": _spec(workload="gcc", mode="baseline",
+                                  tenants=1, cores=1, requests=10,
+                                  request_instructions=20_000),
+}
+
+
+def _rate(misses, total):
+    return misses / total if total else 0.0
+
+
+@pytest.mark.parametrize("case", sorted(_SOLO))
+def test_one_tenant_fleet_matches_a_plain_cpu(case):
+    """Scheduling, the shared-memory port and idle gaps add nothing to a
+    lone tenant but its one switch-in: it retires what a private
+    ``CycleCPU`` running the same image retires, in the same cycles
+    plus the switch cost, with the same cache, DRC and DRAM traffic."""
+    spec = _SOLO[case]
+    fleet = run_fleet(spec)
+    [tenant] = fleet.tenant_results
+    program = randomize(build_tenant_image(spec),
+                        RandomizerConfig(seed=spec.seed))
+    plain = CycleCPU(program.image_for(spec.mode),
+                     make_flow(spec.mode, program))
+    finished = plain.run_slice(tenant.instructions)
+
+    assert tenant.instructions == plain.state.icount
+    assert tenant.switches == 1
+    assert fleet.cycles == plain.cycle + tenant.switches * spec.switch_cycles
+    assert tenant.il1_miss_rate == _rate(plain.il1.stats.misses,
+                                         plain.il1.stats.accesses)
+    assert tenant.drc_miss_rate == _rate(plain.drc.stats.misses,
+                                         plain.drc.stats.lookups)
+    assert fleet.l2_accesses == plain.l2.stats.accesses
+    assert fleet.l2_misses == plain.l2.stats.misses
+    assert fleet.dram_accesses == plain.dram.stats.accesses
+    if case == "mcf-naive_ilr-budget":
+        assert tenant.instructions == spec.max_instructions
+    if case == "gcc-baseline-to-exit":
+        assert finished and tenant.unserved > 0
 
 
 # -- sweep: sequential vs pooled bit-identity --------------------------------

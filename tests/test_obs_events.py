@@ -65,9 +65,11 @@ class TestSinks:
     def test_jsonl_round_trip(self, tmp_path):
         path = str(tmp_path / "ev.jsonl")
         with open_log(path) as log:
-            log.run_start("gcc", "vcfr", max_instructions=100)
+            log.emit("run_start", workload="gcc", mode="vcfr",
+                     max_instructions=100)
             log.phase("simulate", 0.25, workload="gcc")
-            log.run_end("gcc", "vcfr", instructions=100)
+            log.emit("run_end", workload="gcc", mode="vcfr",
+                     instructions=100)
         records = read_events(path)
         assert [r["kind"] for r in records] == [
             "run_start", "phase", "run_end",
@@ -226,14 +228,14 @@ class TestTruncatedLogs:
 
     def _write_truncated(self, path):
         log = EventLog(FileSink(path))
-        log.run_start("mcf", "vcfr", drc_entries=64)
+        log.emit("run_start", workload="mcf", mode="vcfr", drc_entries=64)
         log.emit("checkpoint", workload="mcf", mode="vcfr", drc_entries=64,
                  instructions=1000, ipc=0.5)
         log.emit("checkpoint", workload="mcf", mode="vcfr", drc_entries=64,
                  instructions=2000, ipc=0.7)
-        log.run_end("mcf", "vcfr", instructions=2000, cycles=4000,
-                    ipc=0.6, il1_miss_rate=0.01, drc_miss_rate=0.02,
-                    checkpoints=2, host_seconds=0.1)
+        log.emit("run_end", workload="mcf", mode="vcfr", instructions=2000,
+                 cycles=4000, ipc=0.6, il1_miss_rate=0.01,
+                 drc_miss_rate=0.02, checkpoints=2, host_seconds=0.1)
         log.close()
         # Chop the final record mid-JSON, the way SIGKILL does.
         with open(path) as fh:
@@ -266,7 +268,7 @@ class TestTruncatedLogs:
         # must fall back to ratio()'s default instead of raising.
         path = str(tmp_path / "sparse.jsonl")
         log = EventLog(FileSink(path))
-        log.run_start("mcf", "baseline")
+        log.emit("run_start", workload="mcf", mode="baseline")
         log.close()
         from repro.tools.stats import main as stats_main
 

@@ -5,7 +5,6 @@ import pytest
 from repro.harness import AsyncScheduler, ExperimentSession, RunSpec
 from repro.harness.experiments import suite_specs, table1
 from repro.obs.events import EventLog, MemorySink
-from repro.obs.metrics import get_registry
 from tests.test_fleet import _grid as fleet_grid
 from tests.test_security_race import _grid as race_grid
 
@@ -69,20 +68,17 @@ class TestObservabilityMerge:
         assert {r["drc_entries"] for r in vcfr_starts} == {64, 128}
 
     def test_worker_phases_and_metrics_merge(self):
-        registry = get_registry()
-        registry.reset()
-        log = EventLog(MemorySink())
+        sink = MemorySink()
         from repro.obs.profile import PhaseProfiler
 
         profiler = PhaseProfiler()
-        list(AsyncScheduler(workers=2, events=log,
+        list(AsyncScheduler(workers=2, events=EventLog(sink),
                             profiler=profiler).stream(SPECS))
         assert profiler.stats["simulate"].calls == len(SPECS)
         assert profiler.stats["simulate"].seconds > 0
-        assert registry.counter("sim.runs").value == len(SPECS)
-        assert registry.counter("sim.instructions").value == (
-            BUDGET * len(SPECS)
-        )
+        # Each worker's run totals reach the parent once, on run_end.
+        ends = [r for r in sink.records if r["kind"] == "run_end"]
+        assert sum(r["instructions"] for r in ends) == BUDGET * len(SPECS)
 
 
 class TestProfilePhases:
@@ -104,13 +100,13 @@ class TestProfilePhases:
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_cycle_runs_keep_the_default_tiers(self, workers):
-        registry = get_registry()
-        registry.reset()
-        ExperimentSession(workers=workers, profile_phases=True).sweep(
+        sink = MemorySink()
+        ExperimentSession(workers=workers, profile_phases=True,
+                          events=EventLog(sink)).sweep(
             [RunSpec("lbm", "baseline", max_instructions=20_000)])
-        counters = registry.counters()
-        assert counters["sim.tier.blocks.execs"] > 0
-        assert counters["sim.tier.traces.entries"] > 0
+        [end] = [r for r in sink.records if r["kind"] == "run_end"]
+        assert end["tiers"]["blocks"]["execs"] > 0
+        assert end["tiers"]["traces"]["entries"] > 0
 
 
 class TestWarmCache:
