@@ -78,6 +78,7 @@ from .executor import (
     shape_of,
     term_template,
 )
+from .memory import WORD_SCOPE
 
 #: Mnemonics whose handlers can return a non-``CTRL_NONE`` kind; any
 #: such instruction terminates its block.
@@ -105,6 +106,7 @@ _PROLOGUE = (
     ("flags", "flags = st.flags"),
     ("rd", "rd = st.mem.read_u32"),
     ("wr", "wr = st.mem.write_u32"),
+    ("pages", "pages = st.mem._pages"),
     ("syscall", "syscall = st.syscall"),
     ("fixup", "fixup = flow.fixup_load"),
     ("note_store", "note_store = flow.note_store"),
@@ -161,7 +163,7 @@ def _compile_shape(shape: tuple):
             if re.search(r"\b%s\b" % name, text)]
     src += ["        " + line for line in body]
     src.append("    return handler")
-    namespace: Dict[str, object] = {"__builtins__": {}}
+    namespace: Dict[str, object] = dict(WORD_SCOPE, __builtins__={})
     exec(compile("\n".join(src) + "\n", "<shape:%s>" % shape[0], "exec"),
          namespace)
     return namespace["make"]

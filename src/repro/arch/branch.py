@@ -23,15 +23,13 @@ class BranchStats:
     )
 
     def __init__(self):
-        self.cond_branches = 0
-        self.cond_mispredicts = 0
-        self.btb_lookups = 0
-        self.btb_misses = 0
-        self.ras_pushes = 0
-        self.ras_pops = 0
-        self.ras_mispredicts = 0
-        self.indirect_branches = 0
-        self.indirect_mispredicts = 0
+        self.reset()
+
+    def reset(self) -> None:
+        """Zero every counter in place (object identity is preserved so
+        compiled trace code may close over this instance)."""
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     @property
     def cond_accuracy(self) -> float:
@@ -82,29 +80,23 @@ class BTB:
             self._set_mask = -1
         self._sets = [[] for _ in range(self.num_sets)]  # [tag, target] LRU order
 
-    def _set_for(self, pc: int):
-        idx = pc >> 2
+    def update(self, pc: int, target: int):
+        """Install ``pc -> target`` at MRU and return the target the
+        entry held before (None on a miss): a taken transfer's lookup
+        and update in one set scan."""
+        word = pc >> 2
         mask = self._set_mask
-        return self._sets[idx & mask if mask >= 0 else idx % self.num_sets]
-
-    def lookup(self, pc: int):
-        ways = self._set_for(pc)
+        ways = self._sets[word & mask if mask >= 0 else word % self.num_sets]
         for idx, entry in enumerate(ways):
             if entry[0] == pc:
-                ways.append(ways.pop(idx))
-                return entry[1]
-        return None
-
-    def update(self, pc: int, target: int) -> None:
-        ways = self._set_for(pc)
-        for idx, entry in enumerate(ways):
-            if entry[0] == pc:
+                old = entry[1]
                 entry[1] = target
                 ways.append(ways.pop(idx))
-                return
+                return old
         if len(ways) >= self.assoc:
             ways.pop(0)
         ways.append([pc, target])
+        return None
 
 
 class RAS:
@@ -165,15 +157,68 @@ class BranchUnit:
             return self.config.mispredict_penalty, False
         if not taken:
             return 0, True
-        penalty, target_ok = self._taken_target_penalty(pc, target)
-        self.btb.update(pc, target)
-        return penalty, target_ok
+        return self._taken_target_penalty(pc, target)
+
+    def conditional_src(self, pc: int, taken: bool, target: str):
+        """Source lines that leave ``pen, ok`` as :meth:`conditional`
+        returns them for ``(pc, taken, target)``; ``target`` is a source
+        expression and the names are those of :meth:`inline_scope`.
+
+        The correctly predicted case runs inline: the gshare counter
+        and history update and, for a taken branch, a BTB hit in the
+        MRU way of ``pc``'s set holding ``target``.  Anything else calls
+        the method, which does its own accounting on the untouched
+        state.  A taken branch keeps the plain call when the BTB set
+        index does not fold to a mask (non-power-of-two set count).
+        """
+        call = "pen, ok = bcond(%d, %s, %s)" % (
+            pc, taken, target if taken else 0)
+        mask = self.gshare.mask
+        if taken:
+            set_mask = self.btb._set_mask
+            if set_mask < 0:
+                return [call]
+            # A predicted-taken counter (2 or 3) saturates at 3.
+            hit = [
+                "w_ = bts[%d]" % ((pc >> 2) & set_mask),
+                "if gt[g_] > 1 and w_ and w_[-1][0] == %d "
+                "and w_[-1][1] == %s:" % (pc, target),
+                "    gt[g_] = 3",
+                "    gs.history = ((h_ << 1) | 1) & %d" % mask,
+                "    bst.cond_branches += 1",
+                "    bst.btb_lookups += 1",
+                "    pen, ok = %d, True" % self.config.taken_bubble,
+            ]
+        else:
+            # A predicted-not-taken counter (0 or 1) saturates at 0.
+            hit = [
+                "if gt[g_] < 2:",
+                "    gt[g_] = 0",
+                "    gs.history = (h_ << 1) & %d" % mask,
+                "    bst.cond_branches += 1",
+                "    pen, ok = 0, True",
+            ]
+        # ``history`` never exceeds the mask, so the index folds to
+        # ``((pc >> 2) & mask) ^ history``.
+        return (["h_ = gs.history", "g_ = %d ^ h_" % ((pc >> 2) & mask)]
+                + hit + ["else:", "    " + call])
+
+    def inline_scope(self) -> dict:
+        """Generated-scope bindings for the trace tier's predictor
+        source (:meth:`conditional_src`) and calls.  Each keeps its
+        identity for the unit's lifetime: the predictors update in
+        place and ``BranchStats.reset`` zeroes in place."""
+        return {
+            "bcond": self.conditional, "bdir": self.direct,
+            "bind": self.indirect, "bret": self.ret,
+            "gs": self.gshare, "gt": self.gshare.table,
+            "bts": self.btb._sets, "bst": self.stats,
+        }
 
     # -- unconditional direct (jmp, call) ------------------------------------------
 
     def direct(self, pc: int, target: int, is_call: bool, retaddr: int = 0):
         penalty, target_ok = self._taken_target_penalty(pc, target)
-        self.btb.update(pc, target)
         if is_call:
             self.ras.push(retaddr)
             self.stats.ras_pushes += 1
@@ -185,8 +230,7 @@ class BranchUnit:
         stats = self.stats
         stats.indirect_branches += 1
         stats.btb_lookups += 1
-        predicted = self.btb.lookup(pc)
-        self.btb.update(pc, target)
+        predicted = self.btb.update(pc, target)
         if is_call:
             self.ras.push(retaddr)
             stats.ras_pushes += 1
@@ -212,8 +256,10 @@ class BranchUnit:
     # -- helpers ------------------------------------------------------------------------------
 
     def _taken_target_penalty(self, pc: int, target: int):
+        """Penalty of a taken transfer whose direction was known: the
+        BTB lookup, then the update that installs ``target``."""
         self.stats.btb_lookups += 1
-        if self.btb.lookup(pc) == target:
+        if self.btb.update(pc, target) == target:
             return self.config.taken_bubble, True
         self.stats.btb_misses += 1
         return self.config.btb_miss_penalty, False

@@ -153,6 +153,45 @@ class Cache:
         self._install(ways, line, dirty=is_write, prefetched=False, touched=True)
         return latency
 
+    def access_src(self, name: str, addr, is_write: bool, hit, miss):
+        """Source for :meth:`access` with the MRU-way hit inlined, for
+        the trace tier; the names are those of :meth:`inline_scope`
+        under ``name``.
+
+        An MRU hit only bumps stats, sets the entry's bits and returns
+        the base latency (zero marginal stall), so it runs inline and
+        then ``hit``; anything else (a non-MRU hit, a miss) runs
+        ``miss``, the caller's call of the method, which does its own
+        accounting.  ``addr`` is an int fixed at compile time or names
+        a local.  With a non-power-of-two set count the set index does
+        not fold to a mask and the source is ``miss`` alone.
+        """
+        mask = self._set_mask
+        if mask < 0:
+            return list(miss)
+        if isinstance(addr, int):
+            line = addr >> self.line_shift
+            lines = ["w_ = %ss[%d]" % (name, line & mask)]
+            tag = str(line)
+        else:
+            lines = ["ln_ = %s >> %d" % (addr, self.line_shift),
+                     "w_ = %ss[ln_ & %d]" % (name, mask)]
+            tag = "ln_"
+        lines += [
+            "e_ = w_[-1] if w_ else None",
+            "if e_ is not None and e_[0] == %s:" % tag,
+            "    %sst.accesses += 1" % name,
+            "    if e_[2] and not e_[3]:",
+            "        %sst.prefetch_used += 1" % name,
+            "    e_[3] = True",
+        ]
+        if is_write:
+            lines.append("    e_[1] = True")
+        lines += ["    " + line for line in hit]
+        lines.append("else:")
+        lines += ["    " + line for line in miss]
+        return lines
+
     def prefetch(self, addr: int) -> None:
         """Install ``addr``'s line speculatively (no latency charged to the core)."""
         line = addr >> self.line_shift
@@ -166,6 +205,33 @@ class Cache:
         # The fill still loads the next level (bandwidth/pressure there).
         self.next_level(line << self.line_shift, False)
         self._install(ways, line, dirty=False, prefetched=True, touched=False)
+
+    def prefetch_src(self, name: str, addr: int):
+        """Source for :meth:`prefetch` of the compile-time ``addr``: a
+        hit only bumps ``prefetch_hits`` (no LRU reorder), so the ways
+        are scanned inline and the method is called on a real fill."""
+        call = "%sp(%d)" % (name, addr)
+        mask = self._set_mask
+        if mask < 0:
+            return [call]
+        line = addr >> self.line_shift
+        return [
+            "for pe_ in %ss[%d]:" % (name, line & mask),
+            "    if pe_[0] == %d:" % line,
+            "        %sst.prefetch_hits += 1" % name,
+            "        break",
+            "else:",
+            "    " + call,
+        ]
+
+    def inline_scope(self, name: str) -> dict:
+        """Generated-scope bindings of the ``*_src`` methods under
+        ``name``: the bound :meth:`access`, and ``p``/``s``/``st``-
+        suffixed names for :meth:`prefetch`, the per-set way lists and
+        the stats, each kept in place for the cache's lifetime
+        (:meth:`flush` and ``CacheStats.reset`` work in place)."""
+        return {name: self.access, name + "p": self.prefetch,
+                name + "s": self._sets, name + "st": self.stats}
 
     def _install(self, ways, line, dirty, prefetched, touched) -> None:
         if len(ways) >= self.assoc:

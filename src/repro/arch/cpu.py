@@ -36,7 +36,7 @@ from ..binary import BinaryImage, load_image
 from ..isa.instruction import Instruction
 from ..obs.events import EventLog
 from .blockcache import BlockCache
-from .branch import BranchStats, BranchUnit
+from .branch import BranchUnit
 from .cache import Cache
 from .config import MachineConfig, default_config
 from .drc import DRC, DRCStats, KIND_DERAND, KIND_RAND
@@ -46,7 +46,7 @@ from .memory import SparseMemory
 from .power import EnergyParams, compute_energy
 from .simstats import Checkpoint, SimResult, ratio
 from .state import ExitProgram, MachineState
-from .tlb import TLB, TLBStats
+from .tlb import TLB
 from .tracecache import TraceCache
 
 #: Kernel-space placement of the RDR tables and the §IV-C stack bitmap.
@@ -890,16 +890,16 @@ class CycleCPU:
         """Zero all counters (cache/predictor contents are preserved)."""
         self._warmup_icount = self.state.icount
         self._warmup_cycle = self.cycle
-        # Cache stats reset in place: compiled trace code closes over
-        # the il1/dl1 CacheStats objects, so rebinding them would strand
-        # those counters (see repro.arch.tracecache).
+        # Cache, TLB and branch stats reset in place: compiled trace
+        # code closes over those objects, so rebinding them would strand
+        # its counters (see repro.arch.tracecache).
         self.il1.stats.reset()
         self.dl1.stats.reset()
         self.l2.stats.reset()
+        self.itlb.stats.reset()
+        self.dtlb.stats.reset()
+        self.branch.stats.reset()
         self.dram.stats = DRAMStats()
-        self.itlb.stats = TLBStats()
-        self.dtlb.stats = TLBStats()
-        self.branch.stats = BranchStats()
         self.drc.stats = DRCStats()
         self._arm_checkpoints()
 

@@ -35,6 +35,7 @@ from ..isa import opcodes
 from ..isa.flags import to_signed32
 from ..isa.instruction import Instruction
 from ..isa.registers import MASK32
+from .memory import read_u32_src, write_u32_src
 from .state import MachineState
 
 # Control-flow outcome kinds.
@@ -389,11 +390,12 @@ DISPATCH.update(
 # Generated-scope name contract (bound by both compilers):
 #
 # ``st`` (MachineState), ``regs`` (register list), ``flags``, ``rd``/
-# ``wr`` (mem.read_u32/write_u32), ``syscall``, ``flow``, ``fixup``
-# (flow.fixup_load), ``note_store``, ``note_push`` (note_retaddr_push),
-# ``call_ret`` (call_retaddr).  Templates may define locals ``a``,
-# ``b_``, ``r_``, ``t_``, ``v``, ``ov``, ``addr``, ``sp``, ``tgt``,
-# ``ret_``.
+# ``wr`` (mem.read_u32/write_u32), ``pages``/``u32``/``p32`` (the
+# inlined word access of :mod:`repro.arch.memory`), ``syscall``,
+# ``flow``, ``fixup`` (flow.fixup_load), ``note_store``, ``note_push``
+# (note_retaddr_push), ``call_ret`` (call_retaddr).  Templates may
+# define locals ``a``, ``b_``, ``r_``, ``t_``, ``v``, ``ov``, ``addr``,
+# ``sp``, ``tgt``, ``ret_``, ``p_``.
 
 _M32 = "4294967295"
 _SIGN = "2147483648"
@@ -514,11 +516,18 @@ _CC_SRC = {
 }
 
 
+def _read_src(dest: str, addr: str):
+    """A raw 32-bit load into ``dest``."""
+    setup, word = read_u32_src(addr)
+    return [setup, "%s = %s" % (dest, word)]
+
+
 def _load_src(randomized: bool, dest: str, addr: str):
     """A fixed-up 32-bit load into ``dest`` (baseline fixup is identity)."""
-    if randomized:
-        return "%s = fixup(%s, rd(%s))" % (dest, addr, addr)
-    return "%s = rd(%s)" % (dest, addr)
+    if not randomized:
+        return _read_src(dest, addr)
+    setup, word = read_u32_src(addr)
+    return [setup, "%s = fixup(%s, %s)" % (dest, addr, word)]
 
 
 def exec_template(shape: tuple):
@@ -572,13 +581,13 @@ def exec_template(shape: tuple):
                 ]
             return out(lines)
         if mode == RM:
-            lines = [_ADDR, _load_src(randomized, "regs[{reg}]", "addr")]
+            lines = [_ADDR] + _load_src(randomized, "regs[{reg}]", "addr")
             if randomized:
                 lines += _src_tag_clear("{rnot}")
             lines.append("st.last_load_addr = addr")
             return out(lines, loads=["addr"])
         if mode == MR:
-            lines = [_ADDR, "v = regs[{reg}]", "wr(addr, v)"]
+            lines = [_ADDR, "v = regs[{reg}]"] + write_u32_src("addr", "v")
             if randomized:
                 lines.append("note_store(addr, v, flow.tagmask & {rbit} != 0)")
             lines.append("st.last_store_addr = addr")
@@ -597,10 +606,9 @@ def exec_template(shape: tuple):
             lines += _src_result(randomized)
             return out(lines + _src_flags_add("a", b, "t_", "r_"))
         if mode == RM:
-            lines = [
-                _ADDR,
-                "a = regs[{reg}]",
-                _load_src(randomized, "b_", "addr"),
+            lines = [_ADDR, "a = regs[{reg}]"]
+            lines += _load_src(randomized, "b_", "addr")
+            lines += [
                 "st.last_load_addr = addr",
                 "t_ = a + b_",
                 "r_ = t_ & %s" % _M32,
@@ -609,16 +617,15 @@ def exec_template(shape: tuple):
             lines += _src_flags_add("a", "b_", "t_", "r_")
             return out(lines, loads=["addr"])
         if mode == MR:
-            lines = [
-                _ADDR,
-                "b_ = regs[{reg}]",
-                _load_src(randomized, "a", "addr"),
+            lines = [_ADDR, "b_ = regs[{reg}]"]
+            lines += _load_src(randomized, "a", "addr")
+            lines += [
                 "st.last_load_addr = addr",
                 "t_ = a + b_",
                 "r_ = t_ & %s" % _M32,
             ]
             lines += _src_flags_add("a", "b_", "t_", "r_")
-            lines.append("wr(addr, r_)")
+            lines += write_u32_src("addr", "r_")
             if randomized:  # a read-modify-write result is untagged
                 lines.append("note_store(addr, r_)")
             lines.append("st.last_store_addr = addr")
@@ -684,19 +691,16 @@ def exec_template(shape: tuple):
             "v = regs[{reg}]",
             "sp = (regs[4] - 4) & %s" % _M32,
             "regs[4] = sp",
-            "wr(sp, v)",
         ]
+        lines += write_u32_src("sp", "v")
         if randomized:
             lines.append("note_store(sp, v, flow.tagmask & {rbit} != 0)")
         lines.append("st.last_store_addr = sp")
         return out(lines, stores=["sp"])
 
     if m == "pop":
-        lines = [
-            "sp = regs[4]",
-            "v = rd(sp)",
-            "regs[4] = (sp + 4) & %s" % _M32,
-        ]
+        lines = ["sp = regs[4]"] + _read_src("v", "sp")
+        lines.append("regs[4] = (sp + 4) & %s" % _M32)
         if randomized:
             lines.append("regs[{reg}] = fixup(sp, v)")
             lines += _src_tag_clear("{rnot}")
@@ -706,12 +710,8 @@ def exec_template(shape: tuple):
         return out(lines, loads=["sp"])
 
     if m == "leave":
-        lines = [
-            "regs[4] = regs[5]",
-            "sp = regs[4]",
-            "v = rd(sp)",
-            "regs[4] = (sp + 4) & %s" % _M32,
-        ]
+        lines = ["regs[4] = regs[5]", "sp = regs[4]"] + _read_src("v", "sp")
+        lines.append("regs[4] = (sp + 4) & %s" % _M32)
         if randomized:
             lines += [
                 "regs[5] = fixup(sp, v)",
@@ -767,8 +767,8 @@ def term_template(shape: tuple, fold_ret: bool = False):
         lines += [
             "sp = (regs[4] - 4) & %s" % _M32,
             "regs[4] = sp",
-            "wr(sp, %s)" % ret,
         ]
+        lines += write_u32_src("sp", ret)
         if randomized:
             lines.append("note_push(sp, %s)" % ret)
         lines += [
@@ -781,9 +781,7 @@ def term_template(shape: tuple, fold_ret: bool = False):
         return plan("call", CTRL_CALL, push_ret(), stores=["sp"])
     if m == "ret":
         # The popped value is a control target: NOT run through fixup.
-        lines = [
-            "sp = regs[4]",
-            "tgt = rd(sp)",
+        lines = ["sp = regs[4]"] + _read_src("tgt", "sp") + [
             "regs[4] = (sp + 4) & %s" % _M32,
             "st.last_load_addr = sp",
         ]
@@ -793,7 +791,8 @@ def term_template(shape: tuple, fold_ret: bool = False):
             lines = ["tgt = regs[{rm}]"]
             loads = []
         else:
-            lines = [_ADDR, "tgt = rd(addr)", "st.last_load_addr = addr"]
+            lines = [_ADDR] + _read_src("tgt", "addr")
+            lines.append("st.last_load_addr = addr")
             loads = ["addr"]
         if m == "calli":
             return plan("calli", CTRL_CALL, lines + push_ret(), loads,

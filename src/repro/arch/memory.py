@@ -17,6 +17,15 @@ PAGE_MASK = PAGE_SIZE - 1
 
 MASK32 = 0xFFFFFFFF
 
+#: The little-endian word codec of :meth:`SparseMemory.read_u32` /
+#: :meth:`~SparseMemory.write_u32` and of their inlined source.
+_WORD = struct.Struct("<I")
+
+#: The codec under its generated-scope names (:func:`read_u32_src`,
+#: :func:`write_u32_src`): process-wide constants, which the block tier
+#: binds once as globals of its shape handlers.
+WORD_SCOPE = {"u32": _WORD.unpack_from, "p32": _WORD.pack_into}
+
 
 class MemoryFault(Exception):
     """Access to an unmapped address when strict mode is enabled."""
@@ -71,17 +80,25 @@ class SparseMemory:
     def read_u32(self, addr: int) -> int:
         off = addr & PAGE_MASK
         if off <= PAGE_SIZE - 4:
-            return struct.unpack_from("<I", self._page(addr), off)[0]
+            return _WORD.unpack_from(self._page(addr), off)[0]
         raw = bytes(self.read_u8(addr + i) for i in range(4))
-        return struct.unpack("<I", raw)[0]
+        return _WORD.unpack(raw)[0]
 
     def write_u32(self, addr: int, value: int) -> None:
         off = addr & PAGE_MASK
         if off <= PAGE_SIZE - 4:
-            struct.pack_into("<I", self._page(addr), off, value & MASK32)
+            _WORD.pack_into(self._page(addr), off, value & MASK32)
             return
-        for i, byte in enumerate(struct.pack("<I", value & MASK32)):
+        for i, byte in enumerate(_WORD.pack(value & MASK32)):
             self.write_u8(addr + i, byte)
+
+    def inline_scope(self) -> dict:
+        """Generated-scope bindings of :func:`read_u32_src` and
+        :func:`write_u32_src`: the bound word methods as ``rd``/``wr``,
+        the page dict (mutated in place, never rebound) as ``pages``,
+        and the word codec as ``u32``/``p32``."""
+        return dict(WORD_SCOPE, rd=self.read_u32, wr=self.write_u32,
+                    pages=self._pages)
 
     # -- block access ----------------------------------------------------------------
 
@@ -111,3 +128,33 @@ class SparseMemory:
         clone = SparseMemory(strict=self.strict)
         clone._pages = {idx: bytearray(page) for idx, page in self._pages.items()}
         return clone
+
+
+# -- inlined word access (block and trace tiers) -------------------------------
+#
+# A mapped page and a word that ends inside it is the hit case: the page
+# dict lookup and the codec run inline.  Anything else calls ``rd``/
+# ``wr``, so lazy zero-page allocation, ``strict`` faults and the
+# byte-wise page-crossing path stay in one place.
+
+def read_u32_src(addr: str):
+    """``(setup, expr)``: after the ``setup`` line, ``expr`` is the
+    word ``read_u32`` returns for the address in local ``addr``."""
+    return ("p_ = pages.get(%s >> %d)" % (addr, PAGE_SHIFT),
+            "u32(p_, %s & %d)[0] if p_ is not None and %s & %d <= %d "
+            "else rd(%s)"
+            % (addr, PAGE_MASK, addr, PAGE_MASK, PAGE_SIZE - 4, addr))
+
+
+def write_u32_src(addr: str, value: str):
+    """Source lines doing ``write_u32(addr, value)`` for a local
+    ``addr`` and a value expression (masked to 32 bits, as the method
+    masks it)."""
+    return [
+        "p_ = pages.get(%s >> %d)" % (addr, PAGE_SHIFT),
+        "if p_ is not None and %s & %d <= %d:" % (addr, PAGE_MASK,
+                                                  PAGE_SIZE - 4),
+        "    p32(p_, %s & %d, %s & %d)" % (addr, PAGE_MASK, value, MASK32),
+        "else:",
+        "    wr(%s, %s)" % (addr, value),
+    ]

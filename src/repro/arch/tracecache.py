@@ -17,7 +17,8 @@ until a guard fails.  A recording that revisits another member block
 or reaches ``trace_max_blocks``/``trace_max_insts`` is *rejected* and
 its anchor blacklisted until the next invalidation.  ``compile()``
 costs 6.5-9 us per generated source line (shared 2-vCPU x86-64 host)
-and a trace has about 25 lines per instruction, so a trace must retire
+and a trace has about 33 lines per instruction (32.2 on the perfbench
+``sim_hot`` programs, 32.9 on ``sim_branchy``'s), so a trace must retire
 hundreds of times its own length to pay for itself.  On gcc, xalan,
 sjeng and bzip2, looping traces retired 1,700-2,200 instructions per
 ms of compile, linear ones cut at an inner cycle 240-340 and those cut
@@ -31,7 +32,16 @@ literals: no tuple unpack, no dispatch, flag algebra
 and stack traffic inlined, fetch-page/line checks elided wherever the
 previous instruction in the trace pins their value, and the flow traits
 (baseline vs. randomized, DRC event recording on/off) specialized out
-at compile time.  A *guard* at every intra-trace branch whose outcome
+at compile time.  The timing models' common hit cases run inline, from
+source each model renders next to the method it mirrors (the ``*_src``
+methods of :mod:`~repro.arch.cache`, :mod:`~repro.arch.tlb` and
+:mod:`~repro.arch.branch`, and the word access of
+:mod:`~repro.arch.memory` in the shape templates): the IL1/DL1 MRU way,
+an ITLB hit on a visible fetch page, the MRU DTLB page, a correctly
+predicted conditional branch (gshare, and the MRU BTB way when taken)
+and a page-local word read or write.  Anything else calls the method,
+which does its own accounting; the reference loop always calls them.
+A *guard* at every intra-trace branch whose outcome
 is dynamic (conditional direction, indirect/return target) compares the
 actual next fetch PC against the recorded one and side-exits to the
 block path on mismatch — after charging the instruction's full cycle
@@ -133,10 +143,9 @@ class TraceCache:
         "traces", "builds", "flushes", "invalidations", "aborts",
         "rejected", "compile_failures", "_bail", "_counts", "_failed",
         "_entries_retired", "_rec", "_rec_insts", "_rec_expect",
-        "_flow", "_consts_base", "_il1_latency", "_dl1_latency",
+        "_flow", "_scope", "_il1_latency", "_dl1_latency",
         "_load_use", "_prefetch", "_burst", "_record_events",
-        "_randomized", "_il1_mask", "_il1_shift", "_dl1_mask",
-        "_dl1_shift",
+        "_randomized", "_il1", "_dl1", "_itlb", "_dtlb", "_branch",
     )
 
     def __init__(self, cpu):
@@ -177,28 +186,34 @@ class TraceCache:
         self._burst = cpu._burst_track
         self._record_events = bool(getattr(flow, "record_events", False))
         self._randomized = bool(getattr(flow, "randomized", False))
-        # MRU-hit inlining folds the set index into generated source;
-        # only sound for power-of-two set counts (mask >= 0).  A flush
-        # clears the captured ``_sets`` lists in place (see
-        # ``Cache.flush``), so the closures never go stale.
-        self._il1_mask = cpu.il1._set_mask
-        self._il1_shift = cpu.il1.line_shift
-        self._dl1_mask = cpu.dl1._set_mask
-        self._dl1_shift = cpu.dl1.line_shift
-        # Order must match the unpack in _HEADER below.
-        self._consts_base = (
-            state, state.regs.regs, state.flags, cpu.mem.read_u32,
-            cpu.mem.write_u32, state.syscall, flow, flow.events,
-            flow.fixup_load, flow.note_store, flow.note_retaddr_push,
-            flow.call_retaddr, flow.transfer, flow.sequential,
-            cpu.itlb.access, cpu.il1.access, cpu.il1.prefetch,
-            cpu.dtlb.access, cpu.dl1.access, cpu._branch_stall,
-            cpu._drc_stall, cpu._note_fetch_fill,
-            cpu.il1._sets, cpu.il1.stats, cpu.dl1._sets, cpu.dl1.stats,
-            cpu.branch.conditional, cpu.branch.direct,
-            cpu.branch.indirect, cpu.branch.ret,
-            self._bail, ExitProgram,
-        )
+        # The timing models render their own hit paths into generated
+        # source (``*_src``) over the bindings their ``inline_scope``
+        # returns; those objects keep their identity for the CPU's
+        # lifetime (flushes and stat resets work in place), so the
+        # closures never go stale.
+        self._il1 = cpu.il1
+        self._dl1 = cpu.dl1
+        self._itlb = cpu.itlb
+        self._dtlb = cpu.dtlb
+        self._branch = cpu.branch
+        # Generated-scope name -> object, unpacked by ``__make``.
+        scope = {
+            "st": state, "regs": state.regs.regs, "flags": state.flags,
+            "syscall": state.syscall, "flow": flow, "events": flow.events,
+            "fixup": flow.fixup_load, "note_store": flow.note_store,
+            "note_push": flow.note_retaddr_push,
+            "call_ret": flow.call_retaddr, "transfer": flow.transfer,
+            "sequential": flow.sequential, "bstall": cpu._branch_stall,
+            "drc": cpu._drc_stall, "nfill": cpu._note_fetch_fill,
+            "bail": self._bail, "X": ExitProgram,
+        }
+        scope.update(cpu.mem.inline_scope())
+        scope.update(cpu.il1.inline_scope("il1"))
+        scope.update(cpu.dl1.inline_scope("dl1"))
+        scope.update(cpu.itlb.inline_scope("itlb"))
+        scope.update(cpu.dtlb.inline_scope("dtlb"))
+        scope.update(cpu.branch.inline_scope())
+        self._scope = scope
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -371,13 +386,8 @@ class TraceCache:
 
 # -- source generation -----------------------------------------------------
 
-_HEADER = """\
-def __make(C):
-    (st, regs, flags, rd, wr, syscall, flow, events, fixup, note_store,
-     note_push, call_ret, transfer, sequential, itlb, il1, il1p, dtlb,
-     dl1, bstall, drc, nfill, il1s, il1st, dl1s, dl1st,
-     bcond, bdir, bind, bret, bail, X, I, H) = C
-"""
+def _indent(lines):
+    return ["    " + line for line in lines]
 
 
 class _TraceGen:
@@ -396,14 +406,11 @@ class _TraceGen:
         self.il1_latency = cache._il1_latency
         self.dl1_latency = cache._dl1_latency
         self.load_use = cache._load_use
-        #: inline the cache MRU-hit path only when the set index is a
-        #: foldable mask (power-of-two set count).
-        self.il1_mask = cache._il1_mask
-        self.il1_shift = cache._il1_shift
-        self.il1_inline = cache._il1_mask >= 0
-        self.dl1_mask = cache._dl1_mask
-        self.dl1_shift = cache._dl1_shift
-        self.dl1_inline = cache._dl1_mask >= 0
+        self.il1 = cache._il1
+        self.dl1 = cache._dl1
+        self.itlb = cache._itlb
+        self.dtlb = cache._dtlb
+        self.branch = cache._branch
         #: transfer/call_retaddr of a constant are foldable exactly when
         #: calling them at compile time is side-effect-free.
         self.fold_transfer = not cache._record_events
@@ -486,7 +493,9 @@ class _TraceGen:
             self._emit_terminal(body, block.term, seq_index, expected)
             seq_index += 1
 
-        src_lines = [_HEADER]
+        scope = self.cache._scope
+        src_lines = ["def __make(C):",
+                     "    (%s, I, H) = C" % ", ".join(scope)]
         for n in range(len(self.insts)):
             src_lines.append("    i%d = I[%d]" % (n, n))
         for n in sorted(self.handlers):
@@ -503,7 +512,7 @@ class _TraceGen:
         src_lines.append("            out[3] = last_line")
         src_lines.append("    return __trace")
         src = "\n".join(src_lines) + "\n"
-        consts = self.cache._consts_base + (
+        consts = tuple(scope.values()) + (
             tuple(self.insts), dict(self.handlers),
         )
         return src, consts
@@ -517,132 +526,73 @@ class _TraceGen:
     # per-op fetch-side lines -----------------------------------------
 
     def _fetch_lines(self, op):
-        """Page/line check lines with static elision via ``know``."""
+        """Page/line check lines with static elision via ``know``; the
+        ITLB and IL1 hit paths are the models' inlined source."""
         (_h, _inst, fpc, _arch, _extra, page, line, pf1, cross, addr2,
          line2, pf2, _seq, _touch, _is_int) = op
         lines: List[str] = []
         know = self.know
         if know[0] != page:
+            itlb = self.itlb.access_src("itlb", fpc,
+                                        ["stall += itlb(%d)" % fpc])
             if know[0] is None:
                 lines.append("if %d != last_page:" % page)
                 lines.append("    last_page = %d" % page)
-                lines.append("    stall += itlb(%d)" % fpc)
+                lines += _indent(itlb)
             else:
                 lines.append("last_page = %d" % page)
-                lines.append("stall += itlb(%d)" % fpc)
+                lines += itlb
         know[0] = page
 
-        def il1_body(pad, fill_addr, new_line, pf):
-            # The MRU-hit case of ``Cache.access`` only bumps stats and
-            # returns the base latency (zero marginal stall), so it is
-            # inlined here; anything else (non-MRU hit, miss) falls back
-            # to the real method, which does its own accounting.
-            out = [pad + "last_line = %d" % new_line]
-            if self.il1_inline:
-                out += [
-                    pad + "w_ = il1s[%d]" % (new_line & self.il1_mask),
-                    pad + "e_ = w_[-1] if w_ else None",
-                    pad + "if e_ is not None and e_[0] == %d:" % new_line,
-                    pad + "    il1st.accesses += 1",
-                    pad + "    if e_[2] and not e_[3]:",
-                    pad + "        il1st.prefetch_used += 1",
-                    pad + "    e_[3] = True",
-                ]
-                if self.burst:
-                    out.append(pad + "    nfill(False, %d)" % fpc)
-                out += [
-                    pad + "else:",
-                    pad + "    lat = il1(%d, False)" % fill_addr,
-                    pad + "    stall += lat - %d" % self.il1_latency,
-                ]
-                if self.burst:
-                    out.append(pad + "    nfill(lat > %d, %d)"
-                               % (self.il1_latency, fpc))
-            else:
-                out += [
-                    pad + "lat = il1(%d, False)" % fill_addr,
-                    pad + "stall += lat - %d" % self.il1_latency,
-                ]
-                if self.burst:
-                    out.append(pad + "nfill(lat > %d, %d)"
-                               % (self.il1_latency, fpc))
+        def il1_body(fill_addr, new_line, pf):
+            miss = ["lat = il1(%d, False)" % fill_addr,
+                    "stall += lat - %d" % self.il1_latency]
+            hit = []
+            if self.burst:
+                hit.append("nfill(False, %d)" % fpc)
+                miss.append("nfill(lat > %d, %d)" % (self.il1_latency, fpc))
+            out = ["last_line = %d" % new_line]
+            out += self.il1.access_src("il1", fill_addr, False, hit, miss)
             if self.prefetch:
-                if self.il1_inline:
-                    # ``Cache.prefetch`` on a hit only bumps
-                    # prefetch_hits (no LRU reorder); scan the ways
-                    # inline, fall back to the method on a real fill.
-                    pline = pf >> self.il1_shift
-                    out += [
-                        pad + "pw_ = il1s[%d]" % (pline & self.il1_mask),
-                        pad + "for pe_ in pw_:",
-                        pad + "    if pe_[0] == %d:" % pline,
-                        pad + "        il1st.prefetch_hits += 1",
-                        pad + "        break",
-                        pad + "else:",
-                        pad + "    il1p(%d)" % pf,
-                    ]
-                else:
-                    out.append(pad + "il1p(%d)" % pf)
+                out += self.il1.prefetch_src("il1", pf)
             return out
 
         if know[1] != line:
             if know[1] is None:
                 lines.append("if %d != last_line:" % line)
-                lines += il1_body("    ", fpc, line, pf1)
+                lines += _indent(il1_body(fpc, line, pf1))
             else:
-                lines += il1_body("", fpc, line, pf1)
+                lines += il1_body(fpc, line, pf1)
         know[1] = line
         if cross:
             # line2 != line by construction and line is now pinned, so
             # the second-line probe is statically unconditional.
-            lines += il1_body("", addr2, line2, pf2)
+            lines += il1_body(addr2, line2, pf2)
             know[1] = line2
         return lines
 
     def _stall_lines(self, loads, stores):
+        """Data-side stall lines for the addresses in locals ``loads``
+        and ``stores``: the DTLB access (it carries the page-visibility
+        fault check) before the DL1 probe, exactly as in the reference
+        ``_data_stall``, each with its hit path inlined."""
         lines = []
         load_const = self.load_use - self.dl1_latency
-        if not self.dl1_inline:
-            for var in loads:
-                expr = "stall += dtlb(%s) + dl1(%s, False)" % (var, var)
-                if load_const:
-                    expr += " + (%d)" % load_const
-                lines.append(expr)
-            for var in stores:
-                expr = "stall += dtlb(%s) + dl1(%s, True)" % (var, var)
-                if self.dl1_latency:
-                    expr += " - %d" % self.dl1_latency
-                lines.append(expr)
-            return lines
-        # dtlb stays a call (it carries the page-visibility fault check)
-        # and must run before the DL1 probe, exactly as in the reference
-        # ``_data_stall``; the DL1 MRU-hit case is inlined like IL1's.
         for var, is_write in ([(v, False) for v in loads]
                               + [(v, True) for v in stores]):
-            lines.append("stall += dtlb(%s)" % var)
-            lines.append("ln_ = %s >> %d" % (var, self.dl1_shift))
-            lines.append("dw_ = dl1s[ln_ & %d]" % self.dl1_mask)
-            lines.append("de_ = dw_[-1] if dw_ else None")
-            lines.append("if de_ is not None and de_[0] == ln_:")
-            lines.append("    dl1st.accesses += 1")
-            lines.append("    if de_[2] and not de_[3]:")
-            lines.append("        dl1st.prefetch_used += 1")
-            lines.append("    de_[3] = True")
+            lines += self.dtlb.access_src("dtlb", var,
+                                          ["stall += dtlb(%s)" % var])
             if is_write:
-                lines.append("    de_[1] = True")
-                lines.append("else:")
-                expr = "    stall += dl1(%s, True)" % var
+                hit = []
+                miss = "stall += dl1(%s, True)" % var
                 if self.dl1_latency:
-                    expr += " - %d" % self.dl1_latency
-                lines.append(expr)
+                    miss += " - %d" % self.dl1_latency
             else:
-                if self.load_use:
-                    lines.append("    stall += %d" % self.load_use)
-                lines.append("else:")
-                expr = "    stall += dl1(%s, False)" % var
+                hit = ["stall += %d" % self.load_use] if self.load_use else []
+                miss = "stall += dl1(%s, False)" % var
                 if load_const:
-                    expr += " + (%d)" % load_const
-                lines.append(expr)
+                    miss += " + (%d)" % load_const
+            lines += self.dl1.access_src("dl1", var, is_write, hit, [miss])
         return lines
 
     def _tracer_lines(self, n, arch, fpc, taken="False", target="0"):
@@ -679,21 +629,10 @@ class _TraceGen:
             lines.append("st.last_store_addr = None")
         lines.append("h%d(i%d, st, flow)" % (n, n))
         if touch:
-            load_const = self.load_use - self.dl1_latency
-            load_expr = "stall += dtlb(addr) + dl1(addr, False)"
-            if load_const:
-                load_expr += " + (%d)" % load_const
-            store_expr = "stall += dtlb(addr) + dl1(addr, True)"
-            if self.dl1_latency:
-                store_expr += " - %d" % self.dl1_latency
-            lines += [
-                "addr = st.last_load_addr",
-                "if addr is not None:",
-                "    " + load_expr,
-                "addr = st.last_store_addr",
-                "if addr is not None:",
-                "    " + store_expr,
-            ]
+            lines += ["addr = st.last_load_addr", "if addr is not None:"]
+            lines += _indent(self._stall_lines(["addr"], []))
+            lines += ["addr = st.last_store_addr", "if addr is not None:"]
+            lines += _indent(self._stall_lines([], ["addr"]))
         return lines, self.record_events, touch
 
     def _emit_interior(self, w, op, n):
@@ -860,6 +799,9 @@ class _TraceGen:
             self._emit_guard(w, expected, nfp_expr)
 
     def _emit_jcc(self, w, op, plan, n, expected):
+        """Each direction is one arm with the fetch PC it leads to and
+        the predictor's correctly-predicted path inlined
+        (:meth:`BranchUnit.conditional_src`)."""
         (_handler, inst, fpc, arch, _extra, _page, _line, _pf1, _cross,
          _addr2, _line2, _pf2, seq, _touch, _is_int) = op
         taken_setup, taken_expr, _ = self._static_nfp(inst.target)
@@ -870,23 +812,22 @@ class _TraceGen:
         else:
             seq_setup, seq_expr = ["nfp = sequential(i%d)" % n], "nfp"
 
-        w.line("if %s:" % plan["cond"])
-        w.extend(taken_setup, extra=1)
-        w.line("    kk = 1")
-        w.line("    tt = %d" % inst.target)
-        w.line("    nfp = %s" % taken_expr)
-        w.line("else:")
-        w.extend(seq_setup, extra=1)
-        w.line("    kk = 0")
-        w.line("    tt = 0")
-        w.line("    nfp = %s" % seq_expr)
-        w.line("pen, ok = bcond(%d, kk == 1, nfp if kk == 1 else 0)"
-               % inst.addr)
-        w.line("stall += pen")
-        if self.record_events:
-            w.line("if events:")
-            w.line("    stall += drc(not ok, pen)")
-        w.extend(self._tracer_lines(n, arch, fpc, "kk != 0", "tt"))
+        arms = ((True, "if %s:" % plan["cond"], taken_setup, taken_expr,
+                 str(inst.target)),
+                (False, "else:", seq_setup, seq_expr, "0"))
+        for taken, head, setup, nfp_expr, target in arms:
+            w.line(head)
+            w.extend(setup, extra=1)
+            if nfp_expr != "nfp":
+                w.line("    nfp = %s" % nfp_expr)
+            w.extend(self.branch.conditional_src(inst.addr, taken,
+                                                 nfp_expr), extra=1)
+            w.line("    stall += pen")
+            if self.record_events:
+                w.line("    if events:")
+                w.line("        stall += drc(not ok, pen)")
+            w.extend(self._tracer_lines(n, arch, fpc, str(taken), target),
+                     extra=1)
         w.line("cycle += 1 + stall")
         self._emit_guard(w, expected, "nfp")
 

@@ -23,6 +23,24 @@ module (``arch.cache``, ``ilr.flow``, ...; generated trace code and
 block-tier shape handlers count as ``<trace>`` and ``<shape>``), and
 the block's seconds are split in proportion to the ticks as nested
 ``sim.<layer>`` phases.  Whatever tier runs is what gets sampled.
+
+The split is biased by code shape, chiefly towards Python callees of
+generated code.  CPython runs a signal handler only at its next
+eval-breaker check (a function entry, a loop back edge, the return
+from a C call), so a tick is charged to wherever that check falls, not
+to where it arrived.  Straight-line Python without C calls (generated
+trace code between model calls) is charged to the next function it
+calls: in a controlled probe (CPython 3.11, shared 2-vCPU x86-64
+host), a ``<trace:...>`` loop of 8 arithmetic
+statements and one call into ``repro.arch.branch`` read 82.5% for the
+callee against a true 21% (92.9% against 9.2% with 32 statements).
+The bias can also run the other way: when each statement calls a C
+function, a callee with no check of its own is charged to the caller's
+next C call (7.5% against a true 38%).  Charging a tick that lands on a
+function entry to its caller does not fix this: the callee then reads
+0%.  Read the shares of the modules that generated code calls as
+indications, not measurements; timing with and without a change is
+the measurement.
 """
 
 from __future__ import annotations
@@ -105,6 +123,12 @@ class PhaseProfiler:
         added as phase ``sim.<layer>``, with its tick count as calls.
         ``fields`` annotate the emitted events.  Signal handlers can
         only be installed on the main thread, so enter it there.
+
+        A tick is handled at the next eval-breaker check (function
+        entry, loop back edge, return from a C call), so the time of
+        straight-line code before a call is charged to the callee:
+        Python callees of generated code read high (see the module
+        doc).
         """
         ticks: Dict[str, int] = {}
 

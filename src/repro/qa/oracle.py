@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -116,6 +117,9 @@ class OracleReport:
     runs: int = 0
     #: baseline retired-instruction count (program size proxy).
     icount: int = 0
+    #: trace-tier coverage summed over the trace legs: ``builds``,
+    #: ``entries`` and ``bailouts`` of their ``tier_stats()["traces"]``.
+    traces: Counter = field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
@@ -451,15 +455,19 @@ def _tiers(cfg: OracleConfig):
     return [t for t in _TIERS if cfg.check_traces or not t[2]]
 
 
-def _check_trace_compiles(cpu: CycleCPU, label: str,
-                          report: OracleReport) -> None:
-    """A recording that fails to compile leaves its anchor on the block
-    tier, so the run stays bit-identical and the comparisons below
-    cannot see a broken template: every failure is a finding."""
-    failures = cpu.tier_stats().get("traces", {}).get("compile_failures")
-    if failures:
+def _check_traces(cpu: CycleCPU, label: str, report: OracleReport) -> None:
+    """Sum a trace leg's coverage into ``report.traces``.  A recording
+    that fails to compile leaves its anchor on the block tier, so the
+    run stays bit-identical and the comparisons below cannot see a
+    broken template: every failure is a finding."""
+    traces = cpu.tier_stats().get("traces")
+    if traces is None:
+        return
+    report.traces.update({key: traces[key]
+                          for key in ("builds", "entries", "bailouts")})
+    if traces["compile_failures"]:
         report.add("tracecompile:%s" % label,
-                   "%d trace compile failure(s)" % failures)
+                   "%d trace compile failure(s)" % traces["compile_failures"])
 
 
 def _check_cycle_mode(program, mode, reference, cfg, report):
@@ -476,7 +484,7 @@ def _check_cycle_mode(program, mode, reference, cfg, report):
             report.add("crash:%s" % label, traceback.format_exc())
             continue
         report.runs += 1
-        _check_trace_compiles(cpu, label, report)
+        _check_traces(cpu, label, report)
         if not result.finished:
             report.add("budget:%s" % label, "budget exhausted")
             continue
@@ -551,7 +559,7 @@ def _check_rerandomization(program, reference, cfg, report):
             report.add("crash:%s" % label, traceback.format_exc())
             return None
         report.runs += 1
-        _check_trace_compiles(cpu, label, report)
+        _check_traces(cpu, label, report)
         if not result.finished:
             report.add("budget:%s" % label, "budget exhausted")
             return None

@@ -15,6 +15,7 @@ finding can be replayed from its seed and index alone.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -64,6 +65,9 @@ class FuzzStats:
     engine_runs: int = 0
     instructions: int = 0
     features_covered: int = 0
+    #: trace-tier ``builds``/``entries``/``bailouts`` over every
+    #: program's trace legs (see ``OracleReport.traces``).
+    traces: Counter = field(default_factory=Counter)
     findings: List[FuzzFinding] = field(default_factory=list)
 
     @property
@@ -125,6 +129,7 @@ class FuzzSession:
             stats.programs += 1
             stats.engine_runs += report.runs
             stats.instructions += report.icount
+            stats.traces.update(report.traces)
             self.events.emit(
                 "fuzz_program",
                 index=index,

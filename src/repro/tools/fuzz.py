@@ -21,7 +21,10 @@ stream, and ``--trace-out`` writes the session's span tree as Chrome
 trace_event JSON.
 
 ``make fuzz-quick`` runs the deterministic quick tier (seed 1, 200
-programs) that ``make verify`` gates on.
+programs) that ``make verify`` gates on.  The summary line ends with
+the trace tier's coverage summed over the trace legs (compiles,
+entries, guard bailouts).  The exit status is non-zero on any finding,
+and also when no trace leg entered a compiled trace.
 """
 
 from __future__ import annotations
@@ -115,22 +118,30 @@ def main(argv=None) -> int:
               % (len(stats.findings), args.store), file=sys.stderr)
 
     rate = stats.programs / elapsed * 60 if elapsed > 0 else 0.0
+    traces = stats.traces
     print(
         "fuzz: %d programs, %d engine runs, %d guest instructions, "
-        "%d features covered, %.1fs (%.0f programs/min)"
+        "%d features covered, %.1fs (%.0f programs/min); "
+        "traces: %d compiled, %d entered, %d bailouts"
         % (stats.programs, stats.engine_runs, stats.instructions,
-           stats.features_covered, elapsed, rate)
+           stats.features_covered, elapsed, rate, traces["builds"],
+           traces["entries"], traces["bailouts"])
     )
     if stats.ok:
         print("fuzz: no divergences.")
-        return 0
     for finding in stats.findings:
         print("fuzz: FINDING program=%d oracle-seed=%d kinds=%s%s"
               % (finding.index, finding.seed, ",".join(finding.kinds),
                  " -> %s" % finding.path if finding.path else ""))
-    print("fuzz: %d finding(s); replay with --seed %d"
-          % (len(stats.findings), args.seed), file=sys.stderr)
-    return 1
+    if stats.findings:
+        print("fuzz: %d finding(s); replay with --seed %d"
+              % (len(stats.findings), args.seed), file=sys.stderr)
+    if not traces["entries"]:
+        # A differential check of the trace tier that never ran a trace
+        # checked nothing of it.
+        print("fuzz: the trace-tier legs entered no compiled trace",
+              file=sys.stderr)
+    return 0 if stats.ok and traces["entries"] else 1
 
 
 if __name__ == "__main__":

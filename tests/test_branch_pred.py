@@ -46,15 +46,14 @@ class TestGShare:
 class TestBTB:
     def test_miss_then_hit(self):
         btb = BTB(64, 4)
-        assert btb.lookup(0x400000) is None
-        btb.update(0x400000, 0x401000)
-        assert btb.lookup(0x400000) == 0x401000
+        assert btb.update(0x400000, 0x401000) is None
+        assert btb.update(0x400000, 0x401000) == 0x401000
 
     def test_update_existing(self):
         btb = BTB(64, 4)
         btb.update(0x400000, 0x1)
-        btb.update(0x400000, 0x2)
-        assert btb.lookup(0x400000) == 0x2
+        assert btb.update(0x400000, 0x2) == 0x1
+        assert btb.update(0x400000, 0x2) == 0x2
 
     def test_lru_within_set(self):
         btb = BTB(8, 2)  # 4 sets, 2 ways
@@ -62,10 +61,10 @@ class TestBTB:
         pcs = [0x0, 0x10, 0x20]
         btb.update(pcs[0], 1)
         btb.update(pcs[1], 2)
-        btb.lookup(pcs[0])          # refresh
+        btb.update(pcs[0], 1)       # refresh
         btb.update(pcs[2], 3)       # evicts pcs[1]
-        assert btb.lookup(pcs[0]) == 1
-        assert btb.lookup(pcs[1]) is None
+        assert btb.update(pcs[0], 1) == 1
+        assert btb.update(pcs[1], 2) is None
 
 
 class TestRAS:

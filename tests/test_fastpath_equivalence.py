@@ -130,6 +130,46 @@ class TestResultEquivalence:
         )
 
 
+#: Small structures, so that evictions run and so do the trace tier's
+#: fallbacks to the model methods: ``pow2`` folds every set index into
+#: generated code (8-entry ITLB, 4-entry DTLB, 4 BTB sets, 4 DL1 sets);
+#: ``odd`` has set counts that do not fold (6 BTB sets, 3 DL1 and IL1
+#: sets), which keeps those calls.
+SMALL_GEOMETRIES = {
+    "pow2": {("itlb", "entries"): 8, ("dtlb", "entries"): 4,
+             ("branch", "btb_entries"): 16, ("dl1", "size_bytes"): 4 * 128},
+    "odd": {("branch", "btb_entries"): 24, ("dl1", "size_bytes"): 3 * 128,
+            ("il1", "size_bytes"): 3 * 128},
+}
+
+
+class TestSmallGeometries:
+    @pytest.mark.parametrize("mode", ["baseline", "naive_ilr", "vcfr"])
+    @pytest.mark.parametrize("workload", ["gcc", "mcf", "soplex"])
+    @pytest.mark.parametrize("geometry", sorted(SMALL_GEOMETRIES))
+    def test_tiers_agree(self, geometry, workload, mode):
+        program = _program(workload)
+        results = []
+        for fastpath, tracepath in ((False, False), (True, False),
+                                    (True, True)):
+            cfg = default_config()
+            cfg.fastpath = fastpath
+            cfg.tracepath = tracepath
+            for (part, name), value in SMALL_GEOMETRIES[geometry].items():
+                setattr(getattr(cfg, part), name, value)
+            cpu = CycleCPU(program.image_for(mode), make_flow(mode, program),
+                           cfg)
+            folds = geometry == "pow2"
+            assert (cpu.dl1._set_mask >= 0) == folds
+            assert (cpu.branch.btb._set_mask >= 0) == folds
+            results.append(_comparable(cpu.run(
+                max_instructions=BUDGET, warmup_instructions=5_000,
+            ).to_dict()))
+        assert cpu.tier_stats()["traces"]["entries"] > 0
+        assert results[1] == results[0], "block tier"
+        assert results[2] == results[0], "trace tier"
+
+
 class TestTraceEquivalence:
     @pytest.mark.parametrize("mode", ["baseline", "naive_ilr", "vcfr"])
     def test_instruction_traces_identical(self, mode):

@@ -157,6 +157,8 @@ class TestSession:
         assert a.programs == b.programs == 8
         assert a.instructions == b.instructions
         assert a.engine_runs == b.engine_runs
+        # Trace-tier coverage is summed over the trace legs.
+        assert a.traces == b.traces and a.traces["entries"] > 0
 
     def test_session_counts_features(self):
         stats = FuzzSession(21, 8, oracle_config=QUICK).run()

@@ -35,18 +35,12 @@ class TestTLB:
         tlb = TLB(TLBConfig())
         tlb.set_invisible(0x60000000, 0x1000)
         with pytest.raises(PageVisibilityFault):
-            tlb.access(0x60000800, user=True)
-
-    def test_microarch_access_bypasses_visibility(self):
-        tlb = TLB(TLBConfig())
-        tlb.set_invisible(0x60000000, 0x1000)
-        # DRC refills are micro-architectural: allowed.
-        tlb.access(0x60000800, user=False)
+            tlb.access(0x60000800)
 
     def test_visible_pages_unaffected(self):
         tlb = TLB(TLBConfig())
         tlb.set_invisible(0x60000000, 0x1000)
-        tlb.access(0x400000, user=True)  # normal code page
+        tlb.access(0x400000)  # normal code page
 
 
 class TestDRAM:

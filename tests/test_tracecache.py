@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import struct
+import traceback
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,8 @@ from hypothesis import strategies as st
 
 from repro.arch.config import default_config
 from repro.arch.cpu import CycleCPU
+from repro.arch.memory import MemoryFault
+from repro.arch.tlb import PageVisibilityFault
 from repro.harness.spec import config_fingerprint
 from repro.ilr import RandomizerConfig, make_flow, randomize, rerandomize
 from repro.ilr.rerandomize import apply_rerandomization
@@ -411,6 +414,56 @@ class TestGuardBailout:
         assert after == 0, "rotation must flush every compiled trace"
         assert cpu.tier_stats()["traces"]["invalidations"] >= 1
         assert _comparable(result.to_dict()) == _comparable(ref.to_dict())
+
+
+#: case -> (loop body, start of ``esi``, fault, faulting address).  Each
+#: loop walks a page a word at a time: 1,024 accesses, each a hit on
+#: the MRU DTLB page after the first, then the next page faults.  The
+#: first two walk into the invisible RDR tables; the third into an
+#: unmapped page with ``SparseMemory.strict`` set.
+_FAULT_CASES = {
+    "read_invisible": ("mov eax, [esi+0]", 0x5FFFF000, PageVisibilityFault,
+                       0x60000000),
+    "write_invisible": ("mov [esi+0], eax", 0x67FFF000, PageVisibilityFault,
+                        0x68000000),
+    "read_strict": ("mov eax, [esi+0]", 0x7FFFE000, MemoryFault, 0x7FFFF000),
+}
+
+
+class TestFaultsInsideTraces:
+    """A fault raised inside compiled trace code, by an inlined hit
+    path's fallback call, leaves the same state as on the block and
+    reference tiers."""
+
+    @pytest.mark.parametrize("mode", ["baseline", "naive_ilr", "vcfr"])
+    @pytest.mark.parametrize("case", sorted(_FAULT_CASES))
+    def test_fault_state_matches_every_tier(self, case, mode):
+        body, start, fault, fault_addr = _FAULT_CASES[case]
+        b = ProgramBuilder("fault")
+        b.label("main")
+        b.emit("movi esi, %d" % start)
+        b.label("loop")
+        b.emits(body, "add esi, 4", "jmp loop")
+        program = randomize(b.image(), RandomizerConfig(seed=SEED))
+
+        seen = []
+        for cfg in (_config(fastpath=False), _config(tracepath=False),
+                    _config()):
+            cpu = _mode_cpu(mode, program, cfg)
+            if fault is MemoryFault:
+                cpu.mem.write_block(start, bytes(4096))
+                cpu.mem.strict = True
+            with pytest.raises(fault) as info:
+                cpu.run(max_instructions=100_000)
+            seen.append((info.value.addr, cpu.state.icount, cpu.cycle,
+                         cpu.state.pc, cpu.dtlb.stats.accesses))
+        assert seen[0][0] == fault_addr
+        assert seen[1] == seen[0], "block tier"
+        assert seen[2] == seen[0], "trace tier"
+        assert cpu.tier_stats()["traces"]["entries"] > 0
+        frames = traceback.extract_tb(info.tb)
+        assert any(f.filename.startswith("<trace:") for f in frames), (
+            "the fault must come from compiled trace code")
 
 
 class TestInvalidationWindows:
