@@ -47,10 +47,6 @@ class CFG:
     def num_edges(self) -> int:
         return sum(len(v) for v in self.succs.values())
 
-    def block_at(self, addr: int) -> Optional[BasicBlock]:
-        """The block containing ``addr`` (by start address only)."""
-        return self.blocks.get(addr)
-
 
 def _add_edge(cfg: CFG, src: int, dst: int) -> None:
     if dst not in cfg.blocks:

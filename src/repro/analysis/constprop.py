@@ -60,10 +60,6 @@ class ConstPropResult:
     #: Indirect transfer sites the analysis could not resolve.
     unresolved: Set[int] = field(default_factory=set)
 
-    @property
-    def resolved_targets(self) -> Set[int]:
-        return {r.target for r in self.resolved}
-
 
 def _transfer_block(
     block: BasicBlock,

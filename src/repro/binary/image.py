@@ -55,9 +55,6 @@ class BinaryImage:
                 return sec
         raise ImageError("no section %r" % name)
 
-    def has_section(self, name: str) -> bool:
-        return any(sec.name == name for sec in self.sections)
-
     def section_at(self, addr: int) -> Optional[Section]:
         for sec in self.sections:
             if sec.contains(addr):
@@ -160,11 +157,6 @@ class BinaryImage:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "BinaryImage(entry=0x%x, sections=%r)" % (self.entry, self.sections)
-
-
-def make_standard_image(entry: int = 0) -> BinaryImage:
-    """Return an empty image (helper for tests and builders)."""
-    return BinaryImage(entry=entry)
 
 
 __all__ = [

@@ -178,12 +178,6 @@ class FleetResult:
         tenants = [TenantResult(**t) for t in data["tenant_results"]]
         return cls(**dict(data, tenant_results=tenants))
 
-    def by_tenant(self, name: str) -> TenantResult:
-        for tenant in self.tenant_results:
-            if tenant.tenant == name:
-                return tenant
-        raise KeyError(name)
-
     def tenant_points(self) -> List[dict]:
         """One flat row per tenant: spec echo + tenant metrics.
 

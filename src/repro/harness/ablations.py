@@ -299,8 +299,3 @@ ALL_ABLATIONS = {
     "context_switching": context_switching,
     "page_confined_layout": page_confined_layout,
 }
-
-
-def run_all_ablations(runner: ExperimentSession):
-    """Run every ablation, sharing the runner's caches."""
-    return {name: fn(runner) for name, fn in ALL_ABLATIONS.items()}

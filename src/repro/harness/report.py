@@ -44,10 +44,6 @@ def format_report(results: Dict[str, ExperimentResult]) -> str:
     return "\n\n".join(sections)
 
 
-def print_report(results: Dict[str, ExperimentResult]) -> None:  # pragma: no cover
-    print(format_report(results))
-
-
 def results_to_dict(results: Dict[str, ExperimentResult]) -> dict:
     """JSON-serializable form of a result set (for plotting pipelines)."""
     return {

@@ -32,15 +32,20 @@ replaced:
 Concurrency model
 -----------------
 
-With ``workers >= 2`` the scheduler runs a private asyncio event loop
-per stream: one lightweight task per in-window spec drives that spec's
-retry loop, awaiting pool attempts via ``loop.run_in_executor`` over
-the same :func:`~repro.harness.sweep._pool_task` worker entry point as
-before.  Pool capacity is a semaphore, so a pool break can only ever
-implicate the small, known in-flight set.  The synchronous
+Every stream runs on a private asyncio event loop: one lightweight task
+per in-window spec drives that spec's whole life cycle — cache lookup,
+foreign-claim wait, retries with backoff, integrity check, commit,
+store row, quarantine — and only *running one attempt* differs between
+inline and pooled execution.  With ``workers >= 2`` an attempt is
+awaited from a process pool via ``loop.run_in_executor`` over the
+:func:`~repro.harness.sweep._pool_task` worker entry point; pool
+capacity is a semaphore, so a pool break can only ever implicate the
+small, known in-flight set.  With ``workers <= 1`` an attempt runs in
+the loop's own thread (no processes), emitting live into the parent's
+event log, and intake takes one spec at a time so the log keeps the
+order of a plain loop over the specs.  The synchronous
 :meth:`AsyncScheduler.stream` generator bridges the async generator so
-callers stay plain ``for``-loops.  With ``workers <= 1`` execution is
-inline (no event loop, no processes) with identical semantics.
+callers stay plain ``for``-loops.
 
 Multi-host draining
 -------------------
@@ -99,21 +104,21 @@ _TICK = 0.05
 
 
 class _Resolution:
-    """A resolved spec, parked until its input-order emission slot."""
+    """A spec's outcome, parked until its input-order emission slot with
+    the winning attempt's ``payload`` and the tracer clock reading at
+    which its resolution ``started`` (both None for a cache hit)."""
 
-    __slots__ = ("spec", "payload", "failure", "result", "cached")
+    __slots__ = ("outcome", "payload", "started")
 
-    def __init__(self, spec, payload=None, failure=None, result=None,
-                 cached=False):
-        self.spec = spec
+    def __init__(self, outcome, payload=None, started=None):
+        self.outcome = outcome
         self.payload = payload
-        self.failure = failure
-        self.result = result
-        self.cached = cached
+        self.started = started
 
 
 class _Attempt:
-    """What one pooled attempt produced: a payload or a failure."""
+    """What one attempt produced: a payload (see
+    :func:`~repro.harness.sweep._pool_task`) or a failure."""
 
     __slots__ = ("payload", "kind", "error", "detail", "probe_next")
 
@@ -221,6 +226,10 @@ class AsyncScheduler:
     ``event_fields``/``as_dict`` surface and leaves execution to
     :func:`~repro.harness.sweep.execute_spec`.
 
+    Inline (``workers <= 1``) and pooled execution share one spec life
+    cycle (:meth:`_resolve`) and differ only in how one attempt runs
+    (:meth:`_attempt_inline`, :meth:`_attempt_pooled`).
+
     One scheduler executes one stream (pools live for the duration of a
     :meth:`stream` call); construct it with the sweep-wide policy —
     config, workers, cache/store/tracer/events, retry, faults — and
@@ -270,7 +279,8 @@ class AsyncScheduler:
         )
         #: Observed maximum of specs materialized but not yet emitted —
         #: the bounded-memory guarantee, measurable:
-        #: ``high_water <= max(1, workers) + backlog`` always holds.
+        #: ``high_water <= max(1, workers) + backlog`` always holds (and
+        #: inline, where intake takes one spec at a time, it stays 1).
         self.high_water = 0
 
     @property
@@ -286,194 +296,35 @@ class AsyncScheduler:
         """Yield one :class:`SweepOutcome` per spec, in input order.
 
         ``specs`` may be any iterable — it is consumed lazily, at most
-        :attr:`window` ahead of emission.  ``sweep_key``/``total`` pin
-        the root sweep span's identity and ``specs`` field for batch
-        callers (:meth:`ExperimentSession.sweep
+        :attr:`window` ahead of emission (one spec at a time inline).
+        ``sweep_key``/``total`` pin the root sweep span's identity and
+        ``specs`` field for batch callers (:meth:`ExperimentSession.sweep
         <repro.harness.session.ExperimentSession.sweep>`); streaming
         callers leave them unset and the count is filled in at close.
         Closing the generator mid-stream is safe: committed results stay
         in the cache/store, so a re-run resumes past them.
+
+        The stream runs on a private event loop, so it cannot be
+        iterated from a thread whose event loop is running.
         """
-        if self.workers >= 2:
-            return self._stream_pooled(specs, sweep_key, total)
-        return self._stream_inline(specs, sweep_key, total)
-
-    # -- shared helpers ------------------------------------------------------
-
-    def _note_pending(self, pending: int) -> None:
-        if pending > self.high_water:
-            self.high_water = pending
-
-    def _cache_lookup(self, spec: RunSpec):
-        if self.cache is None:
-            return None
-        return self.cache.get(spec, self.config)
-
-    def _emit_cached_events(self, spec: RunSpec, result) -> None:
-        """The cached-spec bookkeeping shared by both paths (the old
-        engine's cache pre-pass): status + spec_done + store row."""
-        self.events.status("run cached", **_job_fields(spec))
-        self.events.emit("spec_done", cached=True, attempts=0,
-                         **_job_fields(spec))
-        if self.store is not None:
-            self.store.record_run(spec, result,
-                                  config_digest=self.config_digest,
-                                  cached=True, attempts=0)
-
-    def _quarantine(self, spec: RunSpec, attempts: int, kind: str,
-                    error: str, detail: str) -> FailedRun:
-        failure = FailedRun(spec, attempts, kind, error, detail)
-        FAULT_COUNTS["sweep.quarantined"] += 1
-        self.events.emit("run_failed", attempts=attempts, reason=kind,
-                         error=error, **_job_fields(spec))
-        if self.store is not None:
-            self.store.record_failure(spec, error,
-                                      config_digest=self.config_digest,
-                                      attempts=attempts)
-        if self.queue is not None:
-            # Surrender the claim: a peer may have better luck (and if
-            # not, it quarantines independently — both hosts converge).
-            self.queue.release(spec, self.config)
-        return failure
-
-    def _note_retry(self, spec: RunSpec, nxt: int, kind: str,
-                    error: str) -> float:
-        FAULT_COUNTS["sweep.retries"] += 1
-        self.events.emit("run_retry", attempt=nxt, reason=kind,
-                         error=error, **_job_fields(spec))
-        return self.retry.delay(nxt)
-
-    # -- inline execution ----------------------------------------------------
-
-    def _stream_inline(self, specs, sweep_key, total):
-        count = 0
-        with self.tracer.span("sweep", span_key=sweep_key,
-                              specs=(total or 0)) as sweep_span:
-            try:
-                for raw in specs:
-                    spec = raw.normalized()
-                    count += 1
-                    self._note_pending(1)
-                    cached = self._cache_lookup(spec)
-                    if cached is not None:
-                        self._emit_cached_events(spec, cached)
-                        with self.tracer.span("spec", span_key=_spec_key(spec),
-                                              label=spec.label()):
-                            pass
-                        yield SweepOutcome(spec, cached, cached=True)
-                        continue
-                    if self.queue is not None and \
-                            not self.queue.claim(spec, self.config):
-                        yield self._await_foreign_inline(spec)
-                        continue
-                    yield self._resolve_inline(spec)
-            finally:
-                if sweep_span is not None and total is None:
-                    sweep_span.fields["specs"] = count
-
-    def _await_foreign_inline(self, spec: RunSpec) -> SweepOutcome:
-        """Another host claimed ``spec``: poll the shared cache for its
-        result, taking the claim over (and executing locally) if it
-        goes stale."""
-        while True:
-            if self.cache.peek(spec, self.config) is not None:
-                result = self._cache_lookup(spec)
-                if result is not None:
-                    self._emit_cached_events(spec, result)
-                    with self.tracer.span("spec", span_key=_spec_key(spec),
-                                          label=spec.label()):
-                        pass
-                    return SweepOutcome(spec, result, cached=True)
-            if self.queue.claim(spec, self.config):
-                return self._resolve_inline(spec)
-            time.sleep(_TICK)
-
-    def _resolve_inline(self, spec: RunSpec) -> SweepOutcome:
-        """One spec's retry loop, inline — identical to the engine it
-        replaces: attempts emit straight into the parent observability,
-        injected at-dispatch faults fail before the attempt span opens,
-        and the store rolls up the winning attempt's subtree only."""
-        on_checkpoint = (
-            self.on_checkpoint_for(spec) if self.on_checkpoint_for else None
-        )
-        key = _spec_key(spec)
-        tracer, events = self.tracer, self.events
-        started = time.perf_counter()
-        outcome = None
-        with tracer.span("spec", span_key=key, label=spec.label()):
-            attempt = 0
-            result = failure = None
-            while True:
-                events.emit("spec_dispatch", attempt=attempt,
-                            **_job_fields(spec))
-                try:
-                    if self.faults is not None:
-                        apply_inline_fault(self.faults, spec.label(), attempt)
-                    with tracer.span("attempt",
-                                     span_key=key + "#%d" % attempt,
-                                     attempt=attempt):
-                        result = execute_spec(
-                            spec,
-                            self.config,
-                            events=events,
-                            checkpoint_interval=self.interval_for(spec),
-                            on_checkpoint=on_checkpoint,
-                            profiler=self.profiler,
-                            profile_phases=self.profile_phases,
-                            program_cache=self.program_cache,
-                            tracer=tracer,
-                        )
-                except Exception as exc:
-                    kind = getattr(exc, "kind", "error")
-                    detail = traceback.format_exc()
-                    nxt = attempt + 1
-                    if nxt >= self.retry.max_attempts:
-                        failure = self._quarantine(spec, nxt, kind,
-                                                   repr(exc), detail)
-                        outcome = SweepOutcome(spec, None, attempts=nxt,
-                                               failure=failure)
-                        break
-                    delay = self._note_retry(spec, nxt, kind, repr(exc))
-                    time.sleep(delay)
-                    tracer.add_span("retry-wait", delay,
-                                    span_key=key + "#wait%d" % nxt,
-                                    attempt=nxt)
-                    attempt = nxt
-                    continue
-                _commit_result(self.cache, spec, self.config, result,
-                               self.faults, events)
-                if self.queue is not None:
-                    self.queue.complete(spec, self.config)
-                outcome = SweepOutcome(spec, result, attempts=attempt + 1)
-                break
-        host_seconds = time.perf_counter() - started
-        if failure is not None:
-            return outcome
-        events.emit("spec_done", cached=False, attempts=attempt + 1,
-                    **_job_fields(spec))
-        if self.store is not None:
-            rollup = None
-            if tracer.enabled:
-                rollup = rollup_spans(tracer.subtree(
-                    span_id_for_key(key + "#%d" % attempt)))
-            self.store.record_run(spec, result,
-                                  config_digest=self.config_digest,
-                                  attempts=attempt + 1,
-                                  host_seconds=host_seconds, spans=rollup)
-        return outcome
-
-    # -- pooled execution ----------------------------------------------------
-
-    def _stream_pooled(self, specs, sweep_key, total):
-        """Bridge the async engine into a plain synchronous generator."""
         loop = asyncio.new_event_loop()
         agen = self._astream(specs, sweep_key, total)
         try:
             while True:
+                step = loop.create_task(agen.__anext__())
                 try:
-                    outcome = loop.run_until_complete(agen.__anext__())
+                    outcome = loop.run_until_complete(step)
                 except StopAsyncIteration:
                     break
+                except BaseException:
+                    # A Ctrl-C (raised inside an inline attempt, or while
+                    # the loop waits) leaves the engine suspended mid-step:
+                    # cancel the step so the engine's cleanup reaps its
+                    # tasks and their copies of the error, then re-raise.
+                    step.cancel()
+                    loop.run_until_complete(
+                        asyncio.gather(step, return_exceptions=True))
+                    raise
                 yield outcome
         finally:
             try:
@@ -481,8 +332,14 @@ class AsyncScheduler:
             finally:
                 loop.close()
 
+    # -- the spec life cycle -------------------------------------------------
+
     async def _astream(self, specs, sweep_key, total):
-        state = _PoolState(self.workers)
+        # Inline attempts take one spec at a time: a wider window would
+        # look up later specs in the cache first, and their records
+        # would precede an earlier spec's execution records.
+        state = _PoolState(self.workers) if self.workers >= 2 else None
+        window = self.window if state is not None else 1
         it = iter(specs)
         exhausted = False
         next_index = 0   # intake position
@@ -499,10 +356,9 @@ class AsyncScheduler:
                     while next_emit in ready:
                         resolution = ready.pop(next_emit)
                         next_emit += 1
-                        yield self._emit_pooled(resolution)
+                        yield self._emit(resolution)
                     # Intake up to the window bound.
-                    while not exhausted and \
-                            len(tasks) + len(ready) < self.window:
+                    while not exhausted and len(tasks) + len(ready) < window:
                         try:
                             raw = next(it)
                         except StopIteration:
@@ -510,19 +366,19 @@ class AsyncScheduler:
                             break
                         spec = raw.normalized()
                         count += 1
-                        self._note_pending(len(tasks) + len(ready) + 1)
-                        cached = self._cache_lookup(spec)
+                        self.high_water = max(self.high_water,
+                                              len(tasks) + len(ready) + 1)
+                        cached = (self.cache.get(spec, self.config)
+                                  if self.cache is not None else None)
                         if cached is not None:
-                            self._emit_cached_events(spec, cached)
-                            ready[next_index] = _Resolution(
-                                spec, result=cached, cached=True)
+                            ready[next_index] = self._cached(spec, cached)
                         elif self.queue is not None and \
                                 not self.queue.claim(spec, self.config):
                             tasks[next_index] = asyncio.ensure_future(
                                 self._await_foreign(spec, state))
                         else:
                             tasks[next_index] = asyncio.ensure_future(
-                                self._resolve_pooled(spec, state))
+                                self._resolve(spec, state))
                         next_index += 1
                     if next_emit in ready:
                         continue
@@ -543,65 +399,84 @@ class AsyncScheduler:
                 if tasks:
                     await asyncio.gather(*tasks.values(),
                                          return_exceptions=True)
-                state.shutdown()
+                if state is not None:
+                    state.shutdown()
 
-    def _emit_pooled(self, resolution: _Resolution) -> SweepOutcome:
-        """Materialize one resolution at its input-order slot: the spec
-        span plus the winning attempt's observability merge — exactly
-        once per spec, never double-counted."""
-        spec = resolution.spec
+    def _cached(self, spec: RunSpec, result) -> _Resolution:
+        """Serve ``spec`` from the cache: status, ``spec_done`` and the
+        store row are recorded when the hit is found."""
+        self.events.status("run cached", **_job_fields(spec))
+        self.events.emit("spec_done", cached=True, attempts=0,
+                         **_job_fields(spec))
+        if self.store is not None:
+            self.store.record_run(spec, result,
+                                  config_digest=self.config_digest,
+                                  cached=True, attempts=0)
+        return _Resolution(SweepOutcome(spec, result, cached=True))
+
+    def _emit(self, resolution: _Resolution) -> SweepOutcome:
+        """Materialize one resolution at its input-order slot, exactly
+        once per spec: the ``spec`` span, back-dated to when resolution
+        began so that its attempt and retry-wait spans lie inside it,
+        then the winning attempt's spans and, from a pool worker, its
+        buffered records and phase totals."""
+        spec = resolution.outcome.spec
         key = _spec_key(spec)
-        with self.tracer.span("spec", span_key=key, label=spec.label()):
-            pass
-        if resolution.failure is not None:
-            return SweepOutcome(spec, None,
-                                attempts=resolution.failure.attempts,
-                                failure=resolution.failure)
-        if resolution.cached:
-            return SweepOutcome(spec, resolution.result, cached=True)
+        span = self.tracer.add_span("spec", 0.0, span_key=key,
+                                    label=spec.label())
+        if span is not None and resolution.started is not None:
+            span.start = resolution.started
         payload = resolution.payload
-        attempt = payload["attempt"]
-        if attempt:
-            self.events.replay(payload["records"], attempt=attempt)
-        else:
-            self.events.replay(payload["records"])
-        self.profiler.merge_snapshot(payload["phases"])
-        self.tracer.adopt(payload.get("spans", ()),
-                          parent_id=span_id_for_key(key))
-        return SweepOutcome(spec, payload["result"],
-                            events=payload["records"],
-                            attempts=attempt + 1)
+        if payload is not None:
+            attempt = payload["attempt"]
+            if attempt:
+                self.events.replay(payload["records"], attempt=attempt)
+            else:
+                self.events.replay(payload["records"])
+            self.profiler.merge_snapshot(payload["phases"])
+            self.tracer.adopt(payload["spans"],
+                              parent_id=span_id_for_key(key))
+        return resolution.outcome
 
     async def _await_foreign(self, spec: RunSpec,
-                             state: _PoolState) -> _Resolution:
-        """Async twin of :meth:`_await_foreign_inline`."""
+                             state: Optional[_PoolState]) -> _Resolution:
+        """Another host claimed ``spec``: poll the shared cache for its
+        result, taking the claim over (and resolving locally) if it
+        goes stale."""
         while True:
             if self.cache.peek(spec, self.config) is not None:
-                result = self._cache_lookup(spec)
+                result = self.cache.get(spec, self.config)
                 if result is not None:
-                    self._emit_cached_events(spec, result)
-                    return _Resolution(spec, result=result, cached=True)
+                    return self._cached(spec, result)
             if self.queue.claim(spec, self.config):
-                return await self._resolve_pooled(spec, state)
+                return await self._resolve(spec, state)
             await asyncio.sleep(_TICK)
 
-    async def _resolve_pooled(self, spec: RunSpec,
-                              state: _PoolState) -> _Resolution:
-        """One spec's pooled retry loop: dispatch attempts, verify
-        integrity, commit as results complete, quarantine at the
-        attempt bound.  Never raises for a failing spec."""
+    async def _resolve(self, spec: RunSpec,
+                       state: Optional[_PoolState]) -> _Resolution:
+        """One spec's retry loop, for both attempt strategies (inline
+        without a pool ``state``): verify a pooled payload's integrity,
+        commit as results complete, and quarantine at the attempt bound.
+        Never raises for a failing spec."""
         key = _spec_key(spec)
+        started = self.tracer.clock()
         attempt = 0
         probe = False
         abandoned: List[asyncio.Future] = []
         try:
             while True:
-                outcome = await self._attempt_pooled(spec, key, attempt,
-                                                     probe, abandoned, state)
-                if outcome.payload is not None:
-                    payload = outcome.payload
+                if state is None:
+                    outcome = self._attempt_inline(spec, key, attempt)
+                else:
+                    outcome = await self._attempt_pooled(
+                        spec, key, attempt, probe, abandoned, state)
+                payload = outcome.payload
+                if payload is not None:
                     won = payload["attempt"]
-                    if payload["digest"] != _result_digest(payload["result"]):
+                    # Only a pooled payload carries a digest: an inline
+                    # result never crossed a process boundary.
+                    if "digest" in payload and payload["digest"] != \
+                            _result_digest(payload["result"]):
                         FAULT_COUNTS["sweep.corrupt_results"] += 1
                         outcome = _Attempt(
                             kind="corrupt",
@@ -609,31 +484,17 @@ class AsyncScheduler:
                             probe_next=probe)
                         attempt = won
                     else:
-                        _commit_result(self.cache, spec, self.config,
-                                       payload["result"], self.faults,
-                                       self.events)
-                        if self.queue is not None:
-                            self.queue.complete(spec, self.config)
-                        self.events.emit("spec_done", cached=False,
-                                         attempts=won + 1,
-                                         **_job_fields(spec))
-                        if self.store is not None:
-                            spans = payload.get("spans") or None
-                            rollup = rollup_spans(spans) if spans else None
-                            self.store.record_run(
-                                spec, payload["result"],
-                                config_digest=self.config_digest,
-                                attempts=won + 1,
-                                host_seconds=payload["host_seconds"],
-                                spans=rollup)
-                        return _Resolution(spec, payload=payload)
+                        return _Resolution(self._commit(spec, payload),
+                                           payload, started)
                 nxt = attempt + 1
                 if nxt >= self.retry.max_attempts:
-                    failure = self._quarantine(spec, nxt, outcome.kind,
-                                               outcome.error, outcome.detail)
-                    return _Resolution(spec, failure=failure)
-                delay = self._note_retry(spec, nxt, outcome.kind,
-                                         outcome.error)
+                    return _Resolution(self._quarantine(spec, nxt, outcome),
+                                       started=started)
+                FAULT_COUNTS["sweep.retries"] += 1
+                self.events.emit("run_retry", attempt=nxt,
+                                 reason=outcome.kind, error=outcome.error,
+                                 **_job_fields(spec))
+                delay = self.retry.delay(nxt)
                 await asyncio.sleep(delay)
                 self.tracer.add_span("retry-wait", delay,
                                      parent_id=span_id_for_key(key),
@@ -647,6 +508,88 @@ class AsyncScheduler:
             # when they land (the ISSUE 4 accounting).
             for future in abandoned:
                 future.add_done_callback(_count_duplicate)
+
+    def _commit(self, spec: RunSpec, payload: dict) -> SweepOutcome:
+        """A winning attempt: commit its result, complete the claim,
+        emit ``spec_done`` and write the store row, whose
+        ``host_seconds`` and span rollup are this attempt's."""
+        won = payload["attempt"]
+        _commit_result(self.cache, spec, self.config, payload["result"],
+                       self.faults, self.events)
+        if self.queue is not None:
+            self.queue.complete(spec, self.config)
+        self.events.emit("spec_done", cached=False, attempts=won + 1,
+                         **_job_fields(spec))
+        if self.store is not None:
+            spans = payload["spans"]
+            self.store.record_run(
+                spec, payload["result"], config_digest=self.config_digest,
+                attempts=won + 1, host_seconds=payload["host_seconds"],
+                spans=rollup_spans(spans) if spans else None)
+        return SweepOutcome(spec, payload["result"],
+                            events=payload["records"], attempts=won + 1)
+
+    def _quarantine(self, spec: RunSpec, attempts: int,
+                    last: _Attempt) -> SweepOutcome:
+        """Every attempt failed: record the last failure and give the
+        spec up as a :class:`FailedRun`."""
+        failure = FailedRun(spec, attempts, last.kind, last.error,
+                            last.detail)
+        FAULT_COUNTS["sweep.quarantined"] += 1
+        self.events.emit("run_failed", attempts=attempts, reason=last.kind,
+                         error=last.error, **_job_fields(spec))
+        if self.store is not None:
+            self.store.record_failure(spec, last.error,
+                                      config_digest=self.config_digest,
+                                      attempts=attempts)
+        if self.queue is not None:
+            # Surrender the claim: a peer may have better luck (and if
+            # not, it quarantines independently — both hosts converge).
+            self.queue.release(spec, self.config)
+        return SweepOutcome(spec, None, attempts=attempts, failure=failure)
+
+    # -- attempt strategies --------------------------------------------------
+
+    def _attempt_inline(self, spec: RunSpec, key: str,
+                        attempt: int) -> _Attempt:
+        """Run one attempt in this process: it emits live into the
+        parent's event log (heartbeats and the dashboard need that) and
+        shares the program memo and profiler, but traces into a private
+        tracer, as a pool worker does, so only a winning attempt's spans
+        reach the parent."""
+        self.events.emit("spec_dispatch", attempt=attempt,
+                         **_job_fields(spec))
+        tracer = Tracer(enabled=self.tracer.enabled, clock=self.tracer.clock)
+        on_checkpoint = (
+            self.on_checkpoint_for(spec) if self.on_checkpoint_for else None
+        )
+        try:
+            apply_inline_fault(self.faults, spec.label(), attempt)
+            started = time.perf_counter()
+            with tracer.span("attempt", span_key=key + "#%d" % attempt,
+                             attempt=attempt):
+                result = execute_spec(
+                    spec,
+                    self.config,
+                    events=self.events,
+                    checkpoint_interval=self.interval_for(spec),
+                    on_checkpoint=on_checkpoint,
+                    profiler=self.profiler,
+                    profile_phases=self.profile_phases,
+                    program_cache=self.program_cache,
+                    tracer=tracer,
+                )
+        except Exception as exc:
+            return _Attempt(kind=getattr(exc, "kind", "error"),
+                            error=repr(exc), detail=traceback.format_exc())
+        return _Attempt(payload={
+            "attempt": attempt,
+            "result": result,
+            "records": [],
+            "phases": {},
+            "spans": tracer.export(),
+            "host_seconds": time.perf_counter() - started,
+        })
 
     async def _attempt_pooled(self, spec: RunSpec, key: str, attempt: int,
                               probe: bool, abandoned,

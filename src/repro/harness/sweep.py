@@ -13,10 +13,10 @@ a streaming, bounded-memory scheduler fronted by
 :class:`repro.harness.session.ExperimentSession`, whose
 :meth:`~repro.harness.session.ExperimentSession.sweep` is the batch
 surface: it deduplicates normalized specs, serves anything already in
-the on-disk :class:`~repro.harness.resultcache.ResultCache`, fans the
-rest over a process pool (``workers >= 2``) or runs them inline, and
-merges worker observability (buffered events, profiler phase totals,
-trace spans) back into the parent.
+the on-disk :class:`~repro.harness.resultcache.ResultCache`, and puts
+the rest through one retry loop whose attempts run in a process pool
+(``workers >= 2``) or inline, merging a winning attempt's observability
+(buffered events, profiler phase totals, trace spans) into the parent.
 
 Every execution path funnels through :func:`execute_spec`, so a pooled
 sweep produces **bit-identical** results to a sequential one: each spec
@@ -53,8 +53,8 @@ guarantees, under a :class:`RetryPolicy` (on by default):
   is preserved and a re-invoked sweep picks up where it stopped.
 * **Idempotent observability** — worker snapshots are tagged with their
   attempt id and merged exactly once per spec (the winning attempt
-  only), so a retried spec can never double-count events, spans, or
-  phase totals in the parent.
+  only; inline attempts likewise trace privately), so a retried spec
+  can never double-count events, spans, or phase totals in the parent.
 
 Failures and retries surface through the event log (``run_retry``,
 ``run_failed``, ``pool_rebuild`` records) and the process-global

@@ -71,10 +71,6 @@ class Instruction:
         return self.mnemonic in _INDIRECT
 
     @property
-    def is_conditional(self) -> bool:
-        return self.cc is not None
-
-    @property
     def is_call(self) -> bool:
         return self.mnemonic in ("call", "calli")
 

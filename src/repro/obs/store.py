@@ -208,8 +208,10 @@ class RunStore:
         :class:`~repro.arch.simstats.SimResult`, an emulator result (has
         ``run.icount``), a race or fleet result (also kept whole as the
         row's JSON ``payload``), or any of these as its ``as_dict()``
-        from a backfill.  ``spans`` is a
-        :func:`~repro.obs.trace.rollup_spans`-shaped mapping.
+        from a backfill.  ``host_seconds`` is the wall time of the one
+        attempt that produced ``result``, never failed attempts or retry
+        backoff, and ``spans`` (shaped like
+        :func:`~repro.obs.trace.rollup_spans`) rolls up that attempt.
         """
         kind = kind or getattr(spec, "kind", "run")
         payload = None

@@ -17,9 +17,9 @@ Determinism is the design center (and what makes traces testable):
   derives the *same* ids the sequential path would — so a pooled
   sweep's adopted spans line up exactly with an inline sweep's.
   A corollary: ``span_id_for_key`` lets a producer reference a span's
-  id *before* the span exists (the pooled dispatcher parents
-  retry-wait spans under a spec span that is only materialized at
-  merge time).
+  id *before* the span exists (the scheduler parents retry-wait
+  spans under a spec span that is only materialized when the spec is
+  emitted).
 * **The clock is injectable.**  The default is ``time.perf_counter``;
   tests pass a :class:`TickClock` so start/end times are exact.
 * **Worker capture is pickle-safe.**  Workers trace into their own
@@ -178,10 +178,10 @@ class Tracer:
         """Record an already-elapsed interval as a completed span.
 
         Used where a ``with`` block cannot wrap the interval — e.g. the
-        pooled dispatcher's retry backoffs, which are scheduling delays
-        rather than blocking sleeps.  ``parent_id`` may name a span that
-        does not exist yet (ids are content-derived, so the parent's id
-        is known before the span is materialized at merge time).
+        scheduler's retry backoffs, which are scheduling delays rather
+        than blocking sleeps.  ``parent_id`` may name a span that does
+        not exist yet (ids are content-derived, so the parent's id is
+        known before the span is materialized at merge time).
         """
         if not self.enabled:
             return None
@@ -267,9 +267,12 @@ class Tracer:
         """Write Chrome ``trace_event`` JSON (complete ``X`` events).
 
         Load in ``chrome://tracing`` or https://ui.perfetto.dev for a
-        flamegraph.  Adopted worker spans keep their worker-relative
-        times, so cross-process nesting is approximate; within one
-        process the nesting is exact.  Returns the span count written.
+        flamegraph.  Adopted worker spans keep the times the worker's
+        tracer read from its default clock, ``time.perf_counter``, which
+        is the host's system-wide monotonic clock (``CLOCK_MONOTONIC`` on
+        Linux); so when this tracer uses the default clock too, a
+        worker's spans nest inside the parent's as exactly as spans
+        recorded in one process.  Returns the span count written.
         """
         events = []
         for span in self.spans:

@@ -186,10 +186,6 @@ class JITROPAdversary:
             )
         return len(self._known_gadget_addrs) >= self.spec.gadgets_needed
 
-    def harvested_gadgets(self) -> List[Gadget]:
-        """Catalogue gadgets whose current-epoch address is known."""
-        return [g for g in self.gadgets if g.addr in self._known_gadget_addrs]
-
     def invalidate(self) -> None:
         """A rotation retired the tables: the harvest is worthless."""
         if self.known or self._known_gadget_addrs:

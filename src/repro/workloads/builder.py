@@ -53,11 +53,6 @@ class ProgramBuilder:
         self._counter += 1
         return ".%s_%s_%d" % (prefix, self.name, self._counter)
 
-    def unique_global(self, prefix: str) -> str:
-        """A fresh function-level label."""
-        self._counter += 1
-        return "%s_%d" % (prefix, self._counter)
-
     # -- common idioms ------------------------------------------------------------
 
     def func(self, name: str) -> None:

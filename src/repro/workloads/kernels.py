@@ -517,9 +517,3 @@ def gen_clones(b: ProgramBuilder, prefix: str, count: int,
         body(b, idx)
         b.endfunc()
     return names
-
-
-def call_all(b: ProgramBuilder, names: List[str]) -> None:
-    """Direct calls to every name in order (unrolled)."""
-    for name in names:
-        b.emit("call %s" % name)
