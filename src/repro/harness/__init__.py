@@ -18,7 +18,7 @@ memory::
         ...
 
 Engine-level knobs a session does not expose (an explicit program
-memo or profiler, an event log without checkpoints) are arguments of
+memo, an event log without checkpoints) are arguments of
 ``AsyncScheduler(config, ...).stream(specs)``.
 
 Or from the command line::

@@ -8,8 +8,8 @@ Options:
   --json PATH             write all results as JSON ("-" for stdout)
   --events PATH           write a JSONL structured event log
   --progress              heartbeat line per simulation checkpoint
-  --profile-phases        split simulation host time by layer (sampled
-                          on the tiers that run)
+  --profile-phases        split simulation host time by layer into
+                          sim.<layer> spans (sampled on the tiers that run)
   --checkpoint-interval N instructions between checkpoints (0 = auto)
   --workers N             parallel sweep worker processes
   --backlog N             streaming-scheduler intake window beyond workers
@@ -31,8 +31,9 @@ commit to the cache as they finish, so a killed invocation resumes from
 its completed work when re-run with the same ``--cache-dir``.
 
 Only the experiment report (or, with ``--json -``, the JSON document)
-goes to stdout; all diagnostics — timings, heartbeats, file notices —
-go to stderr, so piped output is always machine-clean.
+goes to stdout; all diagnostics — timings, heartbeats, file notices,
+the host-time table of the run's spans — go to stderr, so piped output
+is always machine-clean.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import sys
 import time
 
 from ..obs import open_log, status
-from ..obs.trace import Tracer
+from ..obs.trace import NULL_TRACER, Tracer, span_table
 from .ablations import ALL_ABLATIONS
 from .dashboard import Dashboard
 from .cli import (
@@ -74,9 +75,9 @@ def main(argv=None) -> int:
                         help='write results as JSON to PATH ("-" = stdout)')
     parser.add_argument("--profile-phases", action="store_true",
                         help="split each simulation's host time by layer "
-                             "(arch.cache, ilr.flow, ...) with a sampling "
-                             "profiler on the tiers that run; results are "
-                             "identical")
+                             "(sim.arch.cache, sim.ilr.flow, ... spans) with "
+                             "a sampling profiler on the tiers that run; "
+                             "results are identical")
     add_observability_options(parser)
     add_sweep_options(parser)
     add_fault_options(parser)
@@ -103,7 +104,8 @@ def main(argv=None) -> int:
     json_to_stdout = args.json == "-"
     emit_report = status if json_to_stdout else print
 
-    tracer = Tracer() if args.trace_out else None
+    show_table = args.events or args.progress or args.profile_phases
+    tracer = Tracer() if show_table or args.trace_out else NULL_TRACER
     dashboard = None
 
     with open_log(args.events) as events:
@@ -154,7 +156,7 @@ def main(argv=None) -> int:
         for exp_id in wanted:
             start = time.time()
             try:
-                with runner.profiler.phase("experiment", experiment=exp_id):
+                with tracer.span("experiment", experiment=exp_id):
                     result = registry[exp_id](runner)
             except FailedRunError as err:
                 # A quarantined spec poisons only the experiments that
@@ -187,9 +189,9 @@ def main(argv=None) -> int:
                 "%s=%d" % (name.split(".", 1)[1], value)
                 for name, value in sorted(FAULT_COUNTS.items())
             ))
-        if args.events or args.progress or args.profile_phases:
+        if show_table:
             status("")
-            status(runner.profiler.format_table("host-time by phase"))
+            status(span_table(tracer.spans, "host-time by phase"))
         if args.json:
             if json_to_stdout:
                 import json as _json

@@ -25,9 +25,10 @@ replaced:
   ``sweep.*`` fault counts (:data:`~repro.harness.sweep.FAULT_COUNTS`)
   and ``run_retry``/``run_failed``/``pool_rebuild`` events are
   unchanged.
-* **ISSUE 6 span/store parity** — the ``sweep → spec → attempt →
-  phase`` span tree is byte-identical between inline and pooled
-  execution, and store rows are committed as results complete.
+* **Span/store parity** — the ``sweep → spec → attempt → phase`` span
+  tree is byte-identical between inline and pooled execution, and
+  store rows, each with its winning attempt's span rollup, are
+  committed as results complete.
 
 Concurrency model
 -----------------
@@ -69,7 +70,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..arch.config import MachineConfig, default_config
 from ..obs.events import EventLog
-from ..obs.profile import PhaseProfiler
 from ..obs.store import RunStore
 from ..obs.trace import NULL_TRACER, Tracer, rollup_spans, span_id_for_key
 from .faults import FaultPlan, apply_inline_fault
@@ -236,8 +236,10 @@ class AsyncScheduler:
     iterate :meth:`stream` over any spec iterable.  The
     :class:`~repro.harness.session.ExperimentSession` facade constructs
     schedulers for callers; construct one directly only for an engine
-    argument a session does not expose (``program_cache``,
-    ``profiler``, an event log without checkpoints).
+    argument a session does not expose (``program_cache``, an event log
+    without checkpoints).  Attempts are traced whenever their spans are
+    read (:attr:`trace_attempts`): by the tracer, the event log's
+    ``phase`` records or a store row's rollup.
     """
 
     def __init__(
@@ -248,7 +250,6 @@ class AsyncScheduler:
         backlog: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         events: Optional[EventLog] = None,
-        profiler: Optional[PhaseProfiler] = None,
         checkpoint_interval=0,
         profile_phases: bool = False,
         on_checkpoint_for: Optional[Callable] = None,
@@ -264,7 +265,6 @@ class AsyncScheduler:
         self.backlog = DEFAULT_BACKLOG if backlog is None else max(1, backlog)
         self.cache = cache
         self.events = events if events is not None else EventLog()
-        self.profiler = profiler or PhaseProfiler(self.events)
         self.interval_for = _interval_fn(checkpoint_interval)
         self.profile_phases = profile_phases
         self.on_checkpoint_for = on_checkpoint_for
@@ -277,6 +277,10 @@ class AsyncScheduler:
         self.config_digest = (
             config_fingerprint(self.config) if store is not None else ""
         )
+        #: Attempts are traced when anything reads their spans: the
+        #: tracer, the event log (``phase`` records) or the store.
+        self.trace_attempts = (self.tracer.enabled or self.events.enabled
+                               or store is not None)
         #: Observed maximum of specs materialized but not yet emitted —
         #: the bounded-memory guarantee, measurable:
         #: ``high_water <= max(1, workers) + backlog`` always holds (and
@@ -419,7 +423,7 @@ class AsyncScheduler:
         once per spec: the ``spec`` span, back-dated to when resolution
         began so that its attempt and retry-wait spans lie inside it,
         then the winning attempt's spans and, from a pool worker, its
-        buffered records and phase totals."""
+        buffered records."""
         spec = resolution.outcome.spec
         key = _spec_key(spec)
         span = self.tracer.add_span("spec", 0.0, span_key=key,
@@ -433,7 +437,6 @@ class AsyncScheduler:
                 self.events.replay(payload["records"], attempt=attempt)
             else:
                 self.events.replay(payload["records"])
-            self.profiler.merge_snapshot(payload["phases"])
             self.tracer.adopt(payload["spans"],
                               parent_id=span_id_for_key(key))
         return resolution.outcome
@@ -554,12 +557,12 @@ class AsyncScheduler:
                         attempt: int) -> _Attempt:
         """Run one attempt in this process: it emits live into the
         parent's event log (heartbeats and the dashboard need that) and
-        shares the program memo and profiler, but traces into a private
-        tracer, as a pool worker does, so only a winning attempt's spans
-        reach the parent."""
+        shares the program memo, but traces into a private tracer, as a
+        pool worker does, so only a winning attempt's spans reach the
+        parent."""
         self.events.emit("spec_dispatch", attempt=attempt,
                          **_job_fields(spec))
-        tracer = Tracer(enabled=self.tracer.enabled, clock=self.tracer.clock)
+        tracer = Tracer(enabled=self.trace_attempts, clock=self.tracer.clock)
         on_checkpoint = (
             self.on_checkpoint_for(spec) if self.on_checkpoint_for else None
         )
@@ -574,7 +577,6 @@ class AsyncScheduler:
                     events=self.events,
                     checkpoint_interval=self.interval_for(spec),
                     on_checkpoint=on_checkpoint,
-                    profiler=self.profiler,
                     profile_phases=self.profile_phases,
                     program_cache=self.program_cache,
                     tracer=tracer,
@@ -586,7 +588,6 @@ class AsyncScheduler:
             "attempt": attempt,
             "result": result,
             "records": [],
-            "phases": {},
             "spans": tracer.export(),
             "host_seconds": time.perf_counter() - started,
         })
@@ -610,7 +611,7 @@ class AsyncScheduler:
                 future = loop.run_in_executor(
                     pool, _pool_task, spec, self.config,
                     self.interval_for(spec), self.profile_phases,
-                    attempt, self.faults, self.tracer.enabled)
+                    attempt, self.faults, self.trace_attempts)
             except BrokenProcessPool:
                 # Died between attempts: this attempt never started, so
                 # recycle the pool and resubmit without penalty.
@@ -626,9 +627,16 @@ class AsyncScheduler:
                 timeout = None
                 if deadline is not None:
                     timeout = max(0.0, deadline - loop.time())
-                done, _pending = await asyncio.wait(
-                    {future} | set(abandoned), timeout=timeout,
-                    return_when=asyncio.FIRST_COMPLETED)
+                try:
+                    done, _pending = await asyncio.wait(
+                        {future} | set(abandoned), timeout=timeout,
+                        return_when=asyncio.FIRST_COMPLETED)
+                except asyncio.CancelledError:
+                    # Nothing awaits the attempt any more (Ctrl-C, or a
+                    # closed stream): read its outcome when it lands,
+                    # or asyncio logs a worker's error as never retrieved.
+                    future.add_done_callback(_retrieve)
+                    raise
                 if future in done:
                     try:
                         exc = future.exception()
@@ -692,6 +700,12 @@ class AsyncScheduler:
             except asyncio.CancelledError:
                 pass
         return None
+
+
+def _retrieve(future) -> None:
+    """Done-callback of an attempt no one awaits: read its outcome."""
+    if not future.cancelled():
+        future.exception()
 
 
 def _count_duplicate(future) -> None:

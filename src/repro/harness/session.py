@@ -35,9 +35,10 @@ Every surface takes every job kind: a race or fleet point is cached,
 retried, quarantined, pooled, traced and stored exactly like a run.
 
 A session always memoizes programs and, whenever its event log is
-enabled, checkpoints cycle simulations.  Callers that need an engine
-argument a session does not expose — an explicit ``program_cache`` or
-``profiler``, an event log without checkpoints — drive
+enabled, checkpoints cycle simulations.  It keeps no tracer of its own
+(a retained one would grow with every spec).  Callers that need an
+engine argument a session does not expose — an explicit
+``program_cache``, an event log without checkpoints — drive
 :meth:`AsyncScheduler(config, ...).stream(specs)
 <repro.harness.scheduler.AsyncScheduler.stream>` directly.
 """
@@ -52,7 +53,6 @@ from ..emu import EmulationResult
 from ..ilr import RandomizedProgram
 from ..obs import status
 from ..obs.events import EventLog
-from ..obs.profile import PhaseProfiler
 from ..obs.store import RunStore
 from ..obs.trace import Tracer
 from .faults import FaultPlan
@@ -151,10 +151,6 @@ class ExperimentSession:
         self._results: Dict[object, object] = {}
         #: quarantined specs from past sweeps: spec -> FailedRun.
         self.failures: Dict[RunSpec, FailedRun] = {}
-        #: host wall-time attribution across harness stages (and, with
-        #: ``profile_phases``, each simulation's sampled per-layer split
-        #: under ``sim.*``).
-        self.profiler = PhaseProfiler(self.events)
 
     # -- policy ------------------------------------------------------------
 
@@ -202,9 +198,10 @@ class ExperimentSession:
     # -- programs ----------------------------------------------------------
 
     def program_for(self, spec: RunSpec) -> RandomizedProgram:
-        """Randomized program for ``spec``'s workload (memoized)."""
-        return build_program(spec.normalized(), self.profiler,
-                             self._programs)
+        """Randomized program for ``spec``'s workload (memoized), its
+        build traced into the session's tracer and log."""
+        return build_program(spec.normalized(), self._programs,
+                             self.tracer, self.events)
 
     # -- execution ---------------------------------------------------------
 
@@ -218,7 +215,6 @@ class ExperimentSession:
             backlog=self.backlog,
             cache=self.cache,
             events=self.events,
-            profiler=self.profiler,
             checkpoint_interval=self._interval_for,
             profile_phases=self.profile_phases,
             on_checkpoint_for=self._heartbeat,

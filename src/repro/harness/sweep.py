@@ -16,7 +16,7 @@ surface: it deduplicates normalized specs, serves anything already in
 the on-disk :class:`~repro.harness.resultcache.ResultCache`, and puts
 the rest through one retry loop whose attempts run in a process pool
 (``workers >= 2``) or inline, merging a winning attempt's observability
-(buffered events, profiler phase totals, trace spans) into the parent.
+(buffered events, trace spans) into the parent.
 
 Every execution path funnels through :func:`execute_spec`, so a pooled
 sweep produces **bit-identical** results to a sequential one: each spec
@@ -54,7 +54,7 @@ guarantees, under a :class:`RetryPolicy` (on by default):
 * **Idempotent observability** — worker snapshots are tagged with their
   attempt id and merged exactly once per spec (the winning attempt
   only; inline attempts likewise trace privately), so a retried spec
-  can never double-count events, spans, or phase totals in the parent.
+  can never double-count events or spans in the parent.
 
 Failures and retries surface through the event log (``run_retry``,
 ``run_failed``, ``pool_rebuild`` records) and the process-global
@@ -82,8 +82,8 @@ from ..arch.cpu import CycleCPU
 from ..emu import ILREmulator
 from ..fleet import datacenter
 from ..ilr import RandomizedProgram, RandomizerConfig, make_flow, randomize
+from ..obs import profile
 from ..obs.events import EventLog, MemorySink
-from ..obs.profile import PhaseProfiler
 from ..obs.store import RunStore
 from ..obs.trace import NULL_TRACER, Tracer
 from ..security import race
@@ -144,9 +144,9 @@ def _sweep_key(specs: Sequence[RunSpec]) -> str:
 
 def build_program(
     spec: RunSpec,
-    profiler: Optional[PhaseProfiler] = None,
     program_cache: Optional[Dict[ProgramKey, RandomizedProgram]] = None,
     tracer: Optional[Tracer] = None,
+    events: Optional[EventLog] = None,
 ) -> RandomizedProgram:
     """Build + randomize the workload a spec names (memoized).
 
@@ -154,12 +154,12 @@ def build_program(
     worker-side rebuilds safe: a program built in a pool worker is
     byte-identical to one built in the parent.
 
-    The ``build``/``randomize`` spans are emitted on *every* call —
+    The ``build``/``randomize`` spans are recorded on *every* call —
     memo hits included (near-zero duration) — because memo residency is
     execution-placement-dependent (the parent memoizes across specs;
     each pool worker has its own memo) and the span *tree* must be
-    identical regardless of where a spec ran.  The profiler keeps its
-    original miss-only semantics: phase totals measure work done.
+    identical regardless of where a spec ran.  Only a miss logs them as
+    ``phase`` records to ``events``: the log counts work done.
     """
     tracer = tracer or NULL_TRACER
     key = program_key(spec)
@@ -169,12 +169,9 @@ def build_program(
         with tracer.span("randomize"):
             pass
         return program_cache[key]
-    profiler = profiler or PhaseProfiler()
-    with tracer.span("build"), \
-            profiler.phase("build", workload=spec.workload):
+    with tracer.phase("build", events, workload=spec.workload):
         image = build_image(spec.workload, scale=spec.scale)
-    with tracer.span("randomize"), \
-            profiler.phase("randomize", workload=spec.workload):
+    with tracer.phase("randomize", events, workload=spec.workload):
         program = randomize(image, RandomizerConfig(seed=spec.seed))
     if program_cache is not None:
         program_cache[key] = program
@@ -182,14 +179,14 @@ def build_program(
 
 
 @contextmanager
-def _main_phase(name: str, tracer: Tracer, profiler: PhaseProfiler,
+def _main_phase(name: str, tracer: Tracer, events: EventLog,
                 profile_phases: bool, **fields):
-    """The span and profiler phase around a job's simulation (or
-    emulation); with ``profile_phases`` the sampler also splits its host
-    time by layer into nested ``sim.<layer>`` phases."""
-    with tracer.span(name), profiler.phase(name, **fields):
+    """The phase around a job's simulation (or emulation); with
+    ``profile_phases`` the sampler also splits its host time by layer
+    into ``sim.<layer>`` child phases."""
+    with tracer.phase(name, events, **fields):
         if profile_phases:
-            with profiler.sample(**fields):
+            with profile.sample(tracer, events, **fields):
                 yield
         else:
             yield
@@ -202,7 +199,6 @@ def execute_spec(
     events: Optional[EventLog] = None,
     checkpoint_interval: int = 0,
     on_checkpoint=None,
-    profiler: Optional[PhaseProfiler] = None,
     profile_phases: bool = False,
     program_cache: Optional[Dict[ProgramKey, RandomizedProgram]] = None,
     tracer: Optional[Tracer] = None,
@@ -219,22 +215,21 @@ def execute_spec(
     spec = spec.normalized()
     config = config or default_config()
     events = events if events is not None else EventLog()
-    profiler = profiler or PhaseProfiler(events)
     tracer = tracer or NULL_TRACER
     if spec.kind != "run":
         # Looked up on their modules at call time (never held in a
         # table), so wrappers installed on the module attributes see
         # every race and fleet run.
-        with _main_phase("simulate", tracer, profiler, profile_phases,
+        with _main_phase("simulate", tracer, events, profile_phases,
                          **spec.event_fields()):
             if spec.kind == "race":
                 return race.run_race(spec, events=events, tracer=tracer,
                                      config=config)
             return datacenter.run_fleet(spec, config=config, events=events)
-    program = build_program(spec, profiler, program_cache, tracer)
+    program = build_program(spec, program_cache, tracer, events)
 
     if spec.mode == "emulate":
-        with _main_phase("emulate", tracer, profiler, profile_phases,
+        with _main_phase("emulate", tracer, events, profile_phases,
                          workload=spec.workload):
             return ILREmulator(
                 program,
@@ -256,7 +251,7 @@ def execute_spec(
         on_checkpoint=on_checkpoint,
         event_fields=spec.event_fields(),
     )
-    with _main_phase("simulate", tracer, profiler, profile_phases,
+    with _main_phase("simulate", tracer, events, profile_phases,
                      workload=spec.workload, mode=spec.mode):
         return cpu.run(spec.max_instructions, spec.warmup_instructions)
 
@@ -399,17 +394,17 @@ def _pool_task(spec, config: MachineConfig,
                trace: bool = False):
     """Execute one attempt of ``spec`` (any job kind) in a pool worker.
 
-    Events are buffered in a :class:`MemorySink` (file sinks are
-    single-writer; see :meth:`EventLog.replay`); profiler phases,
-    exported trace spans (when the parent is tracing), the attempt id,
-    the attempt's host seconds, and a result-integrity digest ride back
-    with the result for the parent to verify and merge exactly once.
-    Module-level so the pool can pickle it.
+    Events (``phase`` records included) are buffered in a
+    :class:`MemorySink` (file sinks are single-writer; see
+    :meth:`EventLog.replay`); they, the exported trace spans (when
+    ``trace``), the attempt id, the attempt's host seconds, and a
+    result-integrity digest ride back with the result for the parent to
+    verify and merge exactly once.  Module-level so the pool can pickle
+    it.
     """
     action = apply_worker_fault(faults, spec.label(), attempt)
     sink = MemorySink()
     log = EventLog(sink)
-    profiler = PhaseProfiler(log)
     # The worker roots its capture at the attempt span, keyed exactly as
     # the sequential path keys it, so the parent's adopt() grafts it
     # onto the same ids an inline sweep would have derived.
@@ -422,7 +417,6 @@ def _pool_task(spec, config: MachineConfig,
             config,
             events=log,
             checkpoint_interval=checkpoint_interval,
-            profiler=profiler,
             profile_phases=profile_phases,
             program_cache=_WORKER_PROGRAMS,
             tracer=tracer,
@@ -435,7 +429,6 @@ def _pool_task(spec, config: MachineConfig,
         "attempt": attempt,
         "result": result,
         "records": sink.records,
-        "phases": profiler.snapshot(),
         "spans": tracer.export(),
         "host_seconds": host_seconds,
         "digest": digest,

@@ -1,21 +1,24 @@
 """Simulator-wide observability layer.
 
-Four independent instruments, designed to be threaded through every
-subsystem without coupling them to each other:
+Three independent instruments, designed to be threaded through every
+subsystem without coupling them to each other, plus a sampler:
 
 * :mod:`repro.obs.events` — a structured event log emitting typed JSONL
   records (``run_start``, ``phase``, ``checkpoint``, ``drc_evict``,
   ``spec_dispatch``, ``spec_done``, ``run_end``, ...) through a
   pluggable sink (null / in-memory / file), replacing ad-hoc prints;
   :func:`~repro.obs.events.follow_events` tails a growing log live.
-* :mod:`repro.obs.profile` — context-manager phase timers attributing
-  host wall-time to simulator phases and harness stages.
 * :mod:`repro.obs.trace` — hierarchical span tracing (``sweep → spec →
   attempt → phase``) with deterministic content-derived span ids,
-  pickle-safe cross-process capture, and Chrome ``trace_event`` export.
+  pickle-safe cross-process capture, and Chrome ``trace_event`` export:
+  the one host-time instrument.  A phase is a span that also writes a
+  ``phase`` record; :func:`~repro.obs.trace.span_table` renders host
+  time by span path.
 * :mod:`repro.obs.store` — a SQLite run store indexing every completed
   run (spec fingerprint, config digest, key stats, span rollups) plus
   fuzz findings, with backfill from cache directories and JSONL logs.
+* :mod:`repro.obs.profile` — a ``SIGPROF`` sampler that splits a
+  simulation's time into ``sim.<layer>`` child spans.
 
 Run statistics live on result objects and ``run_end`` events (tier
 telemetry in their ``tiers`` field); the sweep engine's fault counts
@@ -41,7 +44,6 @@ from .events import (
     open_log,
     read_events,
 )
-from .profile import PhaseProfiler
 from .store import RunStore
 from .trace import NULL_TRACER, Span, TickClock, Tracer, rollup_spans
 
@@ -54,7 +56,6 @@ __all__ = [
     "open_log",
     "read_events",
     "follow_events",
-    "PhaseProfiler",
     "Span",
     "Tracer",
     "TickClock",

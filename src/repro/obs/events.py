@@ -7,7 +7,8 @@ kinds (consumed by ``repro.tools.stats``):
 ``run_start``        one simulation/emulation begins (workload, mode)
 ``checkpoint``       periodic progress sample (instantaneous IPC, miss
                      rates since the previous checkpoint)
-``phase``            one profiled host-time phase completed (seconds)
+``phase``            a phase span closed (seconds, its ``span`` and
+                     ``parent`` ids; see :meth:`repro.obs.trace.Tracer.phase`)
 ``drc_evict``        DRC evictions since the last checkpoint (aggregated
                      so a hot run cannot flood the log)
 ``cache_fill_burst`` a streak of consecutive IL1 fetch misses ended —

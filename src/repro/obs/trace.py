@@ -1,11 +1,11 @@
-"""Hierarchical span tracing: causal wall-time trees for sweeps.
+"""Hierarchical span tracing: the one host-time instrument.
 
-ISSUE 1's instruments answer "how much" (counters) and "where did host
-time go in aggregate" (the phase profiler); they cannot answer *why was
-this spec slow* — which attempt, which phase, behind which retry wait.
 A :class:`Tracer` records **spans**: named, nested intervals forming a
-tree (``sweep → spec → attempt → phase``, plus dedicated spans for
-``apply_rerandomization`` epochs and retry/backoff waits).
+tree (``sweep → spec → attempt → phase``, plus ``retry-wait``,
+``rerandomize-epoch`` and sampled ``sim.<layer>`` spans), answering
+*where did host time go* and *why was this spec slow*.  A **phase** is
+a span whose close also writes a ``phase`` record to the event log
+(:meth:`Tracer.phase`), which is what ``repro.tools.stats`` reads.
 
 Determinism is the design center (and what makes traces testable):
 
@@ -33,9 +33,10 @@ parents, and fields, with times excluded — used by the determinism
 tests (wall-clock differs between sequential and pooled execution; the
 tree must not).  :meth:`Tracer.to_chrome` exports Chrome
 ``trace_event`` JSON for ``chrome://tracing`` / Perfetto flamegraphs,
-and :func:`rollup_spans` folds a span list into per-name
+:func:`rollup_spans` folds a span list into per-name
 seconds/calls totals (the shape stored per run by
-:class:`~repro.obs.store.RunStore`).
+:class:`~repro.obs.store.RunStore`), and :func:`span_table` renders
+spans as the host-time table the harness and ``stats`` print.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ __all__ = [
     "NULL_TRACER",
     "span_id_for_key",
     "rollup_spans",
+    "log_phase",
+    "span_table",
 ]
 
 
@@ -148,6 +151,11 @@ class Tracer:
 
     # -- recording ---------------------------------------------------------
 
+    @property
+    def current(self) -> Optional[Span]:
+        """The innermost open span, or None."""
+        return self._stack[-1] if self._stack else None
+
     @contextmanager
     def span(self, name: str, span_key: Optional[str] = None, **fields):
         """Record a span around the ``with`` body.
@@ -172,24 +180,43 @@ class Tracer:
             self._stack.pop()
             span.end = self.clock()
 
+    @contextmanager
+    def phase(self, name: str, events, **fields):
+        """A :meth:`span` whose close (also on error) writes its
+        ``phase`` record to ``events``; ``fields`` annotate the record
+        only, never the span.  A disabled tracer writes nothing."""
+        span = None
+        try:
+            with self.span(name) as span:
+                yield span
+        finally:
+            if span is not None and events is not None:
+                log_phase(events, span, **fields)
+
     def add_span(self, name: str, seconds: float, *,
                  parent_id: Optional[str] = None,
-                 span_key: Optional[str] = None, **fields) -> Optional[Span]:
+                 span_key: Optional[str] = None,
+                 start: Optional[float] = None, **fields) -> Optional[Span]:
         """Record an already-elapsed interval as a completed span.
 
         Used where a ``with`` block cannot wrap the interval — e.g. the
         scheduler's retry backoffs, which are scheduling delays rather
-        than blocking sleeps.  ``parent_id`` may name a span that does
-        not exist yet (ids are content-derived, so the parent's id is
-        known before the span is materialized at merge time).
+        than blocking sleeps.  The span ends now unless ``start`` is
+        given.  ``parent_id`` may name a span that does not exist yet
+        (ids are content-derived, so the parent's id is known before
+        the span is materialized at merge time).
         """
         if not self.enabled:
             return None
         if parent_id is None and self._stack:
             parent_id = self._stack[-1].span_id
-        end = self.clock()
+        if start is None:
+            end = self.clock()
+            start = end - seconds
+        else:
+            end = start + seconds
         span = Span(name, self._derive_id(parent_id, name, span_key),
-                    parent_id, end - seconds, end, fields)
+                    parent_id, start, end, fields)
         self.spans.append(span)
         return span
 
@@ -319,3 +346,58 @@ def rollup_spans(records: Iterable[dict]) -> Dict[str, dict]:
     for entry in totals.values():
         entry["seconds"] = round(entry["seconds"], 6)
     return totals
+
+
+def log_phase(events, span: Span, **fields) -> None:
+    """Write the ``phase`` record of the closed ``span``: its name,
+    seconds, ``span`` and ``parent`` ids, and ``fields``."""
+    events.phase(span.name, span.seconds, span=span.span_id,
+                 parent=span.parent_id, **fields)
+
+
+def span_table(spans: Iterable[Span], title: Optional[str] = None) -> str:
+    """Host time by span name path, as an indented tree.
+
+    Spans fold by the names on their way down from a root (a span whose
+    parent is not among ``spans``), hottest sibling first.  A line's
+    share is of its parent line, and a root's of all roots.  Children
+    that sum past their parent overlapped in time (pooled ``spec`` spans
+    wait together in the emission window): their shares stay blank.
+    Calls count spans, so a program memo hit's zero-length ``build``
+    span counts like a real build.
+    """
+    spans = list(spans)
+    by_id = {span.span_id: span for span in spans}
+    by_id.pop(None, None)
+
+    def path_of(span: Span) -> tuple:
+        parent = by_id.get(span.parent_id)
+        return (path_of(parent) if parent is not None else ()) + (span.name,)
+
+    totals: Dict[tuple, list] = {}
+    for span in spans:
+        entry = totals.setdefault(path_of(span), [0.0, 0])
+        entry[0] += span.seconds
+        entry[1] += 1
+    rows = []
+
+    def walk(path: tuple, seconds: float) -> None:
+        kids = sorted((kid for kid in totals if kid[:-1] == path),
+                      key=lambda kid: -totals[kid][0])
+        spent = sum(totals[kid][0] for kid in kids)
+        whole = seconds if path else spent
+        fits = 0 < whole and spent <= whole * (1 + 1e-9)
+        for kid in kids:
+            share = " %6.1f%%" % (100.0 * totals[kid][0] / whole) \
+                if fits else ""
+            rows.append(("  " * (len(kid) - 1) + kid[-1], kid, share))
+            walk(kid, totals[kid][0])
+
+    walk((), 0.0)
+    width = max([len("span")] + [len(name) for name, _, _ in rows])
+    lines = [title] if title else []
+    lines.append("%-*s %10s %7s %7s" % (width, "span", "seconds", "calls",
+                                        "%"))
+    lines += ["%-*s %10.4f %7d%s" % (width, name, *totals[path], share)
+              for name, path, share in rows]
+    return "\n".join(lines)

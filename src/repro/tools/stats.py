@@ -7,7 +7,8 @@ written by ``--events`` (harness or ``repro.tools.run``) and renders:
 
 * an event-kind summary,
 * a per-run table (from ``run_end`` records),
-* a per-phase host-time breakdown (from ``phase`` records),
+* host time by phase (from ``phase`` records, nested by their
+  ``span``/``parent`` ids: ``sim.<layer>`` under ``simulate``),
 * IPC-over-time per run (from ``checkpoint`` records, with a sparkline),
 * with ``--compare A B``: an A-vs-B mode comparison per workload,
   aligning checkpoints on retired-instruction counts (e.g.
@@ -42,6 +43,7 @@ from ..arch.simstats import ratio
 from ..obs import format_table, status
 from ..obs.events import follow_events, read_events
 from ..obs.store import STORE_METRICS, RunStore
+from ..obs.trace import Span, span_table
 
 #: Eight-level bar glyphs for inline IPC-over-time sparklines.
 _SPARK = "▁▂▃▄▅▆▇█"
@@ -310,24 +312,12 @@ def job_main(kind: str, parser: argparse.ArgumentParser, build_specs,
 
 
 def phase_breakdown(records: List[dict]) -> Optional[str]:
-    seconds: Dict[str, float] = {}
-    calls: Dict[str, int] = {}
-    for record in records:
-        if record.get("kind") != "phase":
-            continue
-        name = str(record.get("phase", "?"))
-        seconds[name] = seconds.get(name, 0.0) + record.get("seconds", 0.0)
-        calls[name] = calls.get(name, 0) + 1
-    if not seconds:
-        return None
-    total = sum(seconds.values())
-    rows = [
-        (name, "%.4f" % secs, calls[name],
-         "%.1f%%" % (100 * ratio(secs, total)))
-        for name, secs in sorted(seconds.items(), key=lambda kv: -kv[1])
-    ]
-    rows.append(("total", "%.4f" % total, sum(calls.values()), ""))
-    return format_table(("phase", "seconds", "events", "share"), rows)
+    """:func:`~repro.obs.trace.span_table` of the ``phase`` records; a
+    record whose parent is not logged, or has no span id, is a root."""
+    spans = [Span(str(record.get("phase", "?")), record.get("span"),
+                  record.get("parent"), 0.0, record.get("seconds", 0.0))
+             for record in records if record.get("kind") == "phase"]
+    return span_table(spans) if spans else None
 
 
 def checkpoint_series(

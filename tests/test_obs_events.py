@@ -21,7 +21,8 @@ from repro.obs.events import (
     open_log,
     read_events,
 )
-from repro.obs.profile import PhaseProfiler
+from repro.obs.profile import sample
+from repro.obs.trace import NULL_TRACER, Span, TickClock, Tracer, span_table
 
 LOOPY = """
 .code 0x400000
@@ -89,28 +90,66 @@ class TestSinks:
         assert len(read_events(path, kinds=("a",))) == 2
 
 
+def _table_rows(table):
+    """``(depth, name, seconds, calls, share)`` per line of a
+    :func:`span_table` (share None when its cell is blank)."""
+    rows = []
+    for line in table.splitlines()[1:]:
+        cells = line.split()
+        share = float(cells[3].rstrip("%")) if len(cells) > 3 else None
+        depth = (len(line) - len(line.lstrip())) // 2
+        rows.append((depth, cells[0], float(cells[1]), int(cells[2]),
+                     share))
+    return rows
+
+
+def _child_shares(rows):
+    """Printed shares of each line's children (the roots' under None),
+    keyed by the parent line's index."""
+    shares, stack = {}, []
+    for index, (depth, _name, _secs, _calls, share) in enumerate(rows):
+        del stack[depth:]
+        shares.setdefault(stack[-1] if stack else None, []).append(share)
+        stack.append(index)
+    return shares
+
+
 class TestProfilerEvents:
+    """One instrument: phases are spans that log, the sampler adds
+    ``sim.<layer>`` child spans, and :func:`span_table` renders them."""
+
     def test_phase_accumulation_and_emission(self):
         sink = MemorySink()
-        prof = PhaseProfiler(EventLog(sink))
-        with prof.phase("build", workload="gcc"):
+        log = EventLog(sink)
+        tracer = Tracer()
+        with tracer.span("attempt"):
+            with tracer.phase("build", log, workload="gcc"):
+                pass
+            with tracer.span("plain"):
+                pass
+        attempt, build, plain = tracer.spans
+        [record] = [r for r in sink.records if r["kind"] == "phase"]
+        assert record["phase"] == "build"
+        assert record["workload"] == "gcc"
+        assert record["span"] == build.span_id
+        assert record["parent"] == attempt.span_id
+        assert record["seconds"] == round(build.seconds, 6)
+        assert build.fields == {} and plain.fields == {}
+        with NULL_TRACER.phase("build", log):
             pass
-        with prof.phase("build", workload="mcf"):
-            pass
-        assert prof.stats["build"].calls == 2
-        assert prof.stats["build"].seconds >= 0.0
-        phases = [r for r in sink.records if r["kind"] == "phase"]
-        assert len(phases) == 2
-        assert phases[0]["workload"] == "gcc"
-        assert "build" in prof.format_table()
+        assert len(sink.records) == 1
 
-    def test_add_direct(self):
-        prof = PhaseProfiler()
-        prof.add("sim.decode", 1.5, calls=100)
-        prof.add("sim.decode", 0.5, calls=50)
-        assert prof.stats["sim.decode"].seconds == 2.0
-        assert prof.stats["sim.decode"].calls == 150
-        assert prof.total_seconds == 2.0
+    def test_memo_hit_opens_spans_but_logs_nothing(self):
+        sink = MemorySink()
+        log = EventLog(sink)
+        memo = {}
+        spec = RunSpec("mcf", scale=0.3)
+        miss, hit = Tracer(), Tracer()
+        build_program(spec, memo, miss, log)
+        assert [r["phase"] for r in sink.records] == ["build", "randomize"]
+        build_program(spec, memo, hit, log)
+        assert [s.name for s in hit.spans] == ["build", "randomize"]
+        assert len(sink.records) == 2
 
     def test_sampler_attributes_host_time_on_the_fast_path(self):
         # gcc runs a few hundred ms on the block and trace tiers: enough
@@ -118,16 +157,41 @@ class TestProfilerEvents:
         # in the cache, branch and pipeline models.
         program = build_program(RunSpec("gcc"))
         cpu = CycleCPU(program.vcfr_image, make_flow("vcfr", program))
-        prof = PhaseProfiler()
-        with prof.phase("simulate"), prof.sample():
+        sink = MemorySink()
+        log = EventLog(sink)
+        tracer = Tracer()
+        with tracer.phase("simulate", log), sample(tracer, log, mode="vcfr"):
             cpu.run(300_000)
         assert cpu.tier_stats()["blocks"]["execs"] > 0
-        sampled = [stat.seconds for name, stat in prof.stats.items()
-                   if name.startswith("sim.")]
-        assert any(name.startswith("sim.arch.") for name in prof.stats)
-        assert sum(sampled) <= prof.stats["simulate"].seconds
+        simulate, *layers = tracer.spans
+        assert any(s.name.startswith("sim.arch.") for s in layers)
+        for span in layers:
+            assert span.name.startswith("sim.")
+            assert span.parent_id == simulate.span_id
+            assert simulate.start <= span.start <= span.end <= simulate.end
+        assert sum(s.seconds for s in layers) <= simulate.seconds
+        logged = [r for r in sink.records if r["phase"].startswith("sim.")]
+        assert [r["span"] for r in logged] == [s.span_id for s in layers]
+        assert {r["mode"] for r in logged} == {"vcfr"}
         assert signal.getsignal(signal.SIGPROF) == signal.SIG_DFL
         assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+
+    def test_sampler_leaves_child_spans_their_time(self):
+        """Ticks inside a child span are the child's: the layers split
+        the block's time minus the child's, so they fit beside it."""
+        program = build_program(RunSpec("gcc"))
+        tracer = Tracer()
+        with tracer.span("simulate"), sample(tracer, EventLog()):
+            CycleCPU(program.vcfr_image,
+                     make_flow("vcfr", program)).run(150_000)
+            with tracer.span("rerandomize-epoch"):
+                CycleCPU(program.vcfr_image,
+                         make_flow("vcfr", program)).run(150_000)
+        simulate, child, *layers = tracer.spans
+        assert layers and child.seconds > 0
+        assert {s.parent_id for s in layers} == {simulate.span_id}
+        assert sum(s.seconds for s in layers) + child.seconds \
+            <= simulate.seconds
 
     def test_sampler_restores_sigprof_when_the_run_raises(self):
         def previous(_signum, _frame):
@@ -142,21 +206,49 @@ class TestProfilerEvents:
         saved = signal.signal(signal.SIGPROF, previous)
         try:
             with pytest.raises(RuntimeError, match="boom"):
-                with PhaseProfiler().sample():
+                with sample(Tracer(), EventLog()):
                     cpu.run()
             assert signal.getsignal(signal.SIGPROF) is previous
             assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
         finally:
             signal.signal(signal.SIGPROF, saved)
 
+    def test_table_shares_of_the_parent_line(self):
+        tracer = Tracer(clock=TickClock())
+        for _ in range(2):
+            with tracer.span("experiment"):
+                for _ in range(3):
+                    with tracer.span("spec"):
+                        with tracer.span("simulate"):
+                            pass
+                with tracer.span("build"):
+                    pass
+        rows = _table_rows(span_table(tracer.spans))
+        assert [(depth, name, calls) for depth, name, _s, calls, _p
+                in rows] == [(0, "experiment", 2), (1, "spec", 6),
+                             (2, "simulate", 6), (1, "build", 2)]
+        for shares in _child_shares(rows).values():
+            assert None not in shares
+            assert sum(shares) <= 100.0 + 0.05 * len(shares)
+        assert rows[0][4] == 100.0
+
+    def test_overlapping_children_get_blank_shares(self):
+        spans = [Span("sweep", "a", None, 0.0, 1.0),
+                 Span("spec", "b", "a", 0.0, 0.8),
+                 Span("spec", "c", "a", 0.1, 0.9),
+                 Span("attempt", "d", "b", 0.2, 0.4)]
+        rows = _table_rows(span_table(spans))
+        assert [(name, share) for _d, name, _s, _c, share in rows] == [
+            ("sweep", 100.0), ("spec", None), ("attempt", 12.5)]
+
     def test_table_column_fits_the_longest_phase(self):
-        prof = PhaseProfiler()
-        prof.add("sim.arch.tracecache", 1.0)
-        prof.add("build", 2.0)
+        spans = [Span("simulate", "a", None, 0.0, 2.0),
+                 Span("sim.arch.tracecache", "b", "a", 0.0, 1.0),
+                 Span("build", "c", None, 2.0, 4.0)]
         # "seconds" is right-aligned: each row's number ends in the
         # header's column.
         ends = {line.index(line.split()[1]) + len(line.split()[1])
-                for line in prof.format_table().splitlines()}
+                for line in span_table(spans).splitlines()}
         assert len(ends) == 1
 
 

@@ -360,6 +360,28 @@ class TestSweepParity:
         assert len(rows) == len(specs)
         assert all(0 < host <= wall for (host,) in rows), (rows, wall)
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_every_row_carries_its_rollup(self, tmp_path, workers):
+        """A store reads its attempts' spans, so every row gets their
+        rollup without a tracer; with ``profile_phases`` that includes
+        the sampled ``sim.<layer>`` spans."""
+        profiled = [RunSpec("gcc", "vcfr", 64, max_instructions=60_000),
+                    RunSpec("mcf", "baseline", max_instructions=60_000),
+                    RunSpec("mcf", "emulate", max_instructions=60_000)]
+        for specs, profile in ((SPECS, False), (profiled, True)):
+            path = str(tmp_path / ("runs%d.sqlite" % profile))
+            with RunStore(path) as store:
+                ExperimentSession(workers=workers, store=store,
+                                  profile_phases=profile).sweep(specs)
+                _, rows = store.query("SELECT id FROM runs")
+                rollups = [set(store.rollups(run_id)) for (run_id,) in rows]
+            assert len(rollups) == len(specs)
+            for names in rollups:
+                assert "attempt" in names
+                assert names & {"simulate", "emulate"}
+                if profile:
+                    assert any(name.startswith("sim.") for name in names)
+
     def test_config_digest_recorded(self, tmp_path):
         config = default_config()
         with RunStore(str(tmp_path / "runs.sqlite")) as store:

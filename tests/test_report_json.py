@@ -11,6 +11,7 @@ import pytest
 from repro.harness.__main__ import main as harness_main
 from repro.harness.experiments import ExperimentResult
 from repro.harness.report import results_to_dict, write_json
+from tests.test_obs_events import _child_shares, _table_rows
 
 
 def _result():
@@ -59,8 +60,10 @@ class TestHarnessCLI:
     def test_profile_phases_end_to_end(self, tmp_path, workers):
         """``--profile-phases`` through the CLI, the session, the
         scheduler and (at ``--workers 2``) the pool workers: the report
-        is unchanged, and the sampled ``sim.arch.*`` layers reach the
-        stderr table and the events file alike."""
+        is unchanged, the sampled ``sim.arch.*`` layers reach the
+        stderr table and the events file alike, and the table's shares
+        add up (pooled ``spec`` spans overlap, so there no share may
+        pass 100%)."""
         def harness(events, *flags):
             return _cli("repro.harness", "fig12", "--scale", "0.3",
                         "--max-instructions", "20000", "--workers", workers,
@@ -70,13 +73,24 @@ class TestHarnessCLI:
         profiled = harness("profiled.jsonl", "--profile-phases")
         assert profiled.returncode == plain.returncode == 0
         assert profiled.stdout == plain.stdout
-        table = profiled.stderr.split("host-time by phase", 1)[1]
-        layers = set(re.findall(r"^sim\.arch\.\S+", table, re.M))
+        table = profiled.stderr.split("host-time by phase\n", 1)[1]
+        table = table.split("\nwrote ", 1)[0]
+        rows = _table_rows(table)
+        if workers == "0":
+            for parent, shares in _child_shares(rows).items():
+                printed = [share for share in shares if share is not None]
+                assert sum(printed) <= 100.0 + 0.05 * len(printed)
+                if parent is None:
+                    assert sum(printed) >= 100.0 - 0.05 * len(printed)
+        else:
+            assert all(share is None or share <= 100.0
+                       for *_, share in rows)
+        layers = set(re.findall(r"^\s*(sim\.arch\.\S+)", table, re.M))
         assert layers
         stats = _cli("repro.tools.stats", str(tmp_path / "profiled.jsonl"),
                      "--section", "phases")
         assert stats.returncode == 0
-        assert set(re.findall(r"^sim\.arch\.\S+", stats.stdout,
+        assert set(re.findall(r"^\s*(sim\.arch\.\S+)", stats.stdout,
                               re.M)) == layers
 
     def test_single_cheap_experiment(self, capsys, tmp_path):

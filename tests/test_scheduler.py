@@ -9,8 +9,12 @@ with a bounded window, mid-stream cancellation leaving a resumable
 cache, and the multi-process pull queue.
 """
 
+import asyncio
+import concurrent.futures
 import dataclasses
+import gc
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -18,8 +22,8 @@ import textwrap
 
 import pytest
 
-from repro.harness import ExperimentSession, ResultCache, WorkQueue
-from repro.harness.scheduler import AsyncScheduler
+from repro.harness import ExperimentSession, ResultCache, RunSpec, WorkQueue
+from repro.harness.scheduler import AsyncScheduler, _PoolState
 
 
 def _specs(session, count, budget=None):
@@ -140,6 +144,60 @@ class TestCancellation:
         for outcome in outcomes:
             assert outcome.result.as_dict() == \
                 reference.run(outcome.spec).as_dict()
+
+
+class _StubPool:
+    """Executor whose one submitted task completes when the test says."""
+
+    def __init__(self, submitted: asyncio.Event):
+        self.submitted = submitted
+        self.future = concurrent.futures.Future()
+
+    def submit(self, _fn, *_args):
+        self.submitted.set()
+        return self.future
+
+    def shutdown(self, **_kwargs):
+        pass
+
+
+def _cancel_in_flight_attempt():
+    """Cancel the task awaiting a pooled attempt, then fail the attempt,
+    as a worker interrupted by Ctrl-C does."""
+    loop = asyncio.new_event_loop()
+
+    async def main():
+        submitted = asyncio.Event()
+        state = _PoolState(2)
+        state.main.shutdown()
+        state.main = pool = _StubPool(submitted)
+        spec = RunSpec("mcf", "baseline", max_instructions=2_000)
+        attempt = AsyncScheduler(workers=2)._attempt_pooled(
+            spec, "key", 0, False, [], state)
+        task = asyncio.ensure_future(attempt)
+        await submitted.wait()
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+        pool.future.set_exception(RuntimeError("worker interrupted"))
+        for _ in range(3):
+            await asyncio.sleep(0)
+
+    try:
+        loop.run_until_complete(main())
+    finally:
+        loop.close()
+
+
+class TestCancelledAttempt:
+    def test_worker_error_after_cancel_is_retrieved(self, caplog):
+        """An attempt no task awaits any more (the stream was cancelled)
+        still has its error read when it lands, so asyncio logs no
+        "Future exception was never retrieved"."""
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            _cancel_in_flight_attempt()
+            gc.collect()
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 class TestWorkQueue:

@@ -5,6 +5,7 @@ import pytest
 from repro.harness import AsyncScheduler, ExperimentSession, RunSpec
 from repro.harness.experiments import suite_specs, table1
 from repro.obs.events import EventLog, MemorySink
+from repro.obs.trace import Tracer
 from tests.test_fleet import _grid as fleet_grid
 from tests.test_security_race import _grid as race_grid
 
@@ -20,6 +21,11 @@ SPECS = [
 
 def result_dicts(outcomes):
     return [outcome.result.as_dict() for outcome in outcomes]
+
+
+def simulations(session):
+    """``simulate`` spans the session's tracer recorded."""
+    return sum(span.name == "simulate" for span in session.tracer.spans)
 
 
 @pytest.fixture(scope="module")
@@ -69,13 +75,11 @@ class TestObservabilityMerge:
 
     def test_worker_phases_and_metrics_merge(self):
         sink = MemorySink()
-        from repro.obs.profile import PhaseProfiler
-
-        profiler = PhaseProfiler()
-        list(AsyncScheduler(workers=2, events=EventLog(sink),
-                            profiler=profiler).stream(SPECS))
-        assert profiler.stats["simulate"].calls == len(SPECS)
-        assert profiler.stats["simulate"].seconds > 0
+        list(AsyncScheduler(workers=2, events=EventLog(sink)).stream(SPECS))
+        simulate = [r for r in sink.records
+                    if r["kind"] == "phase" and r["phase"] == "simulate"]
+        assert len(simulate) == len(SPECS)
+        assert all(r["seconds"] > 0 and r["span"] for r in simulate)
         # Each worker's run totals reach the parent once, on run_end.
         ends = [r for r in sink.records if r["kind"] == "run_end"]
         assert sum(r["instructions"] for r in ends) == BUDGET * len(SPECS)
@@ -113,15 +117,15 @@ class TestWarmCache:
     def test_warm_rerun_simulates_nothing(self, tmp_path,
                                           sequential_outcomes):
         cold = ExperimentSession(max_instructions=BUDGET,
-                                 cache_dir=str(tmp_path))
+                                 cache_dir=str(tmp_path), tracer=Tracer())
         cold.prefetch(SPECS)
         assert cold.cache.stats()["writes"] == len(SPECS)
-        assert cold.profiler.stats["simulate"].calls == len(SPECS)
+        assert simulations(cold) == len(SPECS)
 
         warm = ExperimentSession(max_instructions=BUDGET,
-                                 cache_dir=str(tmp_path))
+                                 cache_dir=str(tmp_path), tracer=Tracer())
         warm.prefetch(SPECS)
-        assert "simulate" not in warm.profiler.stats
+        assert simulations(warm) == 0
         assert warm.cache.stats() == {
             "hits": len(SPECS), "misses": 0, "writes": 0,
         }
@@ -133,10 +137,10 @@ class TestWarmCache:
                                  cache_dir=str(tmp_path))
         cold.prefetch(SPECS)
         warm = ExperimentSession(max_instructions=BUDGET, workers=2,
-                                 cache_dir=str(tmp_path))
+                                 cache_dir=str(tmp_path), tracer=Tracer())
         warm.prefetch(SPECS)
         assert warm.cache.stats()["hits"] == len(SPECS)
-        assert "simulate" not in warm.profiler.stats
+        assert simulations(warm) == 0
 
 
 class TestRunnerIntegration:
