@@ -37,6 +37,7 @@ import time
 
 from repro.arch.config import default_config
 from repro.arch.cpu import CycleCPU
+from repro.arch.tracecache import clear_code_cache
 from repro.ilr import RandomizerConfig, make_flow, randomize
 from repro.tools.benchgate import record
 from repro.workloads import build_image
@@ -106,12 +107,15 @@ BRANCHY_LEGS = {"fast": LEGS["fast"], "blocks": LEGS["blocks"]}
 
 
 def _run_once(program, mode, fastpath, tracepath=True):
-    """One fresh simulation; returns (host_seconds, result_dict)."""
+    """One fresh simulation from a cold trace-code cache, so every
+    timed run pays its own compiles; returns (host_seconds,
+    result_dict)."""
     config = default_config()
     config.fastpath = fastpath
     config.tracepath = tracepath
     cpu = CycleCPU(program.image_for(mode), make_flow(mode, program),
                    config)
+    clear_code_cache()
     start = time.perf_counter()
     result = cpu.run(max_instructions=MAX_INSTRUCTIONS)
     return time.perf_counter() - start, result.to_dict()

@@ -29,6 +29,7 @@ import shutil
 import tempfile
 import time
 
+from repro.arch.tracecache import clear_code_cache
 from repro.harness import ExperimentSession, suite_specs
 from repro.harness.spec import RunSpec
 from repro.tools.benchgate import gate
@@ -51,7 +52,10 @@ def _suite() -> list:
 
 
 def _timed_sweep(specs, workers=0, cache_dir=None):
-    """(seconds, results-as-dicts, runner) for one fresh sweep."""
+    """(seconds, results-as-dicts, runner) for one fresh sweep.  Each
+    sweep starts from a cold trace-code cache, so that forked workers
+    do not inherit the code an earlier leg compiled."""
+    clear_code_cache()
     runner = ExperimentSession(max_instructions=BUDGET, workers=workers,
                                cache_dir=cache_dir)
     start = time.perf_counter()

@@ -529,8 +529,7 @@ class AsyncScheduler:
                 spec, payload["result"], config_digest=self.config_digest,
                 attempts=won + 1, host_seconds=payload["host_seconds"],
                 spans=rollup_spans(spans) if spans else None)
-        return SweepOutcome(spec, payload["result"],
-                            events=payload["records"], attempts=won + 1)
+        return SweepOutcome(spec, payload["result"], attempts=won + 1)
 
     def _quarantine(self, spec: RunSpec, attempts: int,
                     last: _Attempt) -> SweepOutcome:
@@ -611,7 +610,8 @@ class AsyncScheduler:
                 future = loop.run_in_executor(
                     pool, _pool_task, spec, self.config,
                     self.interval_for(spec), self.profile_phases,
-                    attempt, self.faults, self.trace_attempts)
+                    attempt, self.faults, self.trace_attempts,
+                    self.events.enabled)
             except BrokenProcessPool:
                 # Died between attempts: this attempt never started, so
                 # recycle the pool and resubmit without penalty.

@@ -74,8 +74,8 @@ import hashlib
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..arch.config import MachineConfig, default_config
 from ..arch.cpu import CycleCPU
@@ -320,15 +320,13 @@ class FailedRunError(RuntimeError):
 
 @dataclass
 class SweepOutcome:
-    """One spec's result plus the observability captured with it."""
+    """One spec's result and how it was produced (a worker's records
+    and spans are replayed into the parent's log and tracer instead)."""
 
     spec: RunSpec
     result: object
     #: True when served from the on-disk cache (no execution happened).
     cached: bool = False
-    #: event records buffered by the worker (empty when run inline —
-    #: inline runs emit straight into the parent log).
-    events: List[dict] = field(default_factory=list)
     #: executions it took to produce (or give up on) this outcome.
     attempts: int = 1
     #: set when the spec was quarantined; ``result`` is then None.
@@ -391,20 +389,23 @@ _WORKER_PROGRAMS: Dict[ProgramKey, RandomizedProgram] = {}
 def _pool_task(spec, config: MachineConfig,
                checkpoint_interval: int, profile_phases: bool,
                attempt: int = 0, faults: Optional[FaultPlan] = None,
-               trace: bool = False):
+               trace: bool = False, events: bool = False):
     """Execute one attempt of ``spec`` (any job kind) in a pool worker.
 
-    Events (``phase`` records included) are buffered in a
+    When ``events`` is set (the parent reads its log), the worker
+    buffers its records (``phase`` records included) in a
     :class:`MemorySink` (file sinks are single-writer; see
-    :meth:`EventLog.replay`); they, the exported trace spans (when
-    ``trace``), the attempt id, the attempt's host seconds, and a
-    result-integrity digest ride back with the result for the parent to
-    verify and merge exactly once.  Module-level so the pool can pickle
-    it.
+    :meth:`EventLog.replay`).  Otherwise it logs nothing, as an inline
+    attempt into a null log does, and its simulation skips the work
+    only a log reads, such as fill-burst tracking.  The records, the
+    exported trace spans (when ``trace``), the attempt id, the
+    attempt's host seconds, and a result-integrity digest ride back
+    with the result for the parent to verify and merge exactly once.
+    Module-level so the pool can pickle it.
     """
     action = apply_worker_fault(faults, spec.label(), attempt)
     sink = MemorySink()
-    log = EventLog(sink)
+    log = EventLog(sink if events else None)
     # The worker roots its capture at the attempt span, keyed exactly as
     # the sequential path keys it, so the parent's adopt() grafts it
     # onto the same ids an inline sweep would have derived.

@@ -9,7 +9,10 @@ digest — idempotent by construction:
 * **claim** — created with ``O_CREAT | O_EXCL`` (atomic on every
   filesystem that matters), so exactly one host wins the right to
   execute a spec.  The file body records the owner token, pid, and
-  wall-clock time, for debugging and stale detection.
+  wall-clock time, for debugging and stale detection.  A won claim
+  still yields when the result is already in the cache: a peer may
+  have completed the spec, and removed its claim, since this host
+  last looked.
 * **complete** — completion *is* the result file: a spec is done when
   ``ResultCache.peek`` finds its result.  :meth:`complete` merely
   removes the claim.
@@ -80,21 +83,33 @@ class WorkQueue:
         """Try to win the right to execute ``spec``.
 
         True: this host owns the spec and must execute it.  False: a
-        live peer owns it — poll the cache for the result and re-claim
-        if the peer's claim goes stale.
+        live peer owns it, or has already finished it — poll the cache
+        for the result and re-claim if the peer's claim goes stale.
         """
         path = self.claim_path(spec, config)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         try:
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            return self._maybe_take_over(path)
+            return self._maybe_take_over(path, spec, config)
         with os.fdopen(fd, "w") as fh:
             json.dump(self._token(), fh)
+        return self._keep(path, spec, config)
+
+    def _keep(self, path: str, spec: RunSpec, config) -> bool:
+        """The claim at ``path`` is ours: keep it unless the result is
+        already in the cache.  A peer that committed and called
+        :meth:`complete` after this host's last cache lookup leaves no
+        claim file behind, so only this check keeps the spec from
+        executing twice."""
+        if self.cache.peek(spec, config) is not None:
+            self._unlink(path)
+            self.yielded += 1
+            return False
         self.claimed += 1
         return True
 
-    def _maybe_take_over(self, path: str) -> bool:
+    def _maybe_take_over(self, path: str, spec: RunSpec, config) -> bool:
         """Steal a claim iff it is stale; read-back arbitration."""
         try:
             age = time.time() - os.stat(path).st_mtime
@@ -122,7 +137,8 @@ class WorkQueue:
             # landed: last writer wins, we back off.
             self.yielded += 1
             return False
-        self.claimed += 1
+        if not self._keep(path, spec, config):
+            return False
         self.takeovers += 1
         return True
 

@@ -24,6 +24,7 @@ import pytest
 
 from repro.harness import ExperimentSession, ResultCache, RunSpec, WorkQueue
 from repro.harness.scheduler import AsyncScheduler, _PoolState
+from repro.harness.sweep import execute_spec
 
 
 def _specs(session, count, budget=None):
@@ -241,6 +242,54 @@ class TestWorkQueue:
         peer = WorkQueue(cache, owner="peer", stale_after=600.0)
         assert not peer.claim(spec, config)
         assert peer.stats()["takeovers"] == 0
+
+    def test_won_claim_yields_to_a_committed_result(self, tmp_path):
+        """A peer that committed and called ``complete()`` after this
+        host's cache miss leaves no claim file; winning the claim must
+        not make this host execute the spec again."""
+        cache, spec, config = self._cache_and_spec(tmp_path)
+        cache.put(spec, config, execute_spec(spec, config))
+        late = WorkQueue(cache, owner="late")
+        assert not late.claim(spec, config)
+        assert not os.path.exists(late.claim_path(spec, config))
+        assert late.stats() == {"claimed": 0, "yielded": 1, "takeovers": 0}
+
+    def test_stale_takeover_yields_to_a_committed_result(self, tmp_path):
+        cache, spec, config = self._cache_and_spec(tmp_path)
+        assert WorkQueue(cache, owner="dead").claim(spec, config)
+        cache.put(spec, config, execute_spec(spec, config))
+        live = WorkQueue(cache, owner="live", stale_after=0.0)
+        assert not live.claim(spec, config)
+        assert not os.path.exists(live.claim_path(spec, config))
+        assert live.stats() == {"claimed": 0, "yielded": 1, "takeovers": 0}
+
+    def test_result_committed_after_the_intake_miss_is_served_cached(
+            self, tmp_path, monkeypatch):
+        """The intake's cache lookup misses, then a peer commits and
+        completes before this host claims: the spec resolves from the
+        cache, with no execution and no write."""
+        session = ExperimentSession(max_instructions=2_000,
+                                    cache_dir=str(tmp_path / "cache"),
+                                    queue=True)
+        spec = _specs(session, 1)[0]
+        config = session.base_config()
+        peer = ResultCache(session.cache.root)
+        lookups = []
+        get = session.cache.get
+
+        def get_then_peer_commits(spec, config):
+            lookups.append(spec)
+            if len(lookups) > 1:
+                return get(spec, config)
+            peer.put(spec, config, execute_spec(spec, config))
+            return None
+
+        monkeypatch.setattr(session.cache, "get", get_then_peer_commits)
+        [outcome] = session.sweep([spec])
+        assert outcome.cached
+        assert session.cache.stats()["writes"] == 0
+        assert session.queue.stats() == {"claimed": 0, "yielded": 1,
+                                         "takeovers": 0}
 
     def test_session_queue_requires_cache(self):
         with pytest.raises(ValueError, match="work queue"):

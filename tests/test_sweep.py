@@ -4,6 +4,7 @@ import pytest
 
 from repro.harness import AsyncScheduler, ExperimentSession, RunSpec
 from repro.harness.experiments import suite_specs, table1
+from repro.harness.sweep import _pool_task
 from repro.obs.events import EventLog, MemorySink
 from repro.obs.trace import Tracer
 from tests.test_fleet import _grid as fleet_grid
@@ -83,6 +84,16 @@ class TestObservabilityMerge:
         # Each worker's run totals reach the parent once, on run_end.
         ends = [r for r in sink.records if r["kind"] == "run_end"]
         assert sum(r["instructions"] for r in ends) == BUDGET * len(SPECS)
+
+    def test_worker_buffers_records_only_for_a_logging_parent(self):
+        """A worker whose parent log is null logs nothing, so its CPU
+        skips the work only a log reads; the result is the same."""
+        spec, config = SPECS[1], ExperimentSession().base_config()
+        quiet = _pool_task(spec, config, 0, False)
+        logged = _pool_task(spec, config, 0, False, events=True)
+        assert quiet["records"] == []
+        assert any(r["kind"] == "run_end" for r in logged["records"])
+        assert quiet["digest"] == logged["digest"]
 
 
 class TestProfilePhases:

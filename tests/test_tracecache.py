@@ -9,8 +9,10 @@ that contract on the paths where generated code is easiest to get
 wrong — guard side-exits on mispredicted intra-trace branches,
 self-modifying code landing mid-trace, re-randomization epochs rotating
 tables out from under compiled traces — plus the exact
-invalidation-window accounting both caches share and the exclusion of
-trace knobs from result-cache fingerprints.
+invalidation-window accounting both caches share, the exclusion of
+trace knobs from result-cache fingerprints, and the process-wide cache
+of compiled trace code (one ``compile()`` per distinct source, with
+no CPU's results changed by running code another CPU compiled).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch import tracecache
 from repro.arch.config import default_config
 from repro.arch.cpu import CycleCPU
 from repro.arch.memory import MemoryFault
@@ -31,6 +34,7 @@ from repro.harness.spec import config_fingerprint
 from repro.ilr import RandomizerConfig, make_flow, randomize, rerandomize
 from repro.ilr.rerandomize import apply_rerandomization
 from repro.isa import assemble, opcodes
+from repro.obs.events import EventLog, MemorySink
 from repro.workloads import build_image
 from repro.workloads.builder import ProgramBuilder
 
@@ -65,6 +69,22 @@ def _counting_loop(iterations=4_000):
     b.emit_word("ecx")
     b.exit(0)
     return b.image()
+
+
+def _patchable_loop():
+    """A counting loop whose first instruction, ``movi eax, 41``, a test
+    can patch; returns ``(image, address of the patchable instruction)``."""
+    b = ProgramBuilder("smctrace")
+    b.label("main")
+    b.emit("movi ecx, 0")
+    b.label("looptop")
+    b.label("patchme")
+    b.emit("movi eax, 41")
+    b.emits("add ecx, 1", "cmp ecx, 4000", "jl looptop")
+    b.emit_word("eax")
+    b.exit(0)
+    image = b.image()
+    return image, image.symbols.resolve("patchme")
 
 
 def _program(name):
@@ -361,17 +381,7 @@ class TestGuardBailout:
         """Patching an instruction a compiled trace covers must drop the
         trace (and its blocks) before the next entry — the generated
         code bakes the old immediate into its source."""
-        b = ProgramBuilder("smctrace")
-        b.label("main")
-        b.emit("movi ecx, 0")
-        b.label("looptop")
-        b.label("patchme")
-        b.emit("movi eax, 41")
-        b.emits("add ecx, 1", "cmp ecx, 4000", "jl looptop")
-        b.emit_word("eax")
-        b.exit(0)
-        image = b.image()
-        patch_addr = image.symbols.resolve("patchme")
+        image, patch_addr = _patchable_loop()
 
         def run(cfg):
             cpu = CycleCPU(image, make_flow("baseline", image=image), cfg)
@@ -573,9 +583,7 @@ class TestTierTelemetry:
         """Events + ``repro.tools.stats``: a run with events enabled
         attaches tier counters to ``run_end``, and the stats CLI's
         ``tiers`` section aggregates them across runs."""
-        from repro.obs.events import EventLog, MemorySink
         from repro.tools.stats import tier_table
-
 
         image = _counting_loop()
         sink = MemorySink()
@@ -623,6 +631,190 @@ class TestFingerprintExclusion:
         cfg.il1.latency += 1
         assert config_fingerprint(cfg) != config_fingerprint(
             default_config())
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Start from a cold code cache and list the file name of every
+    ``compile()`` trace code makes from here on."""
+    tracecache.clear_code_cache()
+    calls = []
+    real = compile
+
+    def counting(src, filename, mode):
+        calls.append(filename)
+        return real(src, filename, mode)
+
+    monkeypatch.setattr(tracecache, "compile", counting, raising=False)
+    return calls
+
+
+@pytest.fixture
+def sources(monkeypatch):
+    """Every trace source rendered from here on, compiled or not."""
+    seen = []
+    real = tracecache._module_code
+
+    def recording(src, filename):
+        seen.append(src)
+        return real(src, filename)
+
+    monkeypatch.setattr(tracecache, "_module_code", recording)
+    return seen
+
+
+def _sliced_result(cpu):
+    """The result of a CPU driven by ``run_slice``."""
+    return cpu._result(finished=cpu._finished, warmup=0)
+
+
+class TestProcessCodeCache:
+    """A process compiles each distinct trace source once: a CPU that
+    renders a source another CPU compiled rebuilds the code from the
+    process-wide cache, and sharing it changes nothing any CPU
+    computes."""
+
+    @pytest.mark.parametrize("mode", ["baseline", "naive_ilr", "vcfr"])
+    def test_second_cpu_compiles_nothing_and_matches_the_first(
+            self, compiles, mode):
+        program = _program("gcc")
+        first = _mode_cpu(mode, program, _config())
+        result = first.run(max_instructions=60_000)
+        built = len(compiles)
+        assert built > 0
+        second = _mode_cpu(mode, program, _config())
+        again = second.run(max_instructions=60_000)
+        assert len(compiles) == built, "the second CPU must compile nothing"
+        assert again.to_dict() == result.to_dict()
+        assert second.tier_stats() == first.tier_stats()
+        ours = first._tracecache.traces
+        theirs = second._tracecache.traces
+        assert ours and ours.keys() == theirs.keys()
+        for anchor, trace in ours.items():
+            fn = theirs[anchor].fn
+            assert fn is not trace.fn
+            assert fn.__code__ is not trace.fn.__code__
+            assert fn.__code__.co_code == trace.fn.__code__.co_code
+
+    def test_interleaved_cpus_match_their_solo_runs(self, compiles):
+        """VCFR at two DRC sizes renders the same sources (the size is
+        not baked in), so the second CPU runs code the first compiled.
+        Interleaved slice by slice, each still computes exactly its
+        solo run: shared code never reaches another CPU's state."""
+        program = _program("gcc")
+        sizes = (16, 512)
+
+        def cpu(entries):
+            return _mode_cpu("vcfr", program,
+                             _config().with_drc_entries(entries))
+
+        def run(cpus):
+            for _ in range(12):
+                for each in cpus:
+                    each.run_slice(5_000)
+            return [_sliced_result(each).to_dict() for each in cpus]
+
+        solo = [run([cpu(entries)])[0] for entries in sizes]
+        assert solo[0] != solo[1], "the DRC size must show in the results"
+        distinct = len(compiles)
+        assert distinct > 0
+        tracecache.clear_code_cache()
+        assert run([cpu(entries) for entries in sizes]) == solo
+        assert len(compiles) == 2 * distinct
+
+    def test_sources_repeat_per_cpu_and_differ_by_mode_and_log(
+            self, sources):
+        program = _program("gcc")
+
+        def rendered(mode, events=None):
+            start = len(sources)
+            CycleCPU(program.image_for(mode), make_flow(mode, program),
+                     _config(), events=events).run(max_instructions=40_000)
+            return sources[start:]
+
+        by_mode = {mode: rendered(mode)
+                   for mode in ("baseline", "naive_ilr", "vcfr")}
+        assert all(by_mode.values())
+        assert rendered("vcfr") == by_mode["vcfr"]
+        assert not set(by_mode["baseline"]) & set(by_mode["naive_ilr"])
+        assert not set(by_mode["naive_ilr"]) & set(by_mode["vcfr"])
+        assert not set(by_mode["baseline"]) & set(by_mode["vcfr"])
+        # An enabled log turns on fill-burst tracking: one ``nfill``
+        # call per IL1 line change.
+        logged = rendered("vcfr", EventLog(MemorySink()))
+        assert logged and not set(logged) & set(by_mode["vcfr"])
+        assert all("nfill(" in src for src in logged)
+        assert not any("nfill(" in src for src in by_mode["vcfr"])
+
+    def test_rewritten_code_misses_and_the_other_cpu_is_unaffected(
+            self, compiles):
+        image, patch_addr = _patchable_loop()
+
+        def cpu():
+            fresh = CycleCPU(image, make_flow("baseline", image=image),
+                             _config())
+            fresh.run_slice(2_000)  # the loop is traced and running
+            return fresh
+
+        def finish(cpu):
+            cpu.run_slice(1_000_000)
+            return _sliced_result(cpu)
+
+        solo = finish(cpu()).to_dict()
+        tracecache.clear_code_cache()
+        patched = cpu()
+        built = len(compiles)
+        assert built > 0
+        other = cpu()
+        assert len(compiles) == built, "the same loop must hit"
+        patched.rewrite_code(patch_addr + 1, struct.pack("<I", 99))
+        result = finish(patched)
+        assert len(compiles) > built, "the patched loop's trace must miss"
+        assert list(result.output.words) == [99]
+        built = len(compiles)
+        assert finish(other).to_dict() == solo
+        assert len(compiles) == built
+
+    def test_bound_flushes_and_runs_stay_exact(self, compiles, monkeypatch):
+        cap = 24_000  # a handful of gcc's traces
+        monkeypatch.setattr(tracecache, "_CODE_CACHE_CAP", cap)
+        held = []
+        real = tracecache._module_code
+
+        def checked(src, filename):
+            code = real(src, filename)
+            stored = sum(map(len, tracecache._code_cache.values()))
+            assert stored == tracecache._code_cache_bytes <= cap
+            held.append(len(tracecache._code_cache))
+            return code
+
+        monkeypatch.setattr(tracecache, "_module_code", checked)
+        program = _program("gcc")
+        ref = _mode_cpu("vcfr", program, _config(fastpath=False)).run(
+            max_instructions=60_000)
+        for _ in range(2):
+            result = _mode_cpu("vcfr", program, _config()).run(
+                max_instructions=60_000)
+            assert _comparable(result.to_dict()) == _comparable(
+                ref.to_dict())
+        assert any(b < a for a, b in zip(held, held[1:])), (
+            "the bound must have flushed the cache")
+
+    def test_clear_code_cache_restores_a_cold_start(self, compiles):
+        image = _counting_loop()
+
+        def run():
+            CycleCPU(image, make_flow("baseline", image=image),
+                     _config()).run(max_instructions=100_000)
+
+        run()
+        cold = len(compiles)
+        assert cold > 0
+        run()
+        assert len(compiles) == cold
+        tracecache.clear_code_cache()
+        run()
+        assert len(compiles) == 2 * cold
 
 
 @given(st.integers(min_value=0, max_value=10 ** 9))
