@@ -23,8 +23,9 @@ Correctness contract
   would replay stale fall-through and architectural PCs.
 * Blocks never cross a control transfer or a ``halt``; interior
   instructions are therefore guaranteed ``CTRL_NONE``, which is what
-  lets the fast loop skip the branch unit for them (the reference
-  ``_branch_stall`` is a stat-free ``(0, True)`` for such instructions).
+  lets the fast loop skip the branch unit for them
+  (:meth:`BranchUnit.resolve` is a stat-free ``(0, True)`` for such
+  instructions).
 * Storage is bounded (``block_cache_capacity`` blocks; the shared
   decode map is bounded by ``capacity * max_insts`` entries) with
   flush-on-overflow, so a pathological workload degrades to rebuild

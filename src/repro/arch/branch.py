@@ -12,6 +12,7 @@ fetch time).
 from __future__ import annotations
 
 from .config import BranchConfig
+from .executor import CTRL_HALT, CTRL_JUMP, CTRL_NONE
 
 
 class BranchStats:
@@ -122,8 +123,9 @@ class RAS:
 class BranchUnit:
     """Front-end prediction state + penalty computation.
 
-    ``penalty_*`` methods return stall cycles to charge and update the
-    predictors, given the architectural outcome of the instruction.
+    The prediction methods return stall cycles to charge and update the
+    predictors, given the architectural outcome of the instruction;
+    :meth:`resolve` picks the method for one retired instruction.
     """
 
     __slots__ = ("config", "gshare", "btb", "ras", "stats")
@@ -205,15 +207,70 @@ class BranchUnit:
 
     def inline_scope(self) -> dict:
         """Generated-scope bindings for the trace tier's predictor
-        source (:meth:`conditional_src`) and calls.  Each keeps its
-        identity for the unit's lifetime: the predictors update in
-        place and ``BranchStats.reset`` zeroes in place."""
+        source (:meth:`conditional_src`, :meth:`resolve_src`).  Each
+        keeps its identity for the unit's lifetime: the predictors
+        update in place and ``BranchStats.reset`` zeroes in place."""
         return {
             "bcond": self.conditional, "bdir": self.direct,
             "bind": self.indirect, "bret": self.ret,
             "gs": self.gshare, "gt": self.gshare.table,
             "bts": self.btb._sets, "bst": self.stats,
         }
+
+    # -- one instruction's outcome -------------------------------------------------
+
+    def resolve(self, inst, kind: int, next_fetch_pc: int, arch_target: int,
+                state):
+        """Front-end penalty for ``inst``'s control-flow outcome ``kind``
+        (an ``executor.CTRL_*`` code), dispatched on its mnemonic.
+
+        Predictions are made on the *fetch-space* PC (under VCFR that is
+        the de-randomized UPC, per §IV-D), so predictor accuracy does not
+        depend on the randomization; a call pushes
+        ``state.last_retaddr``.  Returns ``(penalty, predicted_ok)``.
+        """
+        pc = inst.addr
+        if inst.cc is not None:
+            taken = kind == CTRL_JUMP
+            return self.conditional(pc, taken, next_fetch_pc if taken else 0)
+        if kind == CTRL_NONE or kind == CTRL_HALT:
+            return 0, True
+        m = inst.mnemonic
+        if m == "call":
+            return self.direct(pc, next_fetch_pc, True, state.last_retaddr)
+        if m == "jmp" or m == "jmp8":
+            return self.direct(pc, next_fetch_pc, False)
+        if m == "calli":
+            return self.indirect(pc, next_fetch_pc, True, state.last_retaddr)
+        if m == "jmpi":
+            return self.indirect(pc, next_fetch_pc, False)
+        if m == "ret":
+            return self.ret(pc, arch_target)
+        return 0, True
+
+    def resolve_src(self, inst, target: str, arch_target: str):
+        """Source lines that leave ``pen, ok`` as :meth:`resolve` returns
+        them for the taken unconditional transfer ``inst``, with the
+        mnemonic dispatch done now; ``target`` and ``arch_target`` are
+        source expressions for the next fetch PC and the architectural
+        target, and the names are those of :meth:`inline_scope` plus
+        ``st`` for the machine state.  A conditional branch renders
+        each direction through :meth:`conditional_src` instead."""
+        pc = inst.addr
+        m = inst.mnemonic
+        if m == "call":
+            line = "bdir(%d, %s, True, st.last_retaddr)" % (pc, target)
+        elif m == "jmp" or m == "jmp8":
+            line = "bdir(%d, %s, False)" % (pc, target)
+        elif m == "calli":
+            line = "bind(%d, %s, True, st.last_retaddr)" % (pc, target)
+        elif m == "jmpi":
+            line = "bind(%d, %s, False)" % (pc, target)
+        elif m == "ret":
+            line = "bret(%d, %s)" % (pc, arch_target)
+        else:
+            raise ValueError("no unconditional transfer: %s" % m)
+        return ["pen, ok = " + line]
 
     # -- unconditional direct (jmp, call) ------------------------------------------
 

@@ -8,12 +8,10 @@ table context, which costs the DRC its contents (the new process's
 translations must refill through the L2) on top of the usual TLB
 disturbance.
 
-By default each tenant owns a *private* CycleCPU cache hierarchy all
-the way down — switches model flush costs, not cache sharing.  Pass a
-:class:`~repro.arch.sharedmem.SharedMemorySystem` as ``shared_memory``
-to route every tenant through one genuinely shared L2 + DRAM (the
-multi-tenant contention model `repro.fleet` builds on); DRC, TLBs and
-L1s stay private either way.
+Each tenant owns a *private* CycleCPU cache hierarchy all the way
+down — switches model flush costs, not cache sharing.  The multi-tenant
+contention model (:mod:`repro.fleet`) builds its own CPUs on ports of
+one :class:`~repro.arch.sharedmem.SharedMemorySystem` instead.
 
 The interesting measurement is DRC cold-start sensitivity: how much of
 VCFR's near-baseline IPC survives realistic scheduling quanta.
@@ -70,9 +68,8 @@ class TimeSharedCPU:
     DRC is flushed (its entries belong to the outgoing process's RDR
     tables), the TLBs are flushed (new address space), and the
     predictors are left alone (tagless structures alias across
-    processes, which is how real cores behave).  By default nothing
-    below the core is shared — every tenant's caches are private; pass
-    ``shared_memory`` to put all tenants behind one L2 + DRAM.
+    processes, which is how real cores behave).  Nothing below the
+    core is shared — every tenant's caches are private.
     """
 
     def __init__(
@@ -83,7 +80,6 @@ class TimeSharedCPU:
         switch_cycles: int = 200,
         on_quantum=None,
         self_switch: bool = True,
-        shared_memory=None,
     ):
         """``on_quantum(name, cpu, executed, finished)`` is invoked after
         every scheduling quantum, at an instruction boundary — the hook
@@ -94,29 +90,10 @@ class TimeSharedCPU:
         DRC-cold-start study); pass ``False`` to model a lone tenant
         that simply keeps running.  With more than one live tenant every
         quantum still switches regardless.
-
-        ``shared_memory`` (a
-        :class:`~repro.arch.sharedmem.SharedMemorySystem`) gives every
-        tenant a port into one shared L2 + DRAM so their working sets
-        genuinely contend; ``None`` (the default, and the published
-        configuration) keeps each tenant's hierarchy fully private.
         """
-        self.shared_memory = shared_memory
         self.cpus = [
-            (
-                name,
-                CycleCPU(
-                    image,
-                    flow,
-                    config,
-                    memory=(
-                        None
-                        if shared_memory is None
-                        else shared_memory.port(index)
-                    ),
-                ),
-            )
-            for index, (name, image, flow) in enumerate(programs)
+            (name, CycleCPU(image, flow, config))
+            for name, image, flow in programs
         ]
         self.quantum = quantum_instructions
         self.switch_stats = SwitchStats(switch_cycles_each=switch_cycles)
@@ -125,14 +102,6 @@ class TimeSharedCPU:
 
     def run(self, max_instructions_per_process: int = 200_000) -> TimeSharedResult:
         """Run all processes to completion (or budget), round-robin."""
-        if self.shared_memory is not None:
-            # Prime every tenant before any executes: a CPU's first
-            # run_slice resets its stats objects, and with a shared L2 +
-            # DRAM a late first slice would wipe counters other tenants
-            # already accumulated.  run_slice(0) resets without running.
-            for _name, cpu in self.cpus:
-                cpu.run_slice(0)
-            self.shared_memory.reset_stats()
         live = {name: True for name, _cpu in self.cpus}
         quanta = {name: 0 for name, _cpu in self.cpus}
         budget = {name: max_instructions_per_process for name, _ in self.cpus}
@@ -171,11 +140,8 @@ class TimeSharedCPU:
 
     def _on_switch_in(self, cpu: CycleCPU) -> None:
         """Model what a context switch costs the incoming process."""
-        # Whether tenants share an L2 depends on construction: by
-        # default every tenant owns a private hierarchy (warm lines only
-        # help the same tenant on its next quantum), while with
-        # ``shared_memory`` the tenants contend in one L2 and warm
-        # RDR-table lines genuinely survive switches.
+        # Every tenant owns a private hierarchy, so warm lines only help
+        # the same tenant on its next quantum.
         stats = self.switch_stats
         stats.switches += 1
         stats.total_switch_cycles += stats.switch_cycles_each

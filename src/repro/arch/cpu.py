@@ -29,6 +29,7 @@ diverge semantically from the functional reference.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Callable, Dict, Optional
 
@@ -39,9 +40,9 @@ from .blockcache import BlockCache
 from .branch import BranchUnit
 from .cache import Cache
 from .config import MachineConfig, default_config
-from .drc import DRC, DRCStats, KIND_DERAND, KIND_RAND
+from .drc import DRC, DRCStats, KIND_DERAND
 from .dram import DRAM, DRAMStats
-from .executor import CTRL_HALT, CTRL_JUMP, CTRL_NONE, EXEC_EXTRA, execute
+from .executor import CTRL_HALT, CTRL_NONE, EXEC_EXTRA, execute
 from .memory import SparseMemory
 from .power import EnergyParams, compute_energy
 from .simstats import Checkpoint, SimResult, ratio
@@ -61,14 +62,30 @@ TABLE_REGION_SIZE = 0x04000000
 #: compare per retired instruction is the entire disabled-path cost.
 _NO_CHECKPOINT = 1 << 62
 
-#: Minimum run of back-to-back IL1 fetch fills that counts as a
-#: ``cache_fill_burst`` event (naive ILR's scattered layout produces
-#: long runs of these; baseline/VCFR essentially never do).
-FILL_BURST_THRESHOLD = 8
+
+def _table_refill(port, key: int, kind: int) -> int:
+    """Fetch an RDR table entry through ``port`` (the L2 first, then
+    DRAM): the DRC's refill, bound to a CPU's L2 port.
+
+    Table entries live at deterministic kernel addresses so the L2
+    genuinely caches the hot part of the table, as in the paper's
+    design ("DRC can share its second level cache with the unified
+    L2").
+    """
+    if kind == KIND_DERAND:
+        addr = DERAND_TABLE_BASE + ((key & 0x3FFFFFFF) >> 3) * 8
+    else:
+        addr = RAND_TABLE_BASE + ((key & 0x3FFFFFFF) >> 2) * 8
+    return port(addr, False)
 
 
 class CycleCPU:
-    """One simulated core executing one program under one flow."""
+    """One simulated core executing one program under one flow.
+
+    The CPU owns its parts and nothing it builds refers back to it (the
+    DRC refills through the L2 port, traces close over the parts), so a
+    finished CPU is freed as soon as its last reference goes.
+    """
 
     def __init__(
         self,
@@ -96,7 +113,6 @@ class CycleCPU:
         self.state = MachineState(self.mem, stack_top=info.stack_top)
 
         cfg = self.config
-        self.memory = memory
         if memory is None:
             self.dram = DRAM(cfg.dram)
             self.l2 = Cache(cfg.l2, "l2", self.dram.access)
@@ -113,7 +129,8 @@ class CycleCPU:
         self.itlb = TLB(cfg.itlb, "itlb")
         self.dtlb = TLB(cfg.dtlb, "dtlb")
         self.branch = BranchUnit(cfg.branch)
-        self.drc = DRC(cfg.drc, self._drc_refill)
+        self.drc = DRC(cfg.drc, functools.partial(_table_refill,
+                                                  self._l2_port))
 
         for tlb in (self.itlb, self.dtlb):
             tlb.set_invisible(DERAND_TABLE_BASE, TABLE_REGION_SIZE)
@@ -143,10 +160,6 @@ class CycleCPU:
         self._ckpt_drc_misses = 0
         self._ckpt_drc_evictions = 0
         self._run_t0 = 0.0
-        # IL1 fetch-fill burst detection (events-enabled runs only).
-        self._burst_track = self.events.enabled
-        self._fill_streak = 0
-        self._fill_streak_pc = 0
 
         self.event_fields.setdefault(
             "mode", getattr(flow, "name", "unknown")
@@ -168,29 +181,13 @@ class CycleCPU:
             cfg.block_cache_capacity, cfg.block_max_insts
         )
         #: superblock trace tier (host-side, rides on the fast path);
-        #: constructed last so it can close over the fully-built CPU.
+        #: constructed last so it can close over the fully-built parts.
         self._tracecache = (
             TraceCache(self) if (cfg.fastpath and cfg.tracepath) else None
         )
         #: counter writeback cell shared with generated trace functions
         #: (cycle, icount, last_page, last_line).
         self._trace_out = [0, 0, 0, 0]
-
-    # -- DRC refill path -----------------------------------------------------
-
-    def _drc_refill(self, key: int, kind: int) -> int:
-        """Fetch an RDR table entry from memory (L2 first, then DRAM).
-
-        Table entries live at deterministic kernel addresses so the L2
-        genuinely caches the hot part of the table, as in the paper's
-        design ("DRC can share its second level cache with the unified
-        L2").
-        """
-        if kind == KIND_DERAND:
-            addr = DERAND_TABLE_BASE + ((key & 0x3FFFFFFF) >> 3) * 8
-        else:
-            addr = RAND_TABLE_BASE + ((key & 0x3FFFFFFF) >> 2) * 8
-        return self._l2_port(addr, False)
 
     # -- fetch ------------------------------------------------------------------
 
@@ -266,9 +263,6 @@ class CycleCPU:
             self._last_fetch_line = line
             latency = self.il1.access(fetch_pc, False)
             stall += latency - self.config.il1.latency  # hits are pipelined
-            if self._burst_track:
-                self._note_fetch_fill(latency > self.config.il1.latency,
-                                      fetch_pc)
             if self.config.prefetch_il1:
                 self.il1.prefetch((line + 1) << self._line_shift)
         # A fetch group that straddles into the next line touches it too.
@@ -277,31 +271,9 @@ class CycleCPU:
             self._last_fetch_line = end_line
             latency = self.il1.access(end_line << self._line_shift, False)
             stall += latency - self.config.il1.latency
-            if self._burst_track:
-                self._note_fetch_fill(latency > self.config.il1.latency,
-                                      fetch_pc)
             if self.config.prefetch_il1:
                 self.il1.prefetch((end_line + 1) << self._line_shift)
         return stall
-
-    def _note_fetch_fill(self, missed: bool, fetch_pc: int) -> None:
-        """Track runs of consecutive IL1 fetch fills; a long run is the
-        micro-architectural signature of destroyed instruction locality
-        (naive ILR), emitted as one ``cache_fill_burst`` record."""
-        if missed:
-            if not self._fill_streak:
-                self._fill_streak_pc = fetch_pc
-            self._fill_streak += 1
-        elif self._fill_streak:
-            if self._fill_streak >= FILL_BURST_THRESHOLD:
-                self.events.emit(
-                    "cache_fill_burst",
-                    length=self._fill_streak,
-                    start_pc=self._fill_streak_pc,
-                    instructions=self.state.icount,
-                    **self.event_fields,
-                )
-            self._fill_streak = 0
 
     # -- data side -------------------------------------------------------------------
 
@@ -320,75 +292,6 @@ class CycleCPU:
             latency = self.dl1.access(addr, True)
             stall += latency - self.config.dl1.latency  # hits retire via store buffer
         return stall
-
-    # -- DRC event draining -------------------------------------------------------------
-
-    def _drc_stall(self, fetch_waits: bool, overlap: int = 0) -> int:
-        """Charge the RDR lookups this instruction triggered.
-
-        ``fetch_waits`` is True when the front end did NOT have a correct
-        prediction for the transfer, i.e. fetch is stalled waiting for the
-        de-randomized target (paper §IV-D: with prediction running in the
-        de-randomized space, a predicted transfer never waits for the
-        DRC).  Lookups always update DRC state and statistics; latency is
-        only exposed when fetch actually waits — and even then a hit
-        overlaps with the pipeline redirect, so only refills stall.
-        """
-        events = self.flow.events
-        if not events:
-            return 0
-        stall = 0
-        hit_latency = self.config.drc.latency
-        for kind, key in events:
-            if kind == "derand":
-                latency = self.drc.lookup(key, KIND_DERAND)
-            elif kind == "redirect":
-                latency = self.drc.lookup(key, KIND_RAND)
-            elif kind == "rand":
-                # Return-address randomization on a call: the pushed value
-                # is not needed until the matching ret, so the lookup is
-                # never on the critical path.
-                self.drc.lookup(key, KIND_RAND)
-                continue
-            else:  # bitmap probe: tiny dedicated cache, fully pipelined
-                self.drc.bitmap_probe()
-                continue
-            if fetch_waits:
-                # The refill runs concurrently with the pipeline flush the
-                # mispredict already paid for; only the excess is exposed.
-                stall += max(0, latency - hit_latency - overlap)
-        events.clear()
-        return stall
-
-    # -- branch penalties --------------------------------------------------------------------
-
-    def _branch_stall(self, inst: Instruction, kind: int, next_fetch_pc: int,
-                      arch_target: int):
-        """Front-end penalty for this instruction's control-flow outcome.
-
-        Predictions are made on the *fetch-space* PC (under VCFR that is
-        the de-randomized UPC, per §IV-D), so predictor accuracy does not
-        depend on the randomization.  Returns ``(penalty, predicted_ok)``.
-        """
-        branch = self.branch
-        pc = inst.addr
-        if inst.cc is not None:
-            taken = kind == CTRL_JUMP
-            return branch.conditional(pc, taken, next_fetch_pc if taken else 0)
-        if kind == CTRL_NONE or kind == CTRL_HALT:
-            return 0, True
-        m = inst.mnemonic
-        if m == "call":
-            return branch.direct(pc, next_fetch_pc, True, self.state.last_retaddr)
-        if m == "jmp" or m == "jmp8":
-            return branch.direct(pc, next_fetch_pc, False)
-        if m == "calli":
-            return branch.indirect(pc, next_fetch_pc, True, self.state.last_retaddr)
-        if m == "jmpi":
-            return branch.indirect(pc, next_fetch_pc, False)
-        if m == "ret":
-            return branch.ret(pc, arch_target)
-        return 0, True
 
     # -- main loop ----------------------------------------------------------------------------------
 
@@ -525,12 +428,12 @@ class CycleCPU:
             else:
                 next_fetch_pc = flow.transfer(target)
 
-            branch_penalty, predicted_ok = self._branch_stall(
-                inst, kind, next_fetch_pc, target
+            branch_penalty, predicted_ok = self.branch.resolve(
+                inst, kind, next_fetch_pc, target, state
             )
             stall += branch_penalty
-            stall += self._drc_stall(
-                fetch_waits=not predicted_ok, overlap=branch_penalty
+            stall += self.drc.drain(
+                flow.events, not predicted_ok, branch_penalty
             )
 
             if self.tracer is not None:
@@ -590,10 +493,8 @@ class CycleCPU:
         dl1_access = self.dl1.access
         dl1_latency = cfg.dl1.latency
         load_use = cfg.load_use_stall
-        burst = self._burst_track
-        note_fill = self._note_fetch_fill
-        drc_stall = self._drc_stall
-        branch_stall = self._branch_stall
+        drc_drain = self.drc.drain
+        resolve = self.branch.resolve
         tracer = self.tracer
         tracecache = self._tracecache
         if tracecache is not None:
@@ -656,23 +557,17 @@ class CycleCPU:
                         stall += itlb_access(fpc)
                     if line != last_line:
                         last_line = line
-                        latency = il1_access(fpc, False)
-                        stall += latency - il1_latency
-                        if burst:
-                            note_fill(latency > il1_latency, fpc)
+                        stall += il1_access(fpc, False) - il1_latency
                         if do_prefetch:
                             il1_prefetch(pf1)
                     if cross and line2 != last_line:
                         last_line = line2
-                        latency = il1_access(addr2, False)
-                        stall += latency - il1_latency
-                        if burst:
-                            note_fill(latency > il1_latency, fpc)
+                        stall += il1_access(addr2, False) - il1_latency
                         if do_prefetch:
                             il1_prefetch(pf2)
 
                     icount += 1
-                    if burst or is_int:
+                    if is_int:
                         state.icount = icount
                     if touch:
                         state.last_load_addr = None
@@ -705,7 +600,7 @@ class CycleCPU:
                             break
 
                     if flow_events:
-                        drc_stall(False, 0)
+                        drc_drain(flow_events, False, 0)
                     if tracer is not None:
                         tracer.record(inst, arch_pc, fpc, False, 0)
                     cycle += 1 + stall
@@ -723,23 +618,17 @@ class CycleCPU:
                     stall += itlb_access(fpc)
                 if line != last_line:
                     last_line = line
-                    latency = il1_access(fpc, False)
-                    stall += latency - il1_latency
-                    if burst:
-                        note_fill(latency > il1_latency, fpc)
+                    stall += il1_access(fpc, False) - il1_latency
                     if do_prefetch:
                         il1_prefetch(pf1)
                 if cross and line2 != last_line:
                     last_line = line2
-                    latency = il1_access(addr2, False)
-                    stall += latency - il1_latency
-                    if burst:
-                        note_fill(latency > il1_latency, fpc)
+                    stall += il1_access(addr2, False) - il1_latency
                     if do_prefetch:
                         il1_prefetch(pf2)
 
                 icount += 1
-                if burst or is_int:
+                if is_int:
                     state.icount = icount
                 if touch:
                     state.last_load_addr = None
@@ -778,12 +667,13 @@ class CycleCPU:
                 else:
                     next_fetch_pc = transfer(target)
 
-                branch_penalty, predicted_ok = branch_stall(
-                    inst, kind, next_fetch_pc, target
+                branch_penalty, predicted_ok = resolve(
+                    inst, kind, next_fetch_pc, target, state
                 )
                 stall += branch_penalty
                 if flow_events:
-                    stall += drc_stall(not predicted_ok, branch_penalty)
+                    stall += drc_drain(flow_events, not predicted_ok,
+                                       branch_penalty)
 
                 if tracer is not None:
                     tracer.record(inst, arch_pc, fpc, kind != CTRL_NONE,
@@ -800,8 +690,8 @@ class CycleCPU:
             # the reference loop leaves them; ``_resume_fetch_pc`` is
             # deliberately not updated on that path (reference parity).
             # ``state.icount`` is synced lazily inside the loop (only
-            # syscalls and burst tracking observe it mid-run), so it is
-            # settled here for checkpoints, results and fault handlers.
+            # syscalls observe it mid-run), so it is settled here for
+            # checkpoints, results and fault handlers.
             state.icount = icount
             self.cycle = cycle
             self._last_fetch_page = last_page
@@ -904,13 +794,10 @@ class CycleCPU:
         self._arm_checkpoints()
 
     def _result(self, finished: bool, warmup: int) -> SimResult:
-        # Close out observability state: a final partial-window sample
-        # (so short runs still report trailing progress) and any fill
-        # streak still open when the program stopped.
+        # Close out observability state: a final partial-window sample,
+        # so short runs still report trailing progress.
         if self.checkpoint_interval and self.state.icount > self._ckpt_icount:
             self._take_checkpoint()
-        if self._burst_track and self._fill_streak:
-            self._note_fetch_fill(False, 0)
 
         state = self.state
         instructions = state.icount - self._warmup_icount

@@ -10,6 +10,10 @@ invisible) paged memory: the refill is charged an L2 access — "for
 efficient usage of cache space, DRC can share its second level cache with
 the unified L2 of a processor core, which is our current design" — and
 the L2 may in turn miss to DRAM.  Misses never trap to the kernel.
+
+:meth:`DRC.drain` is the one place the pipeline's rule for exposing
+that latency lives: the reference loop, the block loop and generated
+traces all hand it the lookups an instruction queued.
 """
 
 from __future__ import annotations
@@ -139,6 +143,43 @@ class DRC:
         """§IV-C stack-bitmap cache probe (tiny dedicated cache)."""
         self.stats.bitmap_probes += 1
         return self.config.bitmap_latency
+
+    def drain(self, events: list, fetch_waits: bool, overlap: int = 0) -> int:
+        """Charge the RDR lookups one instruction queued in ``events``
+        (a flow's ``(kind, key)`` list) and empty it; returns the stall.
+
+        ``fetch_waits`` is True when the front end did NOT have a correct
+        prediction for the transfer, i.e. fetch is stalled waiting for the
+        de-randomized target (paper §IV-D: with prediction running in the
+        de-randomized space, a predicted transfer never waits for the
+        DRC).  Lookups always update DRC state and statistics; latency is
+        only exposed when fetch actually waits — and even then a hit
+        overlaps with the pipeline redirect, so only refills stall.
+        """
+        if not events:
+            return 0
+        stall = 0
+        hit_latency = self._hit_latency
+        for kind, key in events:
+            if kind == "derand":
+                latency = self.lookup(key, KIND_DERAND)
+            elif kind == "redirect":
+                latency = self.lookup(key, KIND_RAND)
+            elif kind == "rand":
+                # Return-address randomization on a call: the pushed value
+                # is not needed until the matching ret, so the lookup is
+                # never on the critical path.
+                self.lookup(key, KIND_RAND)
+                continue
+            else:  # bitmap probe: tiny dedicated cache, fully pipelined
+                self.bitmap_probe()
+                continue
+            if fetch_waits:
+                # The refill runs concurrently with the pipeline flush the
+                # mispredict already paid for; only the excess is exposed.
+                stall += max(0, latency - hit_latency - overlap)
+        events.clear()
+        return stall
 
     def flush(self) -> None:
         self._sets = [[] for _ in range(self.num_sets)]

@@ -44,10 +44,11 @@ class MemoryPort:
     the tenant's private physical region before the shared L2 sees it.
     """
 
-    __slots__ = ("system", "index", "base", "l2", "dram")
+    __slots__ = ("index", "base", "l2", "dram")
 
     def __init__(self, system: "SharedMemorySystem", index: int):
-        self.system = system
+        # The port keeps the shared L2 and DRAM, not the system, whose
+        # port table refers back to it.
         self.index = index
         self.base = index << PHYS_BASE_SHIFT
         self.l2 = system.l2

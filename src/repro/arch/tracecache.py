@@ -189,9 +189,10 @@ class TraceCache:
     and trace recorder that feed it.
 
     Constructed against a live :class:`~repro.arch.cpu.CycleCPU`; every
-    closed-over binding (state, flow, cache access methods, latencies,
-    the burst/event traits) is fixed for that CPU's lifetime, which is
-    what makes compile-time trait specialization sound.
+    closed-over binding (state, flow, timing models, latencies, the
+    event trait) is fixed for that CPU's lifetime, which is what makes
+    compile-time trait specialization sound.  It binds the CPU's parts,
+    never the CPU itself, so generated code holds no reference back.
     """
 
     __slots__ = (
@@ -200,7 +201,7 @@ class TraceCache:
         "rejected", "compile_failures", "_bail", "_counts", "_failed",
         "_entries_retired", "_rec", "_rec_insts", "_rec_expect",
         "_flow", "_scope", "_il1_latency", "_dl1_latency",
-        "_load_use", "_prefetch", "_burst", "_record_events",
+        "_load_use", "_prefetch", "_record_events",
         "_randomized", "_il1", "_dl1", "_itlb", "_dtlb", "_branch",
     )
 
@@ -239,7 +240,6 @@ class TraceCache:
         self._dl1_latency = cfg.dl1.latency
         self._load_use = cfg.load_use_stall
         self._prefetch = cfg.prefetch_il1
-        self._burst = cpu._burst_track
         self._record_events = bool(getattr(flow, "record_events", False))
         self._randomized = bool(getattr(flow, "randomized", False))
         # The timing models render their own hit paths into generated
@@ -259,8 +259,7 @@ class TraceCache:
             "fixup": flow.fixup_load, "note_store": flow.note_store,
             "note_push": flow.note_retaddr_push,
             "call_ret": flow.call_retaddr, "transfer": flow.transfer,
-            "sequential": flow.sequential, "bstall": cpu._branch_stall,
-            "drc": cpu._drc_stall, "nfill": cpu._note_fetch_fill,
+            "sequential": flow.sequential, "drc": cpu.drc.drain,
             "bail": self._bail, "X": ExitProgram,
         }
         scope.update(cpu.mem.inline_scope())
@@ -366,7 +365,9 @@ class TraceCache:
         src, consts = gen.build()
         namespace: Dict[str, object] = {"__builtins__": {}}
         exec(_module_code(src, "<trace:0x%x>" % anchor), namespace)
-        fn = namespace["__make"](consts)
+        # Popped, so the module namespace does not keep a cycle through
+        # ``__make``'s globals.
+        fn = namespace.pop("__make")(consts)
         blocks = tuple(b for b, _ in rec)
         return Trace(
             anchor, fn, sum(b.n for b in blocks), blocks,
@@ -457,7 +458,6 @@ class _TraceGen:
         self.flow = cache._flow
         self.randomized = cache._randomized
         self.record_events = cache._record_events
-        self.burst = cache._burst
         self.prefetch = cache._prefetch
         self.il1_latency = cache._il1_latency
         self.dl1_latency = cache._dl1_latency
@@ -603,12 +603,8 @@ class _TraceGen:
         def il1_body(fill_addr, new_line, pf):
             miss = ["lat = il1(%d, False)" % fill_addr,
                     "stall += lat - %d" % self.il1_latency]
-            hit = []
-            if self.burst:
-                hit.append("nfill(False, %d)" % fpc)
-                miss.append("nfill(lat > %d, %d)" % (self.il1_latency, fpc))
             out = ["last_line = %d" % new_line]
-            out += self.il1.access_src("il1", fill_addr, False, hit, miss)
+            out += self.il1.access_src("il1", fill_addr, False, [], miss)
             if self.prefetch:
                 out += self.il1.prefetch_src("il1", pf)
             return out
@@ -710,12 +706,10 @@ class _TraceGen:
             w.line("stall = %d" % extra)
         w.extend(fetch)
         w.line("icount += 1")
-        if self.burst:
-            w.line("st.icount = icount")
         w.extend(exec_lines)
         if drain:
             w.line("if events:")
-            w.line("    drc(False, 0)")
+            w.line("    drc(events, False, 0)")
         w.extend(self._tracer_lines(n, arch, fpc))
         w.line("cycle += 1 + stall" if uses_stall else "cycle += 1")
 
@@ -742,31 +736,11 @@ class _TraceGen:
         w.extend(after)
         if self.record_events:
             w.line("if events:")
-            w.line("    drc(False, 0)")
+            w.line("    drc(events, False, 0)")
         w.extend(self._tracer_lines(n, arch, fpc))
         w.line("cycle += 1 + stall" if uses_stall else "cycle += 1")
 
     # terminals --------------------------------------------------------
-
-    def _branch_call(self, inst, n, ctrl, nfp_expr, target_expr):
-        """Predictor query with the ``_branch_stall`` mnemonic dispatch
-        resolved at compile time (same arguments, same return)."""
-        pc = inst.addr
-        m = inst.mnemonic
-        if m == "call":
-            return ("pen, ok = bdir(%d, %s, True, st.last_retaddr)"
-                    % (pc, nfp_expr))
-        if m == "jmp" or m == "jmp8":
-            return "pen, ok = bdir(%d, %s, False)" % (pc, nfp_expr)
-        if m == "calli":
-            return ("pen, ok = bind(%d, %s, True, st.last_retaddr)"
-                    % (pc, nfp_expr))
-        if m == "jmpi":
-            return "pen, ok = bind(%d, %s, False)" % (pc, nfp_expr)
-        if m == "ret":
-            return "pen, ok = bret(%d, %s)" % (pc, target_expr)
-        return ("pen, ok = bstall(i%d, %d, %s, %s)"
-                % (n, ctrl, nfp_expr, target_expr))
 
     def _emit_terminal(self, w, op, n, expected):
         (handler, inst, fpc, arch, extra, _page, _line, _pf1, _cross,
@@ -806,8 +780,6 @@ class _TraceGen:
         w.line("stall = %d" % extra)
         w.extend(fetch)
         w.line("icount += 1")
-        if self.burst:
-            w.line("st.icount = icount")
         if touch:
             w.line("st.last_load_addr = None")
             w.line("st.last_store_addr = None")
@@ -843,12 +815,11 @@ class _TraceGen:
             guard = True
             target_expr = plan["target_var"]
 
-        w.line(self._branch_call(inst, n, plan["ctrl"], nfp_expr,
-                                 target_expr))
+        w.extend(self.branch.resolve_src(inst, nfp_expr, target_expr))
         w.line("stall += pen")
         if drain:
             w.line("if events:")
-            w.line("    stall += drc(not ok, pen)")
+            w.line("    stall += drc(events, not ok, pen)")
         w.extend(self._tracer_lines(n, arch, fpc, "True", target_expr))
         w.line("cycle += 1 + stall")
         if guard:
@@ -881,7 +852,7 @@ class _TraceGen:
             w.line("    stall += pen")
             if self.record_events:
                 w.line("    if events:")
-                w.line("        stall += drc(not ok, pen)")
+                w.line("        stall += drc(events, not ok, pen)")
             w.extend(self._tracer_lines(n, arch, fpc, str(taken), target),
                      extra=1)
         w.line("cycle += 1 + stall")

@@ -396,11 +396,10 @@ def _pool_task(spec, config: MachineConfig,
     buffers its records (``phase`` records included) in a
     :class:`MemorySink` (file sinks are single-writer; see
     :meth:`EventLog.replay`).  Otherwise it logs nothing, as an inline
-    attempt into a null log does, and its simulation skips the work
-    only a log reads, such as fill-burst tracking.  The records, the
-    exported trace spans (when ``trace``), the attempt id, the
-    attempt's host seconds, and a result-integrity digest ride back
-    with the result for the parent to verify and merge exactly once.
+    attempt into a null log does.  The records, the exported trace
+    spans (when ``trace``), the attempt id, the attempt's host seconds,
+    and a result-integrity digest ride back with the result for the
+    parent to verify and merge exactly once.
     Module-level so the pool can pickle it.
     """
     action = apply_worker_fault(faults, spec.label(), attempt)

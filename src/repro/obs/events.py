@@ -2,7 +2,10 @@
 
 Producers call ``log.emit(kind, **fields)``; the record is a flat dict
 ``{"kind": ..., "t": <seconds since log creation>, **fields}``.  Known
-kinds (consumed by ``repro.tools.stats``):
+kinds (``repro.tools.stats`` counts every kind and tabulates
+``run_end``, ``checkpoint``, ``phase``, ``rotation``, ``race_point``
+and ``tenant_point``; the dashboard follows the spec, checkpoint and
+run-end edges):
 
 ``run_start``        one simulation/emulation begins (workload, mode)
 ``checkpoint``       periodic progress sample (instantaneous IPC, miss
@@ -11,8 +14,6 @@ kinds (consumed by ``repro.tools.stats``):
                      ``parent`` ids; see :meth:`repro.obs.trace.Tracer.phase`)
 ``drc_evict``        DRC evictions since the last checkpoint (aggregated
                      so a hot run cannot flood the log)
-``cache_fill_burst`` a streak of consecutive IL1 fetch misses ended —
-                     the signature of naive ILR's destroyed locality
 ``run_end``          the run finished (totals)
 ``spec_dispatch``    the sweep engine started (or scheduled) one
                      attempt of a spec (any job kind: run, race, fleet)

@@ -1,7 +1,12 @@
 """Branch prediction structures: gshare, BTB, RAS, penalty accounting."""
 
-from repro.arch.branch import BTB, BranchUnit, GShare, RAS
+from types import SimpleNamespace
+
+import pytest
+
+from repro.arch.branch import BTB, BranchStats, BranchUnit, GShare, RAS
 from repro.arch.config import BranchConfig
+from repro.arch.executor import CTRL_CALL, CTRL_JUMP, CTRL_NONE, CTRL_RET
 
 
 class TestGShare:
@@ -165,3 +170,64 @@ class TestBranchUnit:
         for i in range(100):
             unit.conditional(0x400000, i % 4 != 3, 0x400100)
         assert 0.0 <= unit.stats.cond_accuracy <= 1.0
+
+
+def _state(unit):
+    """Everything a prediction can change: stats and predictor state."""
+    stats = {name: getattr(unit.stats, name) for name in BranchStats.__slots__}
+    return (stats, unit.btb._sets, unit.ras._stack, unit.gshare.table,
+            unit.gshare.history)
+
+
+class TestResolve:
+    def test_non_control_outcome_is_stat_free(self):
+        unit = BranchUnit(BranchConfig())
+        inst = SimpleNamespace(addr=0x400000, mnemonic="add", cc=None)
+        before = _state(BranchUnit(BranchConfig()))
+        assert unit.resolve(inst, CTRL_NONE, 0x400003, 0, None) == (0, True)
+        assert _state(unit) == before
+
+    def test_conditional_dispatches_on_the_taken_outcome(self):
+        unit, twin = BranchUnit(BranchConfig()), BranchUnit(BranchConfig())
+        inst = SimpleNamespace(addr=0x400000, mnemonic="jz", cc=4)
+        for kind, taken in ((CTRL_JUMP, True), (CTRL_NONE, False)):
+            assert (unit.resolve(inst, kind, 0x400100, 0x400100, None)
+                    == twin.conditional(0x400000, taken,
+                                        0x400100 if taken else 0))
+        assert _state(unit) == _state(twin)
+
+    @pytest.mark.parametrize("mnemonic,kind", [
+        ("call", CTRL_CALL), ("jmp", CTRL_JUMP), ("jmp8", CTRL_JUMP),
+        ("calli", CTRL_CALL), ("jmpi", CTRL_JUMP), ("ret", CTRL_RET),
+    ])
+    def test_rendered_source_matches_resolve(self, mnemonic, kind):
+        """``resolve_src``'s line, run over ``inline_scope()``, leaves
+        the ``(pen, ok)`` and the predictor state ``resolve`` does on a
+        twin unit: a miss, then a hit."""
+        inst = SimpleNamespace(addr=0x400040, mnemonic=mnemonic, cc=None)
+        # Distinct fetch-space and architectural targets, so a source
+        # that passed the wrong one would diverge.
+        nfp, tgt = 0x402000, 0x5000
+        st = SimpleNamespace(last_retaddr=0x400045)
+        ref, gen = BranchUnit(BranchConfig()), BranchUnit(BranchConfig())
+        src = "\n".join(gen.resolve_src(inst, "nfp", "tgt"))
+        code = compile(src, "<resolve_src>", "exec")
+        outcomes = []
+        for attempt in range(2):
+            if mnemonic == "ret" and attempt:
+                # The matching call pushed the return address.
+                for unit in (ref, gen):
+                    unit.ras.push(tgt)
+            expected = ref.resolve(inst, kind, nfp, tgt, st)
+            scope = dict(gen.inline_scope(), st=st, nfp=nfp, tgt=tgt)
+            exec(code, scope)
+            assert (scope["pen"], scope["ok"]) == expected
+            assert _state(gen) == _state(ref)
+            outcomes.append(expected[1])
+        assert outcomes == [False, True]
+
+    def test_source_for_a_conditional_is_refused(self):
+        unit = BranchUnit(BranchConfig())
+        inst = SimpleNamespace(addr=0x400000, mnemonic="jz", cc=4)
+        with pytest.raises(ValueError):
+            unit.resolve_src(inst, "nfp", "tgt")

@@ -163,3 +163,67 @@ class TestDRC:
         drc.lookup(0x2000, KIND_RAND)
         assert drc.stats.derand_lookups == 1
         assert drc.stats.rand_lookups == 1
+
+
+    # -- drain: the pipeline's rule for exposing RDR lookups ------------
+
+    @pytest.mark.parametrize("overlap", [0, 5, 11, 20])
+    def test_drain_refill_stalls_a_waiting_fetch_past_the_overlap(
+            self, overlap):
+        drc, backing = self._drc()
+        events = [("derand", 0x40000000)]
+        hit = drc.config.latency
+        latency = hit + 12  # a miss refills from the backing table
+        assert drc.drain(events, True, overlap) == max(
+            0, latency - hit - overlap)
+        assert backing.refills == [(0x40000000, KIND_DERAND)]
+        assert events == []
+
+    def test_drain_redirect_refills_the_rand_kind(self):
+        drc, backing = self._drc()
+        assert drc.drain([("redirect", 0x401000)], True) == 12
+        assert backing.refills == [(0x401000, KIND_RAND)]
+
+    def test_drain_hit_never_stalls(self):
+        drc, _ = self._drc()
+        drc.lookup(0x40000000, KIND_DERAND)
+        assert drc.drain([("derand", 0x40000000)], True) == 0
+        assert drc.stats.lookups == 2 and drc.stats.misses == 1
+
+    def test_drain_predicted_fetch_charges_nothing_but_counts_the_lookup(
+            self):
+        drc, backing = self._drc()
+        events = [("derand", 0x40000000)]
+        assert drc.drain(events, False) == 0
+        assert drc.stats.lookups == 1 and drc.stats.misses == 1
+        assert backing.refills == [(0x40000000, KIND_DERAND)]
+        assert events == []
+
+    def test_drain_rand_never_stalls(self):
+        drc, backing = self._drc()
+        events = [("rand", 0x400123)]
+        assert drc.drain(events, True) == 0
+        assert drc.stats.rand_lookups == 1
+        assert backing.refills == [(0x400123, KIND_RAND)]
+        assert events == []
+
+    def test_drain_bitmap_counts_a_probe(self):
+        drc, backing = self._drc()
+        events = [("bitmap", 0x7FFF0000)]
+        assert drc.drain(events, True) == 0
+        assert drc.stats.bitmap_probes == 1
+        assert drc.stats.lookups == 0 and backing.refills == []
+        assert events == []
+
+    def test_drain_charges_every_queued_lookup_and_empties_the_queue(self):
+        drc, _ = self._drc()
+        events = [("rand", 0x400123), ("bitmap", 0x7FFF0000),
+                  ("derand", 0x40000000), ("derand", 0x40000008)]
+        assert drc.drain(events, True) == 2 * 12
+        assert drc.stats.lookups == 3 and drc.stats.bitmap_probes == 1
+        assert events == []
+
+    def test_drain_of_an_empty_queue_is_free(self):
+        drc, _ = self._drc()
+        assert drc.drain([], True, 0) == 0
+        assert drc.stats.lookups == 0

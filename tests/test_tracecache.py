@@ -722,8 +722,7 @@ class TestProcessCodeCache:
         assert run([cpu(entries) for entries in sizes]) == solo
         assert len(compiles) == 2 * distinct
 
-    def test_sources_repeat_per_cpu_and_differ_by_mode_and_log(
-            self, sources):
+    def test_sources_repeat_per_cpu_and_differ_by_mode(self, sources):
         program = _program("gcc")
 
         def rendered(mode, events=None):
@@ -739,12 +738,23 @@ class TestProcessCodeCache:
         assert not set(by_mode["baseline"]) & set(by_mode["naive_ilr"])
         assert not set(by_mode["naive_ilr"]) & set(by_mode["vcfr"])
         assert not set(by_mode["baseline"]) & set(by_mode["vcfr"])
-        # An enabled log turns on fill-burst tracking: one ``nfill``
-        # call per IL1 line change.
-        logged = rendered("vcfr", EventLog(MemorySink()))
-        assert logged and not set(logged) & set(by_mode["vcfr"])
-        assert all("nfill(" in src for src in logged)
-        assert not any("nfill(" in src for src in by_mode["vcfr"])
+        # The event log is not a trace trait: a logging CPU renders
+        # exactly the null log's sources.
+        for mode, plain in by_mode.items():
+            assert rendered(mode, EventLog(MemorySink())) == plain, mode
+
+    @pytest.mark.parametrize("mode", ["baseline", "naive_ilr", "vcfr"])
+    def test_logging_cpu_reuses_null_log_code(self, compiles, mode):
+        program = _program("gcc")
+        plain = _mode_cpu(mode, program, _config()).run(
+            max_instructions=60_000)
+        built = len(compiles)
+        assert built > 0
+        logged = CycleCPU(program.image_for(mode), make_flow(mode, program),
+                          _config(), events=EventLog(MemorySink()))
+        result = logged.run(max_instructions=60_000)
+        assert len(compiles) == built, "the logging CPU must compile nothing"
+        assert result.to_dict() == plain.to_dict()
 
     def test_rewritten_code_misses_and_the_other_cpu_is_unaffected(
             self, compiles):
