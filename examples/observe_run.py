@@ -13,8 +13,8 @@ Run:
 
 from repro.arch.cpu import simulate
 from repro.ilr import RandomizerConfig, make_flow, randomize
+from repro.obs import sparkline
 from repro.obs.events import EventLog, MemorySink
-from repro.tools.stats import sparkline
 from repro.workloads import build_image
 
 WORKLOAD = "gcc"

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..binary import BinaryImage, load_image
 from ..isa.instruction import Instruction
@@ -94,7 +94,6 @@ class CycleCPU:
         config: Optional[MachineConfig] = None,
         events: Optional[EventLog] = None,
         checkpoint_interval: int = 0,
-        on_checkpoint: Optional[Callable[[Checkpoint], None]] = None,
         event_fields: Optional[dict] = None,
         memory=None,
     ):
@@ -149,7 +148,6 @@ class CycleCPU:
         #: sets e.g. ``{"workload": "gcc"}``; the CPU adds ``mode``).
         self.event_fields = dict(event_fields or {})
         self.checkpoint_interval = max(0, checkpoint_interval)
-        self.on_checkpoint = on_checkpoint
         self.checkpoints = []
         self._next_checkpoint = _NO_CHECKPOINT
         self._ckpt_icount = 0
@@ -761,8 +759,6 @@ class CycleCPU:
                     instructions=checkpoint.instructions,
                     **self.event_fields,
                 )
-        if self.on_checkpoint is not None:
-            self.on_checkpoint(checkpoint)
         self._ckpt_icount = icount
         self._ckpt_cycle = self.cycle
         self._ckpt_il1_acc = il1.accesses
@@ -870,7 +866,6 @@ def simulate(
     warmup_instructions: int = 0,
     events: Optional[EventLog] = None,
     checkpoint_interval: int = 0,
-    on_checkpoint: Optional[Callable[[Checkpoint], None]] = None,
     event_fields: Optional[dict] = None,
 ) -> SimResult:
     """One-shot helper: build a :class:`CycleCPU` and run it."""
@@ -880,7 +875,6 @@ def simulate(
         config,
         events=events,
         checkpoint_interval=checkpoint_interval,
-        on_checkpoint=on_checkpoint,
         event_fields=event_fields,
     )
     return cpu.run(max_instructions, warmup_instructions)

@@ -7,7 +7,8 @@ Options:
   --ablations             also run the ablation studies
   --json PATH             write all results as JSON ("-" for stdout)
   --events PATH           write a JSONL structured event log
-  --progress              heartbeat line per simulation checkpoint
+  --progress              heartbeat line per simulation checkpoint, and
+                          a done/cached/FAILED line per spec
   --profile-phases        split simulation host time by layer into
                           sim.<layer> spans (sampled on the tiers that run)
   --checkpoint-interval N instructions between checkpoints (0 = auto)
@@ -30,6 +31,12 @@ crashing or hanging workers are retried and the pool rebuilt; results
 commit to the cache as they finish, so a killed invocation resumes from
 its completed work when re-run with the same ``--cache-dir``.
 
+``--progress`` and ``--dashboard`` are readers of the run's event log
+(:mod:`repro.harness.dashboard`), so either one turns the log on, and
+with it the automatic checkpoint cadence.  Inline, heartbeats print as
+the simulation runs; with ``--workers`` a spec's heartbeats print
+together when the parent replays its worker's records, in input order.
+
 Only the experiment report (or, with ``--json -``, the JSON document)
 goes to stdout; all diagnostics — timings, heartbeats, file notices,
 the host-time table of the run's spans — go to stderr, so piped output
@@ -45,11 +52,11 @@ import time
 from ..obs import open_log, status
 from ..obs.trace import NULL_TRACER, Tracer, span_table
 from .ablations import ALL_ABLATIONS
-from .dashboard import Dashboard
 from .cli import (
     add_fault_options,
     add_observability_options,
     add_sweep_options,
+    attach_observers,
     fault_config_from_args,
 )
 from .experiments import ALL_EXPERIMENTS, suite_specs
@@ -106,18 +113,14 @@ def main(argv=None) -> int:
 
     show_table = args.events or args.progress or args.profile_phases
     tracer = Tracer() if show_table or args.trace_out else NULL_TRACER
-    dashboard = None
 
     with open_log(args.events) as events:
-        if args.dashboard:
-            dashboard = Dashboard()
-            dashboard.attach(events)
+        finish_observers = attach_observers(args, events)
         runner = ExperimentSession(
             scale=args.scale,
             seed=args.seed,
             max_instructions=args.max_instructions,
             events=events,
-            progress=args.progress,
             checkpoint_interval=args.checkpoint_interval,
             profile_phases=args.profile_phases,
             workers=args.workers,
@@ -171,8 +174,7 @@ def main(argv=None) -> int:
                 print()
             all_ok &= result.passed
         events.status("harness end", passed=bool(all_ok))
-        if dashboard is not None:
-            dashboard.finish()
+        finish_observers()
 
         if runner.cache is not None:
             stats = runner.cache.stats()

@@ -2,13 +2,14 @@
 
 ``python -m repro.harness``, ``python -m repro.tools.run``,
 ``python -m repro.tools.fuzz``, ``python -m repro.tools.race`` and
-``python -m repro.tools.fleet`` expose the same observability knobs —
+``python -m repro.tools.fleet`` parse the same observability flags —
 ``--events`` / ``--progress`` / ``--checkpoint-interval`` / ``--store``
 / ``--trace-out`` / ``--dashboard`` — and the harness and run tool
 share the sweep and fault flags too.  Defining the flags here (once)
 keeps names, defaults, and help text from drifting between parsers.
-:func:`sweep_from_args` runs a job grid through one session built from
-those flags.
+:func:`attach_observers` wires ``--progress`` and ``--dashboard`` onto
+a CLI's event log for every entry point, and :func:`sweep_from_args`
+runs a job grid through one session built from those flags.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 
 __all__ = [
     "add_observability_options",
+    "attach_observers",
     "add_sweep_options",
     "add_fault_options",
     "fault_config_from_args",
@@ -121,6 +123,23 @@ def fault_config_from_args(args):
     return retry, faults
 
 
+def attach_observers(args, events, total: int = 0):
+    """Attach the ``--progress`` and ``--dashboard`` observers
+    (:mod:`repro.harness.dashboard`) to ``events``; either one turns the
+    log on.  Returns the call that renders their final state (the
+    dashboard's last block; a no-op without ``--dashboard``).  ``total``
+    is the dashboard's expected unit count (0 = unknown)."""
+    from .dashboard import Dashboard, Progress
+
+    if args.progress:
+        Progress().attach(events)
+    if not args.dashboard:
+        return lambda: None
+    dashboard = Dashboard(total=total)
+    dashboard.attach(events)
+    return dashboard.finish
+
+
 def sweep_from_args(args, specs) -> list:
     """Run ``specs`` through one :class:`~repro.harness.session.
     ExperimentSession` built from the observability flags and
@@ -128,22 +147,17 @@ def sweep_from_args(args, specs) -> list:
     quarantined specs on stderr."""
     from ..obs import open_log, status
     from ..obs.trace import Tracer
-    from .dashboard import Dashboard
     from .session import ExperimentSession
 
     tracer = Tracer() if args.trace_out else None
-    with ExperimentSession(events=open_log(args.events),
-                           progress=args.progress,
+    events = open_log(args.events)
+    finish_observers = attach_observers(args, events, total=len(specs))
+    with ExperimentSession(events=events,
                            checkpoint_interval=args.checkpoint_interval,
                            workers=args.workers, tracer=tracer,
                            store_path=args.store) as session:
-        dashboard = None
-        if args.dashboard:
-            dashboard = Dashboard(total=len(specs))
-            dashboard.attach(session.events)
         outcomes = session.sweep(specs)
-        if dashboard is not None:
-            dashboard.finish()
+        finish_observers()
     if tracer is not None:
         count = tracer.to_chrome(args.trace_out)
         status("wrote %s (%d spans)" % (args.trace_out, count))

@@ -1,26 +1,30 @@
-"""Live TTY sweep dashboard fed by the structured event stream.
+"""Live observers of the structured event stream: the TTY sweep
+dashboard and the progress printer.
 
-``python -m repro.harness --dashboard`` renders a small self-updating
-status block on stderr while a sweep runs: per-spec progress (which
-specs are in flight, on which attempt), done/cached/failed counts,
-retry/quarantine totals, the cache hit rate, and a rolling IPC
-sparkline from ``checkpoint`` events.
+``--dashboard`` renders a small self-updating status block on stderr
+while a sweep runs: per-spec progress (which specs are in flight, on
+which attempt), done/cached/failed counts, retry/quarantine totals, the
+cache hit rate, and a rolling IPC sparkline from ``checkpoint`` events.
+``--progress`` prints one stderr line per cycle-simulation
+``checkpoint`` (the IPC and IL1/DRC miss-rate heartbeat) and one per
+finished (``spec_done``) or quarantined (``run_failed``) spec.
 
-The dashboard is a pure *consumer* of the event vocabulary in
-:mod:`repro.obs.events` — it learns everything from ``spec_dispatch``,
-``spec_done``, ``run_retry``, ``run_failed``, ``pool_rebuild``, and
-``checkpoint`` records.  It also understands the fuzzing vocabulary
-(``fuzz_program`` counts as a completed unit of work, ``fuzz_finding``
-as a failure), so ``python -m repro.tools.fuzz --dashboard`` renders
-the same status block over a fuzzing session.  :meth:`Dashboard.attach` tees an
-:class:`~repro.obs.events.EventLog`'s sink, so the same records that go
-to the JSONL file (or nowhere) also drive the display; :meth:`feed`
-accepts records from :func:`~repro.obs.events.follow_events`, so the
-same dashboard can watch a *different process's* sweep by tailing its
-event file.
+Both are pure *consumers* of the event vocabulary in
+:mod:`repro.obs.events`.  The dashboard learns everything from
+``spec_dispatch``, ``spec_done``, ``run_retry``, ``run_failed``,
+``pool_rebuild``, and ``checkpoint`` records.  It also understands the
+fuzzing vocabulary (``fuzz_program`` counts as a completed unit of
+work, ``fuzz_finding`` as a failure), so ``python -m repro.tools.fuzz
+--dashboard`` renders the same status block over a fuzzing session.
+``attach`` tees an :class:`~repro.obs.events.EventLog`'s sink, so the
+same records that go to the JSONL file (or nowhere) also drive the
+observer: live from inline runs, and replayed when a pool worker's
+spec lands.  :meth:`Dashboard.feed` accepts records from
+:func:`~repro.obs.events.follow_events`, so the same dashboard can
+watch a *different process's* sweep by tailing its event file.
 
-Everything is injectable (stream, clock, ANSI on/off, render interval)
-so tests drive it deterministically against a ``StringIO``.
+The dashboard's stream, clock, ANSI on/off and render interval are
+injectable, so tests drive it deterministically against a ``StringIO``.
 """
 
 from __future__ import annotations
@@ -30,52 +34,70 @@ import time
 from collections import deque
 from typing import Dict, Iterable, List, Optional
 
-__all__ = ["Dashboard"]
+from ..obs import sparkline, status
 
-_BARS = "▁▂▃▄▅▆▇█"
-
-
-def _sparkline(values: Iterable[float]) -> str:
-    values = list(values)
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    spread = (hi - lo) or 1.0
-    return "".join(
-        _BARS[int((v - lo) / spread * (len(_BARS) - 1))] for v in values
-    )
+__all__ = ["Dashboard", "Progress"]
 
 
 def _label(record: dict) -> str:
-    """Spec label of an engine record: its ``label`` field, rebuilt
-    from the run fields (mirroring ``RunSpec.label``) for records that
-    predate it."""
+    """Spec label of a record: the ``label`` the engine stamps on its
+    own records, else one rebuilt from the run fields a CPU stamps on
+    ``checkpoint`` records (``workload``, ``mode``, ``drc_entries``),
+    mirroring ``RunSpec.label``."""
     if "label" in record:
         return record["label"]
-    workload = record.get("workload", "?")
-    mode = record.get("mode", "?")
-    if mode == "vcfr":
-        return "%s/vcfr@%d" % (workload, record.get("drc_entries", 0))
-    return "%s/%s" % (workload, mode)
+    label = "%s/%s" % (record.get("workload", "?"), record.get("mode", "?"))
+    if record.get("drc_entries"):
+        label += "@%d" % record["drc_entries"]
+    return label
 
 
 class _TeeSink:
-    """Sink wrapper: every record feeds the dashboard, then the inner
+    """Sink wrapper: every record feeds an observer, then the inner
     sink.  ``enabled`` is True even over a :class:`NullSink` inner —
-    the dashboard needs the records even when nothing is persisted."""
+    the observer needs the records even when nothing is persisted."""
 
     enabled = True
 
-    def __init__(self, inner, dashboard: "Dashboard"):
+    def __init__(self, inner, observer):
         self.inner = inner
-        self.dashboard = dashboard
+        self.observer = observer
 
     def write(self, record: dict) -> None:
-        self.dashboard.observe(record)
+        self.observer.observe(record)
         self.inner.write(record)
 
     def close(self) -> None:
         self.inner.close()
+
+
+def _tee(log, observer) -> None:
+    """Tee ``log``'s sink through ``observer``, forcing the log on; the
+    original sink still receives every record unchanged."""
+    log.sink = _TeeSink(log.sink, observer)
+    log.enabled = True
+
+
+class Progress:
+    """``--progress``: one stderr line per cycle-simulation checkpoint
+    and per finished or quarantined spec.  Emulator checkpoints carry
+    no ``ipc`` and print nothing."""
+
+    def attach(self, log) -> None:
+        _tee(log, self)
+
+    def observe(self, record: dict) -> None:
+        kind = record.get("kind")
+        if kind == "checkpoint" and "ipc" in record:
+            status("[%s] %7d instr  ipc %.3f  il1 %.4f  drc %.4f"
+                   % (_label(record), record["instructions"], record["ipc"],
+                      record["il1_miss_rate"], record["drc_miss_rate"]))
+        elif kind == "spec_done":
+            status("[%s] %s" % (_label(record),
+                                "cached" if record.get("cached") else "done"))
+        elif kind == "run_failed":
+            status("[%s] FAILED after %d attempt(s): %s"
+                   % (_label(record), record["attempts"], record["error"]))
 
 
 class Dashboard:
@@ -119,20 +141,13 @@ class Dashboard:
         self.ipc = deque(maxlen=ipc_window)
         self._last_render = None
         self._last_lines = 0
-        self._log = None
 
     # -- wiring ------------------------------------------------------------
 
     def attach(self, log) -> None:
-        """Tee ``log``'s sink through this dashboard.
-
-        Forces the log on (a dashboard over a null sink still needs the
-        records); the original sink still receives every record, so
-        ``--events`` output is unchanged by ``--dashboard``.
-        """
-        log.sink = _TeeSink(log.sink, self)
-        log.enabled = True
-        self._log = log
+        """Tee ``log``'s sink through this dashboard (``--events``
+        output is unchanged by ``--dashboard``)."""
+        _tee(log, self)
 
     def feed(self, records: Iterable[dict]) -> None:
         """Drive the dashboard from an external record stream (e.g.
@@ -219,8 +234,8 @@ class Dashboard:
                 tier += " bail %d" % self.trace_bailouts
             parts.append(tier)
         if self.ipc:
-            parts.append("ipc %s %.3f" % (_sparkline(self.ipc),
-                                          self.ipc[-1]))
+            parts.append("ipc %s %.3f" % (sparkline(self.ipc),
+                                         self.ipc[-1]))
         lines: List[str] = ["  ".join(parts)]
         for label in sorted(self.running):
             attempt = self.running[label]

@@ -66,7 +66,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..arch.config import MachineConfig, default_config
 from ..obs.events import EventLog
@@ -252,7 +252,6 @@ class AsyncScheduler:
         events: Optional[EventLog] = None,
         checkpoint_interval=0,
         profile_phases: bool = False,
-        on_checkpoint_for: Optional[Callable] = None,
         program_cache: Optional[dict] = None,
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
@@ -267,7 +266,6 @@ class AsyncScheduler:
         self.events = events if events is not None else EventLog()
         self.interval_for = _interval_fn(checkpoint_interval)
         self.profile_phases = profile_phases
-        self.on_checkpoint_for = on_checkpoint_for
         self.program_cache = program_cache
         self.retry = retry or DEFAULT_RETRY
         self.faults = faults
@@ -555,16 +553,13 @@ class AsyncScheduler:
     def _attempt_inline(self, spec: RunSpec, key: str,
                         attempt: int) -> _Attempt:
         """Run one attempt in this process: it emits live into the
-        parent's event log (heartbeats and the dashboard need that) and
+        parent's event log (its observers need that) and
         shares the program memo, but traces into a private tracer, as a
         pool worker does, so only a winning attempt's spans reach the
         parent."""
         self.events.emit("spec_dispatch", attempt=attempt,
                          **_job_fields(spec))
         tracer = Tracer(enabled=self.trace_attempts, clock=self.tracer.clock)
-        on_checkpoint = (
-            self.on_checkpoint_for(spec) if self.on_checkpoint_for else None
-        )
         try:
             apply_inline_fault(self.faults, spec.label(), attempt)
             started = time.perf_counter()
@@ -575,7 +570,6 @@ class AsyncScheduler:
                     self.config,
                     events=self.events,
                     checkpoint_interval=self.interval_for(spec),
-                    on_checkpoint=on_checkpoint,
                     profile_phases=self.profile_phases,
                     program_cache=self.program_cache,
                     tracer=tracer,

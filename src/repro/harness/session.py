@@ -9,7 +9,7 @@ One object holds the complete experiment policy:
 * *on what machine*: a :class:`~repro.arch.config.MachineConfig`;
 * *how*: workers, intake backlog, retry/fault policy;
 * *remembering what*: result cache (sharded, shareable between hosts),
-  SQLite run store, span tracer, event log, progress heartbeat;
+  SQLite run store, span tracer, event log;
 * *with whom*: an optional :class:`~repro.harness.workqueue.WorkQueue`
   so several sessions on different hosts drain one sweep together.
 
@@ -35,7 +35,9 @@ Every surface takes every job kind: a race or fleet point is cached,
 retried, quarantined, pooled, traced and stored exactly like a run.
 
 A session always memoizes programs and, whenever its event log is
-enabled, checkpoints cycle simulations.  It keeps no tracer of its own
+enabled (by a sink, or by an observer such as
+:class:`~repro.harness.dashboard.Progress` that reads it),
+checkpoints cycle simulations.  It keeps no tracer of its own
 (a retained one would grow with every spec).  Callers that need an
 engine argument a session does not expose — an explicit
 ``program_cache``, an event log without checkpoints — drive
@@ -48,10 +50,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..arch.config import MachineConfig, default_config
-from ..arch.simstats import Checkpoint
 from ..emu import EmulationResult
 from ..ilr import RandomizedProgram
-from ..obs import status
 from ..obs.events import EventLog
 from ..obs.store import RunStore
 from ..obs.trace import Tracer
@@ -99,7 +99,6 @@ class ExperimentSession:
         max_instructions: int = 300_000,
         warmup_instructions: int = 0,
         events: Optional[EventLog] = None,
-        progress: bool = False,
         checkpoint_interval: int = 0,
         profile_phases: bool = False,
         workers: int = 0,
@@ -121,7 +120,6 @@ class ExperimentSession:
         self.max_instructions = max_instructions
         self.warmup_instructions = warmup_instructions
         self.events = events if events is not None else EventLog()
-        self.progress = progress
         self.checkpoint_interval = checkpoint_interval
         self.profile_phases = profile_phases
         self.workers = workers
@@ -161,7 +159,7 @@ class ExperimentSession:
         """Resolve the checkpointing cadence for cycle simulations."""
         if self.checkpoint_interval:
             return self.checkpoint_interval
-        if self.events.enabled or self.progress:
+        if self.events.enabled:
             return max(250, self.max_instructions // 100)
         return 0
 
@@ -217,7 +215,6 @@ class ExperimentSession:
             events=self.events,
             checkpoint_interval=self._interval_for,
             profile_phases=self.profile_phases,
-            on_checkpoint_for=self._heartbeat,
             program_cache=self._programs,
             retry=self.retry,
             faults=self.faults,
@@ -242,11 +239,9 @@ class ExperimentSession:
                 self.failures[outcome.spec] = outcome.failure
             yield outcome
 
-    def sweep(self, specs: Iterable[RunSpec],
-              on_outcome=None) -> List[SweepOutcome]:
+    def sweep(self, specs: Iterable[RunSpec]) -> List[SweepOutcome]:
         """Batch surface: materialize ``specs``, deduplicate, return one
-        outcome per input position (duplicates share one execution).
-        ``on_outcome`` fires once per unique spec, in input order."""
+        outcome per input position (duplicates share one execution)."""
         normalized = [spec.normalized() for spec in specs]
         unique = list(dict.fromkeys(normalized))
         outcomes = {
@@ -258,14 +253,7 @@ class ExperimentSession:
         for spec, outcome in outcomes.items():
             if not outcome.ok:
                 self.failures[spec] = outcome.failure
-        ordered = [outcomes[spec] for spec in normalized]
-        if on_outcome is not None:
-            seen = set()
-            for outcome in ordered:
-                if outcome.spec not in seen:
-                    seen.add(outcome.spec)
-                    on_outcome(outcome)
-        return ordered
+        return [outcomes[spec] for spec in normalized]
 
     def run(self, spec):
         """Result for ``spec`` — memo, then disk cache, then execute.
@@ -298,10 +286,7 @@ class ExperimentSession:
         ]
         if not wanted:
             return []
-        outcomes = self.sweep(
-            wanted,
-            on_outcome=self._note_outcome if self.progress else None,
-        )
+        outcomes = self.sweep(wanted)
         for outcome in outcomes:
             if outcome.ok:
                 self._results[outcome.spec] = outcome.result
@@ -311,32 +296,6 @@ class ExperimentSession:
                 # and raises FailedRunError if it keeps failing.
                 self.failures[outcome.spec] = outcome.failure
         return outcomes
-
-    def _note_outcome(self, outcome: SweepOutcome) -> None:
-        if not outcome.ok:
-            status("[%s] FAILED after %d attempt(s): %s" % (
-                outcome.spec.label(), outcome.attempts,
-                outcome.failure.error,
-            ))
-            return
-        status("[%s] %s" % (
-            outcome.spec.label(), "cached" if outcome.cached else "done",
-        ))
-
-    def _heartbeat(self, spec: RunSpec):
-        """Per-checkpoint stderr progress line (``progress=True`` only)."""
-        if not self.progress:
-            return None
-        label = spec.label()
-
-        def _on_checkpoint(checkpoint: Checkpoint) -> None:
-            status(
-                "[%s] %7d instr  ipc %.3f  il1 %.4f  drc %.4f"
-                % (label, checkpoint.instructions, checkpoint.ipc,
-                   checkpoint.il1_miss_rate, checkpoint.drc_miss_rate)
-            )
-
-        return _on_checkpoint
 
     # -- software-ILR emulation --------------------------------------------
 

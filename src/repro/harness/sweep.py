@@ -198,7 +198,6 @@ def execute_spec(
     *,
     events: Optional[EventLog] = None,
     checkpoint_interval: int = 0,
-    on_checkpoint=None,
     profile_phases: bool = False,
     program_cache: Optional[Dict[ProgramKey, RandomizedProgram]] = None,
     tracer: Optional[Tracer] = None,
@@ -248,7 +247,6 @@ def execute_spec(
         config,
         events=events,
         checkpoint_interval=checkpoint_interval,
-        on_checkpoint=on_checkpoint,
         event_fields=spec.event_fields(),
     )
     with _main_phase("simulate", tracer, events, profile_phases,

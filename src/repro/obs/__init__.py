@@ -25,14 +25,15 @@ telemetry in their ``tiers`` field); the sweep engine's fault counts
 are a plain counter, :data:`repro.harness.sweep.FAULT_COUNTS`.
 ``repro.tools.stats`` consumes both surfaces: JSONL logs for one-sweep
 analysis, the run store for cross-history queries (``best`` /
-``compare`` / ``history`` / raw SQL).  :func:`status` (stderr chatter)
-and :func:`format_table` (aligned text tables) are the output helpers
-every CLI and report shares.
+``compare`` / ``history`` / raw SQL).  :func:`status` (stderr chatter),
+:func:`format_table` (aligned text tables) and :func:`sparkline`
+(inline series) are the output helpers every CLI and report shares.
 """
 
 from __future__ import annotations
 
 import sys
+from typing import Sequence
 
 from .events import (
     EventLog,
@@ -64,6 +65,7 @@ __all__ = [
     "RunStore",
     "status",
     "format_table",
+    "sparkline",
 ]
 
 
@@ -91,3 +93,21 @@ def format_table(headers, rows) -> str:
             lines.append("  ".join("-" * widths[i]
                                    for i in range(len(headers))))
     return "\n".join(lines)
+
+
+#: Eight-level bar glyphs for inline sparklines.
+_SPARK = "▁▂▃▄▅▆▇█"
+
+
+def sparkline(values: Sequence[float]) -> str:
+    """Unicode sparkline scaled to the series' own min..max (a flat
+    series sits mid-height)."""
+    if not values:
+        return ""
+    lo, hi = min(values), max(values)
+    span = hi - lo
+    if span <= 0:
+        return _SPARK[3] * len(values)
+    return "".join(
+        _SPARK[min(7, int((v - lo) / span * 7.999))] for v in values
+    )

@@ -18,7 +18,9 @@ Observability flags are the shared set from :mod:`repro.harness.cli`
 ``--store`` records findings in the SQLite run store, ``--dashboard``
 renders a live status block (programs done, findings) from the event
 stream, and ``--trace-out`` writes the session's span tree as Chrome
-trace_event JSON.
+trace_event JSON.  ``--progress`` prints nothing here and
+``--checkpoint-interval`` is ignored: the oracle's runs take no
+checkpoints and the session runs no specs.
 
 ``make fuzz-quick`` runs the deterministic quick tier (seed 1, 200
 programs) that ``make verify`` gates on.  The summary line ends with
@@ -33,8 +35,7 @@ import argparse
 import sys
 import time
 
-from ..harness.cli import add_observability_options
-from ..harness.dashboard import Dashboard
+from ..harness.cli import add_observability_options, attach_observers
 from ..obs import open_log, status
 from ..obs.trace import NULL_TRACER, Tracer
 from ..qa import FuzzSession, GeneratorConfig, OracleConfig
@@ -82,12 +83,9 @@ def main(argv=None) -> int:
             status(line)
 
     tracer = Tracer() if args.trace_out else NULL_TRACER
-    dashboard = None
     t0 = time.perf_counter()
     with open_log(args.events) as events:
-        if args.dashboard:
-            dashboard = Dashboard(total=args.budget)
-            dashboard.attach(events)
+        finish_observers = attach_observers(args, events, total=args.budget)
         session = FuzzSession(
             args.seed, args.budget,
             generator_config=GeneratorConfig(),
@@ -100,8 +98,7 @@ def main(argv=None) -> int:
         )
         with tracer.span("fuzz", seed=args.seed, budget=args.budget):
             stats = session.run()
-        if dashboard is not None:
-            dashboard.finish()
+        finish_observers()
     elapsed = time.perf_counter() - t0
     if args.trace_out:
         count = tracer.to_chrome(args.trace_out)

@@ -9,7 +9,8 @@ Observability: the full shared flag set from :mod:`repro.harness.cli`
 (identical to ``python -m repro.harness`` and ``python -m
 repro.tools.fuzz``): ``--events PATH`` captures a JSONL event log
 (checkpoints every ``--checkpoint-interval`` instructions),
-``--progress`` prints a heartbeat per checkpoint under ``--timing``,
+``--progress`` prints a heartbeat per checkpoint under ``--timing``
+(``[prog/vcfr] ...``, the harness's line for a file ``prog.rxrp``),
 ``--store PATH`` indexes the completed run in the SQLite run store,
 ``--trace-out PATH`` writes the run's span tree as Chrome trace_event
 JSON, and ``--dashboard`` renders a live status block (rolling IPC)
@@ -30,8 +31,7 @@ from ..arch.functional import run_image
 from ..arch.trace import attach_tracer
 from ..binary import BinaryImage
 from ..emu import ILREmulator
-from ..harness.cli import add_observability_options
-from ..harness.dashboard import Dashboard
+from ..harness.cli import add_observability_options, attach_observers
 from ..harness.faults import FaultPlan, InjectedFault, apply_inline_fault
 from ..ilr import SecurityFault, make_flow
 from ..ilr.bundle import BundleError, load
@@ -102,22 +102,12 @@ def main(argv=None) -> int:
             print("INJECTED FAULT: %s" % fault, file=sys.stderr)
             return 75  # EX_TEMPFAIL: transient by construction
 
-    observing = args.events or args.progress or args.dashboard
-    checkpoint_interval = args.checkpoint_interval if observing else 0
-
     workload = os.path.splitext(os.path.basename(args.path))[0]
     span_tracer = Tracer() if args.trace_out else NULL_TRACER
-    dashboard = None
-
-    def heartbeat(checkpoint) -> None:
-        status("[%s] %8d instr  ipc %.3f  il1 %.4f  drc %.4f"
-               % (args.mode, checkpoint.instructions, checkpoint.ipc,
-                  checkpoint.il1_miss_rate, checkpoint.drc_miss_rate))
 
     def finish(result, host_seconds, *, drc_entries=0, config_digest=""):
         """Shared observability epilogue for every execution leg."""
-        if dashboard is not None:
-            dashboard.finish()
+        finish_observers()
         if args.trace_out:
             count = span_tracer.to_chrome(args.trace_out)
             status("wrote %s (%d spans)" % (args.trace_out, count))
@@ -136,9 +126,10 @@ def main(argv=None) -> int:
 
     try:
         with open_log(args.events) as events:
-            if args.dashboard:
-                dashboard = Dashboard(total=1)
-                dashboard.attach(events)
+            finish_observers = attach_observers(args, events, total=1)
+            # Checkpoints only when something reads the log.
+            checkpoint_interval = (args.checkpoint_interval
+                                   if events.enabled else 0)
             if args.mode == "emulate":
                 start = time.perf_counter()
                 with span_tracer.span("run", workload=workload,
@@ -169,7 +160,7 @@ def main(argv=None) -> int:
                     target, flow,
                     events=events,
                     checkpoint_interval=checkpoint_interval,
-                    on_checkpoint=heartbeat if args.progress else None,
+                    event_fields={"workload": workload},
                 )
                 tracer = None
                 if args.trace:

@@ -40,26 +40,10 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..arch.simstats import ratio
-from ..obs import format_table, status
+from ..obs import format_table, sparkline, status
 from ..obs.events import follow_events, read_events
 from ..obs.store import STORE_METRICS, RunStore
 from ..obs.trace import Span, span_table
-
-#: Eight-level bar glyphs for inline IPC-over-time sparklines.
-_SPARK = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: List[float]) -> str:
-    """Unicode sparkline scaled to the series' own min..max."""
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    span = hi - lo
-    if span <= 0:
-        return _SPARK[3] * len(values)
-    return "".join(
-        _SPARK[min(7, int((v - lo) / span * 7.999))] for v in values
-    )
 
 
 def _run_key(record: dict) -> Tuple[str, str]:

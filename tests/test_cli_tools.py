@@ -283,3 +283,19 @@ def test_job_cli_flags_are_pinned(name, cli, flags, monkeypatch):
     surface = json.dumps([parser.prog, parser.description] + [
         [a.option_strings, a.metavar, a.nargs, a.help] for a in actions])
     assert hashlib.sha256(surface.encode()).hexdigest() == HELP_DIGESTS[name]
+
+
+@pytest.mark.parametrize("cli, argv, labels", [
+    (race_cli, ["--policies", "none", "--rates", "0.25,0.5",
+                "--budget", "8000"],
+     ["service/none/disc0.25", "service/none/disc0.50"]),
+    (fleet_cli, ["--tenants", "1", "--cores", "1", "--requests", "3",
+                 "--arrivals", "uniform,bursty", "--mean-gap", "800"],
+     ["service/vcfr/1t1c/uniform", "service/vcfr/1t1c/bursty"]),
+])
+def test_job_cli_progress_prints_a_done_line_per_point(cli, argv, labels,
+                                                       capsys):
+    assert cli.main(argv + ["--progress"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.endswith("] done")] \
+        == ["[%s] done" % label for label in labels]

@@ -1,10 +1,19 @@
-"""Live sweep dashboard: event consumption, rendering, sink teeing."""
+"""Event-log observers: the live sweep dashboard (event consumption,
+rendering, sink teeing) and the ``--progress`` printer."""
 
+import argparse
 import io
 
 from repro.harness import ExperimentSession, RunSpec
-from repro.harness.dashboard import Dashboard, _sparkline
-from repro.obs.events import EventLog, MemorySink
+from repro.harness import __main__ as harness_cli
+from repro.harness.cli import (
+    add_observability_options,
+    add_sweep_options,
+    sweep_from_args,
+)
+from repro.harness.dashboard import Dashboard, Progress
+from repro.obs import sparkline
+from repro.obs.events import EventLog, MemorySink, read_events
 
 BUDGET = 3000
 
@@ -158,10 +167,11 @@ class TestRendering:
             assert line.startswith("sweep ")
 
     def test_sparkline_scales_to_range(self):
-        assert _sparkline([]) == ""
-        line = _sparkline([0.0, 0.5, 1.0])
+        assert sparkline([]) == ""
+        line = sparkline([0.0, 0.5, 1.0])
         assert len(line) == 3
         assert line[0] < line[-1]
+        assert sparkline([0.7] * 3) == "▄▄▄"  # a flat series sits mid-height
 
     def test_finish_renders_unconditionally(self):
         clock = FakeClock()
@@ -212,3 +222,75 @@ class TestSinkTee:
                         {"kind": "checkpoint", "ipc": 0.5}])
         assert dashboard.done == 1
         assert list(dashboard.ipc) == [0.5]
+
+
+class TestProgress:
+    def test_lines_from_records(self, capsys):
+        progress = Progress()
+        progress.observe({"kind": "checkpoint", "workload": "gcc",
+                          "mode": "vcfr", "drc_entries": 128,
+                          "instructions": 250, "ipc": 0.5,
+                          "il1_miss_rate": 0.01, "drc_miss_rate": 0.25})
+        # An emulator checkpoint has no IPC: silent.
+        progress.observe({"kind": "checkpoint", "workload": "gcc",
+                          "instructions": 2500})
+        progress.observe(done("mcf"))
+        progress.observe(done("mcf", cached=True, label="mcf/baseline"))
+        progress.observe({"kind": "run_failed", "label": "bzip2/baseline",
+                          "attempts": 3, "error": "RuntimeError('boom')"})
+        progress.observe(dispatch("mcf"))
+        assert capsys.readouterr().err.splitlines() == [
+            "[gcc/vcfr@128]     250 instr  ipc 0.500  il1 0.0100  "
+            "drc 0.2500",
+            "[mcf/baseline] done",
+            "[mcf/baseline] cached",
+            "[bzip2/baseline] FAILED after 3 attempt(s): "
+            "RuntimeError('boom')",
+        ]
+
+    @staticmethod
+    def _sweep_stderr(capsys, *flags):
+        parser = argparse.ArgumentParser()
+        add_observability_options(parser)
+        add_sweep_options(parser)
+        specs = [RunSpec("mcf", "baseline", max_instructions=2 * BUDGET),
+                 RunSpec("bzip2", "vcfr", max_instructions=2 * BUDGET)]
+        capsys.readouterr()
+        outcomes = sweep_from_args(parser.parse_args(list(flags)), specs)
+        assert all(outcome.ok for outcome in outcomes)
+        return capsys.readouterr().err.splitlines()
+
+    def test_pooled_sweep_prints_the_inline_heartbeats(self, capsys):
+        inline = self._sweep_stderr(capsys, "--progress")
+        pooled = self._sweep_stderr(capsys, "--progress", "--workers", "2")
+        heartbeats = [line for line in inline if " instr  ipc " in line]
+        # The automatic cadence (the session's 300k budget // 100)
+        # follows the log the observer turned on: 2 or more per spec.
+        assert len(heartbeats) >= 4
+        assert {line.split("]")[0] for line in heartbeats} == {
+            "[mcf/baseline", "[bzip2/vcfr@128"}
+        assert [line for line in pooled if " instr  ipc " in line] \
+            == heartbeats
+        done_lines = ["[mcf/baseline] done", "[bzip2/vcfr@128] done"]
+        assert [line for line in inline if line.endswith("] done")] \
+            == done_lines
+        assert sorted(line for line in pooled if line.endswith("] done")) \
+            == sorted(done_lines)
+
+    def test_progress_leaves_the_event_log_unchanged(self, tmp_path):
+        """--progress only reads the log: with --events already on, the
+        records are the same but for time, sequence and host-time
+        fields."""
+        volatile = {"t", "seq", "seconds", "host_seconds"}
+        logs = []
+        for name, extra in (("plain", []), ("progress", ["--progress"])):
+            path = str(tmp_path / (name + ".jsonl"))
+            assert harness_cli.main(["fig12", "--scale", "0.2",
+                                     "--max-instructions", "3000",
+                                     "--events", path] + extra) == 0
+            logs.append([{k: v for k, v in record.items()
+                          if k not in volatile}
+                         for record in read_events(path)])
+        plain, with_progress = logs
+        assert any(r["kind"] == "checkpoint" for r in plain)
+        assert with_progress == plain

@@ -197,12 +197,15 @@ class TestProfilerEvents:
         def previous(_signum, _frame):
             pass
 
-        def boom(_checkpoint):
-            raise RuntimeError("boom")
+        class BoomSink(MemorySink):
+            def write(self, record):
+                if record["kind"] == "checkpoint":
+                    raise RuntimeError("boom")
+                super().write(record)
 
         image = assemble(LOOPY)
         cpu = CycleCPU(image, make_flow("baseline", image=image),
-                       checkpoint_interval=1000, on_checkpoint=boom)
+                       events=EventLog(BoomSink()), checkpoint_interval=1000)
         saved = signal.signal(signal.SIGPROF, previous)
         try:
             with pytest.raises(RuntimeError, match="boom"):
