@@ -16,13 +16,9 @@ and asserts the engine's wall-clock overhead stays under 2% (plus
 results bit-identical, as everywhere else).  Wall-clock on a shared
 host is noisy at the couple-percent level (frequency scaling, sibling
 load — this gate shares ``make verify`` with pool-heavy benchmarks),
-so measurement is paired and order-alternated (raw-first on even
-iterations, engine-first on odd) and the gate takes the most favorable
-of three robust estimators — min-vs-min, median-vs-median, and the
-median of per-pair ratios.  A *real* constant-per-spec regression
-shifts the engine's whole timing distribution and therefore lifts all
-three estimators together; uncorrelated host noise rarely lifts all
-three at once, so the gate stays sharp without flaking.
+so the passes are timed in order-alternated pairs and the gate reads
+the most favourable of three robust estimators
+(:func:`repro.tools.benchgate.paired_overhead`).
 
 Run directly (the ``Makefile verify`` target does)::
 
@@ -36,7 +32,6 @@ fidelity against gate runtime.
 import json
 import os
 import shutil
-import statistics
 import tempfile
 import time
 
@@ -45,7 +40,7 @@ from repro.harness.resultcache import ResultCache
 from repro.harness.scheduler import AsyncScheduler
 from repro.harness.spec import RunSpec
 from repro.harness.sweep import execute_spec
-from repro.tools.benchgate import gate
+from repro.tools.benchgate import gate, paired_overhead
 
 #: Per-spec instruction budget.  Sized so one pass runs long enough
 #: that the engine's constant-per-spec machinery (retry bookkeeping,
@@ -102,45 +97,13 @@ def test_no_fault_overhead_is_negligible():
         _raw_pass(config, workdir)
         _engine_pass(config, workdir)
 
-        ratios = []
-        raw_times, engine_times = [], []
-        reference = None
-        for iteration in range(REPEATS):
-            if iteration % 2 == 0:
-                raw_s, raw_results = _raw_pass(config, workdir)
-                engine_s, engine_results = _engine_pass(config, workdir)
-            else:
-                engine_s, engine_results = _engine_pass(config, workdir)
-                raw_s, raw_results = _raw_pass(config, workdir)
-            raw_times.append(raw_s)
-            engine_times.append(engine_s)
-            ratios.append(engine_s / raw_s)
-            reference = reference or raw_results
-            assert raw_results == reference
-            assert engine_results == reference, (
-                "fault-tolerant engine changed simulation results"
-            )
-
-        estimators = {
-            "min": min(engine_times) / min(raw_times),
-            "median": (statistics.median(engine_times)
-                       / statistics.median(raw_times)),
-            "paired": statistics.median(ratios),
-        }
-        name = min(estimators, key=estimators.get)
-        overhead = estimators[name] - 1.0
-        print(
-            "\nfault-tolerance overhead: %d specs @ %d instr | raw median "
-            "%.3fs, engine median %.3fs | overhead %+.2f%% via %s "
-            "(min %+.2f%%, median %+.2f%%, paired %+.2f%%; limit %.0f%%)"
-            % (len(SPECS), BUDGET, statistics.median(raw_times),
-               statistics.median(engine_times), 100 * overhead, name,
-               100 * (estimators["min"] - 1),
-               100 * (estimators["median"] - 1),
-               100 * (estimators["paired"] - 1),
-               100 * OVERHEAD_LIMIT)
-        )
-        gate("fault_overhead", "sweep_overhead", round(overhead, 4),
+        overhead = paired_overhead(lambda: _raw_pass(config, workdir),
+                                   lambda: _engine_pass(config, workdir),
+                                   REPEATS)
+        print("\nfault-tolerance overhead: %d specs @ %d instr | %s"
+              % (len(SPECS), BUDGET,
+                 overhead.describe("raw", "engine", OVERHEAD_LIMIT)))
+        gate("fault_overhead", "sweep_overhead", round(overhead.value, 4),
              OVERHEAD_LIMIT, op="<")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

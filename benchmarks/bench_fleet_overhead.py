@@ -16,11 +16,9 @@ workload two ways:
    the request work equals the raw budget exactly.
 
 and asserts the harness's wall-clock overhead stays under 5%.
-Wall-clock on a shared host is noisy, so measurement is paired and
-order-alternated and the gate takes the most favorable of three robust
-estimators — min-vs-min, median-vs-median, and the median of per-pair
-ratios (a real constant-per-quantum regression lifts all three
-together; uncorrelated noise rarely does).
+Wall-clock on a shared host is noisy, so the runs are timed in
+order-alternated pairs and the gate reads the most favourable of three
+robust estimators (:func:`repro.tools.benchgate.paired_overhead`).
 
 Run directly (the ``Makefile verify`` target does)::
 
@@ -31,7 +29,6 @@ fidelity against gate runtime.
 """
 
 import os
-import statistics
 import time
 
 from repro.arch.context import TimeSharedCPU
@@ -39,7 +36,7 @@ from repro.fleet import ArrivalSpec, FleetSpec, run_fleet
 from repro.ilr.flow import make_flow
 from repro.ilr.randomizer import RandomizerConfig, randomize
 from repro.security.race import build_service_image
-from repro.tools.benchgate import gate
+from repro.tools.benchgate import gate, paired_overhead
 
 BUDGET = int(os.environ.get("BENCH_FLEET_BUDGET", "60000"))
 REPEATS = 10
@@ -93,43 +90,11 @@ def test_fleet_harness_overhead_is_negligible():
     _raw_pass()
     _fleet_pass()
 
-    ratios = []
-    raw_times, fleet_times = [], []
-    for iteration in range(REPEATS):
-        if iteration % 2 == 0:
-            raw_s, raw_icount = _raw_pass()
-            fleet_s, fleet_icount = _fleet_pass()
-        else:
-            fleet_s, fleet_icount = _fleet_pass()
-            raw_s, raw_icount = _raw_pass()
-        assert fleet_icount == raw_icount, (
-            "fleet harness changed the execution itself"
-        )
-        raw_times.append(raw_s)
-        fleet_times.append(fleet_s)
-        ratios.append(fleet_s / raw_s)
-
-    estimators = {
-        "min": min(fleet_times) / min(raw_times),
-        "median": (statistics.median(fleet_times)
-                   / statistics.median(raw_times)),
-        "paired": statistics.median(ratios),
-    }
-    name = min(estimators, key=estimators.get)
-    overhead = estimators[name] - 1.0
-    print(
-        "\nfleet-harness overhead: %d instr | raw median %.3fs, fleet "
-        "median %.3fs | overhead %+.2f%% via %s (min %+.2f%%, median "
-        "%+.2f%%, paired %+.2f%%; limit %.0f%%)"
-        % (BUDGET, statistics.median(raw_times),
-           statistics.median(fleet_times), 100 * overhead, name,
-           100 * (estimators["min"] - 1),
-           100 * (estimators["median"] - 1),
-           100 * (estimators["paired"] - 1),
-           100 * OVERHEAD_LIMIT)
-    )
+    overhead = paired_overhead(_raw_pass, _fleet_pass, REPEATS)
+    print("\nfleet-harness overhead: %d instr | %s"
+          % (BUDGET, overhead.describe("raw", "fleet", OVERHEAD_LIMIT)))
     gate("fleet_overhead", "fleet_harness_overhead",
-         round(overhead, 4), OVERHEAD_LIMIT, op="<")
+         round(overhead.value, 4), OVERHEAD_LIMIT, op="<")
 
 
 if __name__ == "__main__":

@@ -15,11 +15,9 @@ workload two ways:
    and ``RotationPolicy(kind="none")``: the exact instrumented path.
 
 and asserts the harness's wall-clock overhead stays under 5%.
-Wall-clock on a shared host is noisy, so measurement is paired and
-order-alternated and the gate takes the most favorable of three robust
-estimators — min-vs-min, median-vs-median, and the median of per-pair
-ratios (a real constant-per-window regression lifts all three
-together; uncorrelated noise rarely does).
+Wall-clock on a shared host is noisy, so the runs are timed in
+order-alternated pairs and the gate reads the most favourable of three
+robust estimators (:func:`repro.tools.benchgate.paired_overhead`).
 
 Run directly (the ``Makefile verify`` target does)::
 
@@ -30,7 +28,6 @@ fidelity against gate runtime.
 """
 
 import os
-import statistics
 import time
 
 from repro.arch.context import TimeSharedCPU
@@ -39,7 +36,7 @@ from repro.ilr.randomizer import RandomizerConfig, randomize
 from repro.security.adversary import AdversarySpec
 from repro.security.race import RaceSpec, build_tenant_image, run_race
 from repro.security.rotation import RotationPolicy
-from repro.tools.benchgate import gate
+from repro.tools.benchgate import gate, paired_overhead
 
 BUDGET = int(os.environ.get("BENCH_RACE_BUDGET", "60000"))
 REPEATS = 10
@@ -81,43 +78,11 @@ def test_disabled_adversary_overhead_is_negligible():
     _raw_pass()
     _race_pass()
 
-    ratios = []
-    raw_times, race_times = [], []
-    for iteration in range(REPEATS):
-        if iteration % 2 == 0:
-            raw_s, raw_icount = _raw_pass()
-            race_s, race_icount = _race_pass()
-        else:
-            race_s, race_icount = _race_pass()
-            raw_s, raw_icount = _raw_pass()
-        assert race_icount == raw_icount, (
-            "race harness changed the execution itself"
-        )
-        raw_times.append(raw_s)
-        race_times.append(race_s)
-        ratios.append(race_s / raw_s)
-
-    estimators = {
-        "min": min(race_times) / min(raw_times),
-        "median": (statistics.median(race_times)
-                   / statistics.median(raw_times)),
-        "paired": statistics.median(ratios),
-    }
-    name = min(estimators, key=estimators.get)
-    overhead = estimators[name] - 1.0
-    print(
-        "\nrace-harness overhead: %d instr | raw median %.3fs, race "
-        "median %.3fs | overhead %+.2f%% via %s (min %+.2f%%, median "
-        "%+.2f%%, paired %+.2f%%; limit %.0f%%)"
-        % (BUDGET, statistics.median(raw_times),
-           statistics.median(race_times), 100 * overhead, name,
-           100 * (estimators["min"] - 1),
-           100 * (estimators["median"] - 1),
-           100 * (estimators["paired"] - 1),
-           100 * OVERHEAD_LIMIT)
-    )
+    overhead = paired_overhead(_raw_pass, _race_pass, REPEATS)
+    print("\nrace-harness overhead: %d instr | %s"
+          % (BUDGET, overhead.describe("raw", "race", OVERHEAD_LIMIT)))
     gate("race_overhead", "disabled_adversary_overhead",
-         round(overhead, 4), OVERHEAD_LIMIT, op="<")
+         round(overhead.value, 4), OVERHEAD_LIMIT, op="<")
 
 
 if __name__ == "__main__":

@@ -16,12 +16,10 @@ two ways:
    scheduler;
 
 and asserts the streamed pass stays within 5% of the batch pass (plus
-results bit-identical, as everywhere else).  Timing is median-of-3
-with order-alternated pairs, and the gate takes the most favorable of
-three robust estimators (min-vs-min, median-vs-median, median of
-per-pair ratios) — the same anti-flake scheme as
-``bench_fault_overhead``: a real constant-per-spec regression lifts
-all three estimators together, host noise rarely does.
+results bit-identical, as everywhere else).  Timing is 3
+order-alternated pairs, and the gate reads the most favourable of
+three robust estimators
+(:func:`repro.tools.benchgate.paired_overhead`).
 
 Run directly (the ``Makefile verify`` target does)::
 
@@ -38,13 +36,12 @@ async-pooled bridge instead) trade fidelity against gate runtime.
 import dataclasses
 import json
 import os
-import statistics
 import time
 
 from repro.arch.config import default_config
 from repro.harness.session import ExperimentSession
 from repro.harness.spec import RunSpec
-from repro.tools.benchgate import gate
+from repro.tools.benchgate import gate, paired_overhead
 
 BUDGET = int(os.environ.get("BENCH_SCHED_BUDGET", "1500"))
 SPEC_COUNT = int(os.environ.get("BENCH_SCHED_SPECS", "200"))
@@ -96,47 +93,13 @@ def test_streaming_overhead_is_negligible():
     _batch_pass(session)
     _stream_pass(session)
 
-    ratios, batch_times, stream_times = [], [], []
-    reference = None
-    for iteration in range(REPEATS):
-        if iteration % 2 == 0:
-            batch_s, batch_results = _batch_pass(session)
-            stream_s, stream_results = _stream_pass(session)
-        else:
-            stream_s, stream_results = _stream_pass(session)
-            batch_s, batch_results = _batch_pass(session)
-        batch_times.append(batch_s)
-        stream_times.append(stream_s)
-        ratios.append(stream_s / batch_s)
-        reference = reference or batch_results
-        assert batch_results == reference
-        assert stream_results == reference, (
-            "streaming scheduler changed simulation results"
-        )
-
-    estimators = {
-        "min": min(stream_times) / min(batch_times),
-        "median": (statistics.median(stream_times)
-                   / statistics.median(batch_times)),
-        "paired": statistics.median(ratios),
-    }
-    name = min(estimators, key=estimators.get)
-    overhead = estimators[name] - 1.0
-    print(
-        "\nstreaming-intake overhead: %d specs @ %d instr, %d workers | "
-        "batch median %.3fs, streamed median %.3fs | overhead %+.2f%% "
-        "via %s (min %+.2f%%, median %+.2f%%, paired %+.2f%%; limit "
-        "%.0f%%)"
-        % (SPEC_COUNT, BUDGET, WORKERS,
-           statistics.median(batch_times), statistics.median(stream_times),
-           100 * overhead, name,
-           100 * (estimators["min"] - 1),
-           100 * (estimators["median"] - 1),
-           100 * (estimators["paired"] - 1),
-           100 * OVERHEAD_LIMIT)
-    )
-    gate("scheduler_overhead", "streaming_overhead", round(overhead, 4),
-         OVERHEAD_LIMIT, op="<")
+    overhead = paired_overhead(lambda: _batch_pass(session),
+                               lambda: _stream_pass(session), REPEATS)
+    print("\nstreaming-intake overhead: %d specs @ %d instr, %d workers | %s"
+          % (SPEC_COUNT, BUDGET, WORKERS,
+             overhead.describe("batch", "streamed", OVERHEAD_LIMIT)))
+    gate("scheduler_overhead", "streaming_overhead",
+         round(overhead.value, 4), OVERHEAD_LIMIT, op="<")
 
 
 if __name__ == "__main__":

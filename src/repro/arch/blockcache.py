@@ -50,8 +50,10 @@ Op tuple layout (index: field) — consumed by ``_execute_loop_fast``:
 10    second line number (valid when 8 is True)
 11    next-line prefetch address for the second line
 12    fall-through fetch PC (``flow.sequential``), or None when it
-      is not statically computable (recomputed dynamically; only
-      reachable for CTRL_NONE terminals)
+      is not statically computable; a None ends the block, so only
+      a terminal can hold one (recomputed dynamically if it falls
+      through), and a block the budget cuts resumes at this field
+      of its last executed op
 13    True when the instruction can touch data memory (reads or
       writes) — False lets the fast loop skip the load/store-address
       reset and the data-stall probe entirely
@@ -94,7 +96,7 @@ def _missing_handler(mnemonic: str):
     path charges the same fetch-side stalls the reference loop charges
     before ``execute`` rejects the instruction."""
 
-    def raise_no_semantics(inst, state, adapter):
+    def raise_no_semantics(inst, state, flow):
         raise ExecutionError("no semantics for %s" % mnemonic)
 
     return raise_no_semantics
@@ -183,23 +185,23 @@ def shape_handler(inst: Instruction, randomized: bool, derand_map):
 class Block:
     """One pre-decoded straight-line run of instructions.
 
-    ``interior`` ops are guaranteed non-control (always ``CTRL_NONE``);
-    ``term`` is the single terminal op (control transfer, halt, cap hit
-    or decode-ahead boundary).  ``lo``/``hi`` bound every fetch byte the
-    block's instructions occupy.  ``spans`` is None when the block is
-    fetch-contiguous (the ``[lo, hi)`` envelope is then exact); for a
-    scattered fetch space (naive ILR) it holds the per-instruction
-    ``(start, end)`` byte ranges so range invalidation can be exact
-    about the gaps between instructions.
+    ``ops`` holds one op tuple per instruction, in fetch order.  Every
+    op but the last is non-control (always ``CTRL_NONE``) and has a
+    static fall-through; the last is the block's terminal (control
+    transfer, halt, cap hit or decode-ahead boundary).  ``lo``/``hi``
+    bound every fetch byte the block's instructions occupy.  ``spans``
+    is None when the block is fetch-contiguous (the ``[lo, hi)``
+    envelope is then exact); for a scattered fetch space (naive ILR) it
+    holds the per-instruction ``(start, end)`` byte ranges so range
+    invalidation can be exact about the gaps between instructions.
     """
 
-    __slots__ = ("leader", "interior", "term", "n", "lo", "hi", "spans")
+    __slots__ = ("leader", "ops", "n", "lo", "hi", "spans")
 
-    def __init__(self, leader, interior, term, n, lo, hi, spans=None):
+    def __init__(self, leader, ops, lo, hi, spans=None):
         self.leader = leader
-        self.interior = interior
-        self.term = term
-        self.n = n
+        self.ops = ops
+        self.n = len(ops)
         self.lo = lo
         self.hi = hi
         self.spans = spans
@@ -350,10 +352,8 @@ class BlockCache:
                 break
             fetch_pc = seq
 
-        block = Block(
-            leader, tuple(ops[:-1]), ops[-1], len(ops), lo, hi,
-            None if contiguous else tuple(spans),
-        )
+        block = Block(leader, tuple(ops), lo, hi,
+                      None if contiguous else tuple(spans))
         blocks[leader] = block
         self.builds += 1
         return block

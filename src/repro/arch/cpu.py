@@ -385,12 +385,10 @@ class CycleCPU:
         return self._execute_loop_ref(budget)
 
     def _execute_loop_ref(self, budget: int) -> bool:
-        """The per-instruction reference pipeline loop.
+        """The per-instruction reference pipeline loop (``fastpath=False``).
 
-        This is the semantic ground truth the block fast path is
-        differentially tested against; it also executes partial-block
-        tails for the fast path when a budget boundary (checkpoint or
-        instruction cap) lands inside a block.
+        This is the semantic ground truth the block and trace tiers are
+        differentially tested against; neither ever calls it.
         """
         state = self.state
         flow = self.flow
@@ -450,23 +448,26 @@ class CycleCPU:
 
         Replays pre-decoded op tuples (:mod:`repro.arch.blockcache`) and
         must stay cycle- and stat-identical to :meth:`_execute_loop_ref`
-        — any timing change must land in both bodies.  The interior of
-        a block only skips work the reference loop performs vacuously
-        there: the branch unit returns a stat-free ``(0, True)`` for
-        non-control instructions, and the DRC drain is a no-op without
-        pending flow events (checked per instruction, since VCFR loads
-        from marked stack slots emit events mid-block).  A block that
-        does not fit in the remaining budget is delegated whole to the
-        reference loop, which stops at exactly the boundary — so
-        checkpoint windows clip identically.
+        — any timing change must land in both bodies.  Every op of a
+        block runs through one body; the block's last op then leaves it
+        for the control tail (next fetch PC, branch unit, DRC drain,
+        block epilogue).  The other ops skip only work the reference
+        loop performs vacuously for them: the branch unit returns a
+        stat-free ``(0, True)`` for non-control instructions, and the
+        DRC drain of a correctly predicted instruction never stalls (it
+        still runs per op, since VCFR loads from marked stack slots
+        queue lookups mid-block).  A block that crosses the budget runs
+        its ops up to the boundary, all of them interior, and the next
+        call resumes at the last one's static fall-through, so
+        checkpoint windows clip exactly where the reference loop's do.
 
         On top of the block tier sits the superblock trace tier
         (:mod:`repro.arch.tracecache`): the loop head dispatches hot
         fetch PCs to compiled traces, and the per-block epilogue feeds
         the trace profiler/recorder.  Traces are only entered when they
         fit the remaining budget whole and return control at guard
-        side-exits, so the block path (and through it the reference
-        loop) remains the single source of truth for every boundary.
+        side-exits, so the block path remains the single source of truth
+        for every boundary.
         """
         if self._finished:
             return True
@@ -510,7 +511,6 @@ class CycleCPU:
         last_line = self._last_fetch_line
         icount = state.icount
         bexec = 0
-        tail = False
         try:
             while icount < budget:
                 if trace_get is not None:
@@ -538,16 +538,17 @@ class CycleCPU:
                 if block is None:
                     block = build(fetch_pc, mem, flow, page_shift,
                                   line_shift)
+                ops = block.ops
+                last = ops[-1]
                 if icount + block.n > budget:
-                    # Partial block: let the reference loop retire the
-                    # head of it up to the exact budget boundary.
-                    tail = True
-                    break
+                    # The budget cuts the block before its last op: run
+                    # the interior ops up to it, and resume after them.
+                    ops = ops[:budget - icount]
+                    fetch_pc = ops[-1][12]
 
-                halted = False
-                for op in block.interior:
+                for op in ops:
                     (handler, inst, fpc, arch_pc, extra, page, line, pf1,
-                     cross, addr2, line2, pf2, _seq, touch, is_int) = op
+                     cross, addr2, line2, pf2, seq, touch, is_int) = op
                     state.pc = arch_pc
                     stall = extra
                     if page != last_page:
@@ -570,14 +571,7 @@ class CycleCPU:
                     if touch:
                         state.last_load_addr = None
                         state.last_store_addr = None
-                        try:
-                            handler(inst, state, flow)
-                        except ExitProgram:
-                            self._finished = True
-                            cycle += 1
-                            fetch_pc = fpc
-                            halted = True
-                            break
+                        kind, target = handler(inst, state, flow)
                         addr = state.last_load_addr
                         if addr is not None:
                             stall += dtlb_access(addr)
@@ -588,69 +582,18 @@ class CycleCPU:
                             stall += dtlb_access(addr)
                             stall += dl1_access(addr, True) - dl1_latency
                     else:
-                        try:
-                            handler(inst, state, flow)
-                        except ExitProgram:
-                            self._finished = True
-                            cycle += 1
-                            fetch_pc = fpc
-                            halted = True
-                            break
+                        kind, target = handler(inst, state, flow)
 
+                    if op is last:
+                        break
                     if flow_events:
                         drc_drain(flow_events, False, 0)
                     if tracer is not None:
                         tracer.record(inst, arch_pc, fpc, False, 0)
                     cycle += 1 + stall
-                if halted:
-                    if tracer is not None:
-                        tracer.record(inst, arch_pc, fpc, False, 0)
+                else:
+                    # Cut at the budget: ``fetch_pc`` is set above.
                     break
-
-                (handler, inst, fpc, arch_pc, extra, page, line, pf1,
-                 cross, addr2, line2, pf2, seq, touch, is_int) = block.term
-                state.pc = arch_pc
-                stall = extra
-                if page != last_page:
-                    last_page = page
-                    stall += itlb_access(fpc)
-                if line != last_line:
-                    last_line = line
-                    stall += il1_access(fpc, False) - il1_latency
-                    if do_prefetch:
-                        il1_prefetch(pf1)
-                if cross and line2 != last_line:
-                    last_line = line2
-                    stall += il1_access(addr2, False) - il1_latency
-                    if do_prefetch:
-                        il1_prefetch(pf2)
-
-                icount += 1
-                if is_int:
-                    state.icount = icount
-                if touch:
-                    state.last_load_addr = None
-                    state.last_store_addr = None
-                try:
-                    kind, target = handler(inst, state, flow)
-                except ExitProgram:
-                    self._finished = True
-                    cycle += 1
-                    fetch_pc = fpc
-                    if tracer is not None:
-                        tracer.record(inst, arch_pc, fpc, False, 0)
-                    break
-
-                if touch:
-                    addr = state.last_load_addr
-                    if addr is not None:
-                        stall += dtlb_access(addr)
-                        stall += dl1_access(addr, False) - dl1_latency
-                        stall += load_use
-                    addr = state.last_store_addr
-                    if addr is not None:
-                        stall += dtlb_access(addr)
-                        stall += dl1_access(addr, True) - dl1_latency
 
                 if kind == CTRL_NONE:
                     next_fetch_pc = seq if seq is not None else \
@@ -682,8 +625,17 @@ class CycleCPU:
                 if on_block is not None:
                     on_block(block, next_fetch_pc)
                 fetch_pc = next_fetch_pc
+        except ExitProgram:
+            # An exiting ``int`` of a block op (traces catch their own):
+            # it retires in a bare cycle, its stalls dropped, as in the
+            # reference loop.
+            self._finished = True
+            cycle += 1
+            fetch_pc = fpc
+            if tracer is not None:
+                tracer.record(inst, arch_pc, fpc, False, 0)
         finally:
-            # Exceptions (security faults, decode errors, visibility
+            # Other exceptions (security faults, decode errors, visibility
             # faults) propagate with counters written back, exactly as
             # the reference loop leaves them; ``_resume_fetch_pc`` is
             # deliberately not updated on that path (reference parity).
@@ -696,8 +648,6 @@ class CycleCPU:
             self._last_fetch_line = last_line
             blockcache.execs += bexec
         self._resume_fetch_pc = fetch_pc
-        if tail:
-            return self._execute_loop_ref(budget)
         return self._finished
 
     # -- progress checkpoints ------------------------------------------------------------------

@@ -2,14 +2,16 @@
 
 The executor implements instruction *semantics* only.  Everything that
 depends on the execution mode (baseline / naive hardware ILR / VCFR /
-software emulation) is delegated to a :class:`ModeAdapter`:
+software emulation) is delegated to the mode's flow
+(:mod:`repro.ilr.flow`), through four hooks and two tag attributes:
 
-* what the sequential fall-through PC is (naive ILR follows the
-  randomized fall-through map, the others use ``addr + length``),
-* which value a ``call`` pushes as return address (VCFR pushes the
-  *randomized* return address, paper §IV-A),
+* which value a ``call`` pushes as return address (``call_retaddr``;
+  VCFR pushes the *randomized* return address, paper §IV-A),
 * the §IV-C auto-de-randomization of loads that hit a stack slot holding
-  a randomized return address, and the bitmap bookkeeping behind it.
+  a randomized return address (``fixup_load``), and the bitmap
+  bookkeeping behind it (``note_store``, ``note_retaddr_push``),
+* the randomized-value tags: ``derand_map`` (the tag producer set) and
+  ``tagmask`` (the per-register tag bits).
 
 All four execution paths in this repo drive this one executor, which is
 what makes the cross-mode equivalence invariant testable.
@@ -54,151 +56,104 @@ class ExecutionError(Exception):
     """Raised when a decodable instruction has no defined semantics."""
 
 
-class ModeAdapter:
-    """Mode-specific address-space behaviour.  Base class = no randomization."""
-
-    #: §IV-C randomized-value tag machinery.  ``derand_map`` is the tag
-    #: *producer* set: materializing one of its keys (a current
-    #: randomized address) via ``movi``/``mov ri`` tags the destination
-    #: register.  ``tagmask`` holds the per-register tag bits (bit *i*
-    #: = register *i*): register moves propagate them, loads and
-    #: arithmetic clear them, and stores hand them to ``note_store`` so
-    #: the bitmap marks slots by *provenance*, never by comparing the
-    #: stored value against the tables.  With no randomization both
-    #: stay empty/zero, and every maintenance site in the handlers is
-    #: guarded on them, so baseline execution never writes either.
-    derand_map: dict = {}
-    tagmask: int = 0
-
-    def fallthrough(self, inst: Instruction) -> int:
-        """Architectural PC of the next sequential instruction."""
-        return inst.addr + inst.length
-
-    def call_retaddr(self, inst: Instruction) -> int:
-        """The value a call at ``inst`` pushes on the stack."""
-        return inst.addr + inst.length
-
-    def fixup_load(self, addr: int, value: int) -> int:
-        """Filter a 32-bit value loaded from ``addr`` into a register."""
-        return value
-
-    def note_store(self, addr: int, value: int, tagged: bool = False) -> None:
-        """A 32-bit store of ``value`` hit ``addr``.
-
-        Randomized modes maintain the §IV-C bitmap here: ``tagged``
-        carries the stored register's randomized-tag bit as seen by the
-        store hardware at retirement, so a store of a live randomized
-        code pointer marks the slot and any other store clears a stale
-        mark.
-        """
-
-    def note_retaddr_push(self, addr: int, value: int) -> None:
-        """A call pushed return address ``value`` into stack slot ``addr``."""
-
-
-#: Shared stateless adapter for un-randomized execution.
-BASELINE_ADAPTER = ModeAdapter()
-
-
 # -- per-mnemonic handlers ---------------------------------------------------
 #
-# Every handler has the signature ``(inst, state, adapter) -> (kind,
+# Every handler has the signature ``(inst, state, flow) -> (kind,
 # target)`` and assumes the per-instruction prologue (icount bump,
 # load/store address reset) already ran — :func:`execute` provides it for
 # the functional paths, the block fast path inlines it.
 
-def _op_movi(inst, state, adapter):
+def _op_movi(inst, state, flow):
     value = inst.imm & MASK32
     state.regs.regs[inst.reg] = value
-    if value in adapter.derand_map:
-        adapter.tagmask |= 1 << inst.reg
-    elif adapter.tagmask:
-        adapter.tagmask &= ~(1 << inst.reg)
+    if value in flow.derand_map:
+        flow.tagmask |= 1 << inst.reg
+    elif flow.tagmask:
+        flow.tagmask &= ~(1 << inst.reg)
     return (CTRL_NONE, 0)
 
 
-def _op_push(inst, state, adapter):
+def _op_push(inst, state, flow):
     value = state.regs.regs[inst.reg]
     slot = state.push(value)
-    adapter.note_store(slot, value,
-                       bool(adapter.tagmask & (1 << inst.reg)))
+    flow.note_store(slot, value, bool(flow.tagmask & (1 << inst.reg)))
     state.last_store_addr = slot
     return (CTRL_NONE, 0)
 
 
-def _op_pop(inst, state, adapter):
+def _op_pop(inst, state, flow):
     value, slot = state.pop()
-    state.regs.regs[inst.reg] = adapter.fixup_load(slot, value)
-    if adapter.tagmask:  # loads auto-de-randomize: result is untagged
-        adapter.tagmask &= ~(1 << inst.reg)
+    state.regs.regs[inst.reg] = flow.fixup_load(slot, value)
+    if flow.tagmask:  # loads auto-de-randomize: result is untagged
+        flow.tagmask &= ~(1 << inst.reg)
     state.last_load_addr = slot
     return (CTRL_NONE, 0)
 
 
-def _op_nop(inst, state, adapter):
+def _op_nop(inst, state, flow):
     return (CTRL_NONE, 0)
 
 
-def _op_halt(inst, state, adapter):
+def _op_halt(inst, state, flow):
     return (CTRL_HALT, 0)
 
 
-def _op_int(inst, state, adapter):
+def _op_int(inst, state, flow):
     state.syscall(inst.imm)
-    if adapter.tagmask:  # syscalls may write EAX (ICOUNT): plain data
-        adapter.tagmask &= ~1
+    if flow.tagmask:  # syscalls may write EAX (ICOUNT): plain data
+        flow.tagmask &= ~1
     return (CTRL_NONE, 0)
 
 
-def _op_leave(inst, state, adapter):
+def _op_leave(inst, state, flow):
     # mov esp, ebp ; pop ebp
     regs = state.regs.regs
     regs[4] = regs[5]
     value, slot = state.pop()
-    regs[5] = adapter.fixup_load(slot, value)
-    if adapter.tagmask:
-        t = adapter.tagmask
+    regs[5] = flow.fixup_load(slot, value)
+    if flow.tagmask:
+        t = flow.tagmask
         t = (t | 0x10) if t & 0x20 else (t & ~0x10)  # esp inherits ebp
-        adapter.tagmask = t & ~0x20  # popped frame pointer: untagged
+        flow.tagmask = t & ~0x20  # popped frame pointer: untagged
     state.last_load_addr = slot
     return (CTRL_NONE, 0)
 
 
-def _op_jmp(inst, state, adapter):
+def _op_jmp(inst, state, flow):
     return (CTRL_JUMP, inst.target)
 
 
-def _op_jcc(inst, state, adapter):
+def _op_jcc(inst, state, flow):
     if state.flags.evaluate(inst.cc):
         return (CTRL_JUMP, inst.target)
     return (CTRL_NONE, 0)
 
 
-def _op_call(inst, state, adapter):
-    ret = adapter.call_retaddr(inst)
+def _op_call(inst, state, flow):
+    ret = flow.call_retaddr(inst)
     slot = state.push(ret)
-    adapter.note_retaddr_push(slot, ret)
+    flow.note_retaddr_push(slot, ret)
     state.last_store_addr = slot
     state.last_retaddr = ret
     return (CTRL_CALL, inst.target)
 
 
-def _op_calli(inst, state, adapter):
+def _op_calli(inst, state, flow):
     if inst.mode == opcodes.MODE_RR:
         target = state.regs.regs[inst.rm]
     else:
         addr = (state.regs.regs[inst.rm] + inst.disp) & MASK32
         target = state.mem.read_u32(addr)
         state.last_load_addr = addr
-    ret = adapter.call_retaddr(inst)
+    ret = flow.call_retaddr(inst)
     slot = state.push(ret)
-    adapter.note_retaddr_push(slot, ret)
+    flow.note_retaddr_push(slot, ret)
     state.last_store_addr = slot
     state.last_retaddr = ret
     return (CTRL_CALL, target)
 
 
-def _op_jmpi(inst, state, adapter):
+def _op_jmpi(inst, state, flow):
     if inst.mode == opcodes.MODE_RR:
         target = state.regs.regs[inst.rm]
     else:
@@ -208,7 +163,7 @@ def _op_jmpi(inst, state, adapter):
     return (CTRL_JUMP, target)
 
 
-def _op_ret(inst, state, adapter):
+def _op_ret(inst, state, flow):
     # The popped value is consumed *as a control-flow target*; it is
     # intentionally NOT run through fixup_load — a randomized return
     # address must stay randomized so fetch can translate and police it.
@@ -217,7 +172,7 @@ def _op_ret(inst, state, adapter):
     return (CTRL_RET, target)
 
 
-def _op_shift(inst, state, adapter):
+def _op_shift(inst, state, flow):
     m = inst.mnemonic
     regs = state.regs.regs
     count = inst.imm & 31
@@ -229,23 +184,23 @@ def _op_shift(inst, state, adapter):
     else:
         result = (to_signed32(value) >> count) & MASK32
     regs[inst.rm] = result
-    if adapter.tagmask:  # arithmetic clears the randomized-value tag
-        adapter.tagmask &= ~(1 << inst.rm)
+    if flow.tagmask:  # arithmetic clears the randomized-value tag
+        flow.tagmask &= ~(1 << inst.rm)
     state.flags.set_logic(result)
     return (CTRL_NONE, 0)
 
 
-def _op_lea(inst, state, adapter):
+def _op_lea(inst, state, flow):
     if inst.mode != opcodes.MODE_RM:
         raise ExecutionError("lea requires the load form")
     regs = state.regs.regs
     regs[inst.reg] = (regs[inst.rm] + inst.disp) & MASK32
-    if adapter.tagmask:
-        adapter.tagmask &= ~(1 << inst.reg)
+    if flow.tagmask:
+        flow.tagmask &= ~(1 << inst.reg)
     return (CTRL_NONE, 0)
 
 
-def _op_alu(inst, state, adapter):
+def _op_alu(inst, state, flow):
     """Two-operand ALU / mov group (mode-driven operand fetch)."""
     m = inst.mnemonic
     regs = state.regs.regs
@@ -260,7 +215,7 @@ def _op_alu(inst, state, adapter):
     elif mode == opcodes.MODE_RM:
         addr = (regs[inst.rm] + inst.disp) & MASK32
         a = regs[inst.reg]
-        b = adapter.fixup_load(addr, mem.read_u32(addr))
+        b = flow.fixup_load(addr, mem.read_u32(addr))
         state.last_load_addr = addr
     elif mode == opcodes.MODE_MR:
         addr = (regs[inst.rm] + inst.disp) & MASK32
@@ -268,7 +223,7 @@ def _op_alu(inst, state, adapter):
         if m == "mov":
             a = 0  # pure store: no read-modify-write
         else:
-            a = adapter.fixup_load(addr, mem.read_u32(addr))
+            a = flow.fixup_load(addr, mem.read_u32(addr))
             state.last_load_addr = addr
     else:  # MODE_RI
         a = regs[inst.reg]
@@ -316,26 +271,26 @@ def _op_alu(inst, state, adapter):
             mem.write_u32(addr, result)
             # Only a pure store forwards the source register's tag; a
             # read-modify-write result is arithmetic, hence untagged.
-            adapter.note_store(addr, result,
-                               m == "mov"
-                               and bool(adapter.tagmask & (1 << inst.reg)))
+            flow.note_store(addr, result,
+                            m == "mov"
+                            and bool(flow.tagmask & (1 << inst.reg)))
             state.last_store_addr = addr
         else:
             regs[inst.reg] = result
             if m == "mov" and mode == opcodes.MODE_RR:
-                t = adapter.tagmask
+                t = flow.tagmask
                 if t:
                     if t & (1 << inst.rm):
-                        adapter.tagmask = t | (1 << inst.reg)
+                        flow.tagmask = t | (1 << inst.reg)
                     else:
-                        adapter.tagmask = t & ~(1 << inst.reg)
+                        flow.tagmask = t & ~(1 << inst.reg)
             elif m == "mov" and mode == opcodes.MODE_RI:
-                if result in adapter.derand_map:
-                    adapter.tagmask |= 1 << inst.reg
-                elif adapter.tagmask:
-                    adapter.tagmask &= ~(1 << inst.reg)
-            elif adapter.tagmask:  # loads and arithmetic: untagged
-                adapter.tagmask &= ~(1 << inst.reg)
+                if result in flow.derand_map:
+                    flow.tagmask |= 1 << inst.reg
+                elif flow.tagmask:
+                    flow.tagmask &= ~(1 << inst.reg)
+            elif flow.tagmask:  # loads and arithmetic: untagged
+                flow.tagmask &= ~(1 << inst.reg)
 
     return (CTRL_NONE, 0)
 
@@ -738,9 +693,10 @@ def term_template(shape: tuple, fold_ret: bool = False):
     holding a dynamic target, or None for a direct transfer to
     ``{target}`` — or None when the shape has no template (``halt``).
     With ``fold_ret`` a call pushes the ``{ret}`` literal instead of
-    calling ``call_ret`` at run time; the trace tier folds it when the
-    flow records no events (with events recording, the DRC must see the
-    'rand' lookup).
+    calling ``call_ret`` at run time; the trace tier folds it whenever
+    the call does not fault at compile time, and replays the 'rand'
+    lookup it queues (when the flow records events) as a literal
+    append.
     """
     m, mode, cc, randomized, _tagged, _aliased = shape
 
@@ -839,8 +795,9 @@ def inline_term_src(inst: Instruction, n: int, randomized: bool,
     return _render(plan, inst, n, retaddr)
 
 
-def execute(inst: Instruction, state: MachineState, adapter: ModeAdapter):
-    """Execute one instruction; returns ``(kind, target)``.
+def execute(inst: Instruction, state: MachineState, flow):
+    """Execute one instruction under ``flow`` (any flow of
+    :mod:`repro.ilr.flow`); returns ``(kind, target)``.
 
     ``target`` is the architectural branch target for JUMP/CALL/RET, else 0.
     The caller is responsible for updating ``state.pc`` (so that the cycle
@@ -856,4 +813,4 @@ def execute(inst: Instruction, state: MachineState, adapter: ModeAdapter):
     handler = DISPATCH.get(inst.mnemonic)
     if handler is None:
         raise ExecutionError("no semantics for %s" % inst.mnemonic)
-    return handler(inst, state, adapter)
+    return handler(inst, state, flow)

@@ -32,7 +32,8 @@ class MachineState:
 
     ``pc`` is the *architectural* program counter — in randomized space
     when executing a randomized binary (naive ILR / VCFR), in the original
-    space otherwise.  The mode adapters own the interpretation.
+    space otherwise.  The flows (:mod:`repro.ilr.flow`) own the
+    interpretation.
     """
 
     __slots__ = (

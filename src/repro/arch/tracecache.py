@@ -76,8 +76,9 @@ Correctness contract
   (re-randomization epochs go through ``invalidate_blocks()``), and any
   invalidation also aborts an in-progress recording.
 * A trace is only entered when it fits the remaining instruction
-  budget whole (and re-checks before every iteration), so checkpoint
-  and slice boundaries clip identically to the block path.
+  budget whole (and re-checks before every iteration), so a checkpoint
+  or slice boundary never falls inside one: the block path cuts the
+  block it lands in, exactly where the reference loop stops.
 * Block-cache *capacity* flushes do not touch traces: a compiled trace
   holds strong references to its member :class:`Block` objects, whose
   precomputed fields stay valid until an explicit invalidation.
@@ -217,7 +218,7 @@ class TraceCache:
         self.builds = 0
         self.flushes = 0
         self.invalidations = 0
-        #: recordings dropped (tail interruption, unexpected successor).
+        #: recordings dropped (budget cut, unexpected successor).
         self.aborts = 0
         #: recordings that did not close on their anchor (not compiled).
         self.rejected = 0
@@ -288,9 +289,10 @@ class TraceCache:
         rec = self._rec
         if rec is not None:
             if block.leader != self._rec_expect:
-                # The path between recorder steps ran through the
-                # reference loop (budget tail) or took an unexpected
-                # edge; the recording is not a real superblock.
+                # A budget edge cut a block between recorder steps
+                # (a cut block never reaches this hook) or control took
+                # an unexpected edge; the recording is not a real
+                # superblock.
                 self.aborts += 1
                 self._rec = None
                 return
@@ -467,9 +469,6 @@ class _TraceGen:
         self.itlb = cache._itlb
         self.dtlb = cache._dtlb
         self.branch = cache._branch
-        #: transfer/call_retaddr of a constant are foldable exactly when
-        #: calling them at compile time is side-effect-free.
-        self.fold_transfer = not cache._record_events
         self.identity_transfer = not self.randomized
         self.insts: List[object] = []
         self.handlers: Dict[int, object] = {}
@@ -478,27 +477,16 @@ class _TraceGen:
 
     # -- folding helpers ---------------------------------------------------
 
-    def _fold(self, fn, *args):
-        """Call a pure-between-flushes flow method at compile time,
-        keeping the event list exactly as it was.  Returns None when the
-        call raises (the generated code must then make the call at run
-        time so the fault surfaces at the right instruction)."""
-        ev = self.flow.events
-        mark = len(ev)
-        try:
-            return fn(*args)
-        except Exception:
-            return None
-        finally:
-            del ev[mark:]
-
     def _fold_events(self, fn, *args):
-        """Like :meth:`_fold` but captures the DRC events the call
-        appended: ``(value, events_delta)``.  Event emission is a pure
-        function of the call's (constant) arguments and the RDR tables,
-        both static between flushes, so the delta can be replayed as
-        literal appends in the generated code.  ``(None, None)`` when
-        the call raises."""
+        """Call a pure-between-flushes flow method at compile time and
+        capture the DRC events it appended: ``(value, events_delta)``,
+        with the event list left exactly as it was.  The delta is empty
+        unless the flow records events; emission is a pure function of
+        the call's (constant) arguments and the RDR tables, both static
+        between flushes, so the delta can be replayed as literal appends
+        in the generated code.  ``(None, None)`` when the call raises
+        (the generated code must then make the call at run time so the
+        fault surfaces at the right instruction)."""
         ev = self.flow.events
         mark = len(ev)
         try:
@@ -517,17 +505,12 @@ class _TraceGen:
         evaluation is exact (the transfer faults at compile time)."""
         if self.identity_transfer:
             return [], str(target), target
-        if self.fold_transfer:
-            value = self._fold(self.flow.transfer, target)
-            if value is not None:
-                return [], str(value), value
-        else:
-            # Event-recording flow: fold the value and replay the DRC
-            # events the transfer queues as literal appends, in place.
-            value, delta = self._fold_events(self.flow.transfer, target)
-            if value is not None:
-                setup = ["events.append(%r)" % (e,) for e in delta]
-                return setup, str(value), value
+        # Fold the value and replay the DRC events the transfer queues
+        # as literal appends, in place.
+        value, delta = self._fold_events(self.flow.transfer, target)
+        if value is not None:
+            setup = ["events.append(%r)" % (e,) for e in delta]
+            return setup, str(value), value
         return ["nfp = transfer(%d)" % target], "nfp", None
 
     # -- emission ----------------------------------------------------------
@@ -543,10 +526,11 @@ class _TraceGen:
 
         seq_index = 0
         for block, expected in self.rec:
-            for op in block.interior:
+            *interior, term = block.ops
+            for op in interior:
                 self._emit_interior(body, op, seq_index)
                 seq_index += 1
-            self._emit_terminal(body, block.term, seq_index, expected)
+            self._emit_terminal(body, term, seq_index, expected)
             seq_index += 1
 
         scope = self.cache._scope
@@ -752,7 +736,7 @@ class _TraceGen:
             # The reference path's branch query is statically (0, True)
             # and the DRC drain is covered by the interior drain rule.
             seq_val = seq if seq is not None else \
-                self._fold(self.flow.sequential, inst)
+                self._fold_events(self.flow.sequential, inst)[0]
             if seq_val is None or seq_val != expected:
                 raise TraceCompileError(
                     "non-constant fall-through at 0x%x" % fpc
@@ -763,13 +747,8 @@ class _TraceGen:
         retaddr = None
         ret_events = ()
         if mnemonic in ("call", "calli"):
-            if self.record_events:
-                retaddr, delta = self._fold_events(
-                    self.flow.call_retaddr, inst
-                )
-                ret_events = delta or ()
-            else:
-                retaddr = self._fold(self.flow.call_retaddr, inst)
+            retaddr, delta = self._fold_events(self.flow.call_retaddr, inst)
+            ret_events = delta or ()
         plan = inline_term_src(inst, n, self.randomized, retaddr)
         if plan is None:
             raise TraceCompileError("no terminal plan for %s" % mnemonic)
@@ -833,7 +812,7 @@ class _TraceGen:
          _addr2, _line2, _pf2, seq, _touch, _is_int) = op
         taken_setup, taken_expr, _ = self._static_nfp(inst.target)
         seq_val = seq if seq is not None else \
-            self._fold(self.flow.sequential, inst)
+            self._fold_events(self.flow.sequential, inst)[0]
         if seq_val is not None:
             seq_setup, seq_expr = [], str(seq_val)
         else:

@@ -26,18 +26,9 @@ from ..arch.functional import FunctionalCPU, RunResult
 from ..ilr.flow import NaiveILRFlow
 from ..ilr.randomizer import RandomizedProgram
 from ..isa.instruction import Instruction
-from ..isa.opcodes import MODE_MR, MODE_RM
 from ..isa.syscalls import OutputStream
 from ..obs.events import EventLog
 from .hostcost import HostCostCounters, HostCostParams
-
-
-def touches_memory(inst: Instruction) -> bool:
-    """Whether ``inst`` touches guest data memory (the model's ``memory_op``):
-    stack operations, and memory operands other than ``lea``'s address."""
-    if inst.mnemonic in ("push", "pop", "leave", "call", "calli", "ret"):
-        return True
-    return inst.mode in (MODE_RM, MODE_MR) and inst.mnemonic != "lea"
 
 
 @dataclass
@@ -159,8 +150,9 @@ class ILREmulator(FunctionalCPU):
         # vPC with no derand entry is a wild jump and raises RDRError.
         self.flow.rdr.to_original(fetch_pc)
         inst = super()._decode(fetch_pc)
-        self._static[fetch_pc] = (inst.length, touches_memory(inst),
-                                  inst.mnemonic == "int")
+        self._static[fetch_pc] = (
+            inst.length, inst.reads_memory or inst.writes_memory,
+            inst.mnemonic == "int")
         return inst
 
     def _settle(self, exited: bool) -> HostCostCounters:

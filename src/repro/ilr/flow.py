@@ -7,8 +7,11 @@ program:
 * how architectural control-transfer targets are resolved — including the
   randomized-tag security check and the failover redirect mechanism of
   paper §IV-A,
-* the executor-side :class:`ModeAdapter` duties (return-address
-  randomization, the §IV-C stack bitmap with auto-de-randomizing loads).
+* the hooks the executor (:func:`repro.arch.executor.execute`) calls:
+  ``call_retaddr`` (return-address randomization) and ``fixup_load``,
+  ``note_store`` and ``note_retaddr_push`` (the §IV-C stack bitmap with
+  auto-de-randomizing loads), plus the ``derand_map``/``tagmask`` tag
+  state they read.
 
 The cycle simulator additionally needs to know *when* an RDR table lookup
 happened (to model the DRC); flows therefore append lookup events to
@@ -79,7 +82,7 @@ class BaselineFlow:
     def arch_pc_of(self, fetch_pc: int) -> int:
         return fetch_pc
 
-    # -- executor adapter ----------------------------------------------------
+    # -- executor hooks -------------------------------------------------------
 
     def call_retaddr(self, inst: Instruction) -> int:
         return inst.addr + inst.length
@@ -162,7 +165,7 @@ class _RandomizedFlowBase:
             raise SecurityFault(target)
         return target, target
 
-    # -- executor adapter (shared) ------------------------------------------------
+    # -- executor hooks (shared) ----------------------------------------------
 
     def _orig_fallthrough(self, inst: Instruction) -> int:
         raise NotImplementedError

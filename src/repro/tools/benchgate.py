@@ -36,12 +36,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-__all__ = ["gate", "record", "emit_experiment", "report_path",
-           "compare_reports", "main"]
+__all__ = ["gate", "record", "paired_overhead", "emit_experiment",
+           "report_path", "compare_reports", "main"]
 
 _OPS = {
     ">=": lambda value, threshold: value >= threshold,
@@ -101,6 +102,62 @@ def gate(bench: str, metric: str, value, threshold, op: str = ">=",
     ok = record(bench, metric, value, threshold, op=op, **extra)
     assert ok, "%s: %s = %r not %s %r" % (bench, metric, value, op,
                                           threshold)
+
+
+class Overhead:
+    """What :func:`paired_overhead` measured: each leg's median seconds,
+    the three estimators of ``other / base`` and the most favourable
+    one, ``via``, whose excess over 1 is ``value``."""
+
+    def __init__(self, base_times: List[float], other_times: List[float]):
+        self.base_median = statistics.median(base_times)
+        self.other_median = statistics.median(other_times)
+        self.estimators = {
+            "min": min(other_times) / min(base_times),
+            "median": self.other_median / self.base_median,
+            "paired": statistics.median(
+                [o / b for b, o in zip(base_times, other_times)]),
+        }
+        self.via = min(self.estimators, key=self.estimators.get)
+        self.value = self.estimators[self.via] - 1.0
+
+    def describe(self, base: str, other: str, limit: float) -> str:
+        """One report line, the legs named ``base`` and ``other``."""
+        return (
+            "%s median %.3fs, %s median %.3fs | overhead %+.2f%% via %s "
+            "(min %+.2f%%, median %+.2f%%, paired %+.2f%%; limit %.0f%%)"
+            % (base, self.base_median, other, self.other_median,
+               100 * self.value, self.via,
+               100 * (self.estimators["min"] - 1),
+               100 * (self.estimators["median"] - 1),
+               100 * (self.estimators["paired"] - 1), 100 * limit)
+        )
+
+
+def paired_overhead(base: Callable[[], Tuple[float, object]],
+                    other: Callable[[], Tuple[float, object]],
+                    repeats: int) -> Overhead:
+    """Time ``other`` against ``base`` in ``repeats`` order-alternated
+    pairs (``base`` first on even iterations, ``other`` first on odd).
+
+    Each leg returns ``(seconds, result)``, and every result of either
+    leg must equal the first one.  Wall-clock on a shared host is noisy,
+    so the overhead is the most favourable of three robust estimators:
+    min-vs-min, median-vs-median and the median of per-pair ratios.  A
+    real constant-per-unit regression lifts all three together;
+    uncorrelated host noise rarely does.
+    """
+    times: Tuple[List[float], List[float]] = ([], [])
+    results = []
+    for iteration in range(repeats):
+        for leg in ((0, 1) if iteration % 2 == 0 else (1, 0)):
+            seconds, result = (base, other)[leg]()
+            times[leg].append(seconds)
+            results.append(result)
+            assert result == results[0], (
+                "the %s leg's result differs from the first one"
+                % ("base", "other")[leg])
+    return Overhead(*times)
 
 
 def emit_experiment(result, bench: Optional[str] = None) -> None:

@@ -33,10 +33,12 @@ def build(scale: float = 1.0) -> BinaryImage:
         gen_block_transform(b, fname, "frame", 16 * blk, rounds=1)
         transforms.append(fname)
 
-    # Mode-decision dispatch: pick a transform via a function table.
-    table = jump_table(b, "mode_table", transforms[:_MODES])
+    # Mode-decision dispatch: pick a transform via a function table
+    # (below scale 0.17 it holds fewer than ``_MODES`` entries).
+    modes = transforms[:_MODES]
+    jump_table(b, "mode_table", modes)
     b.func("mode_decide")
-    for mode in range(_MODES):
+    for mode in range(len(modes)):
         b.emits("movi edx, mode_table", "calli [edx+%d]" % (4 * mode))
     b.endfunc()
 

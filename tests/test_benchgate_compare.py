@@ -1,11 +1,12 @@
-"""The benchgate trend check: fresh BENCH_*.json vs committed baseline."""
+"""The benchgate trend check (fresh BENCH_*.json vs committed baseline)
+and the paired estimate the overhead benches gate on."""
 
 import json
 import subprocess
 
 import pytest
 
-from repro.tools.benchgate import compare_reports, main
+from repro.tools.benchgate import compare_reports, main, paired_overhead
 
 
 def _report(**metrics):
@@ -111,3 +112,32 @@ class TestCompareCli:
                                                        capsys):
         assert main(["--compare", "nonexistent"]) == 0
         assert "new bench?" in capsys.readouterr().out
+
+
+class TestPairedOverhead:
+    def test_alternates_order_and_takes_the_most_favourable(self):
+        calls = []
+
+        def leg(name, seconds):
+            seconds = iter(seconds)
+
+            def run():
+                calls.append(name)
+                return next(seconds), "result"
+            return run
+
+        overhead = paired_overhead(leg("base", [1.0, 1.2, 1.0, 1.1]),
+                                   leg("other", [1.1, 1.1, 1.3, 1.1]), 4)
+        assert calls == ["base", "other", "other", "base"] * 2
+        assert overhead.estimators == pytest.approx(
+            {"min": 1.1, "median": 1.1 / 1.05, "paired": 1.05})
+        assert overhead.via == "median"
+        assert overhead.value == pytest.approx(1.1 / 1.05 - 1)
+        assert overhead.describe("raw", "engine", 0.02) == (
+            "raw median 1.050s, engine median 1.100s | overhead +4.76% "
+            "via median (min +10.00%, median +4.76%, paired +5.00%; "
+            "limit 2%)")
+
+    def test_a_leg_that_changes_the_result_fails(self):
+        with pytest.raises(AssertionError, match="other leg"):
+            paired_overhead(lambda: (1.0, "a"), lambda: (1.0, "b"), 2)

@@ -67,8 +67,8 @@ class TestResultEquivalence:
 
         The checkpoint cadence is deliberately not a divisor of typical
         block lengths, so the fast loop repeatedly hits the clipped-
-        budget case where a partial block must fall back to the
-        reference loop mid-run.
+        budget case where a block is cut mid-way and the next call
+        resumes inside it.
         """
         program = _program(workload)
         fast = _cpu(mode, program, True, checkpoint_interval=7_777)
@@ -123,6 +123,53 @@ class TestResultEquivalence:
             assert fast.cycle == ref.cycle
             assert fast.state.icount == ref.state.icount
             assert fast.state.pc == ref.state.pc
+        result_fast = fast._result(finished=fast._finished, warmup=0)
+        result_ref = ref._result(finished=ref._finished, warmup=0)
+        assert _comparable(result_fast.to_dict()) == _comparable(
+            result_ref.to_dict()
+        )
+
+
+class TestFastTiersStandAlone:
+    """Neither fast tier runs the reference loop: with it raising
+    whenever ``fastpath`` is on, blocks cut by checkpoint windows and by
+    odd ``run_slice`` chunks still give the reference loop's results."""
+
+    @pytest.fixture(autouse=True)
+    def _reference_loop_off_the_fast_path(self, monkeypatch):
+        reference = CycleCPU._execute_loop_ref
+
+        def guarded(cpu, budget):
+            if cpu._fastpath:
+                raise AssertionError("the fast path ran the reference loop")
+            return reference(cpu, budget)
+
+        monkeypatch.setattr(CycleCPU, "_execute_loop_ref", guarded)
+
+    @pytest.mark.parametrize("interval", [1, 7, 997])
+    @pytest.mark.parametrize("mode", ["baseline", "naive_ilr", "vcfr"])
+    @pytest.mark.parametrize("tracepath", [False, True],
+                             ids=["blocks", "traces"])
+    def test_checkpoint_windows(self, tracepath, mode, interval):
+        program = _program("gcc")
+        budget = 3_000 if interval == 1 else 30_000
+        fast = _cpu(mode, program, True, interval, tracepath)
+        ref = _cpu(mode, program, False, interval)
+        assert _comparable(fast.run(budget).to_dict()) == _comparable(
+            ref.run(budget).to_dict()
+        )
+
+    @pytest.mark.parametrize("mode", ["baseline", "naive_ilr", "vcfr"])
+    @pytest.mark.parametrize("tracepath", [False, True],
+                             ids=["blocks", "traces"])
+    def test_odd_slices(self, tracepath, mode):
+        program = _program("gcc")
+        fast = _cpu(mode, program, True, tracepath=tracepath)
+        ref = _cpu(mode, program, False)
+        for chunk in (1, 977, 3_333, 13, 7, 20_001):
+            assert fast.run_slice(chunk) == ref.run_slice(chunk)
+            assert (fast.cycle, fast.state.icount, fast.state.pc) == (
+                ref.cycle, ref.state.icount, ref.state.pc)
         result_fast = fast._result(finished=fast._finished, warmup=0)
         result_ref = ref._result(finished=ref._finished, warmup=0)
         assert _comparable(result_fast.to_dict()) == _comparable(

@@ -200,10 +200,11 @@ def _traced_ops(cpu):
     for trace in cpu._tracecache.traces.values():
         blocks = trace.blocks
         for i, block in enumerate(blocks):
-            for op in block.interior:
+            *interior, term = block.ops
+            for op in interior:
                 yield op[1], None
             successor = blocks[(i + 1) % len(blocks)].leader
-            yield block.term[1], successor != block.term[12]
+            yield term[1], successor != term[12]
 
 
 def _op(mnemonic, mode=None, taken=None):

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.analysis import collect_stats
+from repro.arch.config import default_config
 from repro.arch.functional import run_image
+from repro.harness.spec import ALL_MODES, RunSpec
+from repro.harness.sweep import execute_spec
 from repro.workloads import (
     BY_NAME,
     FIG2_APPS,
@@ -58,6 +61,17 @@ class TestEveryWorkload:
         small = run_image(BY_NAME[app].build(scale=0.3),
                           max_instructions=3_000_000)
         assert small.icount < full.icount
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_h264ref_runs_with_fewer_transforms_than_modes(mode):
+    """At scale 0.1 h264ref builds four transforms, so its mode table
+    holds four entries; ``mode_decide`` must call only those, not the
+    word after the table (address 0)."""
+    result = execute_spec(RunSpec("h264ref", mode, scale=0.1),
+                          default_config())
+    run = result.run if mode == "emulate" else result
+    assert run.exit_code == 0
 
 
 class TestSuiteShape:
