@@ -36,8 +36,9 @@ Op tuple layout (index: field) — consumed by ``_execute_loop_fast``:
 
 ====  =========================================================
  0    executor handler: the instruction's shape handler
-      (:func:`shape_handler`), or the generic ``DISPATCH`` handler
-      for shapes without a template
+      (:func:`shape_handler`); only ``halt`` and ``imul``'s store
+      form, which have no template, bind the generic ``DISPATCH``
+      handler
  1    decoded :class:`Instruction`
  2    fetch PC
  3    architectural PC (``flow.arch_pc_of(fetch_pc)``)
@@ -76,7 +77,6 @@ from .executor import (
     DISPATCH,
     EXEC_EXTRA,
     FIELDS,
-    ExecutionError,
     exec_template,
     shape_of,
     term_template,
@@ -89,17 +89,6 @@ _TERMINAL_MNEMONICS = frozenset(
     ["call", "calli", "jmp", "jmp8", "jmpi", "ret", "halt"]
     + ["j" + name for name in opcodes.CC_NAMES]
 )
-
-
-def _missing_handler(mnemonic: str):
-    """Deferred ExecutionError: raised at *execution* time so the fast
-    path charges the same fetch-side stalls the reference loop charges
-    before ``execute`` rejects the instruction."""
-
-    def raise_no_semantics(inst, state, flow):
-        raise ExecutionError("no semantics for %s" % mnemonic)
-
-    return raise_no_semantics
 
 
 #: Generated-scope names a shape handler binds from its ``(inst, st,
@@ -175,7 +164,8 @@ def _compile_shape(shape: tuple):
 def shape_handler(inst: Instruction, randomized: bool, derand_map):
     """The block-tier handler of ``inst``: its shape's factory
     (compiled once per process) instantiated with the instruction's
-    fields, or the generic handler when the shape has no template."""
+    fields, or the generic handler for the two shapes without a
+    template (``halt``, and ``imul``'s store form, which raises)."""
     make = _compile_shape(shape_of(inst, randomized, derand_map))
     if make is None:
         return DISPATCH[inst.mnemonic]
@@ -271,7 +261,7 @@ class BlockCache:
               line_shift: int) -> Block:
         """Decode the block led by ``leader`` and install it.
 
-        A decode/semantics failure on the leader propagates (mirroring
+        A decode failure on the leader propagates (mirroring
         the reference loop, which faults when it reaches that PC); a
         failure on any *later* instruction just ends the block early, so
         the faulting PC becomes a leader itself and faults at exactly
@@ -303,15 +293,6 @@ class BlockCache:
                 else:
                     inst = self.decode_one(fetch_pc, mem)
 
-            if inst.mnemonic in DISPATCH:
-                handler = shape_handler(inst, randomized, derand_map)
-                is_control = inst.mnemonic in _TERMINAL_MNEMONICS
-            else:
-                if ops:
-                    break
-                handler = _missing_handler(inst.mnemonic)
-                is_control = True
-
             seq: Optional[int]
             try:
                 seq = flow.sequential(inst)
@@ -325,7 +306,7 @@ class BlockCache:
             line = fetch_pc >> line_shift
             end_line = (fetch_pc + length - 1) >> line_shift
             ops.append((
-                handler,
+                shape_handler(inst, randomized, derand_map),
                 inst,
                 fetch_pc,
                 flow.arch_pc_of(fetch_pc),
@@ -348,7 +329,7 @@ class BlockCache:
                 lo = fetch_pc
             if fetch_pc + length > hi:
                 hi = fetch_pc + length
-            if is_control:
+            if inst.mnemonic in _TERMINAL_MNEMONICS:
                 break
             fetch_pc = seq
 

@@ -130,7 +130,7 @@ class TimeSharedCPU:
         total_cycles = 0
         out = TimeSharedResult(switch_stats=self.switch_stats)
         for name, cpu in self.cpus:
-            final = cpu._result(finished=cpu._finished, warmup=0)
+            final = cpu.result()
             out.processes.append(
                 ProcessResult(name=name, result=final, quanta=quanta[name])
             )

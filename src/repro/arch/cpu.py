@@ -317,10 +317,8 @@ class CycleCPU:
         elif not self._started:
             self._reset_stats()
         self._ensure_started()
-        finished = self._execute_with_checkpoints(
-            self.state.icount + max_instructions
-        )
-        result = self._result(finished, warmup_instructions)
+        self._execute_with_checkpoints(self.state.icount + max_instructions)
+        result = self.result(warmup_instructions)
         self.events.emit(
             "run_end",
             instructions=result.instructions,
@@ -739,7 +737,10 @@ class CycleCPU:
         self.drc.stats = DRCStats()
         self._arm_checkpoints()
 
-    def _result(self, finished: bool, warmup: int) -> SimResult:
+    def result(self, warmup_instructions: int = 0) -> SimResult:
+        """The run's statistics so far, as :meth:`run` reports them;
+        callers that drive :meth:`run_slice` read their result here.
+        ``warmup_instructions`` is only recorded in the result."""
         # Close out observability state: a final partial-window sample,
         # so short runs still report trailing progress.
         if self.checkpoint_interval and self.state.icount > self._ckpt_icount:
@@ -753,9 +754,9 @@ class CycleCPU:
             mode=getattr(self.flow, "name", "unknown"),
             cycles=cycles,
             instructions=instructions,
-            warmup_instructions=warmup,
+            warmup_instructions=warmup_instructions,
             exit_code=state.exit_code,
-            finished=finished,
+            finished=self._finished,
             output=state.out,
             il1=self.il1.stats.snapshot(),
             dl1=self.dl1.stats.snapshot(),

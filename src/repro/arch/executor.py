@@ -23,10 +23,12 @@ the cycle simulator's reference loop run them.  The shape templates
 (:func:`exec_template`, :func:`term_template`) are the one specialized
 copy: source for one instruction shape with its operand fields as
 placeholders, which the block tier compiles into per-shape handlers
-and the trace tier renders into per-trace functions.  Two forms can
-diverge, so the differential suites hold the templates to the generic
-handlers shape by shape (``tests/test_block_shapes.py``) and program
-by program (``repro.qa``, ``tests/test_fastpath_equivalence.py``).
+and the trace tier renders into per-trace functions.  Every shape the
+decoder produces has a template except two: ``halt``, and ``imul``'s
+store form, which the reference rejects.  Two forms can diverge, so
+the differential suites hold the templates to the generic handlers
+shape by shape (``tests/test_block_shapes.py``) and program by program
+(``repro.qa``, ``tests/test_fastpath_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -338,7 +340,11 @@ DISPATCH.update(
 # function per hot superblock; the block tier
 # (:mod:`repro.arch.blockcache`) renders them as parameter names,
 # compiles one handler factory per shape and instantiates it per
-# instruction.  The generic handlers stay the reference: the
+# instruction.  Two decodable shapes have no template: ``halt`` (the
+# block tier binds ``_op_halt``; it ends the run, so no loop trace
+# holds one) and ``imul``'s store form (the block tier binds
+# ``_op_alu``, which raises before the block completes, so no trace
+# records it).  The generic handlers stay the reference: the
 # differential suites (tests/test_block_shapes.py,
 # tests/test_fastpath_equivalence.py, repro.qa) hold both tiers to them.
 #
@@ -384,24 +390,19 @@ _ADDR = "addr = (regs[{rm}] + {disp}) & " + _M32
 def shape_of(inst: Instruction, randomized: bool, derand_map) -> tuple:
     """The template key of ``inst`` under a flow.
 
-    ``(mnemonic, mode, cc, randomized, tagged, aliased)``.  ``tagged``
-    is the ``value in derand_map`` outcome of an immediate
-    materialization (``movi``/``mov ri``) under a randomized flow,
-    folded at compile time: the producer map only changes on a
-    re-randomization epoch, which flushes every compiled block and
-    trace (the same contract that lets the block cache freeze per-op
-    ``arch_pc``).  ``aliased`` marks ``add``/``sub`` register forms
-    that name one register twice: their flag update needs the source
-    operand's value from before the write-back.
+    ``(mnemonic, mode, cc, randomized, tagged)``.  ``tagged`` is the
+    ``value in derand_map`` outcome of an immediate materialization
+    (``movi``/``mov ri``) under a randomized flow, folded at compile
+    time: the producer map only changes on a re-randomization epoch,
+    which flushes every compiled block and trace (the same contract
+    that lets the block cache freeze per-op ``arch_pc``).
     """
     m = inst.mnemonic
     mode = inst.mode
     tagged = (randomized
               and (m == "movi" or (m == "mov" and mode == opcodes.MODE_RI))
               and (inst.imm & MASK32) in derand_map)
-    aliased = (mode == opcodes.MODE_RR and inst.reg == inst.rm
-               and m in ("add", "sub"))
-    return (m, mode, inst.cc, randomized, tagged, aliased)
+    return (m, mode, inst.cc, randomized, tagged)
 
 
 def _src_flags_logic(result: str):
@@ -491,12 +492,15 @@ def exec_template(shape: tuple):
     Returns ``{"lines", "loads", "stores", "can_event"}`` — ``loads``/
     ``stores`` name locals holding data addresses (in the order the fast
     loop probes them), ``can_event`` says whether the op can append flow
-    events (loads through ``fixup``) — or None when the shape has no
-    template (callers bind the generic handler).  For ``int`` the
+    events (loads through ``fixup``) — or None for the one decodable
+    CTRL_NONE shape without a template, ``imul``'s store form, which
+    the reference rejects (the block tier binds the generic handler, so
+    the fault is the reference's own).  The two-operand ALU group
+    shares one template over its four modes.  For ``int`` the
     syscall is the first line: the trace tier wraps it in its own
     ExitProgram unwind.
     """
-    m, mode, _cc, randomized, tagged, aliased = shape
+    m, mode, _cc, randomized, tagged = shape
     RR, RI = opcodes.MODE_RR, opcodes.MODE_RI
     RM, MR = opcodes.MODE_RM, opcodes.MODE_MR
 
@@ -549,77 +553,56 @@ def exec_template(shape: tuple):
             return out(lines, stores=["addr"])
         return None
 
-    # The source operand of a register form, re-read by the flag update
-    # after the write-back — except when that read would see the result.
-    source = "a" if aliased else "regs[{rm}]"
-
-    if m == "add":
-        if mode == RR or mode == RI:
-            b = source if mode == RR else "{imm}"
-            lines = ["a = regs[{reg}]", "t_ = a + %s" % b,
-                     "r_ = t_ & %s" % _M32]
-            lines += _src_result(randomized)
-            return out(lines + _src_flags_add("a", b, "t_", "r_"))
-        if mode == RM:
-            lines = [_ADDR, "a = regs[{reg}]"]
-            lines += _load_src(randomized, "b_", "addr")
-            lines += [
-                "st.last_load_addr = addr",
-                "t_ = a + b_",
-                "r_ = t_ & %s" % _M32,
-            ]
-            lines += _src_result(randomized)
-            lines += _src_flags_add("a", "b_", "t_", "r_")
-            return out(lines, loads=["addr"])
-        if mode == MR:
-            lines = [_ADDR, "b_ = regs[{reg}]"]
-            lines += _load_src(randomized, "a", "addr")
-            lines += [
-                "st.last_load_addr = addr",
-                "t_ = a + b_",
-                "r_ = t_ & %s" % _M32,
-            ]
-            lines += _src_flags_add("a", "b_", "t_", "r_")
-            lines += write_u32_src("addr", "r_")
-            if randomized:  # a read-modify-write result is untagged
-                lines.append("note_store(addr, r_)")
-            lines.append("st.last_store_addr = addr")
-            return out(lines, loads=["addr"], stores=["addr"])
-        return None
-
-    if m in ("sub", "cmp", "test", "and", "or", "xor", "imul"):
-        if mode != RR and mode != RI:
-            return None  # rare load/store forms: generic handler ladder
-        b = source if mode == RR else "{imm}"
-        if m in ("sub", "cmp"):
-            lines = ["a = regs[{reg}]", "r_ = (a - %s) & %s" % (b, _M32)]
-            if m == "sub":
-                lines += _src_result(randomized)
-            return out(lines + _src_flags_sub("a", b, "r_"))
+    if m in ("add", "sub", "cmp", "test", "and", "or", "xor", "imul"):
+        # ``_op_alu``'s order: fetch the operands, compute the result
+        # and the flags, write back.  The flags read the operands before
+        # the write-back, so ``add r, r`` needs no copy of its source.
+        if m == "imul" and mode == MR:
+            return None  # the reference rejects imul's store form
+        a = "a" if mode == MR else "regs[{reg}]"
+        b = {RR: "regs[{rm}]", RI: "{imm}", RM: "b_", MR: "regs[{reg}]"}[mode]
+        lines, loads = [], []
+        if mode == RM or mode == MR:  # the memory operand, fixed up
+            lines = [_ADDR] + _load_src(randomized, "b_" if mode == RM
+                                        else "a", "addr")
+            lines.append("st.last_load_addr = addr")
+            loads = ["addr"]
         if m in _LOGIC_OPS:
-            lines = ["r_ = regs[{reg}] %s %s" % (_LOGIC_OPS[m], b)]
-            if m != "test":
-                lines += _src_result(randomized)
-            return out(lines + _src_flags_logic("r_"))
-        # imul RR/RI: exact signed product for the CF/OF overflow rule.
-        lines = [
-            "a = regs[{reg}]",
-            "a = a - 4294967296 if a & %s else a" % _SIGN,
-            "b_ = %s" % b,
-            "b_ = b_ - 4294967296 if b_ & %s else b_" % _SIGN,
-            "t_ = a * b_",
-            "r_ = t_ & %s" % _M32,
-        ]
-        lines += _src_result(randomized)
-        lines += [
-            "v = r_ - 4294967296 if r_ & %s else r_" % _SIGN,
-            "ov = v != t_",
-            "flags.zf = r_ == 0",
-            "flags.sf = (r_ & %s) != 0" % _SIGN,
-            "flags.cf = ov",
-            "flags.of = ov",
-        ]
-        return out(lines)
+            lines.append("r_ = %s %s %s" % (a, _LOGIC_OPS[m], b))
+            lines += _src_flags_logic("r_")
+        else:
+            if a != "a":
+                lines.append("a = " + a)
+            if m == "add":
+                lines += ["t_ = a + %s" % b, "r_ = t_ & " + _M32]
+                lines += _src_flags_add("a", b, "t_", "r_")
+            elif m != "imul":
+                lines.append("r_ = (a - %s) & %s" % (b, _M32))
+                lines += _src_flags_sub("a", b, "r_")
+            else:  # the exact signed product, for the CF/OF rule
+                if b != "b_":
+                    lines.append("b_ = " + b)
+                lines += [
+                    "a = a - 4294967296 if a & %s else a" % _SIGN,
+                    "b_ = b_ - 4294967296 if b_ & %s else b_" % _SIGN,
+                    "t_ = a * b_",
+                    "r_ = t_ & %s" % _M32,
+                    "v = r_ - 4294967296 if r_ & %s else r_" % _SIGN,
+                    "ov = v != t_",
+                    "flags.zf = r_ == 0",
+                    "flags.sf = (r_ & %s) != 0" % _SIGN,
+                    "flags.cf = ov",
+                    "flags.of = ov",
+                ]
+        if m in ("cmp", "test"):
+            return out(lines, loads)
+        if mode != MR:
+            return out(lines + _src_result(randomized), loads)
+        lines += write_u32_src("addr", "r_")
+        if randomized:  # a read-modify-write result is untagged
+            lines.append("note_store(addr, r_)")
+        lines.append("st.last_store_addr = addr")
+        return out(lines, loads, stores=["addr"])
 
     if m in ("shl", "shr", "sar"):
         if m == "shl":
@@ -698,7 +681,7 @@ def term_template(shape: tuple, fold_ret: bool = False):
     lookup it queues (when the flow records events) as a literal
     append.
     """
-    m, mode, cc, randomized, _tagged, _aliased = shape
+    m, mode, cc, randomized, _tagged = shape
 
     def plan(kind, ctrl, lines=(), loads=(), stores=(), cond=None,
              target_var=None):

@@ -41,26 +41,30 @@ restores a cold start.
 The generated function is straight-line code rendered from the shape
 templates of :mod:`repro.arch.executor` — the block tier's handlers
 come from the same table — with the instruction fields baked in as
-literals: no tuple unpack, no dispatch, flag algebra
-and stack traffic inlined, fetch-page/line checks elided wherever the
-previous instruction in the trace pins their value, and the flow traits
+literals: no tuple unpack, no dispatch, flag algebra and stack traffic
+inlined, fetch-page/line checks elided wherever the previous
+instruction in the trace pins their value, and the flow traits
 (baseline vs. randomized, DRC event recording on/off) specialized out
-at compile time.  The timing models' common hit cases run inline, from
-source each model renders next to the method it mirrors (the ``*_src``
-methods of :mod:`~repro.arch.cache`, :mod:`~repro.arch.tlb` and
-:mod:`~repro.arch.branch`, and the word access of
-:mod:`~repro.arch.memory` in the shape templates): the IL1/DL1 MRU way,
-an ITLB hit on a visible fetch page, the MRU DTLB page, a correctly
-predicted conditional branch (gshare, and the MRU BTB way when taken)
-and a page-local word read or write.  Anything else calls the method,
-which does its own accounting; the reference loop always calls them.
-A *guard* at every intra-trace branch whose outcome
-is dynamic (conditional direction, indirect/return target) compares the
-actual next fetch PC against the recorded one and side-exits to the
-block path on mismatch — after charging the instruction's full cycle
-cost, so a bailout is correctness-neutral.  Direct transfers need no
-guard: between explicit invalidations, ``flow.transfer`` of a constant
-target is a pure function of the randomization tables.
+at compile time.  It calls no reference handler: an op whose shape has
+no template raises :class:`TraceCompileError`, and the one such
+non-terminal shape, ``imul``'s store form, faults before its block
+completes, so no recording holds it.  The timing models' common hit
+cases run inline, from source each model renders next to the method it
+mirrors (the ``*_src`` methods of :mod:`~repro.arch.cache`,
+:mod:`~repro.arch.tlb` and :mod:`~repro.arch.branch`, and the word
+access of :mod:`~repro.arch.memory` in the shape templates): the
+IL1/DL1 MRU way, an ITLB hit on a visible fetch page, the MRU DTLB
+page, a correctly predicted conditional branch (gshare, and the MRU
+BTB way when taken) and a page-local word read or write.  Anything
+else calls the method, which does its own accounting; the reference
+loop always calls them.  A *guard* at every intra-trace branch whose
+outcome is dynamic (conditional direction, indirect/return target)
+compares the actual next fetch PC against the recorded one and
+side-exits to the block path on mismatch — after charging the
+instruction's full cycle cost, so a bailout is correctness-neutral.
+Direct transfers need no guard: between explicit invalidations,
+``flow.transfer`` of a constant target is a pure function of the
+randomization tables.
 
 Correctness contract
 --------------------
@@ -274,11 +278,6 @@ class TraceCache:
     def __len__(self) -> int:
         return len(self.traces)
 
-    @property
-    def bailouts(self) -> int:
-        """Total guard side-exits across all compiled traces."""
-        return self._bail[0]
-
     # -- edge profiling / recording ---------------------------------------
 
     def on_block(self, block, next_fetch_pc: int) -> None:
@@ -376,11 +375,6 @@ class TraceCache:
             min(b.lo for b in blocks), max(b.hi for b in blocks),
         )
 
-    # -- lookup ------------------------------------------------------------
-
-    def get(self, fetch_pc: int) -> Optional[Trace]:
-        return self.traces.get(fetch_pc)
-
     # -- invalidation ------------------------------------------------------
 
     def invalidate_all(self) -> None:
@@ -471,7 +465,6 @@ class _TraceGen:
         self.branch = cache._branch
         self.identity_transfer = not self.randomized
         self.insts: List[object] = []
-        self.handlers: Dict[int, object] = {}
         #: statically-tracked fetch page/line ([page, line], None=unknown).
         self.know: List[Optional[int]] = [None, None]
 
@@ -535,11 +528,9 @@ class _TraceGen:
 
         scope = self.cache._scope
         src_lines = ["def __make(C):",
-                     "    (%s, I, H) = C" % ", ".join(scope)]
+                     "    (%s, I) = C" % ", ".join(scope)]
         for n in range(len(self.insts)):
             src_lines.append("    i%d = I[%d]" % (n, n))
-        for n in sorted(self.handlers):
-            src_lines.append("    h%d = H[%d]" % (n, n))
         src_lines.append(
             "    def __trace(cycle, icount, budget, last_page, "
             "last_line, tracer, out):"
@@ -552,16 +543,12 @@ class _TraceGen:
         src_lines.append("            out[3] = last_line")
         src_lines.append("    return __trace")
         src = "\n".join(src_lines) + "\n"
-        consts = tuple(scope.values()) + (
-            tuple(self.insts), dict(self.handlers),
-        )
+        consts = tuple(scope.values()) + (tuple(self.insts),)
         return src, consts
 
-    def _register(self, op, n: int, with_handler: bool = False) -> None:
+    def _register(self, op, n: int) -> None:
         assert len(self.insts) == n
         self.insts.append(op[1])
-        if with_handler:
-            self.handlers[n] = op[0]
 
     # per-op fetch-side lines -----------------------------------------
 
@@ -638,87 +625,48 @@ class _TraceGen:
             % (n, arch, fpc, taken, target),
         ]
 
-    def _exec_plan(self, op, n):
-        """Inline execute-stage plan for a CTRL_NONE op; falls back to
-        calling the op's (generic) block handler when its shape has no
-        template."""
-        inst = op[1]
-        touch = op[13]
-        plan = inline_exec_src(
-            inst, n, self.randomized,
-            getattr(self.flow, "derand_map", None),
-        )
-        if plan is not None:
-            lines = []
-            if touch:
-                lines.append("st.last_load_addr = None")
-                lines.append("st.last_store_addr = None")
-            lines += plan["lines"]
-            lines += self._stall_lines(plan["loads"], plan["stores"])
-            drain = self.record_events and plan["can_event"]
-            return lines, drain, bool(plan["loads"] or plan["stores"])
-        # Generic fallback: exact mirror of the fast loop's handler call.
-        self.handlers[n] = op[0]
-        lines = []
-        if touch:
-            lines.append("st.last_load_addr = None")
-            lines.append("st.last_store_addr = None")
-        lines.append("h%d(i%d, st, flow)" % (n, n))
-        if touch:
-            lines += ["addr = st.last_load_addr", "if addr is not None:"]
-            lines += _indent(self._stall_lines(["addr"], []))
-            lines += ["addr = st.last_store_addr", "if addr is not None:"]
-            lines += _indent(self._stall_lines([], ["addr"]))
-        return lines, self.record_events, touch
-
     def _emit_interior(self, w, op, n):
         """One CTRL_NONE instruction (interior, or a cap-split terminal
-        whose fall-through the caller has checked)."""
+        whose fall-through the caller has checked), from its shape's
+        template.  ``int`` is the only one that can raise ExitProgram:
+        on exit the pending fetch stall is discarded (the reference
+        loop charges a bare ``cycle += 1``), so the except arm records
+        the exiting ``int`` and returns at once with status 1.  The DRC
+        queue is drained only after an op that can add to it (a
+        fixed-up load): every earlier op drained its own, and a
+        syscall queues nothing."""
         (_handler, inst, fpc, arch, extra, _page, _line, _pf1, _cross,
-         _addr2, _line2, _pf2, _seq, _touch, is_int) = op
+         _addr2, _line2, _pf2, _seq, touch, is_int) = op
+        plan = inline_exec_src(inst, n, self.randomized,
+                               getattr(self.flow, "derand_map", None))
+        if plan is None:
+            raise TraceCompileError("no template for %s" % inst.text())
         self._register(op, n)
 
         fetch = self._fetch_lines(op)
-        if is_int:
-            self._emit_int(w, op, n, fetch)
-            return
-        exec_lines, drain, exec_stall = self._exec_plan(op, n)
-        uses_stall = bool(fetch) or exec_stall or extra > 0
-
+        lines = plan["lines"]
+        probes = self._stall_lines(plan["loads"], plan["stores"])
+        uses_stall = bool(fetch) or bool(probes) or extra > 0
         w.line("st.pc = %d" % arch)
         if uses_stall:
             w.line("stall = %d" % extra)
         w.extend(fetch)
         w.line("icount += 1")
-        w.extend(exec_lines)
-        if drain:
-            w.line("if events:")
-            w.line("    drc(events, False, 0)")
-        w.extend(self._tracer_lines(n, arch, fpc))
-        w.line("cycle += 1 + stall" if uses_stall else "cycle += 1")
-
-    def _emit_int(self, w, op, n, fetch):
-        """``int``: the only op whose handler can raise ExitProgram.
-        On exit the pending fetch stall is discarded (reference loop
-        charges a bare ``cycle += 1``), so the except arm records the
-        exiting ``int`` and returns immediately with status 1."""
-        (_handler, inst, fpc, arch, extra, *_rest) = op
-        uses_stall = bool(fetch) or extra > 0
-        syscall, *after = inline_exec_src(inst, n, self.randomized)["lines"]
-        w.line("st.pc = %d" % arch)
-        if uses_stall:
-            w.line("stall = %d" % extra)
-        w.extend(fetch)
-        w.line("icount += 1")
-        w.line("st.icount = icount")
-        w.line("try:")
-        w.line("    " + syscall)
-        w.line("except X:")
-        w.line("    cycle += 1")
-        w.extend(self._tracer_lines(n, arch, fpc), extra=1)
-        w.line("    return (1, %d)" % fpc)
-        w.extend(after)
-        if self.record_events:
+        if is_int:  # syscalls observe ``st.icount``
+            syscall, *lines = lines
+            w.line("st.icount = icount")
+            w.line("try:")
+            w.line("    " + syscall)
+            w.line("except X:")
+            w.line("    cycle += 1")
+            w.extend(self._tracer_lines(n, arch, fpc), extra=1)
+            w.line("    return (1, %d)" % fpc)
+        if touch:
+            w.line("st.last_load_addr = None")
+            w.line("st.last_store_addr = None")
+        w.extend(lines)
+        w.extend(probes)
+        if self.record_events and plan["can_event"]:
             w.line("if events:")
             w.line("    drc(events, False, 0)")
         w.extend(self._tracer_lines(n, arch, fpc))

@@ -198,10 +198,6 @@ class FaultPlan:
             )
         return kind
 
-    @property
-    def empty(self) -> bool:
-        return not self.schedule and not self.rates
-
 
 # -- injection points --------------------------------------------------------
 

@@ -25,7 +25,9 @@ Coverage guidance is deliberately simple: every emitted idiom and
 instruction form is a *feature* recorded in a shared
 :class:`Coverage` map, and random choices are biased toward the
 least-covered candidates, so a session's programs collectively sweep
-the feature space instead of resampling the easy middle.
+the feature space instead of resampling the easy middle.  Each choice
+is noted under the candidate it picked, so the counts the bias reads
+are the picks themselves.
 """
 
 from __future__ import annotations
@@ -51,6 +53,18 @@ SCRATCH_REGS = ("eax", "ecx", "edx", "ebx", "esi", "edi")
 
 #: Condition-code suffixes of the Jcc family.
 CC_SUFFIXES = ("z", "nz", "l", "ge", "le", "g", "b", "ae")
+
+#: The kinds of straight-line op :meth:`_FunctionEmitter.one_op` picks
+#: from.
+OP_KINDS = (
+    "alu:rr", "alu:ri", "movi", "mov:rr", "load", "store", "shift",
+    "imul", "lea", "pushpop", "nop", "test:rr", "alu:rm", "alu:mr",
+)
+
+#: ALU ops with a load form (``op r, [m]``) and with a store form
+#: (``op [m], r``, which ``imul`` lacks).
+ALU_LOAD_OPS = ("add", "sub", "cmp", "test", "and", "or", "xor", "imul")
+ALU_STORE_OPS = ALU_LOAD_OPS[:-1]
 
 
 class Coverage:
@@ -167,20 +181,32 @@ class _FunctionEmitter:
         self.gen.features.append(feature)
         return feature
 
+    def choose(self, candidates: Sequence[str]) -> str:
+        """Pick one of ``candidates`` by coverage and note the pick, so
+        the counts :meth:`Coverage.choose` favours by are its picks."""
+        return self.note(self.gen.coverage.choose(self.rng, candidates))
+
     # -- straight-line ops -------------------------------------------------
 
     def random_ops(self, count: int) -> None:
         for _ in range(count):
             self.one_op()
 
+    def array_operand(self, regs: List[str]):
+        """Point a register at a random data-array word; returns the
+        ``[base+disp]`` operand and a register of ``regs`` other than
+        ``base`` (``base`` itself when there is none)."""
+        rng = self.rng
+        base = self.pick_reg()
+        array = rng.choice(self.gen.arrays)
+        disp = 4 * rng.randrange(self.gen.config.array_words)
+        self.emit("movi %s, %s" % (base, array))
+        other = rng.choice([r for r in regs if r != base] or [base])
+        return "[%s+%d]" % (base, disp), other
+
     def one_op(self) -> None:
         rng = self.rng
-        choices = [
-            "alu:rr", "alu:ri", "movi", "mov:rr", "load", "store",
-            "shift", "imul", "lea", "pushpop", "nop", "test:rr",
-            "alu:rm", "alu:mr",
-        ]
-        kind = self.gen.coverage.choose(rng, choices)
+        kind = self.choose(OP_KINDS)
         regs = self.free_regs()
         r1, r2 = rng.choice(regs), rng.choice(regs)
         if kind == "alu:rr":
@@ -193,26 +219,26 @@ class _FunctionEmitter:
             self.note("%s:ri" % op)
         elif kind == "movi":
             self.emit("movi %s, %d" % (r1, rng.randrange(1 << 24)))
-            self.note("movi")
         elif kind == "mov:rr":
             self.emit("mov %s, %s" % (r1, r2))
-            self.note("mov:rr")
         elif kind == "load":
-            base = self.pick_reg()
-            array = rng.choice(self.gen.arrays)
-            disp = 4 * rng.randrange(self.gen.config.array_words)
-            self.emit("movi %s, %s" % (base, array))
-            dst = rng.choice([r for r in regs if r != base] or [base])
-            self.emit("mov %s, [%s+%d]" % (dst, base, disp))
+            mem, dst = self.array_operand(regs)
+            self.emit("mov %s, %s" % (dst, mem))
             self.note("mov:rm")
         elif kind == "store":
-            base = self.pick_reg()
-            array = rng.choice(self.gen.arrays)
-            disp = 4 * rng.randrange(self.gen.config.array_words)
-            self.emit("movi %s, %s" % (base, array))
-            src = rng.choice([r for r in regs if r != base] or [base])
-            self.emit("mov [%s+%d], %s" % (base, disp, src))
+            mem, src = self.array_operand(regs)
+            self.emit("mov %s, %s" % (mem, src))
             self.note("mov:mr")
+        elif kind == "alu:rm":
+            op = rng.choice(ALU_LOAD_OPS)
+            mem, dst = self.array_operand(regs)
+            self.emit("%s %s, %s" % (op, dst, mem))
+            self.note("%s:rm" % op)
+        elif kind == "alu:mr":
+            op = rng.choice(ALU_STORE_OPS)
+            mem, src = self.array_operand(regs)
+            self.emit("%s %s, %s" % (op, mem, src))
+            self.note("%s:mr" % op)
         elif kind == "shift":
             op = rng.choice(("shl", "shr", "sar"))
             self.emit("%s %s, %d" % (op, r1, rng.randrange(1, 9)))
@@ -229,13 +255,10 @@ class _FunctionEmitter:
             self.emit("push %s" % r1)
             self.one_op()
             self.emit("pop %s" % r2)
-            self.note("pushpop")
         elif kind == "nop":
             self.emit("nop")
-            self.note("nop")
         else:  # test:rr
             self.emit("test %s, %s" % (r1, r2))
-            self.note("test:rr")
 
     # -- structured idioms -------------------------------------------------
 
@@ -252,15 +275,12 @@ class _FunctionEmitter:
         self.emit("cmp %s, %d" % (counter, bound))
         self.emit("jl %s" % top)
         self.reserved.discard(counter)
-        self.note("idiom:loop")
 
     def diamond(self) -> None:
         """``if/else`` over a data-dependent comparison."""
         rng = self.rng
         reg = self.pick_reg()
-        cc = self.gen.coverage.choose(
-            rng, ["j%s" % suffix for suffix in CC_SUFFIXES]
-        )
+        cc = self.choose(["j%s" % suffix for suffix in CC_SUFFIXES])
         other = self.local_label("else")
         join = self.local_label("join")
         self.emit("cmp %s, %d" % (reg, rng.randrange(1 << 12)))
@@ -270,8 +290,6 @@ class _FunctionEmitter:
         self.emit_label(other)
         self.random_ops(rng.randint(1, 2))
         self.emit_label(join)
-        self.note(cc)
-        self.note("idiom:diamond")
 
     def short_skip(self) -> None:
         """A ``jmp8`` hop — the rel8 encoding the randomizer cannot
@@ -281,7 +299,6 @@ class _FunctionEmitter:
         self.random_ops(1)
         self.emit_label(target)
         self.note("jmp8")
-        self.note("idiom:short_skip")
 
     def switch(self) -> None:
         """Indirect ``jmpi`` dispatch through a data-section label table."""
@@ -308,11 +325,6 @@ class _FunctionEmitter:
             self.emit("jmp %s" % join)
         self.emit_label(join)
         self.note("jmpi:table")
-        self.note("idiom:switch")
-
-    def call_direct(self, callee: str) -> None:
-        self.emit("call %s" % callee)
-        self.note("call")
 
     def call_table(self, callees: List[str]) -> None:
         """Indirect call through a function-pointer table."""
@@ -330,7 +342,6 @@ class _FunctionEmitter:
         self.emit("movi %s, %s" % (scratch, table))
         self.emit("add %s, %s" % (scratch, index_reg))
         self.emit("calli [%s+0]" % scratch)
-        self.note("calli:table")
         self.note("idiom:funcptr_call")
 
     def call_stored_pointer(self, callee: str) -> None:
@@ -351,15 +362,12 @@ class _FunctionEmitter:
         self.emit("calli [%s+%d]" % (base, slot))
         self.emit("movi %s, %s" % (base, array))
         self.emit("movi %s, 0" % base)
-        self.note("calli:stored")
         self.note("idiom:code_pointer_store")
 
     def emit_output(self) -> None:
         """Fold a register into the global accumulator and EMIT it."""
         rng = self.rng
-        kind = self.gen.coverage.choose(
-            rng, ["sys:emit", "sys:putc", "sys:icount"]
-        )
+        kind = self.choose(["sys:emit", "sys:putc", "sys:icount"])
         reg = rng.choice([r for r in self.free_regs()
                           if r not in ("eax", "ebx")] or ["edx"])
         if kind == "sys:icount":
@@ -368,7 +376,6 @@ class _FunctionEmitter:
             self.emit("movi eax, 7")
             self.emit("int 0x80")
             self.emit("mov %s, eax" % reg)
-            self.note("sys:icount")
         self.emit("movi esi, g_acc")
         self.emit("mov edx, [esi+0]")
         self.emit("add edx, %s" % reg)
@@ -378,12 +385,10 @@ class _FunctionEmitter:
             self.emit("and ebx, 127")
             self.emit("movi eax, 4")
             self.emit("int 0x80")
-            self.note("sys:putc")
         else:
             self.emit("mov ebx, edx")
             self.emit("movi eax, 5")
             self.emit("int 0x80")
-            self.note("sys:emit")
 
 
 class ProgramGenerator:
@@ -461,7 +466,7 @@ class ProgramGenerator:
         segments = rng.randint(1, 3)
         for _ in range(segments):
             fe.random_ops(rng.randint(cfg.min_ops, cfg.max_ops))
-            idiom = self.coverage.choose(rng, [
+            idiom = fe.choose([
                 "idiom:loop", "idiom:diamond", "idiom:switch",
                 "idiom:short_skip", "idiom:none",
             ])
@@ -478,11 +483,9 @@ class ProgramGenerator:
         callees = ["fn%d" % j for j in range(idx + 1, num_funcs)]
         rng.shuffle(callees)
         for callee in callees[: rng.randint(0, 2)]:
-            how = self.coverage.choose(rng, [
-                "call", "calli:table", "calli:stored",
-            ])
+            how = fe.choose(["call", "calli:table", "calli:stored"])
             if how == "call":
-                fe.call_direct(callee)
+                fe.emit("call %s" % callee)
             elif how == "calli:table":
                 pool = callees[: rng.randint(1, len(callees))]
                 fe.call_table(pool if callee in pool else pool + [callee])

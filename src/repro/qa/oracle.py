@@ -553,8 +553,8 @@ def _check_rerandomization(program, reference, cfg, report):
                 current = epochs[epoch]
                 apply_rerandomization(cpu, current)
             if not finished:
-                finished = cpu.run_slice(cfg.max_instructions)
-            result = cpu._result(finished=finished, warmup=0)
+                cpu.run_slice(cfg.max_instructions)
+            result = cpu.result()
         except Exception:
             report.add("crash:%s" % label, traceback.format_exc())
             return None

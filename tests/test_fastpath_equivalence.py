@@ -123,8 +123,8 @@ class TestResultEquivalence:
             assert fast.cycle == ref.cycle
             assert fast.state.icount == ref.state.icount
             assert fast.state.pc == ref.state.pc
-        result_fast = fast._result(finished=fast._finished, warmup=0)
-        result_ref = ref._result(finished=ref._finished, warmup=0)
+        result_fast = fast.result()
+        result_ref = ref.result()
         assert _comparable(result_fast.to_dict()) == _comparable(
             result_ref.to_dict()
         )
@@ -170,8 +170,8 @@ class TestFastTiersStandAlone:
             assert fast.run_slice(chunk) == ref.run_slice(chunk)
             assert (fast.cycle, fast.state.icount, fast.state.pc) == (
                 ref.cycle, ref.state.icount, ref.state.pc)
-        result_fast = fast._result(finished=fast._finished, warmup=0)
-        result_ref = ref._result(finished=ref._finished, warmup=0)
+        result_fast = fast.result()
+        result_ref = ref.result()
         assert _comparable(result_fast.to_dict()) == _comparable(
             result_ref.to_dict()
         )
@@ -283,7 +283,7 @@ class TestInvalidation:
             apply_rerandomization(cpu, fresh)
             after = len(cpu._blockcache)
             cpu.run_slice(BUDGET)
-            result = cpu._result(finished=cpu._finished, warmup=0)
+            result = cpu.result()
             return before, after, result
 
         before_fast, after_fast, result_fast = run(True)
@@ -325,7 +325,7 @@ class TestInvalidation:
             # movi's imm32 field sits one byte past the opcode.
             cpu.rewrite_code(patch_addr + 1, struct.pack("<I", 99))
             cpu.run_slice(1_000_000)
-            return cpu._result(finished=cpu._finished, warmup=0)
+            return cpu.result()
 
         result_fast = run(True)
         result_ref = run(False)

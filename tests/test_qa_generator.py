@@ -1,5 +1,10 @@
 """The qa program generator: deterministic, valid, terminating, diverse."""
 
+import re
+from collections import Counter
+
+import pytest
+
 from repro.arch.functional import FunctionalCPU
 from repro.ilr import make_flow
 from repro.qa import Coverage, GeneratorConfig, ProgramGenerator
@@ -91,3 +96,52 @@ class TestConfig:
         source = ProgramGenerator(seed=1, config=cfg).generate(0).source
         assert "fn0:" in source and "fn1:" in source
         assert "fn2:" not in source
+
+
+#: The kinds of straight-line op ``one_op`` picks from.
+OP_KINDS = {"alu:rr", "alu:ri", "movi", "mov:rr", "load", "store", "shift",
+            "imul", "lea", "pushpop", "nop", "test:rr", "alu:rm", "alu:mr"}
+
+
+class _CountingCoverage(Coverage):
+    """Coverage that also counts each choice point's picks: candidate
+    set -> Counter of picks."""
+
+    def __init__(self):
+        super().__init__()
+        self.picks = {}
+
+    def choose(self, rng, candidates):
+        pick = super().choose(rng, candidates)
+        self.picks.setdefault(frozenset(candidates), Counter())[pick] += 1
+        return pick
+
+
+@pytest.fixture(scope="module")
+def seed_one():
+    """``make fuzz-quick``'s stream: seed 1's first 200 programs."""
+    coverage = _CountingCoverage()
+    gen = ProgramGenerator(seed=1, coverage=coverage)
+    source = "\n".join(gen.generate(i).source for i in range(200))
+    return source, coverage.picks
+
+
+class TestChoices:
+    def test_alu_memory_forms_are_emitted(self, seed_one):
+        source, _picks = seed_one
+        loads = set(re.findall(r"^ +(\w+) \w+, \[", source, re.M))
+        stores = set(re.findall(r"^ +(\w+) \[[^]]*\], \w+$", source, re.M))
+        alu = {"add", "sub", "cmp", "test", "and", "or", "xor"}
+        assert alu | {"imul"} <= loads
+        assert alu <= stores
+
+    def test_every_choice_is_picked_about_equally_often(self, seed_one):
+        """The least-covered bias reads counts of what it picked, so each
+        choice point (op kinds, idioms, calls, output syscalls, branch
+        conditions) spreads its picks evenly."""
+        _source, picks = seed_one
+        assert set(picks[frozenset(OP_KINDS)]) == OP_KINDS
+        for candidates, counts in picks.items():
+            even = sum(counts.values()) / len(candidates)
+            assert all(0.9 * even <= counts[c] <= 1.1 * even
+                       for c in candidates), counts

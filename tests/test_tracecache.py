@@ -6,7 +6,8 @@ the block fast path beneath it, it is contractually a pure host-side
 optimization: cycle counts, every simulated statistic, checkpoints and
 outputs must be bit-identical to the reference loop.  These tests pin
 that contract on the paths where generated code is easiest to get
-wrong — guard side-exits on mispredicted intra-trace branches,
+wrong — every terminal and every ALU load and store form inside a
+compiled loop, guard side-exits on mispredicted intra-trace branches,
 self-modifying code landing mid-trace, re-randomization epochs rotating
 tables out from under compiled traces — plus the exact
 invalidation-window accounting both caches share, the exclusion of
@@ -304,6 +305,46 @@ class TestTerminalCoverage:
                 ref.to_dict()), mode
 
 
+#: (op, mode) for every ALU op in load form and in store form; ``imul``
+#: has no store form.
+_ALU_MEMORY_CASES = (
+    [(op, opcodes.MODE_RM) for op in ("add", "sub", "cmp", "test", "and",
+                                      "or", "xor", "imul")]
+    + [(op, opcodes.MODE_MR) for op in ("add", "sub", "cmp", "test", "and",
+                                        "or", "xor")]
+)
+
+
+class TestAluMemoryForms:
+    """Every ALU op's load and store form inside a compiled trace, held
+    to the reference loop in every mode.  The cell starts near the
+    signed maximum and the store forms rewrite it, so the ``jl`` after
+    the op sees its flags go both ways."""
+
+    @pytest.mark.parametrize(
+        "op,mode", _ALU_MEMORY_CASES,
+        ids=["%s-%s" % (op, "rm" if mode == opcodes.MODE_RM else "mr")
+             for op, mode in _ALU_MEMORY_CASES])
+    def test_memory_form_is_traced_and_exact(self, op, mode):
+        load = mode == opcodes.MODE_RM
+        body = ["movi esi, cell",
+                "%s edx, [esi+0]" % op if load else "%s [esi+0], ecx" % op,
+                "jl below", "add edx, 1", "below:"]
+        if not load:  # the stored word reaches the output
+            body.append("add edx, [esi+0]")
+        image = _loop_image(body, data=("cell:", ".word 2147483600"))
+        for mode_name, cpu, result, ref in _run_modes(image, _config()):
+            assert any(_op(op, mode)(inst, left)
+                       for inst, left in _traced_ops(cpu)), (
+                "%s: no compiled trace holds the op" % mode_name)
+            stats = cpu.tier_stats()["traces"]
+            assert stats["entries"] > 0
+            assert stats["compile_failures"] == 0
+            assert result.finished
+            assert _comparable(result.as_dict()) == _comparable(
+                ref.as_dict()), mode_name
+
+
 class TestLoopOnlySelection:
     """Only a recording that closes on its anchor is compiled; one that
     revisits another member or outgrows a cap is rejected and its
@@ -390,7 +431,7 @@ class TestGuardBailout:
             traced_before = len(cpu._tracecache) if cpu._tracecache else 0
             cpu.rewrite_code(patch_addr + 1, struct.pack("<I", 99))
             cpu.run_slice(1_000_000)
-            result = cpu._result(finished=cpu._finished, warmup=0)
+            result = cpu.result()
             return cpu, traced_before, result
 
         cpu, traced_before, result = run(_config())
@@ -415,7 +456,7 @@ class TestGuardBailout:
             apply_rerandomization(cpu, fresh)
             traced_after = len(cpu._tracecache) if cpu._tracecache else 0
             cpu.run_slice(120_000)
-            result = cpu._result(finished=cpu._finished, warmup=0)
+            result = cpu.result()
             return cpu, traced_before, traced_after, result
 
         cpu, before, after, result = run(_config(hot=1))
@@ -567,7 +608,7 @@ class TestInvalidationWindows:
                 continue
             start, size = gap
             cache.invalidate_range(start, size)
-            assert cache.get(anchor) is trace, (
+            assert cache.traces.get(anchor) is trace, (
                 "gap write must not drop the trace")
             break
         else:
@@ -575,7 +616,7 @@ class TestInvalidationWindows:
 
         anchor, trace = next(iter(cache.traces.items()))
         cache.invalidate_range(trace.hi - 1, 1)
-        assert cache.get(anchor) is None, (
+        assert cache.traces.get(anchor) is None, (
             "write into the last member instruction must drop the trace")
 
 
@@ -666,7 +707,7 @@ def sources(monkeypatch):
 
 def _sliced_result(cpu):
     """The result of a CPU driven by ``run_slice``."""
-    return cpu._result(finished=cpu._finished, warmup=0)
+    return cpu.result()
 
 
 class TestProcessCodeCache:
