@@ -45,7 +45,7 @@ from .dram import DRAM, DRAMStats
 from .executor import CTRL_HALT, CTRL_NONE, EXEC_EXTRA, execute
 from .memory import SparseMemory
 from .power import EnergyParams, compute_energy
-from .simstats import Checkpoint, SimResult, ratio
+from .simstats import SimResult, ratio
 from .state import ExitProgram, MachineState
 from .tlb import TLB
 from .tracecache import TraceCache
@@ -148,16 +148,7 @@ class CycleCPU:
         #: sets e.g. ``{"workload": "gcc"}``; the CPU adds ``mode``).
         self.event_fields = dict(event_fields or {})
         self.checkpoint_interval = max(0, checkpoint_interval)
-        self.checkpoints = []
-        self._next_checkpoint = _NO_CHECKPOINT
-        self._ckpt_icount = 0
-        self._ckpt_cycle = 0
-        self._ckpt_il1_acc = 0
-        self._ckpt_il1_miss = 0
-        self._ckpt_drc_lookups = 0
-        self._ckpt_drc_misses = 0
-        self._ckpt_drc_evictions = 0
-        self._run_t0 = 0.0
+        self._arm_checkpoints()
 
         self.event_fields.setdefault(
             "mode", getattr(flow, "name", "unknown")
@@ -327,7 +318,7 @@ class CycleCPU:
             il1_miss_rate=round(result.il1_miss_rate, 6),
             drc_miss_rate=round(result.drc_miss_rate, 6),
             finished=result.finished,
-            checkpoints=len(result.checkpoints),
+            checkpoints=self._checkpoints_taken,
             host_seconds=round(time.perf_counter() - self._run_t0, 6),
             tiers=self.tier_stats() if self.events.enabled else None,
             **self.event_fields,
@@ -658,65 +649,53 @@ class CycleCPU:
             )
         else:
             self._next_checkpoint = _NO_CHECKPOINT
-        self.checkpoints = []
-        self._ckpt_icount = self.state.icount
-        self._ckpt_cycle = self.cycle
-        il1 = self.il1.stats
-        self._ckpt_il1_acc = il1.accesses
-        self._ckpt_il1_miss = il1.misses
-        drc = self.drc.stats
-        self._ckpt_drc_lookups = drc.lookups
-        self._ckpt_drc_misses = drc.misses
-        self._ckpt_drc_evictions = drc.evictions
+        self._window = self._window_counters()
+        self._checkpoints_taken = 0
         self._run_t0 = time.perf_counter()
 
-    def _take_checkpoint(self) -> None:
-        """Sample the window since the previous checkpoint."""
-        icount = self.state.icount
-        delta_instr = icount - self._ckpt_icount
-        if delta_instr <= 0:
-            self._next_checkpoint = icount + (
-                self.checkpoint_interval or _NO_CHECKPOINT
-            )
-            return
+    def _window_counters(self) -> tuple:
+        """The counters a checkpoint window spans: retired instructions,
+        cycles, IL1 accesses and misses, DRC lookups, misses and
+        evictions."""
         il1 = self.il1.stats
         drc = self.drc.stats
-        delta_cycle = self.cycle - self._ckpt_cycle
-        checkpoint = Checkpoint(
-            instructions=icount - self._warmup_icount,
-            cycles=self.cycle - self._warmup_cycle,
-            ipc=ratio(delta_instr, delta_cycle),
-            il1_miss_rate=ratio(il1.misses - self._ckpt_il1_miss,
-                                il1.accesses - self._ckpt_il1_acc),
-            drc_miss_rate=ratio(drc.misses - self._ckpt_drc_misses,
-                                drc.lookups - self._ckpt_drc_lookups),
-            host_seconds=time.perf_counter() - self._run_t0,
-        )
-        self.checkpoints.append(checkpoint)
-        if self.events.enabled:
-            self.events.emit(
-                "checkpoint", **checkpoint.as_dict(), **self.event_fields
-            )
-            evictions = drc.evictions - self._ckpt_drc_evictions
-            if evictions:
-                self.events.emit(
-                    "drc_evict",
-                    evictions=evictions,
-                    lookups=drc.lookups - self._ckpt_drc_lookups,
-                    misses=drc.misses - self._ckpt_drc_misses,
-                    instructions=checkpoint.instructions,
-                    **self.event_fields,
-                )
-        self._ckpt_icount = icount
-        self._ckpt_cycle = self.cycle
-        self._ckpt_il1_acc = il1.accesses
-        self._ckpt_il1_miss = il1.misses
-        self._ckpt_drc_lookups = drc.lookups
-        self._ckpt_drc_misses = drc.misses
-        self._ckpt_drc_evictions = drc.evictions
-        self._next_checkpoint = icount + (
+        return (self.state.icount, self.cycle, il1.accesses, il1.misses,
+                drc.lookups, drc.misses, drc.evictions)
+
+    def _take_checkpoint(self) -> None:
+        """Log the window since the previous checkpoint: a ``checkpoint``
+        record, and a ``drc_evict`` record when the DRC evicted."""
+        start, now = self._window, self._window_counters()
+        self._next_checkpoint = now[0] + (
             self.checkpoint_interval or _NO_CHECKPOINT
         )
+        if now[0] <= start[0]:
+            return
+        self._window = now
+        self._checkpoints_taken += 1
+        if not self.events.enabled:
+            return
+        (instructions, cycles, il1_accesses, il1_misses,
+         lookups, misses, evictions) = (b - a for a, b in zip(start, now))
+        retired = now[0] - self._warmup_icount
+        self.events.emit(
+            "checkpoint",
+            instructions=retired,
+            cycles=now[1] - self._warmup_cycle,
+            ipc=ratio(instructions, cycles),
+            il1_miss_rate=ratio(il1_misses, il1_accesses),
+            drc_miss_rate=ratio(misses, lookups),
+            **self.event_fields,
+        )
+        if evictions:
+            self.events.emit(
+                "drc_evict",
+                evictions=evictions,
+                lookups=lookups,
+                misses=misses,
+                instructions=retired,
+                **self.event_fields,
+            )
 
     # -- bookkeeping ----------------------------------------------------------------------------
 
@@ -741,9 +720,10 @@ class CycleCPU:
         """The run's statistics so far, as :meth:`run` reports them;
         callers that drive :meth:`run_slice` read their result here.
         ``warmup_instructions`` is only recorded in the result."""
-        # Close out observability state: a final partial-window sample,
-        # so short runs still report trailing progress.
-        if self.checkpoint_interval and self.state.icount > self._ckpt_icount:
+        # Close out observability state: a final partial-window sample
+        # (none when the window is empty), so short runs still report
+        # trailing progress.
+        if self.checkpoint_interval:
             self._take_checkpoint()
 
         state = self.state
@@ -772,7 +752,6 @@ class CycleCPU:
             drc_lookups=self.drc.stats.lookups,
             drc_misses=self.drc.stats.misses,
             drc_bitmap_probes=self.drc.stats.bitmap_probes,
-            checkpoints=list(self.checkpoints),
         )
         result.energy = compute_energy(
             self._activity(result), EnergyParams(), self.config.drc.entries

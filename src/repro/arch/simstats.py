@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..isa.syscalls import OutputStream
 from .power import EnergyBreakdown
@@ -45,59 +45,6 @@ def miss_rate(stats: Dict[str, int],
     return ratio(stats[misses], stats[accesses])
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """One periodic progress sample of a running simulation.
-
-    Rates are *instantaneous* — computed over the window since the
-    previous checkpoint — so a sequence of checkpoints is an
-    IPC/miss-rate-over-time curve, not a running average.
-    """
-
-    #: retired instructions at sample time (cumulative, post-warmup).
-    instructions: int
-    #: simulated cycles at sample time (cumulative, post-warmup).
-    cycles: int
-    #: instantaneous IPC over the window since the previous checkpoint.
-    ipc: float
-    #: instantaneous IL1 miss rate over the window.
-    il1_miss_rate: float
-    #: instantaneous DRC miss rate over the window (0.0 outside VCFR).
-    drc_miss_rate: float
-    #: host wall-clock seconds since the run started.
-    host_seconds: float
-
-    def as_dict(self) -> dict:
-        """Lossless JSON form: ``from_dict(as_dict())`` is an identity.
-
-        Rates are serialized at full float precision (Python's JSON
-        repr round-trips doubles exactly).  Rounding here used to make
-        a cache-hit :meth:`SimResult.from_dict` differ from the fresh
-        run it was supposed to be bit-identical to — the sweep engine's
-        merged-results contract; display-side rounding belongs to event
-        emission and report formatting, not the serialization.
-        """
-        return {
-            "instructions": self.instructions,
-            "cycles": self.cycles,
-            "ipc": self.ipc,
-            "il1_miss_rate": self.il1_miss_rate,
-            "drc_miss_rate": self.drc_miss_rate,
-            "host_seconds": self.host_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Checkpoint":
-        return cls(
-            instructions=data["instructions"],
-            cycles=data["cycles"],
-            ipc=data["ipc"],
-            il1_miss_rate=data["il1_miss_rate"],
-            drc_miss_rate=data["drc_miss_rate"],
-            host_seconds=data.get("host_seconds", 0.0),
-        )
-
-
 @dataclass
 class SimResult:
     """Timing + activity + architectural outcome of one run."""
@@ -133,9 +80,6 @@ class SimResult:
 
     # Power.
     energy: Optional[EnergyBreakdown] = None
-
-    #: periodic progress samples (empty unless checkpointing was enabled).
-    checkpoints: List[Checkpoint] = field(default_factory=list)
 
     @property
     def ipc(self) -> float:
@@ -217,7 +161,11 @@ class SimResult:
             "energy": (
                 dict(self.energy.by_structure) if self.energy else None
             ),
-            "checkpoints": [cp.as_dict() for cp in self.checkpoints],
+            # Always empty: progress samples live only in the event log
+            # (``checkpoint`` records).  The key stays only because the
+            # digests of ``to_dict()`` in perfbench/golden.json include
+            # it; from_dict ignores it, so older entries with samples load.
+            "checkpoints": [],
         }
 
     #: Alias so callers used to the common ``to_dict`` spelling (and the
@@ -258,10 +206,6 @@ class SimResult:
             drc_misses=data.get("drc_misses", 0),
             drc_bitmap_probes=data.get("drc_bitmap_probes", 0),
             energy=energy,
-            checkpoints=[
-                Checkpoint.from_dict(cp)
-                for cp in data.get("checkpoints", [])
-            ],
         )
 
     def summary(self) -> str:
@@ -280,11 +224,5 @@ class SimResult:
                 "drc lookups=%d miss rate=%.4f power overhead=%.4f%%"
                 % (self.drc_lookups, self.drc_miss_rate,
                    self.drc_power_overhead_percent)
-            )
-        if self.checkpoints:
-            first, last = self.checkpoints[0], self.checkpoints[-1]
-            lines.append(
-                "checkpoints=%d ipc %0.4f -> %0.4f"
-                % (len(self.checkpoints), first.ipc, last.ipc)
             )
         return "\n".join(lines)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..arch.functional import FunctionalCPU, RunResult
 from ..ilr.flow import NaiveILRFlow
@@ -38,10 +38,6 @@ class EmulationResult:
     run: RunResult
     host_instructions: int
     counters: HostCostCounters
-    #: periodic progress samples: dicts with guest ``instructions``,
-    #: cumulative ``host_instructions``, instantaneous ``host_per_guest``
-    #: over the window, and ``host_seconds`` wall time.
-    checkpoints: List[dict] = field(default_factory=list)
 
     def slowdown_vs(self, native_cycles: int, host_ipc: float = 1.0) -> float:
         """Fig. 2 metric: emulated host cycles over native cycles."""
@@ -61,7 +57,10 @@ class EmulationResult:
         accounting — and is the canonical payload for integrity digests
         (:mod:`repro.harness.sweep`) and round-trip checks.
         ``from_dict(as_dict())`` reproduces every one of these fields
-        bit-identically (``run.state`` comes back as ``None``).
+        bit-identically (``run.state`` comes back as ``None``).  Progress
+        samples are not part of it: they are the event log's
+        ``checkpoint`` records, so a result is the same whoever watched
+        the run.
         """
         run = self.run
         output = {
@@ -75,7 +74,6 @@ class EmulationResult:
             "output": output,
             "host_instructions": self.host_instructions,
             "counters": dict(self.counters.by_activity),
-            "checkpoints": [dict(cp) for cp in self.checkpoints],
         }
 
     @classmethod
@@ -97,7 +95,6 @@ class EmulationResult:
             run=run,
             host_instructions=data.get("host_instructions", 0),
             counters=counters,
-            checkpoints=[dict(cp) for cp in data.get("checkpoints", [])],
         )
 
 
@@ -141,7 +138,6 @@ class ILREmulator(FunctionalCPU):
         self.events = events if events is not None else EventLog()
         self.checkpoint_interval = max(0, checkpoint_interval)
         self.event_fields = {"mode": "emulate", **(event_fields or {})}
-        self.checkpoints: List[dict] = []
         #: vPC -> what its charges depend on: (length, memory op?, syscall?)
         self._static: Dict[int, Tuple[int, bool, bool]] = {}
 
@@ -200,15 +196,11 @@ class ILREmulator(FunctionalCPU):
             if (interval and not terminated
                     and state.icount == last_icount + interval):
                 host = self._settle(exited=False).total
-                checkpoint = {
-                    "instructions": state.icount,
-                    "host_instructions": host,
-                    "host_per_guest": round((host - last_host) / interval, 3),
-                    "host_seconds": round(time.perf_counter() - run_t0, 6),
-                }
-                self.checkpoints.append(checkpoint)
-                self.events.emit("checkpoint", **checkpoint,
-                                 **self.event_fields)
+                self.events.emit(
+                    "checkpoint", instructions=state.icount,
+                    host_instructions=host,
+                    host_per_guest=round((host - last_host) / interval, 3),
+                    **self.event_fields)
                 last_icount, last_host = state.icount, host
 
         counters = self._settle(exited=terminated and not self.halted)
@@ -225,5 +217,4 @@ class ILREmulator(FunctionalCPU):
             run=run,
             host_instructions=counters.total,
             counters=counters,
-            checkpoints=list(self.checkpoints),
         )

@@ -17,8 +17,8 @@ memory::
     for outcome in session.stream(grid()):   # generator-fed streaming
         ...
 
-Engine-level knobs a session does not expose (an explicit program
-memo, an event log without checkpoints) are arguments of
+The one engine-level knob a session does not expose, an explicit
+program memo, is an argument of
 ``AsyncScheduler(config, ...).stream(specs)``.
 
 Or from the command line::

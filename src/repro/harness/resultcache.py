@@ -43,9 +43,7 @@ never leave a half-written entry, and unreadable/corrupt entries
 degrade to cache misses rather than errors.
 
 Observability settings (event sinks, checkpoint cadence, progress) are
-deliberately **not** part of the key: they must never change a result's
-architectural numbers.  The one observable consequence is that a cached
-result carries the progress checkpoints of the run that produced it.
+deliberately **not** part of the key: they never change a result.
 """
 
 from __future__ import annotations

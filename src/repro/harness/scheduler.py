@@ -235,11 +235,11 @@ class AsyncScheduler:
     config, workers, cache/store/tracer/events, retry, faults — and
     iterate :meth:`stream` over any spec iterable.  The
     :class:`~repro.harness.session.ExperimentSession` facade constructs
-    schedulers for callers; construct one directly only for an engine
-    argument a session does not expose (``program_cache``, an event log
-    without checkpoints).  Attempts are traced whenever their spans are
-    read (:attr:`trace_attempts`): by the tracer, the event log's
-    ``phase`` records or a store row's rollup.
+    schedulers for callers; construct one directly only for the engine
+    argument a session does not expose (``program_cache``).  Attempts
+    are traced whenever their spans are read (:attr:`trace_attempts`):
+    by the tracer, the event log's ``phase`` records or a store row's
+    rollup.
     """
 
     def __init__(

@@ -38,10 +38,9 @@ A session always memoizes programs and, whenever its event log is
 enabled (by a sink, or by an observer such as
 :class:`~repro.harness.dashboard.Progress` that reads it),
 checkpoints cycle simulations.  It keeps no tracer of its own
-(a retained one would grow with every spec).  Callers that need an
-engine argument a session does not expose — an explicit
-``program_cache``, an event log without checkpoints — drive
-:meth:`AsyncScheduler(config, ...).stream(specs)
+(a retained one would grow with every spec).  Callers that need the
+one engine argument a session does not expose — an explicit
+``program_cache`` — drive :meth:`AsyncScheduler(config, ...).stream(specs)
 <repro.harness.scheduler.AsyncScheduler.stream>` directly.
 """
 

@@ -8,8 +8,11 @@ and ``tenant_point``; the dashboard follows the spec, checkpoint and
 run-end edges):
 
 ``run_start``        one simulation/emulation begins (workload, mode)
-``checkpoint``       periodic progress sample (instantaneous IPC, miss
-                     rates since the previous checkpoint)
+``checkpoint``       periodic progress sample, the only copy kept (a
+                     cycle run: retired instructions and cycles, and
+                     IPC, IL1 and DRC miss rates since the previous
+                     checkpoint; an emulation: guest and host
+                     instructions, host per guest over the window)
 ``phase``            a phase span closed (seconds, its ``span`` and
                      ``parent`` ids; see :meth:`repro.obs.trace.Tracer.phase`)
 ``drc_evict``        DRC evictions since the last checkpoint (aggregated

@@ -14,8 +14,8 @@ the whole matrix and cross-checks:
   are, by the paper's construction, semantics-preserving);
 * **fast-path purity** — ``fastpath=True`` (blocks only, and blocks
   with compiled traces) must be *bit-identical* to the reference loop:
-  cycles, every counter, every checkpoint, DRC lookups included — and
-  every trace the trace tier records must compile;
+  cycles and every counter, DRC lookups included — and every trace the
+  trace tier records must compile;
 * **statistics invariants** — misses never exceed accesses, rates stay
   in [0, 1], cycles bound instructions, DRC traffic exists exactly in
   the mode that owns a DRC;
@@ -87,9 +87,6 @@ class OracleConfig:
     rerandomize_epochs: int = 2
     #: verify as_dict/from_dict identities on the produced results.
     check_serialization: bool = True
-    #: checkpoint cadence for the cycle runs (a non-divisor of typical
-    #: block lengths, so the fast path hits the clipped-budget case).
-    checkpoint_interval: int = 777
 
 
 @dataclass
@@ -209,16 +206,6 @@ def _dict_diff(a: dict, b: dict, prefix: str = "") -> str:
         else:
             parts.append("%s%s: %r != %r" % (prefix, key, va, vb))
     return "; ".join(p for p in parts if p)[:500]
-
-
-def _comparable(result: SimResult) -> dict:
-    """Full result dict minus host wall-clock (the one legal delta)."""
-    data = result.as_dict()
-    data["checkpoints"] = [
-        {k: v for k, v in cp.items() if k != "host_seconds"}
-        for cp in data["checkpoints"]
-    ]
-    return data
 
 
 def check_image(image: BinaryImage, *, seed: int,
@@ -477,8 +464,7 @@ def _check_cycle_mode(program, mode, reference, cfg, report):
         label = "cycle:%s:%s" % (mode, tier)
         try:
             cpu = CycleCPU(image, make_flow(mode, program),
-                           _cycle_config(cfg, fastpath, tracepath),
-                           checkpoint_interval=cfg.checkpoint_interval)
+                           _cycle_config(cfg, fastpath, tracepath))
             result = cpu.run(max_instructions=cfg.max_instructions)
         except Exception:
             report.add("crash:%s" % label, traceback.format_exc())
@@ -499,15 +485,12 @@ def _check_cycle_mode(program, mode, reference, cfg, report):
             report.add("invariant:%s" % label, violation)
         if cfg.check_serialization:
             _roundtrip_identity(result, "SimResult", report)
-            for checkpoint in result.checkpoints:
-                _roundtrip_identity(checkpoint, "Checkpoint", report)
-                break  # one per run is plenty
     if "ref" in results:
-        ref = _comparable(results["ref"])
+        ref = results["ref"].as_dict()
         for tier, kind in (("blocks", "fastpath"), ("traces", "tracepath")):
             if tier not in results:
                 continue
-            fast = _comparable(results[tier])
+            fast = results[tier].as_dict()
             if fast != ref:
                 report.add("%s:%s" % (kind, mode),
                            "%s tier not bit-identical to reference: %s"
@@ -579,8 +562,7 @@ def _check_rerandomization(program, reference, cfg, report):
         return
     for tier, kind in (("blocks", "fastpath"), ("traces", "tracepath")):
         fast = results.get(tier)
-        if fast is not None and _comparable(fast) != _comparable(ref):
+        if fast is not None and fast.as_dict() != ref.as_dict():
             report.add("rerandomize:%s" % kind,
                        "rotation broke %s-tier identity: %s"
-                       % (tier, _dict_diff(_comparable(ref),
-                                           _comparable(fast))))
+                       % (tier, _dict_diff(ref.as_dict(), fast.as_dict())))

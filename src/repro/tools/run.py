@@ -10,7 +10,7 @@ Observability: the full shared flag set from :mod:`repro.harness.cli`
 repro.tools.fuzz``): ``--events PATH`` captures a JSONL event log
 (checkpoints every ``--checkpoint-interval`` instructions),
 ``--progress`` prints a heartbeat per checkpoint under ``--timing``
-(``[prog/vcfr] ...``, the harness's line for a file ``prog.rxrp``),
+(``[prog/vcfr@128] ...``, the harness's line for a file ``prog.rxrp``),
 ``--store PATH`` indexes the completed run in the SQLite run store,
 ``--trace-out PATH`` writes the run's span tree as Chrome trace_event
 JSON, and ``--dashboard`` renders a live status block (rolling IPC)
@@ -26,6 +26,7 @@ import os
 import sys
 import time
 
+from ..arch.config import default_config
 from ..arch.cpu import CycleCPU
 from ..arch.functional import run_image
 from ..arch.trace import attach_tracer
@@ -154,13 +155,18 @@ def main(argv=None) -> int:
             flow = make_flow(args.mode, program=program, image=target)
 
             if args.timing:
-                from ..harness.spec import config_fingerprint
+                from ..harness.spec import RunSpec, config_fingerprint
 
+                config = default_config()
+                # Label the records and the store row as the harness
+                # does: only VCFR carries its DRC size (vcfr@128).
+                fields = RunSpec(workload, args.mode,
+                                 config.drc.entries).event_fields()
                 cpu = CycleCPU(
-                    target, flow,
+                    target, flow, config,
                     events=events,
                     checkpoint_interval=checkpoint_interval,
-                    event_fields={"workload": workload},
+                    event_fields=fields,
                 )
                 tracer = None
                 if args.trace:
@@ -177,8 +183,8 @@ def main(argv=None) -> int:
                 print(result.summary())
                 _print_outcome(result.exit_code, result.output)
                 finish(result, time.perf_counter() - start,
-                       drc_entries=cpu.config.drc.entries,
-                       config_digest=config_fingerprint(cpu.config))
+                       drc_entries=fields.get("drc_entries", 0),
+                       config_digest=config_fingerprint(config))
                 return result.exit_code or 0
 
             start = time.perf_counter()

@@ -4,10 +4,13 @@ and fleet CLIs' flags."""
 import argparse
 import hashlib
 import json
+import sqlite3
 
 import pytest
 
+from repro.obs.events import read_events
 from repro.tools import asm, mcc, objdump, randomize as randomize_tool, ropscan, run
+from repro.tools import stats
 from repro.tools import fleet as fleet_cli
 from repro.tools import race as race_cli
 
@@ -127,6 +130,27 @@ class TestRun:
         assert run.main([bundle_file, "--mode", "vcfr", "--timing"]) == 0
         out = capsys.readouterr().out
         assert "ipc=" in out and "drc lookups" in out
+
+    @pytest.mark.parametrize("mode,label,drc", [
+        ("vcfr", "vcfr@128", 128), ("baseline", "baseline", 0)])
+    def test_records_and_row_carry_the_harness_label(
+            self, bundle_file, tmp_path, capsys, mode, label, drc):
+        """Records and the store row are labelled as the harness labels
+        them: only VCFR carries its DRC size."""
+        events = str(tmp_path / "e.jsonl")
+        store = str(tmp_path / "runs.db")
+        assert run.main([bundle_file, "--mode", mode, "--timing",
+                         "--events", events, "--store", store]) == 0
+        records = read_events(events)
+        runs = [r for r in records
+                if r["kind"] in ("checkpoint", "run_end")]
+        assert {r["kind"] for r in runs} == {"checkpoint", "run_end"}
+        assert all(r.get("drc_entries", 0) == drc for r in runs)
+        assert list(stats.checkpoint_series(records)) == [("prog", label)]
+        assert label in stats.runs_table(records)
+        with sqlite3.connect(store) as conn:
+            assert conn.execute("SELECT mode, drc_entries FROM runs"
+                                ).fetchall() == [(mode, drc)]
 
     def test_mode_requires_bundle(self, binary_file, capsys):
         assert run.main([binary_file, "--mode", "vcfr"]) == 1

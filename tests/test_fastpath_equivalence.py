@@ -5,14 +5,14 @@ pure host-side optimization: for any program, flow, budget, slicing, or
 observability configuration it has to produce *bit-identical*
 architectural and micro-architectural results to the reference loop
 (``fastpath=False``).  These tests run both loops over the same inputs
-and compare full ``SimResult`` serializations, traces, and checkpoint
-streams, including the flows that rewrite code or swap RDR tables
-mid-run and therefore exercise the explicit block-invalidation API.
+and compare full ``SimResult`` serializations, traces, and logged
+checkpoint records, including the flows that rewrite code or swap RDR
+tables mid-run and therefore exercise the explicit block-invalidation
+API.
 """
 
 from __future__ import annotations
 
-import copy
 import struct
 
 import pytest
@@ -23,6 +23,7 @@ from repro.arch.cpu import CycleCPU
 from repro.emu import ILREmulator
 from repro.ilr import RandomizerConfig, make_flow, randomize, rerandomize
 from repro.ilr.rerandomize import apply_rerandomization
+from repro.obs.events import EventLog, MemorySink
 from repro.workloads import build_image
 from repro.workloads.builder import ProgramBuilder
 
@@ -40,6 +41,7 @@ def _program(name):
 
 
 def _cpu(mode, program, fastpath, checkpoint_interval=0, tracepath=True):
+    """A CPU; with a checkpoint interval, it logs into memory."""
     cfg = default_config()
     cfg.fastpath = fastpath
     cfg.tracepath = tracepath
@@ -47,16 +49,17 @@ def _cpu(mode, program, fastpath, checkpoint_interval=0, tracepath=True):
         program.image_for(mode),
         make_flow(mode, program),
         cfg,
+        events=EventLog(MemorySink()) if checkpoint_interval else None,
         checkpoint_interval=checkpoint_interval,
     )
 
 
-def _comparable(result_dict):
-    """Result dict minus host-side wall-clock (the one legal difference)."""
-    out = copy.deepcopy(result_dict)
-    for checkpoint in out["checkpoints"]:
-        checkpoint.pop("host_seconds", None)
-    return out
+def _checkpoints(cpu):
+    """The ``checkpoint`` records ``cpu`` logged, minus the log's own
+    ``t`` and ``seq`` stamps."""
+    return [{k: v for k, v in record.items() if k not in ("t", "seq")}
+            for record in cpu.events.sink.records
+            if record["kind"] == "checkpoint"]
 
 
 class TestResultEquivalence:
@@ -75,10 +78,9 @@ class TestResultEquivalence:
         ref = _cpu(mode, program, False, checkpoint_interval=7_777)
         result_fast = fast.run(max_instructions=BUDGET)
         result_ref = ref.run(max_instructions=BUDGET)
-        assert _comparable(result_fast.to_dict()) == _comparable(
-            result_ref.to_dict()
-        )
-        assert result_fast.checkpoints, "cadence should have fired"
+        assert result_fast.to_dict() == result_ref.to_dict()
+        assert _checkpoints(fast) == _checkpoints(ref)
+        assert _checkpoints(fast), "cadence should have fired"
 
     @pytest.mark.parametrize("mode", ["baseline", "naive_ilr", "vcfr"])
     def test_blocks_only_tier_bit_identical(self, mode):
@@ -93,9 +95,7 @@ class TestResultEquivalence:
         result_fast = fast.run(max_instructions=BUDGET)
         result_ref = ref.run(max_instructions=BUDGET)
         assert fast._tracecache is None
-        assert _comparable(result_fast.to_dict()) == _comparable(
-            result_ref.to_dict()
-        )
+        assert result_fast.to_dict() == result_ref.to_dict()
 
     @pytest.mark.parametrize("mode", ["baseline", "naive_ilr", "vcfr"])
     def test_warmup_equivalent(self, mode):
@@ -106,9 +106,7 @@ class TestResultEquivalence:
                                warmup_instructions=10_000)
         result_ref = ref.run(max_instructions=60_000,
                              warmup_instructions=10_000)
-        assert _comparable(result_fast.to_dict()) == _comparable(
-            result_ref.to_dict()
-        )
+        assert result_fast.to_dict() == result_ref.to_dict()
 
     @pytest.mark.parametrize("mode", ["baseline", "vcfr"])
     def test_slice_resumption_equivalent(self, mode):
@@ -125,9 +123,7 @@ class TestResultEquivalence:
             assert fast.state.pc == ref.state.pc
         result_fast = fast.result()
         result_ref = ref.result()
-        assert _comparable(result_fast.to_dict()) == _comparable(
-            result_ref.to_dict()
-        )
+        assert result_fast.to_dict() == result_ref.to_dict()
 
 
 class TestFastTiersStandAlone:
@@ -155,9 +151,8 @@ class TestFastTiersStandAlone:
         budget = 3_000 if interval == 1 else 30_000
         fast = _cpu(mode, program, True, interval, tracepath)
         ref = _cpu(mode, program, False, interval)
-        assert _comparable(fast.run(budget).to_dict()) == _comparable(
-            ref.run(budget).to_dict()
-        )
+        assert fast.run(budget).to_dict() == ref.run(budget).to_dict()
+        assert _checkpoints(fast) == _checkpoints(ref)
 
     @pytest.mark.parametrize("mode", ["baseline", "naive_ilr", "vcfr"])
     @pytest.mark.parametrize("tracepath", [False, True],
@@ -172,9 +167,7 @@ class TestFastTiersStandAlone:
                 ref.cycle, ref.state.icount, ref.state.pc)
         result_fast = fast.result()
         result_ref = ref.result()
-        assert _comparable(result_fast.to_dict()) == _comparable(
-            result_ref.to_dict()
-        )
+        assert result_fast.to_dict() == result_ref.to_dict()
 
 
 #: Small structures, so that evictions run and so do the trace tier's
@@ -209,9 +202,9 @@ class TestSmallGeometries:
             folds = geometry == "pow2"
             assert (cpu.dl1._set_mask >= 0) == folds
             assert (cpu.branch.btb._set_mask >= 0) == folds
-            results.append(_comparable(cpu.run(
+            results.append(cpu.run(
                 max_instructions=BUDGET, warmup_instructions=5_000,
-            ).to_dict()))
+            ).to_dict())
         assert cpu.tier_stats()["traces"]["entries"] > 0
         assert results[1] == results[0], "block tier"
         assert results[2] == results[0], "trace tier"
@@ -290,9 +283,7 @@ class TestInvalidation:
         _before_ref, _after_ref, result_ref = run(False)
         assert before_fast > 0 and after_fast == 0
         assert result_fast.finished
-        assert _comparable(result_fast.to_dict()) == _comparable(
-            result_ref.to_dict()
-        )
+        assert result_fast.to_dict() == result_ref.to_dict()
 
     def test_rerandomization_rejects_non_vcfr(self):
         program = _program("gcc")
@@ -330,9 +321,7 @@ class TestInvalidation:
         result_fast = run(True)
         result_ref = run(False)
         assert list(result_fast.output.words) == [99]
-        assert _comparable(result_fast.to_dict()) == _comparable(
-            result_ref.to_dict()
-        )
+        assert result_fast.to_dict() == result_ref.to_dict()
 
     def test_invalidate_range_is_targeted(self):
         """Rewriting one address drops only the blocks covering it."""

@@ -24,7 +24,6 @@ from repro.harness.faults import (
     apply_inline_fault,
 )
 from repro.harness.resultcache import ResultCache
-from repro.harness.scheduler import AsyncScheduler
 from repro.harness.session import ExperimentSession
 from repro.harness.spec import RunSpec
 from repro.harness.sweep import FAULT_COUNTS, FailedRunError, RetryPolicy
@@ -238,12 +237,9 @@ class TestResumability:
         cache = ResultCache(str(tmp_path))
         sink = MemorySink()
         FAULT_COUNTS.clear()
-        # An event log without checkpoints: only the scheduler offers
-        # it (a session checkpoints whenever its log is enabled, and a
-        # checkpoint's host_seconds would differ from the reference).
-        outcomes = list(AsyncScheduler(
+        outcomes = ExperimentSession(
             workers=2, cache=cache, retry=RETRY, faults=plan,
-            events=EventLog(sink)).stream(SPECS))
+            events=EventLog(sink)).sweep(SPECS)
         assert serialized(outcomes) == clean_reference  # result kept
         assert cache.writes == len(SPECS) - 1
         assert FAULT_COUNTS["sweep.cache_write_errors"] == 1
@@ -266,9 +262,9 @@ class TestIdempotentObservability:
         sink = MemorySink()
         plan = FaultPlan.from_string("raise@mcf/baseline#0,"
                                      "crash@bzip2/naive_ilr#0")
-        outcomes = list(AsyncScheduler(
+        outcomes = ExperimentSession(
             workers=2, retry=RETRY, faults=plan,
-            events=EventLog(sink)).stream(SPECS))
+            events=EventLog(sink)).sweep(SPECS)
         assert serialized(outcomes) == clean_reference
 
         # Exactly one run_start/run_end pair per spec, in input order,
@@ -285,9 +281,9 @@ class TestIdempotentObservability:
     def test_replayed_records_carry_their_attempt_id(self):
         sink = MemorySink()
         plan = FaultPlan.from_string("raise@mcf/baseline#0")
-        outcomes = list(AsyncScheduler(
+        outcomes = ExperimentSession(
             workers=2, retry=RETRY, faults=plan,
-            events=EventLog(sink)).stream(SPECS[:1]))
+            events=EventLog(sink)).sweep(SPECS[:1])
         assert outcomes[0].attempts == 2
         replayed = [r for r in sink.records
                     if r["kind"] in ("run_start", "run_end")]

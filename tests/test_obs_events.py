@@ -256,48 +256,59 @@ class TestProfilerEvents:
 
 
 class TestCheckpointCadence:
-    def _run(self, interval, sink=None):
+    def _run(self, interval=0):
+        """Run LOOPY into a memory log: the result and the checkpoint
+        records, the only copy of the run's progress samples."""
         image = assemble(LOOPY)
-        log = EventLog(sink) if sink is not None else None
-        return simulate(
+        sink = MemorySink()
+        result = simulate(
             image,
             make_flow("baseline", image=image),
-            events=log,
+            events=EventLog(sink),
             checkpoint_interval=interval,
             event_fields={"workload": "loopy"},
         )
+        return result, sink.records
+
+    @staticmethod
+    def _checkpoints(records):
+        return [r for r in records if r["kind"] == "checkpoint"]
 
     def test_checkpoints_off_by_default(self):
-        image = assemble(LOOPY)
-        result = simulate(image, make_flow("baseline", image=image))
-        assert result.checkpoints == []
+        result, records = self._run()
+        assert result.finished
+        assert self._checkpoints(records) == []
+        assert records[-1]["checkpoints"] == 0
 
     def test_cadence_and_final_partial_window(self):
-        result = self._run(1000)
+        result, records = self._run(1000)
+        checkpoints = self._checkpoints(records)
         # ~12k retired instructions at interval 1000, plus the final
         # partial window sampled at program exit.
         assert result.finished
         expected = result.instructions // 1000
-        assert expected <= len(result.checkpoints) <= expected + 1
+        assert expected <= len(checkpoints) <= expected + 1
         # cumulative axis is monotonic; windows cover the whole run
-        instrs = [c.instructions for c in result.checkpoints]
+        instrs = [c["instructions"] for c in checkpoints]
         assert instrs == sorted(instrs)
         assert instrs[-1] == result.instructions
+        assert checkpoints[-1]["cycles"] == result.cycles
         # instantaneous IPC windows are consistent with the totals
-        assert all(0 < c.ipc <= 1.0 for c in result.checkpoints)
+        assert all(0 < c["ipc"] <= 1.0 for c in checkpoints)
 
     def test_checkpoint_events_match_result(self):
-        sink = MemorySink()
-        result = self._run(2000, sink=sink)
-        checkpoints = [r for r in sink.records if r["kind"] == "checkpoint"]
-        assert len(checkpoints) == len(result.checkpoints)
+        result, records = self._run(2000)
+        checkpoints = self._checkpoints(records)
+        assert set(checkpoints[0]) == {
+            "kind", "seq", "t", "workload", "mode", "instructions",
+            "cycles", "ipc", "il1_miss_rate", "drc_miss_rate"}
         assert checkpoints[0]["workload"] == "loopy"
         assert checkpoints[0]["mode"] == "baseline"
-        kinds = [r["kind"] for r in sink.records]
+        kinds = [r["kind"] for r in records]
         assert kinds[0] == "run_start" and kinds[-1] == "run_end"
-        run_end = sink.records[-1]
+        run_end = records[-1]
         assert run_end["instructions"] == result.instructions
-        assert run_end["checkpoints"] == len(result.checkpoints)
+        assert run_end["checkpoints"] == len(checkpoints)
 
 
 class TestTracerJsonl:

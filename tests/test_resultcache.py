@@ -1,4 +1,4 @@
-"""Result cache: SimResult/Checkpoint round-trips and on-disk behavior."""
+"""Result cache: SimResult round-trips and on-disk behavior."""
 
 import json
 import os
@@ -10,10 +10,11 @@ import time
 import pytest
 
 from repro.arch.config import default_config
-from repro.arch.simstats import Checkpoint, SimResult
+from repro.arch.simstats import SimResult
 from repro.fleet import ArrivalSpec, FleetSpec
 from repro.harness import ExperimentSession, ResultCache, RunSpec
 from repro.isa.syscalls import OutputStream
+from repro.obs.events import EventLog, MemorySink
 from repro.security.adversary import AdversarySpec
 from repro.security.race import RaceSpec
 from repro.security.rotation import RotationPolicy
@@ -22,8 +23,7 @@ from repro.security.rotation import RotationPolicy
 @pytest.fixture(scope="module")
 def sim_result():
     """A real simulation result with every optional field populated."""
-    session = ExperimentSession(max_instructions=4000,
-                                checkpoint_interval=500)
+    session = ExperimentSession(max_instructions=4000)
     return session.run(session.spec("mcf", "vcfr", 64))
 
 
@@ -44,8 +44,8 @@ def kind_specs():
 
 @pytest.fixture(scope="module")
 def kind_results():
-    """Fresh results of :func:`kind_specs`, checkpoints on."""
-    session = ExperimentSession(checkpoint_interval=500)
+    """Fresh results of :func:`kind_specs`."""
+    session = ExperimentSession()
     return [(spec, session.run(spec)) for spec in kind_specs()]
 
 
@@ -62,7 +62,6 @@ class TestSimResultSerialization:
             sim_result.energy.drc_overhead_percent
         )
         assert clone.output == sim_result.output
-        assert len(clone.checkpoints) == len(sim_result.checkpoints)
 
     def test_dict_is_json_clean(self, sim_result):
         clone = SimResult.from_dict(
@@ -77,12 +76,54 @@ class TestSimResultSerialization:
         clone = SimResult.from_dict(json.loads(json.dumps(result.as_dict())))
         assert clone.output == result.output
 
-    def test_checkpoint_round_trip(self):
-        checkpoint = Checkpoint(
-            instructions=1000, cycles=2500, ipc=0.4,
-            il1_miss_rate=0.125, drc_miss_rate=0.0625, host_seconds=0.5,
-        )
-        assert Checkpoint.from_dict(checkpoint.as_dict()) == checkpoint
+
+class TestResultIgnoresObservers:
+    """A result does not depend on who watched the run: progress
+    samples live only in the event log, so a result cached by a logged
+    session is the one an unlogged session computes."""
+
+    SPEC = RunSpec("mcf", "vcfr", 128, max_instructions=20_000)
+
+    def _session(self, logged, **policy):
+        """A session whose budget sets the automatic cadence of a
+        logged run (a checkpoint every 250 instructions)."""
+        return ExperimentSession(
+            max_instructions=self.SPEC.max_instructions,
+            events=EventLog(MemorySink()) if logged else None, **policy)
+
+    def test_logged_cache_entry_reads_back_as_a_fresh_run(self, tmp_path):
+        with self._session(True, cache_dir=str(tmp_path)) as writer:
+            writer.run(self.SPEC)
+            assert writer.cache.writes == 1
+        reader = self._session(False, cache_dir=str(tmp_path))
+        cached = reader.run(self.SPEC)
+        assert reader.cache.hits == 1
+        fresh = self._session(False).run(self.SPEC)
+        assert cached.as_dict() == fresh.as_dict()
+
+    def test_two_logged_runs_agree(self):
+        first, second = (self._session(True).run(self.SPEC)
+                         for _ in range(2))
+        assert first.as_dict() == second.as_dict()
+
+    def test_entry_carrying_checkpoints_still_loads(self, tmp_path):
+        """Entries of older builds kept the samples in the result."""
+        spec, config = self.SPEC, default_config()
+        result = self._session(False).run(spec)
+        cache = ResultCache(str(tmp_path))
+        path = cache.put(spec, config, result)
+        with open(path) as fh:
+            entry = json.load(fh)
+        entry["result"]["checkpoints"] = [{
+            "instructions": 250, "cycles": 1000, "ipc": 0.25,
+            "il1_miss_rate": 0.125, "drc_miss_rate": 0.5,
+            "host_seconds": 0.01,
+        }]
+        with open(path, "w") as fh:
+            json.dump(entry, fh)
+        loaded = cache.get(spec, config)
+        assert cache.hits == 1
+        assert loaded.as_dict() == result.as_dict()
 
 
 class TestResultCache:

@@ -3,8 +3,8 @@
 The trace cache (``MachineConfig.tracepath=True``, the top execution
 tier) compiles hot block chains into generated Python functions.  Like
 the block fast path beneath it, it is contractually a pure host-side
-optimization: cycle counts, every simulated statistic, checkpoints and
-outputs must be bit-identical to the reference loop.  These tests pin
+optimization: cycle counts, every simulated statistic and outputs must
+be bit-identical to the reference loop.  These tests pin
 that contract on the paths where generated code is easiest to get
 wrong — every terminal and every ALU load and store form inside a
 compiled loop, guard side-exits on mispredicted intra-trace branches,
@@ -50,14 +50,6 @@ def _config(fastpath=True, tracepath=True, hot=2):
     cfg.tracepath = tracepath
     cfg.trace_hot_threshold = hot
     return cfg
-
-
-def _comparable(result_dict):
-    """Result dict minus host-side wall-clock (the one legal difference)."""
-    out = copy.deepcopy(result_dict)
-    for checkpoint in out["checkpoints"]:
-        checkpoint.pop("host_seconds", None)
-    return out
 
 
 def _counting_loop(iterations=4_000):
@@ -114,7 +106,7 @@ class TestTraceTier:
         assert stats["traces"] >= 1
         assert stats["compile_failures"] == 0
         assert stats["entries"] > 0, "the loop must actually run traced"
-        assert _comparable(result.to_dict()) == _comparable(ref.to_dict())
+        assert result.to_dict() == ref.to_dict()
 
     def test_one_register_add_sub_flags_match_reference(self):
         """``add r, r``/``sub r, r`` take OF (and sub's CF) from the
@@ -143,7 +135,7 @@ class TestTraceTier:
         _ref_cpu, ref = run(_config(fastpath=False))
         assert cpu.tier_stats()["traces"]["entries"] > 0
         assert list(ref.output.words) == [400]
-        assert _comparable(result.to_dict()) == _comparable(ref.to_dict())
+        assert result.to_dict() == ref.to_dict()
 
     @pytest.mark.parametrize("mode", ["baseline", "naive_ilr", "vcfr"])
     def test_workload_traces_match_reference(self, mode):
@@ -157,9 +149,7 @@ class TestTraceTier:
         # A failed compile falls back to blocks and stays bit-identical,
         # so only this count shows a broken template.
         assert fast.tier_stats()["traces"]["compile_failures"] == 0
-        assert _comparable(result_fast.to_dict()) == _comparable(
-            result_ref.to_dict()
-        )
+        assert result_fast.to_dict() == result_ref.to_dict()
 
 
 def _loop_image(body, tail=(), data=(), iterations=200):
@@ -301,8 +291,7 @@ class TestTerminalCoverage:
                     "%s: no compiled trace holds %s" % (mode, case))
             assert cpu.tier_stats()["traces"]["compile_failures"] == 0
             assert result.finished
-            assert _comparable(result.to_dict()) == _comparable(
-                ref.to_dict()), mode
+            assert result.to_dict() == ref.to_dict(), mode
 
 
 #: (op, mode) for every ALU op in load form and in store form; ``imul``
@@ -341,8 +330,7 @@ class TestAluMemoryForms:
             assert stats["entries"] > 0
             assert stats["compile_failures"] == 0
             assert result.finished
-            assert _comparable(result.as_dict()) == _comparable(
-                ref.as_dict()), mode_name
+            assert result.as_dict() == ref.as_dict(), mode_name
 
 
 class TestLoopOnlySelection:
@@ -383,8 +371,7 @@ class TestLoopOnlySelection:
             if mode == "baseline" and case == "inner_revisit":
                 assert image.symbols.resolve("outer") in cache._failed
             assert result.finished
-            assert _comparable(result.to_dict()) == _comparable(
-                ref.to_dict()), mode
+            assert result.to_dict() == ref.to_dict(), mode
 
 
 class TestGuardBailout:
@@ -417,7 +404,7 @@ class TestGuardBailout:
 
         assert cpu.tier_stats()["traces"]["bailouts"] > 0
         assert list(result.output.words) == [2000]
-        assert _comparable(result.to_dict()) == _comparable(ref.to_dict())
+        assert result.to_dict() == ref.to_dict()
 
     def test_self_modifying_code_mid_trace(self):
         """Patching an instruction a compiled trace covers must drop the
@@ -440,7 +427,7 @@ class TestGuardBailout:
         assert traced_before > 0, "the loop must be traced before the patch"
         assert cpu.tier_stats()["traces"]["invalidations"] >= 1
         assert list(result.output.words) == [99]
-        assert _comparable(result.to_dict()) == _comparable(ref.to_dict())
+        assert result.to_dict() == ref.to_dict()
 
     def test_epoch_rotation_mid_trace(self):
         """Re-randomization swaps RDR tables and rewrites text: every
@@ -465,7 +452,7 @@ class TestGuardBailout:
         assert before > 0, "traces must exist before the rotation"
         assert after == 0, "rotation must flush every compiled trace"
         assert cpu.tier_stats()["traces"]["invalidations"] >= 1
-        assert _comparable(result.to_dict()) == _comparable(ref.to_dict())
+        assert result.to_dict() == ref.to_dict()
 
 
 #: case -> (loop body, start of ``esi``, fault, faulting address).  Each
@@ -847,8 +834,7 @@ class TestProcessCodeCache:
         for _ in range(2):
             result = _mode_cpu("vcfr", program, _config()).run(
                 max_instructions=60_000)
-            assert _comparable(result.to_dict()) == _comparable(
-                ref.to_dict())
+            assert result.to_dict() == ref.to_dict()
         assert any(b < a for a, b in zip(held, held[1:])), (
             "the bound must have flushed the cache")
 
@@ -884,6 +870,4 @@ def test_trace_tier_matches_reference_on_random_programs(seed):
         result_ref = ref.run(max_instructions=150_000)
         assert fast.tier_stats()["traces"]["compile_failures"] == 0
         assert result_fast.instructions == result_ref.instructions
-        assert _comparable(result_fast.to_dict()) == _comparable(
-            result_ref.to_dict()
-        )
+        assert result_fast.to_dict() == result_ref.to_dict()
