@@ -6,7 +6,8 @@ ablations, the way ``python -m repro.harness --ablations`` does.  Every
 shape check must pass, and each experiment's rows must hash to the
 digest in ``perfbench/golden.json``.  The goldens are read as data, so
 the expected rows live in one file: re-recording a golden moves this
-test with it.
+test with it.  The ablations are not part of the benchmark's suite, so
+their row digests live here, in :data:`ABLATION_DIGESTS`.
 """
 
 import hashlib
@@ -21,6 +22,16 @@ from repro.harness.experiments import ALL_EXPERIMENTS
 
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                       "golden.json")
+
+#: Row digest of each ablation at the harness defaults.
+ABLATION_DIGESTS = {
+    "drc_associativity": "9071ee7e35e5c642",
+    "retaddr_policy": "cb6bbad6af90e387",
+    "spread_factor": "91351c202e1905b1",
+    "prefetcher": "9a8bb24e4a92969d",
+    "context_switching": "1cb834e486d80cf1",
+    "page_confined_layout": "d1fc921d8138ffc9",
+}
 
 
 def _digest(rows) -> str:
@@ -58,4 +69,6 @@ def test_experiment_reproduces(name, results, golden):
 
 @pytest.mark.parametrize("name", list(ALL_ABLATIONS))
 def test_ablation_holds(name, session):
-    assert _failed_checks(ALL_ABLATIONS[name](session)) == []
+    result = ALL_ABLATIONS[name](session)
+    assert _failed_checks(result) == []
+    assert _digest(result.rows) == ABLATION_DIGESTS[name]
