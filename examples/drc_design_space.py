@@ -21,7 +21,7 @@ BUDGET = 200_000
 def sweep(program, baseline_ipc):
     print("  %8s  %10s  %12s  %10s" % ("entries", "miss rate", "IPC", "vs base"))
     for entries in SIZES:
-        config = default_config().with_drc_entries(entries)
+        config = default_config().with_overrides([("drc.entries", entries)])
         result = simulate(
             program.vcfr_image, make_flow("vcfr", program), config,
             max_instructions=BUDGET,

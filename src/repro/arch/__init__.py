@@ -12,11 +12,7 @@ This package hosts the machine substrate of the reproduction:
 * :mod:`power` — the McPAT-style per-access energy model.
 """
 
-from .context import (
-    TimeSharedCPU,
-    TimeSharedResult,
-    measure_switch_sensitivity,
-)
+from .context import TimeSharedCPU, TimeSharedResult
 from .functional import (
     FunctionalCPU,
     InstructionLimitExceeded,
@@ -42,7 +38,6 @@ __all__ = [
     "attach_tracer",
     "TimeSharedCPU",
     "TimeSharedResult",
-    "measure_switch_sensitivity",
     "SharedMemorySystem",
     "MemoryPort",
 ]

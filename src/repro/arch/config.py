@@ -9,8 +9,9 @@ model, and a small direct-mapped DRC (64–512 entries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+import copy
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Tuple
 
 #: Version of the *timing semantics* of the simulator.  Bump whenever a
 #: change alters cycle counts or statistics for an identical spec; the
@@ -136,25 +137,23 @@ class MachineConfig:
     #: (host-side; flush-on-overflow like the block cache).
     trace_cache_capacity: int = 512
 
-    def with_drc_entries(self, entries: int) -> "MachineConfig":
-        """A copy of this config with a different DRC size (Fig. 13/14 sweeps)."""
-        import copy
-
+    def with_overrides(self, overrides) -> "MachineConfig":
+        """A copy with ``(dotted field, value)`` pairs applied, e.g.
+        ``[("drc.entries", 64)]``; an unknown field raises ValueError."""
         cfg = copy.deepcopy(self)
-        cfg.drc.entries = entries
+        for path, value in overrides:
+            *owners, name = path.split(".")
+            target = cfg
+            for part in owners:
+                target = getattr(target, part) if _has(target, part) else None
+            if not _has(target, name) or is_dataclass(getattr(target, name)):
+                raise ValueError("no MachineConfig field %r" % path)
+            setattr(target, name, value)
         return cfg
 
-    def with_drc(self, entries: Optional[int] = None,
-                 assoc: Optional[int] = None) -> "MachineConfig":
-        """A copy with DRC size and/or associativity overridden (ablations)."""
-        import copy
 
-        cfg = copy.deepcopy(self)
-        if entries is not None:
-            cfg.drc.entries = entries
-        if assoc is not None:
-            cfg.drc.assoc = assoc
-        return cfg
+def _has(obj, name: str) -> bool:
+    return is_dataclass(obj) and name in {f.name for f in fields(obj)}
 
 
 def default_config() -> MachineConfig:

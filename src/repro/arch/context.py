@@ -14,7 +14,8 @@ contention model (:mod:`repro.fleet`) builds its own CPUs on ports of
 one :class:`~repro.arch.sharedmem.SharedMemorySystem` instead.
 
 The interesting measurement is DRC cold-start sensitivity: how much of
-VCFR's near-baseline IPC survives realistic scheduling quanta.
+VCFR's near-baseline IPC survives realistic scheduling quanta: a
+``RunSpec`` with a ``quantum`` runs its program alone here.
 """
 
 from __future__ import annotations
@@ -146,32 +147,3 @@ class TimeSharedCPU:
         stats.switches += 1
         stats.total_switch_cycles += stats.switch_cycles_each
         cpu.switch_in(stats.switch_cycles_each)
-
-
-def measure_switch_sensitivity(
-    program,
-    make_flow_fn,
-    config: Optional[MachineConfig] = None,
-    quanta=(100_000, 20_000, 5_000, 1_000),
-    max_instructions: int = 100_000,
-    switch_cycles: int = 200,
-):
-    """DRC cold-start study: VCFR IPC vs scheduling quantum.
-
-    Runs the same program alone but with forced periodic context switches
-    (self-switching: the adversarial case where every quantum lands on a
-    cold DRC).  ``switch_cycles`` is the fixed kernel cost charged per
-    switch; the default matches the published curves.  Returns
-    {quantum: SimResult}.
-    """
-    results = {}
-    for quantum in quanta:
-        cpu = TimeSharedCPU(
-            [("p", program.vcfr_image, make_flow_fn("vcfr", program))],
-            config=config,
-            quantum_instructions=quantum,
-            switch_cycles=switch_cycles,
-        )
-        shared = cpu.run(max_instructions_per_process=max_instructions)
-        results[quantum] = shared.by_name("p").result
-    return results

@@ -26,7 +26,8 @@ Options:
 With ``--workers`` the suite's simulations fan out over a process pool;
 with ``--cache-dir`` results persist across invocations so a warm rerun
 performs zero cycle simulations.  Both produce row-for-row identical
-tables to a sequential, uncached run.  The sweep is fault-tolerant:
+tables to a sequential, uncached run, and both apply to the ablations,
+whose runs are specs like the suite's.  The sweep is fault-tolerant:
 crashing or hanging workers are retried and the pool rebuilt; results
 commit to the cache as they finish, so a killed invocation resumes from
 its completed work when re-run with the same ``--cache-dir``.
@@ -140,11 +141,11 @@ def main(argv=None) -> int:
 
         # Fan the suite's full spec list out before any experiment runs:
         # the pool (and the disk cache) see every independent simulation
-        # at once instead of discovering them serially.
-        if args.workers >= 2 or args.cache_dir:
-            specs = suite_specs(
-                runner, [e for e in wanted if e in ALL_EXPERIMENTS]
-            )
+        # at once instead of discovering them serially.  (Each ablation
+        # prefetches its own specs when it runs.)
+        suite = [e for e in wanted if e in ALL_EXPERIMENTS]
+        if suite and (args.workers >= 2 or args.cache_dir):
+            specs = suite_specs(runner, suite)
             start = time.time()
             runner.prefetch(specs)
             status("(sweep: %d specs, %d workers, %.1fs)"

@@ -13,21 +13,34 @@ These go beyond the paper's published figures and probe its *claims*:
   table), unlike naive ILR where spread worsens locality.
 * ``prefetcher`` — Table I: the next-line prefetcher helps the baseline
   and VCFR but cannot help naive ILR.
+* ``context_switching``, ``page_confined_layout`` — §IV-D's system
+  impact and iTLB mitigation.
+
+Every point is a :class:`~repro.harness.spec.RunSpec`: the paper's is
+the plain suite spec, a variant carries overrides.  Each ablation
+prefetches its specs through the session, so they are cached, pooled,
+retried and logged like the suite's, and shared points run once.
 """
 
 from __future__ import annotations
 
 import statistics
-from typing import List
+from dataclasses import replace
+from typing import Dict, Hashable, List
 
-from ..arch.cpu import simulate
-from ..ilr import RandomizerConfig, make_flow, randomize
-from ..workloads import build_image
 from .experiments import ExperimentResult
 from .session import ExperimentSession
+from .spec import RunSpec
 
 #: Apps with enough translation pressure to make ablations informative.
 ABLATION_APPS: List[str] = ["gcc", "xalan", "h264ref", "namd"]
+
+
+def _run_all(runner: ExperimentSession,
+             specs: Dict[Hashable, RunSpec]) -> Dict[Hashable, object]:
+    """``{point: result}`` for ``{point: spec}``, as one sweep."""
+    runner.prefetch(specs.values())
+    return {point: runner.run(spec) for point, spec in specs.items()}
 
 
 def drc_associativity(runner: ExperimentSession) -> ExperimentResult:
@@ -37,24 +50,26 @@ def drc_associativity(runner: ExperimentSession) -> ExperimentResult:
         ("app", "direct miss", "4-way miss", "full miss",
          "direct IPC", "full IPC"),
     )
+    # The paper's direct-mapped DRC is the plain spec; 0 ways = fully
+    # associative.
+    specs = {}
+    for app in ABLATION_APPS:
+        specs[app, 1] = direct = runner.spec(app, "vcfr", 128)
+        for ways in (4, 0):
+            specs[app, ways] = replace(direct,
+                                       machine=(("drc.assoc", ways),))
+    runs = _run_all(runner, specs)
     gains = []
     for app in ABLATION_APPS:
-        program = runner.program_for(runner.spec(app))
-        by_assoc = {}
-        for assoc in (1, 4, 0):
-            config = runner.base_config().with_drc(entries=128, assoc=assoc)
-            by_assoc[assoc] = simulate(
-                program.vcfr_image, make_flow("vcfr", program), config,
-                max_instructions=runner.max_instructions,
-            )
-        gains.append(by_assoc[0].ipc / by_assoc[1].ipc)
+        direct, full = runs[app, 1], runs[app, 0]
+        gains.append(full.ipc / direct.ipc)
         result.rows.append((
             app,
-            round(by_assoc[1].drc_miss_rate, 4),
-            round(by_assoc[4].drc_miss_rate, 4),
-            round(by_assoc[0].drc_miss_rate, 4),
-            round(by_assoc[1].ipc, 3),
-            round(by_assoc[0].ipc, 3),
+            round(direct.drc_miss_rate, 4),
+            round(runs[app, 4].drc_miss_rate, 4),
+            round(full.drc_miss_rate, 4),
+            round(direct.ipc, 3),
+            round(full.ipc, 3),
         ))
     avg_gain = statistics.mean(gains)
     result.summary = (
@@ -82,22 +97,16 @@ def retaddr_policy(runner: ExperimentSession) -> ExperimentResult:
         ("app", "randomized rets (arch)", "randomized rets (cons)",
          "redirects (arch)", "redirects (cons)", "IPC ratio cons/arch"),
     )
+    specs = {}
+    for app in ABLATION_APPS:
+        specs[app, "arch"] = arch = runner.spec(app, "vcfr")
+        specs[app, "cons"] = replace(
+            arch, randomizer=(("conservative_retaddr", True),))
+    runs = _run_all(runner, specs)
     surface_shrinks = True
     for app in ABLATION_APPS:
-        image = build_image(app, scale=runner.scale)
-        arch = randomize(image, RandomizerConfig(seed=runner.seed))
-        cons = randomize(
-            image,
-            RandomizerConfig(seed=runner.seed, conservative_retaddr=True),
-        )
-        sim_arch = simulate(
-            arch.vcfr_image, make_flow("vcfr", arch),
-            runner.base_config(), max_instructions=runner.max_instructions,
-        )
-        sim_cons = simulate(
-            cons.vcfr_image, make_flow("vcfr", cons),
-            runner.base_config(), max_instructions=runner.max_instructions,
-        )
+        arch = runner.program_for(specs[app, "arch"])
+        cons = runner.program_for(specs[app, "cons"])
         surface_shrinks &= len(arch.rdr.redirect) <= len(cons.rdr.redirect)
         result.rows.append((
             app,
@@ -105,7 +114,7 @@ def retaddr_policy(runner: ExperimentSession) -> ExperimentResult:
             cons.stats.num_ret_randomized,
             len(arch.rdr.redirect),
             len(cons.rdr.redirect),
-            round(sim_cons.ipc / sim_arch.ipc, 3),
+            round(runs[app, "cons"].ipc / runs[app, "arch"].ipc, 3),
         ))
     result.summary = "architectural policy randomizes more, exposing fewer entries"
     result.paper_summary = (
@@ -127,25 +136,23 @@ def spread_factor(runner: ExperimentSession) -> ExperimentResult:
         ("spread", "entropy bits", "VCFR IPC", "naive IPC"),
     )
     app = "h264ref"
-    image = build_image(app, scale=runner.scale)
+    # A tighter layout, the paper's (the plain spec), a wider one.
+    layouts = ((("spread_factor", 4),), (), (("spread_factor", 64),))
+    specs = {
+        (layout, mode): replace(runner.spec(app, mode), randomizer=layout)
+        for layout in layouts for mode in ("vcfr", "naive_ilr")
+    }
+    runs = _run_all(runner, specs)
     vcfr_ipcs, naive_ipcs, entropies = [], [], []
-    for spread in (4, 16, 64):
-        program = randomize(
-            image, RandomizerConfig(seed=runner.seed, spread_factor=spread)
-        )
-        vcfr = simulate(
-            program.vcfr_image, make_flow("vcfr", program),
-            runner.base_config(), max_instructions=runner.max_instructions,
-        )
-        naive = simulate(
-            program.naive_image, make_flow("naive_ilr", program),
-            runner.base_config(), max_instructions=runner.max_instructions,
-        )
+    for layout in layouts:
+        program = runner.program_for(specs[layout, "vcfr"])
+        vcfr, naive = runs[layout, "vcfr"], runs[layout, "naive_ilr"]
         entropies.append(program.stats.entropy_bits)
         vcfr_ipcs.append(vcfr.ipc)
         naive_ipcs.append(naive.ipc)
         result.rows.append((
-            spread, round(program.stats.entropy_bits, 1),
+            program.config.spread_factor,
+            round(program.stats.entropy_bits, 1),
             round(vcfr.ipc, 3), round(naive.ipc, 3),
         ))
     result.summary = (
@@ -171,23 +178,21 @@ def prefetcher(runner: ExperimentSession) -> ExperimentResult:
         "abl_prefetch", "IL1 next-line prefetcher ablation",
         ("app", "baseline gain %", "naive gain %", "vcfr gain %"),
     )
+    apps, modes = ("gcc", "h264ref"), ("baseline", "naive_ilr", "vcfr")
+    specs = {}
+    for app in apps:
+        for mode in modes:
+            specs[app, mode, "on"] = on = runner.spec(app, mode)
+            specs[app, mode, "off"] = replace(
+                on, machine=(("prefetch_il1", False),))
+    runs = _run_all(runner, specs)
     base_gains, naive_gains = [], []
-    for app in ("gcc", "h264ref"):
-        program = runner.program_for(runner.spec(app))
-        gains = {}
-        for mode, image in (
-            ("baseline", program.original),
-            ("naive_ilr", program.naive_image),
-            ("vcfr", program.vcfr_image),
-        ):
-            on_cfg = runner.base_config()
-            off_cfg = runner.base_config()
-            off_cfg.prefetch_il1 = False
-            on = simulate(image, make_flow(mode, program), on_cfg,
-                          max_instructions=runner.max_instructions)
-            off = simulate(image, make_flow(mode, program), off_cfg,
-                           max_instructions=runner.max_instructions)
-            gains[mode] = 100 * (on.ipc / off.ipc - 1)
+    for app in apps:
+        gains = {
+            mode: 100 * (runs[app, mode, "on"].ipc
+                         / runs[app, mode, "off"].ipc - 1)
+            for mode in modes
+        }
         base_gains.append(gains["baseline"])
         naive_gains.append(gains["naive_ilr"])
         result.rows.append((
@@ -210,25 +215,24 @@ def context_switching(runner: ExperimentSession) -> ExperimentResult:
 
     The paper extends the process context with the RDR tables; a context
     switch therefore invalidates the DRC.  This ablation self-switches a
-    translation-heavy workload at shrinking quanta and measures how much
-    of VCFR's IPC survives — the cost of the system-level design.
+    translation-heavy workload at shrinking quanta (the spec's
+    ``quantum``: every quantum lands on a cold DRC, and each switch
+    costs 200 cycles) and measures how much of VCFR's IPC survives —
+    the cost of the system-level design.
     """
-    from ..arch.context import measure_switch_sensitivity
-    from ..ilr import make_flow
-
     result = ExperimentResult(
         "abl_ctxswitch", "Context-switch (DRC cold-start) sensitivity",
         ("quantum (insts)", "IPC", "DRC miss rate"),
     )
-    program = runner.program_for(runner.spec("xalan"))
     quanta = (100_000, 20_000, 5_000, 1_000)
-    sweep = measure_switch_sensitivity(
-        program, make_flow, config=runner.base_config(), quanta=quanta,
-        max_instructions=min(runner.max_instructions, 80_000),
-    )
+    xalan = replace(runner.spec("xalan", "vcfr"), warmup_instructions=0,
+                    max_instructions=min(runner.max_instructions, 80_000))
+    runs = _run_all(runner, {
+        quantum: replace(xalan, quantum=quantum) for quantum in quanta
+    })
     ipcs = []
     for quantum in quanta:
-        res = sweep[quantum]
+        res = runs[quantum]
         ipcs.append(res.ipc)
         result.rows.append(
             (quantum, round(res.ipc, 4), round(res.drc_miss_rate, 4))
@@ -249,23 +253,19 @@ def context_switching(runner: ExperimentSession) -> ExperimentResult:
 
 def page_confined_layout(runner: ExperimentSession) -> ExperimentResult:
     """§IV-D iTLB mitigation: page-confined vs whole-region randomization."""
-    from ..ilr import RandomizerConfig, make_flow, randomize
-
     result = ExperimentResult(
         "abl_pageconf", "Page-confined randomization (naive-ILR iTLB relief)",
         ("layout", "entropy bits", "naive iTLB misses", "naive IPC"),
     )
-    image = build_image("gcc", scale=runner.scale)
+    whole = runner.spec("gcc", "naive_ilr")
+    specs = {
+        False: whole,
+        True: replace(whole, randomizer=(("page_confined", True),)),
+    }
+    runs = _run_all(runner, specs)
     rows = {}
-    for confined in (False, True):
-        program = randomize(
-            image,
-            RandomizerConfig(seed=runner.seed, page_confined=confined),
-        )
-        naive = simulate(
-            program.naive_image, make_flow("naive_ilr", program),
-            runner.base_config(), max_instructions=runner.max_instructions,
-        )
+    for confined, spec in specs.items():
+        program, naive = runner.program_for(spec), runs[confined]
         rows[confined] = (program.stats.entropy_bits, naive)
         result.rows.append((
             "page-confined" if confined else "whole-region",

@@ -35,21 +35,9 @@ from collections import deque
 from typing import Dict, Iterable, List, Optional
 
 from ..obs import sparkline, status
+from ..obs.events import run_label
 
 __all__ = ["Dashboard", "Progress"]
-
-
-def _label(record: dict) -> str:
-    """Spec label of a record: the ``label`` the engine stamps on its
-    own records, else one rebuilt from the run fields a CPU stamps on
-    ``checkpoint`` records (``workload``, ``mode``, ``drc_entries``),
-    mirroring ``RunSpec.label``."""
-    if "label" in record:
-        return record["label"]
-    label = "%s/%s" % (record.get("workload", "?"), record.get("mode", "?"))
-    if record.get("drc_entries"):
-        label += "@%d" % record["drc_entries"]
-    return label
 
 
 class _TeeSink:
@@ -90,14 +78,15 @@ class Progress:
         kind = record.get("kind")
         if kind == "checkpoint" and "ipc" in record:
             status("[%s] %7d instr  ipc %.3f  il1 %.4f  drc %.4f"
-                   % (_label(record), record["instructions"], record["ipc"],
-                      record["il1_miss_rate"], record["drc_miss_rate"]))
+                   % (run_label(record), record["instructions"],
+                      record["ipc"], record["il1_miss_rate"],
+                      record["drc_miss_rate"]))
         elif kind == "spec_done":
-            status("[%s] %s" % (_label(record),
+            status("[%s] %s" % (run_label(record),
                                 "cached" if record.get("cached") else "done"))
         elif kind == "run_failed":
             status("[%s] FAILED after %d attempt(s): %s"
-                   % (_label(record), record["attempts"], record["error"]))
+                   % (run_label(record), record["attempts"], record["error"]))
 
 
 class Dashboard:
@@ -160,16 +149,16 @@ class Dashboard:
     def observe(self, record: dict) -> None:
         kind = record.get("kind")
         if kind == "spec_dispatch":
-            self.running[_label(record)] = record.get("attempt", 0)
+            self.running[run_label(record)] = record.get("attempt", 0)
         elif kind == "spec_done":
-            self.running.pop(_label(record), None)
+            self.running.pop(run_label(record), None)
             self.done += 1
             if record.get("cached"):
                 self.cached += 1
         elif kind == "run_retry":
             self.retries += 1
         elif kind == "run_failed":
-            self.running.pop(_label(record), None)
+            self.running.pop(run_label(record), None)
             self.done += 1
             self.failed += 1
         elif kind == "pool_rebuild":

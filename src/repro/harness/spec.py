@@ -8,12 +8,11 @@ fields — identifies a run by one frozen, hashable, serializable
 :class:`RunSpec` instead of ad-hoc ``(name, mode, drc_entries)`` tuples.
 
 A spec captures everything that determines a run's *result*: workload,
-mode, DRC size, randomizer seed, workload scale, and the instruction
-budgets.  What it deliberately does **not** capture is the machine
-model — that is the :class:`~repro.arch.config.MachineConfig`, which is
-fingerprinted separately (:func:`config_fingerprint`) so one spec set
-can be swept across machine variants without re-encoding the machine in
-every spec.
+mode, DRC size, randomizer seed, workload scale, the instruction
+budgets and any overrides.  The machine model is the session's
+:class:`~repro.arch.config.MachineConfig`, fingerprinted separately
+(:func:`config_fingerprint`); a spec's overrides apply on top of it,
+as its ``drc_entries`` does.
 """
 
 from __future__ import annotations
@@ -23,6 +22,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from typing import Dict, Tuple
+
+from ..arch.config import HOST_TUNING_FIELDS, MachineConfig
+from ..ilr import RandomizerConfig
+from ..obs.events import run_label
 
 __all__ = [
     "RunSpec",
@@ -41,6 +44,15 @@ ALL_MODES: Tuple[str, ...] = SIM_MODES + ("emulate",)
 #: The paper's default DRC size; used when a VCFR spec leaves it unset.
 DEFAULT_DRC_ENTRIES = 128
 
+#: Fields a spec sets only to vary a run against its plain spec; left
+#: empty, they stay out of :meth:`RunSpec.as_dict`, so a plain spec's
+#: cache key and store key do not depend on them.
+_OVERRIDE_FIELDS: Tuple[str, ...] = ("machine", "randomizer", "quantum")
+
+#: Randomizer fields a spec may override (``seed`` is a spec field).
+_RANDOMIZER_FIELDS = {f.name for f in dataclasses.fields(RandomizerConfig)
+                      if f.name != "seed"}
+
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -48,7 +60,9 @@ class RunSpec:
 
     Instances are hashable (dict keys, set members), comparable, and
     round-trip through :meth:`as_dict`/:meth:`from_dict` for process
-    boundaries and the on-disk cache.  Construct via
+    boundaries and the on-disk cache.  Its overrides apply on top of
+    the session's machine and randomizer, as ``drc_entries`` does.
+    Construct via
     :meth:`ExperimentSession.spec()
     <repro.harness.session.ExperimentSession.spec>` to inherit the
     session's seed/scale/budget defaults, or directly when all fields
@@ -73,6 +87,14 @@ class RunSpec:
     scale: float = 1.0
     max_instructions: int = 300_000
     warmup_instructions: int = 0
+    #: ``(dotted MachineConfig field, value)`` pairs applied on top of
+    #: the session's config, e.g. ``("drc.assoc", 4)``.
+    machine: Tuple[Tuple[str, object], ...] = ()
+    #: ``(RandomizerConfig field, value)`` pairs, e.g.
+    #: ``("conservative_retaddr", True)``.
+    randomizer: Tuple[Tuple[str, object], ...] = ()
+    #: instructions per self-switch quantum (0 = a plain run).
+    quantum: int = 0
 
     def __post_init__(self):
         if self.mode not in ALL_MODES:
@@ -80,6 +102,25 @@ class RunSpec:
                 "unknown mode %r (expected one of %s)"
                 % (self.mode, ", ".join(ALL_MODES))
             )
+        if self.machine == self.randomizer == () and not self.quantum:
+            return
+        # Pairs sorted by name, as a dict keeps them (JSON hands them
+        # back as lists).  ``drc.entries`` is ``drc_entries``, ``seed``
+        # is ``seed``, and a host-tuning field changes no result (the
+        # cache key would split for nothing); TimeSharedCPU runs no
+        # warmup and no emulation.
+        for name in ("machine", "randomizer"):
+            pairs = tuple(sorted(dict(getattr(self, name)).items()))
+            object.__setattr__(self, name, pairs)
+        MachineConfig().with_overrides(self.machine)  # raises on unknowns
+        bad = (dict(self.machine).keys() & {"drc.entries", *HOST_TUNING_FIELDS}
+               | dict(self.randomizer).keys() - _RANDOMIZER_FIELDS)
+        if bad:
+            raise ValueError("no override field %s" % ", ".join(sorted(bad)))
+        if self.quantum < 0 or self.quantum and (
+                self.warmup_instructions or self.mode == "emulate"):
+            raise ValueError("quantum %d: must be >= 0, in a cycle mode, "
+                             "without warmup" % self.quantum)
 
     # -- canonical form ----------------------------------------------------
 
@@ -109,7 +150,9 @@ class RunSpec:
     # -- serialization -----------------------------------------------------
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # Shallow is enough: every field value is immutable.
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if getattr(self, f.name) or f.name not in _OVERRIDE_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
@@ -119,20 +162,20 @@ class RunSpec:
     # -- presentation ------------------------------------------------------
 
     def label(self) -> str:
-        """Compact human-readable identity, e.g. ``gcc/vcfr@128``."""
-        spec = self.normalized()
-        if spec.mode == "vcfr":
-            return "%s/vcfr@%d" % (spec.workload, spec.drc_entries)
-        return "%s/%s" % (spec.workload, spec.mode)
+        """Compact human-readable identity, e.g. ``gcc/vcfr@128`` or
+        ``gcc/vcfr@128+drc.assoc=4`` (:func:`~repro.obs.events.run_label`)."""
+        return run_label(self.normalized().as_dict())
 
     def event_fields(self) -> Dict[str, object]:
         """Fields stamped onto every event record of this run, so the
-        JSONL stream can be grouped back into runs (``repro.tools.stats``
-        keys on workload/mode/drc_entries)."""
+        JSONL stream can be grouped back into runs: with the ``mode``
+        the CPU adds, what :func:`~repro.obs.events.run_label` reads."""
         spec = self.normalized()
         fields: Dict[str, object] = {"workload": spec.workload}
         if spec.mode == "vcfr":
             fields["drc_entries"] = spec.drc_entries
+        fields.update((name, getattr(spec, name)) for name in _OVERRIDE_FIELDS
+                      if getattr(spec, name))
         return fields
 
 

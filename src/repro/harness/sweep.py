@@ -78,6 +78,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..arch.config import MachineConfig, default_config
+from ..arch.context import TimeSharedCPU
 from ..arch.cpu import CycleCPU
 from ..emu import ILREmulator
 from ..fleet import datacenter
@@ -103,8 +104,8 @@ __all__ = [
 ]
 
 #: Key of one randomized program build: workload identity + everything
-#: the randomizer consumes.
-ProgramKey = Tuple[str, int, float]
+#: the randomizer consumes (seed and overrides).
+ProgramKey = Tuple[str, int, float, Tuple[Tuple[str, object], ...]]
 
 #: What a ``corrupt`` fault leaves where the result should be.
 _CORRUPT_SENTINEL = "\x00corrupt-result\x00"
@@ -115,7 +116,7 @@ FAULT_COUNTS = collections.Counter()
 
 
 def program_key(spec: RunSpec) -> ProgramKey:
-    return (spec.workload, spec.seed, spec.scale)
+    return (spec.workload, spec.seed, spec.scale, spec.randomizer)
 
 
 def _spec_key(spec: RunSpec) -> str:
@@ -150,9 +151,9 @@ def build_program(
 ) -> RandomizedProgram:
     """Build + randomize the workload a spec names (memoized).
 
-    Deterministic in ``(workload, seed, scale)``, which is what makes
-    worker-side rebuilds safe: a program built in a pool worker is
-    byte-identical to one built in the parent.
+    Deterministic in ``(workload, seed, scale, randomizer overrides)``,
+    which is what makes worker-side rebuilds safe: a program built in a
+    pool worker is byte-identical to one built in the parent.
 
     The ``build``/``randomize`` spans are recorded on *every* call —
     memo hits included (near-zero duration) — because memo residency is
@@ -172,7 +173,8 @@ def build_program(
     with tracer.phase("build", events, workload=spec.workload):
         image = build_image(spec.workload, scale=spec.scale)
     with tracer.phase("randomize", events, workload=spec.workload):
-        program = randomize(image, RandomizerConfig(seed=spec.seed))
+        program = randomize(image, RandomizerConfig(
+            seed=spec.seed, **dict(spec.randomizer)))
     if program_cache is not None:
         program_cache[key] = program
     return program
@@ -239,16 +241,23 @@ def execute_spec(
             ).run()
 
     image = program.image_for(spec.mode)
+    flow = make_flow(spec.mode, program)
+    overrides = spec.machine
     if spec.mode == "vcfr":
-        config = config.with_drc_entries(spec.drc_entries)
-    cpu = CycleCPU(
-        image,
-        make_flow(spec.mode, program),
-        config,
-        events=events,
-        checkpoint_interval=checkpoint_interval,
-        event_fields=spec.event_fields(),
-    )
+        overrides = (("drc.entries", spec.drc_entries),) + overrides
+    if overrides:
+        config = config.with_overrides(overrides)
+    if spec.quantum:
+        # The program alone, switched out and back in every quantum:
+        # each quantum starts on a flushed DRC and TLBs.
+        shared = TimeSharedCPU([(spec.workload, image, flow)], config,
+                               quantum_instructions=spec.quantum)
+        with _main_phase("simulate", tracer, events, profile_phases,
+                         workload=spec.workload, mode=spec.mode):
+            return shared.run(spec.max_instructions).processes[0].result
+    cpu = CycleCPU(image, flow, config, events=events,
+                   checkpoint_interval=checkpoint_interval,
+                   event_fields=spec.event_fields())
     with _main_phase("simulate", tracer, events, profile_phases,
                      workload=spec.workload, mode=spec.mode):
         return cpu.run(spec.max_instructions, spec.warmup_instructions)

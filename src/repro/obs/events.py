@@ -54,7 +54,36 @@ __all__ = [
     "open_log",
     "read_events",
     "follow_events",
+    "RUN_FIELDS",
+    "mode_label",
+    "run_label",
 ]
+
+
+#: The spec fields a run's records carry (``RunSpec.event_fields`` and
+#: the ``mode`` the CPU adds): what :func:`mode_label` reads.
+RUN_FIELDS = ("workload", "mode", "drc_entries", "machine", "randomizer",
+              "quantum")
+
+
+def mode_label(fields) -> str:
+    """A run's mode label, from its spec fields or records: ``baseline``,
+    ``vcfr@128``, ``vcfr@128+drc.assoc=4`` (only overrides add ``+``)."""
+    label = str(fields.get("mode", "?"))
+    if fields.get("drc_entries"):
+        label += "@%d" % fields["drc_entries"]
+    for name, value in (list(fields.get("machine", ()))
+                        + list(fields.get("randomizer", ()))):
+        label += "+%s=%s" % (name, value)
+    if fields.get("quantum"):
+        label += "+quantum=%d" % fields["quantum"]
+    return label
+
+
+def run_label(fields) -> str:
+    """``gcc/vcfr@128``, or the ``label`` a job's record already has."""
+    return fields.get("label") or "%s/%s" % (fields.get("workload", "?"),
+                                             mode_label(fields))
 
 
 class NullSink:

@@ -43,11 +43,11 @@ import sqlite3
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .events import read_events
+from .events import RUN_FIELDS, mode_label, read_events
 
 __all__ = ["RunStore", "SCHEMA_VERSION", "STORE_METRICS", "LOWER_IS_BETTER"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Queryable metric columns of the ``runs`` table.
 STORE_METRICS = (
@@ -77,6 +77,9 @@ CREATE TABLE IF NOT EXISTS meta (
 #: One ``runs`` row per job of any kind (``run``, ``race``, ``fleet``):
 #: the metric columns hold what the job's result has of them, and
 #: ``payload`` holds a race or fleet result's full ``as_dict()`` JSON.
+#: ``label`` is a run's mode label (:func:`~repro.obs.events.mode_label`:
+#: ``vcfr@128``, or ``vcfr@128+drc.assoc=4`` for a spec with overrides)
+#: and a race or fleet row's kind.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
     id                  INTEGER PRIMARY KEY,
@@ -85,6 +88,7 @@ CREATE TABLE IF NOT EXISTS runs (
     workload            TEXT NOT NULL,
     mode                TEXT NOT NULL,
     drc_entries         INTEGER NOT NULL DEFAULT 0,
+    label               TEXT NOT NULL DEFAULT '',
     seed                INTEGER,
     scale               REAL,
     max_instructions    INTEGER,
@@ -274,14 +278,14 @@ class RunStore:
         key = self.spec_key(fields)
         cursor = self._conn.execute(
             "INSERT OR IGNORE INTO runs (spec_key, kind, workload, mode, "
-            "drc_entries, seed, scale, max_instructions, "
+            "drc_entries, label, seed, scale, max_instructions, "
             "warmup_instructions, config_digest, status, source, attempts, "
             "cached, instructions, cycles, ipc, il1_miss_rate, "
             "dl1_miss_rate, l2_miss_rate, drc_lookups, drc_misses, "
             "drc_miss_rate, host_seconds, host_instructions, error, "
             "payload, created_at) "
             "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
-            "?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            "?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
                 key,
                 kind,
@@ -289,6 +293,7 @@ class RunStore:
                 # a race has no protection mode: its kind stands in
                 fields.get("mode", kind),
                 fields.get("drc_entries", 0) or 0,
+                mode_label(fields) if kind == "run" else kind,
                 fields.get("seed"),
                 fields.get("scale"),
                 fields.get("max_instructions"),
@@ -334,7 +339,7 @@ class RunStore:
         order = "ASC" if metric in LOWER_IS_BETTER else "DESC"
         where, params = _filters(mode=mode, workload=workload)
         rows = self._conn.execute(
-            "SELECT workload, mode, drc_entries, %s AS value, attempts, "
+            "SELECT workload, label, %s AS value, attempts, "
             "source, created_at FROM runs "
             "WHERE kind = 'run' AND status = 'ok' AND %s IS NOT NULL%s "
             "ORDER BY workload ASC, value %s, created_at ASC"
@@ -343,13 +348,13 @@ class RunStore:
         ).fetchall()
         out: List[dict] = []
         seen = set()
-        for workload_, mode_, drc, value, attempts, source, created in rows:
+        for workload_, label, value, attempts, source, created in rows:
             if workload_ in seen:
                 continue
             seen.add(workload_)
             out.append({
                 "workload": workload_,
-                "label": _mode_label(mode_, drc),
+                "label": label,
                 "metric": metric,
                 "value": value,
                 "attempts": attempts,
@@ -362,7 +367,9 @@ class RunStore:
         """Per-workload ``a`` vs ``b`` on ``metric`` (latest run each).
 
         ``a``/``b`` are mode labels — ``baseline``, ``naive_ilr``,
-        ``vcfr`` (any DRC size), or ``vcfr@64`` (that size exactly).
+        ``vcfr`` (any DRC size), or ``vcfr@64`` (that size exactly);
+        only a full label (``vcfr@128+drc.assoc=4``) selects the rows
+        of a spec with overrides.
         """
         if metric not in STORE_METRICS:
             raise ValueError("unknown metric %r (one of %s)"
@@ -382,12 +389,7 @@ class RunStore:
         return out
 
     def _latest_by_workload(self, label: str, metric: str) -> Dict[str, float]:
-        mode, _, drc = label.partition("@")
-        where = " AND mode = ?"
-        params: List[object] = [mode]
-        if drc:
-            where += " AND drc_entries = ?"
-            params.append(int(drc))
+        where, params = _filters(mode=label, workload=None)
         rows = self._conn.execute(
             "SELECT workload, %s FROM runs "
             "WHERE kind = 'run' AND status = 'ok' AND %s IS NOT NULL%s "
@@ -403,8 +405,8 @@ class RunStore:
         first; race and fleet rows are labelled by their kind."""
         where, params = _filters(mode=mode, workload=workload)
         rows = self._conn.execute(
-            "SELECT workload, mode, drc_entries, status, source, attempts, "
-            "cached, ipc, host_seconds, error, created_at, kind "
+            "SELECT workload, label, status, source, attempts, "
+            "cached, ipc, host_seconds, error, created_at "
             "FROM runs WHERE 1=1%s ORDER BY created_at DESC, id DESC "
             "LIMIT ?" % where,
             params + [limit],
@@ -412,10 +414,10 @@ class RunStore:
         return [
             {
                 "workload": r[0],
-                "label": _mode_label(r[1], r[2]) if r[11] == "run" else r[11],
-                "status": r[3], "source": r[4], "attempts": r[5],
-                "cached": bool(r[6]), "ipc": r[7], "host_seconds": r[8],
-                "error": r[9], "created_at": r[10],
+                "label": r[1],
+                "status": r[2], "source": r[3], "attempts": r[4],
+                "cached": bool(r[5]), "ipc": r[6], "host_seconds": r[7],
+                "error": r[8], "created_at": r[9],
             }
             for r in rows
         ]
@@ -536,11 +538,9 @@ class RunStore:
             if kind == "fuzz_program":
                 session_seed = record.get("session_seed", session_seed)
             elif kind == "run_end":
-                spec = {
-                    "workload": record.get("workload", "?"),
-                    "mode": record.get("mode", "?"),
-                    "drc_entries": record.get("drc_entries", 0),
-                }
+                spec = {"workload": "?", "mode": "?", "drc_entries": 0}
+                spec.update((key, record[key]) for key in RUN_FIELDS
+                            if key in record)
                 run_id = self.record_run(
                     spec, record, source="backfill-events",
                     attempts=record.get("attempt", 0) + 1,
@@ -573,21 +573,17 @@ class RunStore:
         return "RunStore(path=%r)" % self.path
 
 
-def _mode_label(mode: str, drc_entries: int) -> str:
-    return "%s@%d" % (mode, drc_entries) if mode == "vcfr" else mode
-
-
 def _filters(*, mode: Optional[str],
              workload: Optional[str]) -> Tuple[str, List[object]]:
+    """``mode``: a mode label, or a bare mode for plain specs' rows."""
     where = ""
     params: List[object] = []
     if mode:
-        base, _, drc = mode.partition("@")
-        where += " AND mode = ?"
-        params.append(base)
-        if drc:
-            where += " AND drc_entries = ?"
-            params.append(int(drc))
+        if "@" in mode or "+" in mode:
+            where += " AND label = ?"
+        else:
+            where += " AND mode = ? AND label NOT LIKE '%+%'"
+        params.append(mode)
     if workload:
         where += " AND workload = ?"
         params.append(workload)

@@ -41,21 +41,16 @@ from typing import Dict, List, Optional, Tuple
 
 from ..arch.simstats import ratio
 from ..obs import format_table, sparkline, status
-from ..obs.events import follow_events, read_events
+from ..obs.events import follow_events, mode_label, read_events
 from ..obs.store import STORE_METRICS, RunStore
 from ..obs.trace import Span, span_table
 
 
 def _run_key(record: dict) -> Tuple[str, str]:
-    """Group key of one run: workload + mode, with the DRC size folded
-    into the mode label (``vcfr@64`` vs ``vcfr@512``) so the RunSpec
-    sweeps the harness emits stay distinct series instead of collapsing
-    into one ``vcfr`` line."""
-    mode = str(record.get("mode", "?"))
-    drc_entries = record.get("drc_entries")
-    if drc_entries:
-        mode = "%s@%d" % (mode, drc_entries)
-    return (str(record.get("workload", "?")), mode)
+    """Group key of one run: workload + mode label (``vcfr@64``,
+    ``vcfr@128+drc.assoc=4``), so every spec the harness runs is its
+    own series instead of collapsing into one ``vcfr`` line."""
+    return (str(record.get("workload", "?")), mode_label(record))
 
 
 def load_files(paths: List[str]) -> List[dict]:
@@ -341,12 +336,12 @@ def ipc_over_time(records: List[dict]) -> Optional[str]:
 def _select_series(by_label: Dict[str, List[dict]],
                    want: str) -> Optional[List[dict]]:
     """Series for mode ``want``: exact label first (``vcfr@64``), else
-    the first series whose base mode matches (``vcfr`` finds
-    ``vcfr@128``)."""
+    the first series of a plain spec whose base mode matches (``vcfr``
+    finds ``vcfr@128``, never ``vcfr@128+drc.assoc=4``)."""
     if want in by_label:
         return by_label[want]
     for label, points in by_label.items():
-        if label.split("@", 1)[0] == want:
+        if "+" not in label and label.split("@", 1)[0] == want:
             return points
     return None
 

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from repro.arch.context import TimeSharedCPU, measure_switch_sensitivity
+from repro.arch.context import TimeSharedCPU
 from repro.arch.cpu import CycleCPU
+from repro.harness import ExperimentSession, RunSpec
 from repro.ilr import RandomizerConfig, make_flow, randomize, verify_equivalence
 from repro.ilr.layout import allocate_layout
 from repro.isa import assemble
@@ -102,12 +103,14 @@ class TestTimeSharing:
         with pytest.raises(KeyError):
             out.by_name("zzz")
 
-    def test_smaller_quanta_never_help(self, program):
-        sweep = measure_switch_sensitivity(
-            program, make_flow, quanta=(50_000, 1_000),
-            max_instructions=30_000,
-        )
-        assert sweep[1_000].ipc <= sweep[50_000].ipc + 1e-9
+    def test_smaller_quanta_never_help(self):
+        session = ExperimentSession()
+        long_q = RunSpec("xalan", "vcfr", max_instructions=30_000,
+                         quantum=50_000)
+        short_q = RunSpec("xalan", "vcfr", max_instructions=30_000,
+                          quantum=1_000)
+        session.prefetch([long_q, short_q])
+        assert session.run(short_q).ipc <= session.run(long_q).ipc + 1e-9
 
 
 def _fake_instructions(count):

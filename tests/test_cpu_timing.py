@@ -169,7 +169,7 @@ class TestModes:
     def test_drc_size_sweep_monotone_missrate(self, program):
         rates = []
         for entries in (16, 128, 1024):
-            cfg = default_config().with_drc_entries(entries)
+            cfg = default_config().with_overrides([("drc.entries", entries)])
             res = simulate(program.vcfr_image, make_flow("vcfr", program),
                            cfg, max_instructions=200_000)
             rates.append(res.drc_miss_rate)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.arch import SharedMemorySystem
-from repro.arch.context import TimeSharedCPU, measure_switch_sensitivity
+from repro.arch.context import TimeSharedCPU
 from repro.arch.cpu import CycleCPU
 from repro.arch.sharedmem import PHYS_BASE_SHIFT
 from repro.fleet import (
@@ -89,22 +89,22 @@ class TestSwitchAccounting:
         assert stats.total_switch_cycles == 100 * stats.switches
 
     def test_switch_sensitivity_accepts_switch_cycles(self, program):
-        cheap = measure_switch_sensitivity(
-            program, make_flow, quanta=(1_000,), max_instructions=6_000,
-            switch_cycles=0,
-        )
-        default = measure_switch_sensitivity(
-            program, make_flow, quanta=(1_000,), max_instructions=6_000,
-        )
-        explicit = measure_switch_sensitivity(
-            program, make_flow, quanta=(1_000,), max_instructions=6_000,
-            switch_cycles=200,
-        )
+        def self_switched(**switch):
+            shared = TimeSharedCPU(
+                [("p", program.vcfr_image, make_flow("vcfr", program))],
+                quantum_instructions=1_000, **switch,
+            )
+            out = shared.run(max_instructions_per_process=6_000)
+            return out.by_name("p").result
+
+        cheap = self_switched(switch_cycles=0)
+        default = self_switched()
+        explicit = self_switched(switch_cycles=200)
         # The default stays 200 (published curves unchanged)...
-        assert default[1_000].cycles == explicit[1_000].cycles
+        assert default.cycles == explicit.cycles
         # ...and the knob genuinely moves the cost: 6 quanta x 200
         # cycles cheaper when switches are free.
-        quanta_run = default[1_000].cycles - cheap[1_000].cycles
+        quanta_run = default.cycles - cheap.cycles
         assert quanta_run > 0
         assert quanta_run % 200 == 0
 

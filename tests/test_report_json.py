@@ -108,6 +108,16 @@ class TestHarnessCLI:
         with pytest.raises(SystemExit):
             harness_main(["fig99"])
 
+    def test_ablation_alone_prefetches_only_its_specs(self, tmp_path):
+        """With a cache and no suite experiment, only the ablation's own
+        12 distinct specs run, not the whole suite's 63."""
+        cache = tmp_path / "cache"
+        status = harness_main(["prefetcher", "--cache-dir", str(cache),
+                               "--scale", "0.3",
+                               "--max-instructions", "20000"])
+        assert status == 0
+        assert len(list(cache.glob("*/*/result.json"))) == 12
+
     def test_ablation_by_name_is_addressable(self):
         # Just registry resolution — running a full ablation is bench work.
         from repro.harness.__main__ import ALL_ABLATIONS, ALL_EXPERIMENTS

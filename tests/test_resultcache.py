@@ -146,7 +146,7 @@ class TestResultCache:
             RunSpec("mcf", "vcfr", 128), config
         )
         assert cache.key(spec, config) != cache.key(
-            spec, config.with_drc_entries(64)
+            spec, config.with_overrides([("drc.entries", 64)])
         )
 
     def test_key_uses_normalized_spec(self, tmp_path):

@@ -95,7 +95,7 @@ class TestConfigFingerprint:
     def test_sensitive_to_any_parameter(self):
         base = config_fingerprint(default_config())
         assert config_fingerprint(
-            default_config().with_drc_entries(64)
+            default_config().with_overrides([("drc.entries", 64)])
         ) != base
         small_l2 = default_config()
         small_l2.l2.size_bytes //= 2

@@ -734,8 +734,8 @@ class TestProcessCodeCache:
         sizes = (16, 512)
 
         def cpu(entries):
-            return _mode_cpu("vcfr", program,
-                             _config().with_drc_entries(entries))
+            config = _config().with_overrides([("drc.entries", entries)])
+            return _mode_cpu("vcfr", program, config)
 
         def run(cpus):
             for _ in range(12):
