@@ -16,7 +16,8 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..analysis import analyze_functions, collect_stats
 from ..arch.simstats import ratio
-from ..security import can_build_payload, scan_gadgets, survey_image
+from ..security import (attacker_visible_gadgets, can_build_payload,
+                        scan_gadgets, survey_gadgets)
 from ..workloads import build_image
 from . import paper
 from .session import ExperimentSession
@@ -267,12 +268,11 @@ def fig11(runner: ExperimentSession) -> ExperimentResult:
     payload_blocked_everywhere = True
     for app in paper.SPEC_APPS:
         program = runner.program_for(runner.spec(app))
-        survey = survey_image(program.original, program.rdr)
         gadgets = scan_gadgets(program.original)
+        survey = survey_gadgets(gadgets, program.rdr)
         before = can_build_payload(gadgets)
-        survivors = [g for g in gadgets
-                     if g.addr in program.rdr.unrandomized_entries()]
-        after = can_build_payload(survivors)
+        after = can_build_payload(
+            attacker_visible_gadgets(gadgets, program.rdr))
         payload_blocked_everywhere &= not after
         removals.append(survey.removal_percent)
         result.rows.append(

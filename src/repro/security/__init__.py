@@ -21,6 +21,7 @@ from .gadgets import (
     GadgetSurvey,
     attacker_visible_gadgets,
     scan_gadgets,
+    survey_gadgets,
     survey_image,
 )
 from .payload import (
@@ -45,6 +46,7 @@ __all__ = [
     "GadgetSurvey",
     "scan_gadgets",
     "attacker_visible_gadgets",
+    "survey_gadgets",
     "survey_image",
     "END_RET",
     "END_JMP",
