@@ -81,6 +81,8 @@ class TimeSharedCPU:
         switch_cycles: int = 200,
         on_quantum=None,
         self_switch: bool = True,
+        events=None,
+        event_fields: Optional[dict] = None,
     ):
         """``on_quantum(name, cpu, executed, finished)`` is invoked after
         every scheduling quantum, at an instruction boundary — the hook
@@ -90,10 +92,13 @@ class TimeSharedCPU:
         a single tenant has the core to itself (the adversarial
         DRC-cold-start study); pass ``False`` to model a lone tenant
         that simply keeps running.  With more than one live tenant every
-        quantum still switches regardless.
+        quantum still switches regardless.  ``events`` and
+        ``event_fields`` go to every tenant's CPU, which logs a
+        ``run_start`` and a ``run_end`` record there.
         """
         self.cpus = [
-            (name, CycleCPU(image, flow, config))
+            (name, CycleCPU(image, flow, config, events=events,
+                            event_fields=event_fields))
             for name, image, flow in programs
         ]
         self.quantum = quantum_instructions
@@ -106,6 +111,8 @@ class TimeSharedCPU:
         live = {name: True for name, _cpu in self.cpus}
         quanta = {name: 0 for name, _cpu in self.cpus}
         budget = {name: max_instructions_per_process for name, _ in self.cpus}
+        for _name, cpu in self.cpus:
+            cpu.log_run_start(max_instructions_per_process)
 
         while any(live.values()):
             for name, cpu in self.cpus:
@@ -132,6 +139,7 @@ class TimeSharedCPU:
         out = TimeSharedResult(switch_stats=self.switch_stats)
         for name, cpu in self.cpus:
             final = cpu.result()
+            cpu.log_run_end(final)
             out.processes.append(
                 ProcessResult(name=name, result=final, quanta=quanta[name])
             )

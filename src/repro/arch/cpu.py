@@ -294,13 +294,7 @@ class CycleCPU:
         ``warmup_instructions`` executes (and warms caches/predictors) but
         is excluded from the reported statistics.
         """
-        self.events.emit(
-            "run_start",
-            max_instructions=max_instructions,
-            warmup_instructions=warmup_instructions,
-            checkpoint_interval=self.checkpoint_interval,
-            **self.event_fields,
-        )
+        self.log_run_start(max_instructions, warmup_instructions)
         if warmup_instructions:
             self._ensure_started()
             self._execute_loop(self.state.icount + warmup_instructions)
@@ -310,6 +304,24 @@ class CycleCPU:
         self._ensure_started()
         self._execute_with_checkpoints(self.state.icount + max_instructions)
         result = self.result(warmup_instructions)
+        self.log_run_end(result)
+        return result
+
+    def log_run_start(self, max_instructions: int,
+                      warmup_instructions: int = 0) -> None:
+        """Log the ``run_start`` record of a run (or of a series of
+        :meth:`run_slice` calls) about to start."""
+        self.events.emit(
+            "run_start",
+            max_instructions=max_instructions,
+            warmup_instructions=warmup_instructions,
+            checkpoint_interval=self.checkpoint_interval,
+            **self.event_fields,
+        )
+
+    def log_run_end(self, result: SimResult) -> None:
+        """Log the ``run_end`` record of ``result``, this CPU's
+        :meth:`result`."""
         self.events.emit(
             "run_end",
             instructions=result.instructions,
@@ -323,7 +335,6 @@ class CycleCPU:
             tiers=self.tier_stats() if self.events.enabled else None,
             **self.event_fields,
         )
-        return result
 
     def run_slice(self, instructions: int) -> bool:
         """Resumable execution: run up to ``instructions`` more.

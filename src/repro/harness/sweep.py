@@ -251,7 +251,9 @@ def execute_spec(
         # The program alone, switched out and back in every quantum:
         # each quantum starts on a flushed DRC and TLBs.
         shared = TimeSharedCPU([(spec.workload, image, flow)], config,
-                               quantum_instructions=spec.quantum)
+                               quantum_instructions=spec.quantum,
+                               events=events,
+                               event_fields=spec.event_fields())
         with _main_phase("simulate", tracer, events, profile_phases,
                          workload=spec.workload, mode=spec.mode):
             return shared.run(spec.max_instructions).processes[0].result

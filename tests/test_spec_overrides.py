@@ -197,6 +197,18 @@ class TestObservers:
                 assert {r["label"] for r in store.history()} == \
                     {r["label"] for r in live.history()}
 
+    def test_every_spec_logs_its_run(self, logged):
+        """The quantum spec too: one ``run_start`` and one ``run_end``
+        per spec, stamped with the spec's fields."""
+        _root, records = logged
+        for kind in ("run_start", "run_end"):
+            fields = [{k: r[k] for k in ("workload", "mode", "quantum")
+                       if k in r} for r in records if r["kind"] == kind]
+            assert len(fields) == len(SPECS) + 1
+            assert {"workload": "gcc", "mode": "vcfr",
+                    "quantum": 5_000} in fields
+        assert " vcfr@128+quantum=5000 " in stats.runs_table(records)
+
     def test_run_table_and_progress_name_the_overrides(self, logged,
                                                        capsys):
         _root, records = logged
