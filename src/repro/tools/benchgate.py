@@ -20,7 +20,9 @@ Report shape (one file per bench, rewritten as its gates record)::
 Gates record *before* asserting, so a failing run still leaves a
 report with ``"pass": false`` for the trajectory.  The output
 directory is ``$BENCH_REPORT_DIR`` when set, else the current working
-directory (the repo root under ``make verify``).
+directory (the repo root under ``make verify``).  Experiment reports
+(:func:`emit_experiment`) land in the working directory only where a
+baseline is committed.
 
 ``python -m repro.tools.benchgate --compare`` is the *trend* check:
 it diffs freshly written reports against the versions committed at
@@ -166,13 +168,16 @@ def emit_experiment(result, bench: Optional[str] = None) -> None:
     Experiment checks are boolean facts rather than thresholded
     metrics, so each becomes ``value == True``.  Does not assert —
     callers keep their own ``assert result.passed`` semantics (see
-    ``benchmarks/conftest.py:gate_result``)."""
+    ``benchmarks/conftest.py:gate_result``).  The report is written
+    only when ``$BENCH_REPORT_DIR`` is set or a baseline of it is
+    committed, so a bench run leaves no untracked reports behind."""
     name = bench or result.exp_id
     gates = _registry.setdefault(name, [])
     for description, ok in result.checks:
         gates.append({"metric": description, "value": bool(ok),
                       "threshold": True, "op": "==", "pass": bool(ok)})
-    _flush(name)
+    if os.environ.get("BENCH_REPORT_DIR") or name in _committed_names():
+        _flush(name)
 
 
 # -- trend check (--compare) ------------------------------------------------

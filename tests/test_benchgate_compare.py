@@ -3,10 +3,13 @@ and the paired estimate the overhead benches gate on."""
 
 import json
 import subprocess
+from types import SimpleNamespace
 
 import pytest
 
-from repro.tools.benchgate import compare_reports, main, paired_overhead
+from repro.tools import benchgate
+from repro.tools.benchgate import (compare_reports, emit_experiment, main,
+                                   paired_overhead)
 
 
 def _report(**metrics):
@@ -112,6 +115,33 @@ class TestCompareCli:
                                                        capsys):
         assert main(["--compare", "nonexistent"]) == 0
         assert "new bench?" in capsys.readouterr().out
+
+
+class TestEmitExperiment:
+    """An experiment's report lands in the working directory only where
+    a baseline is committed; ``$BENCH_REPORT_DIR`` takes every report."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_registry(self, monkeypatch):
+        monkeypatch.setattr(benchgate, "_registry", {})
+
+    @staticmethod
+    def _result(exp_id):
+        return SimpleNamespace(exp_id=exp_id, checks=[("holds", True)])
+
+    def test_only_committed_baselines_are_rewritten(self, bench_repo):
+        emit_experiment(self._result("demo"))
+        emit_experiment(self._result("fresh"))
+        report = json.loads((bench_repo / "BENCH_demo.json").read_text())
+        assert [g["metric"] for g in report["gates"]] == ["holds"]
+        assert not (bench_repo / "BENCH_fresh.json").exists()
+
+    def test_report_dir_takes_every_report(self, bench_repo, monkeypatch):
+        out = bench_repo / "reports"
+        out.mkdir()
+        monkeypatch.setenv("BENCH_REPORT_DIR", str(out))
+        emit_experiment(self._result("fresh"))
+        assert json.loads((out / "BENCH_fresh.json").read_text())["pass"]
 
 
 class TestPairedOverhead:
