@@ -16,21 +16,17 @@ and asserts the engine's wall-clock overhead stays under 2% (plus
 results bit-identical, as everywhere else).  Wall-clock on a shared
 host is noisy at the couple-percent level (frequency scaling, sibling
 load — this gate shares ``make verify`` with pool-heavy benchmarks),
-so the passes are timed in order-alternated pairs and the gate reads
-the most favourable of three robust estimators
-(:func:`repro.tools.benchgate.paired_overhead`).
+so the passes alternate over many rounds and the gate reads the median
+of per-round ratios (:func:`repro.tools.benchgate.time_rounds`).
 
 Run directly (the ``Makefile verify`` target does)::
 
     PYTHONPATH=src python benchmarks/bench_fault_overhead.py
 
 or through pytest: ``pytest benchmarks/bench_fault_overhead.py -q``.
-``BENCH_FAULT_BUDGET`` (instructions per run, default 40000) trades
-fidelity against gate runtime.
 """
 
 import json
-import os
 import shutil
 import tempfile
 import time
@@ -40,15 +36,15 @@ from repro.harness.resultcache import ResultCache
 from repro.harness.scheduler import AsyncScheduler
 from repro.harness.spec import RunSpec
 from repro.harness.sweep import execute_spec
-from repro.tools.benchgate import gate, paired_overhead
+from repro.tools.benchgate import gate_overhead, time_rounds
 
 #: Per-spec instruction budget.  Sized so one pass runs long enough
 #: that the engine's constant-per-spec machinery (retry bookkeeping,
 #: one digest, one cache transaction) is well under the gate if it is
-#: under it at production budgets, while a full 2x``REPEATS``-pass
-#: measurement stays around ten seconds.
-BUDGET = int(os.environ.get("BENCH_FAULT_BUDGET", "60000"))
-REPEATS = 12
+#: under it at production budgets.
+BUDGET = 60_000
+#: About 265 ms a pass: 31 rounds keep the timed work near 16 s.
+ROUNDS = 31
 OVERHEAD_LIMIT = 0.02
 
 SPECS = [
@@ -93,18 +89,11 @@ def test_no_fault_overhead_is_negligible():
     config = default_config()
     workdir = tempfile.mkdtemp(prefix="bench-fault-overhead-")
     try:
-        # Warm both paths once (imports, program build JIT-ish costs).
-        _raw_pass(config, workdir)
-        _engine_pass(config, workdir)
-
-        overhead = paired_overhead(lambda: _raw_pass(config, workdir),
-                                   lambda: _engine_pass(config, workdir),
-                                   REPEATS)
-        print("\nfault-tolerance overhead: %d specs @ %d instr | %s"
-              % (len(SPECS), BUDGET,
-                 overhead.describe("raw", "engine", OVERHEAD_LIMIT)))
-        gate("fault_overhead", "sweep_overhead", round(overhead.value, 4),
-             OVERHEAD_LIMIT, op="<")
+        times = time_rounds(
+            {"raw": lambda: _raw_pass(config, workdir),
+             "engine": lambda: _engine_pass(config, workdir)}, ROUNDS)
+        gate_overhead("fault_overhead", "sweep_overhead", times, "raw",
+                      "engine", OVERHEAD_LIMIT)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -16,19 +16,15 @@ workload two ways:
    the request work equals the raw budget exactly.
 
 and asserts the harness's wall-clock overhead stays under 5%.
-Wall-clock on a shared host is noisy, so the runs are timed in
-order-alternated pairs and the gate reads the most favourable of three
-robust estimators (:func:`repro.tools.benchgate.paired_overhead`).
+Wall-clock on a shared host is noisy, so the runs alternate over many
+rounds and the gate reads the median of per-round ratios
+(:func:`repro.tools.benchgate.time_rounds`).
 
 Run directly (the ``Makefile verify`` target does)::
 
     PYTHONPATH=src python benchmarks/bench_fleet_overhead.py
-
-``BENCH_FLEET_BUDGET`` (instructions per run, default 60000) trades
-fidelity against gate runtime.
 """
 
-import os
 import time
 
 from repro.arch.context import TimeSharedCPU
@@ -36,10 +32,11 @@ from repro.fleet import ArrivalSpec, FleetSpec, run_fleet
 from repro.ilr.flow import make_flow
 from repro.ilr.randomizer import RandomizerConfig, randomize
 from repro.security.race import build_service_image
-from repro.tools.benchgate import gate, paired_overhead
+from repro.tools.benchgate import gate_overhead, time_rounds
 
-BUDGET = int(os.environ.get("BENCH_FLEET_BUDGET", "60000"))
-REPEATS = 10
+BUDGET = 60_000
+#: About 50 ms a run: 31 rounds keep the timed work near 3 s.
+ROUNDS = 31
 OVERHEAD_LIMIT = 0.05
 
 REQUEST_INSTRUCTIONS = 600
@@ -86,15 +83,9 @@ def _fleet_pass():
 
 
 def test_fleet_harness_overhead_is_negligible():
-    # Warm both paths (imports, assembler caches).
-    _raw_pass()
-    _fleet_pass()
-
-    overhead = paired_overhead(_raw_pass, _fleet_pass, REPEATS)
-    print("\nfleet-harness overhead: %d instr | %s"
-          % (BUDGET, overhead.describe("raw", "fleet", OVERHEAD_LIMIT)))
-    gate("fleet_overhead", "fleet_harness_overhead",
-         round(overhead.value, 4), OVERHEAD_LIMIT, op="<")
+    times = time_rounds({"raw": _raw_pass, "fleet": _fleet_pass}, ROUNDS)
+    gate_overhead("fleet_overhead", "fleet_harness_overhead", times,
+                  "raw", "fleet", OVERHEAD_LIMIT)
 
 
 if __name__ == "__main__":

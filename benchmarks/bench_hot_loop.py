@@ -28,9 +28,9 @@ Run directly (the ``Makefile verify`` target does)::
 
     PYTHONPATH=src python benchmarks/bench_hot_loop.py
 
-or through pytest: ``pytest benchmarks/bench_hot_loop.py -q``.  Timing
-uses min-of-N interleaved repetitions, which is robust to transient
-host noise.
+or through pytest: ``pytest benchmarks/bench_hot_loop.py -q``.  Each
+mode's legs run in rotated order over rounds, and every gate reads the
+median of per-round ratios (:func:`repro.tools.benchgate.time_rounds`).
 """
 
 import time
@@ -39,12 +39,14 @@ from repro.arch.config import default_config
 from repro.arch.cpu import CycleCPU
 from repro.arch.tracecache import clear_code_cache
 from repro.ilr import RandomizerConfig, make_flow, randomize
-from repro.tools.benchgate import record
+from repro.tools.benchgate import record_ratio, time_rounds
 from repro.workloads import build_image
 from repro.workloads.builder import ProgramBuilder
 
 MAX_INSTRUCTIONS = 120_000
-REPETITIONS = 3
+#: A round of both tests' legs is about 2.4 s over the three modes:
+#: 7 rounds keep the timed work near 17 s.
+ROUNDS = 7
 MIN_SPEEDUP = 3.0
 MIN_BLOCKS_SPEEDUP = 1.8
 MIN_BRANCHY_VS_BLOCKS = 0.8
@@ -101,9 +103,10 @@ def _build_program():
     return randomize(build_hot_loop_image(), RandomizerConfig(seed=42))
 
 
-#: leg -> (fastpath, tracepath), in run order within each repetition
-LEGS = {"fast": (True, True), "ref": (False, False), "blocks": (True, False)}
-BRANCHY_LEGS = {"fast": LEGS["fast"], "blocks": LEGS["blocks"]}
+#: leg -> (fastpath, tracepath); the first leg's result is the one
+#: every other leg must reproduce.
+LEGS = {"ref": (False, False), "blocks": (True, False), "fast": (True, True)}
+BRANCHY_LEGS = {"blocks": LEGS["blocks"], "fast": LEGS["fast"]}
 
 
 def _run_once(program, mode, fastpath, tracepath=True):
@@ -121,46 +124,27 @@ def _run_once(program, mode, fastpath, tracepath=True):
     return time.perf_counter() - start, result.to_dict()
 
 
-def measure_mode(program, mode, legs=LEGS, base="ref"):
-    """Best host seconds per leg of ``legs`` after asserting every leg
-    produced the ``base`` leg's results."""
-    # Warm every leg once (allocator, bytecode caches) before timing.
-    warm = {leg: _run_once(program, mode, *flags)[1]
-            for leg, flags in legs.items()}
-    for leg in legs:
-        assert warm[leg] == warm[base], (
-            "%s: %s path diverged from the %s path" % (mode, leg, base)
-        )
-    times = {leg: [] for leg in legs}
-    for _ in range(REPETITIONS):  # interleave to share host noise
-        for leg, flags in legs.items():
-            times[leg].append(_run_once(program, mode, *flags)[0])
-    return {leg: min(seconds) for leg, seconds in times.items()}
+def _time_mode(program, mode, legs):
+    """Per-round seconds of each of ``legs`` on ``program`` in ``mode``."""
+    return time_rounds(
+        {leg: (lambda flags=flags: _run_once(program, mode, *flags))
+         for leg, flags in legs.items()}, ROUNDS)
 
 
 def test_fast_path_speedup_and_equivalence():
     program = _build_program()
     failures = []
     for mode in MODES:
-        best = measure_mode(program, mode)
-        speedup = best["ref"] / best["fast"]
-        blocks_speedup = best["ref"] / best["blocks"]
-        print(
-            "\nhot loop [%s]: ref %.4fs, blocks %.4fs -> %.2fx, "
-            "fast %.4fs -> %.2fx"
-            % (mode, best["ref"], best["blocks"], blocks_speedup,
-               best["fast"], speedup)
-        )
-        if not record("hot_loop", "%s_speedup" % mode,
-                      round(speedup, 2), MIN_SPEEDUP):
-            failures.append((mode + " fast", speedup))
-        if not record("hot_loop", "%s_blocks_speedup" % mode,
-                      round(blocks_speedup, 2), MIN_BLOCKS_SPEEDUP):
-            failures.append((mode + " blocks", blocks_speedup))
+        times = _time_mode(program, mode, LEGS)
+        if not record_ratio("hot_loop", "%s_speedup" % mode, times,
+                            "ref", "fast", MIN_SPEEDUP):
+            failures.append(mode + " fast")
+        if not record_ratio("hot_loop", "%s_blocks_speedup" % mode, times,
+                            "ref", "blocks", MIN_BLOCKS_SPEEDUP):
+            failures.append(mode + " blocks")
     assert not failures, (
         "below the %.1fx (fast) / %.1fx (blocks) floors: %s"
-        % (MIN_SPEEDUP, MIN_BLOCKS_SPEEDUP,
-           ", ".join("%s %.2fx" % pair for pair in failures))
+        % (MIN_SPEEDUP, MIN_BLOCKS_SPEEDUP, ", ".join(failures))
     )
 
 
@@ -169,17 +153,13 @@ def test_branchy_traces_keep_pace_with_blocks():
                         RandomizerConfig(seed=42))
     failures = []
     for mode in MODES:
-        best = measure_mode(program, mode, BRANCHY_LEGS, base="blocks")
-        ratio = best["blocks"] / best["fast"]
-        print("\nbranchy gcc [%s]: blocks %.4fs, fast %.4fs -> %.2fx"
-              % (mode, best["blocks"], best["fast"], ratio))
-        if not record("hot_loop", "%s_branchy_vs_blocks" % mode,
-                      round(ratio, 2), MIN_BRANCHY_VS_BLOCKS):
-            failures.append((mode, ratio))
+        times = _time_mode(program, mode, BRANCHY_LEGS)
+        if not record_ratio("hot_loop", "%s_branchy_vs_blocks" % mode,
+                            times, "blocks", "fast", MIN_BRANCHY_VS_BLOCKS):
+            failures.append(mode)
     assert not failures, (
         "traces-on gcc below %.1fx of blocks alone: %s"
-        % (MIN_BRANCHY_VS_BLOCKS,
-           ", ".join("%s %.2fx" % pair for pair in failures))
+        % (MIN_BRANCHY_VS_BLOCKS, ", ".join(failures))
     )
 
 

@@ -3,30 +3,29 @@
 Compares a 50k-instruction cycle simulation with the always-on
 observability path active (periodic checkpointing into a null event
 log) against the same simulation with checkpointing off, and asserts
-the overhead is below 5% of host runtime.  The gate keeps its
-historical ``metrics_overhead`` key so ``benchgate --compare`` reads
-the committed baseline.
+the overhead is below 5% of host runtime, read as the median of
+per-round ratios over rounds of alternating runs
+(:func:`repro.tools.benchgate.time_rounds`).  Both runs must return
+the same result.  The gate keeps its historical ``metrics_overhead``
+key so ``benchgate --compare`` reads the committed baseline.
 
 Run directly (the ``Makefile verify`` target does)::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py
 
 or through pytest: ``pytest benchmarks/bench_obs_overhead.py -q``.
-Timing uses min-of-N interleaved repetitions, which is robust to
-transient host noise; the bound itself (5%) is ~10x the typical
-measured overhead (one integer compare per retired instruction plus
-the checkpoint samples).
 """
 
 import time
 
 from repro.arch.cpu import CycleCPU
 from repro.ilr import RandomizerConfig, make_flow, randomize
-from repro.tools.benchgate import gate
+from repro.tools.benchgate import gate_overhead, time_rounds
 from repro.workloads import build_image
 
 MAX_INSTRUCTIONS = 50_000
-REPETITIONS = 5
+#: About 65 ms a run: 31 rounds keep the timed work near 4 s.
+ROUNDS = 31
 OVERHEAD_LIMIT = 0.05
 
 
@@ -35,43 +34,25 @@ def _build_program():
     return randomize(image, RandomizerConfig(seed=42))
 
 
-def _run_once(program, instrumented: bool) -> float:
-    """One fresh simulation; returns host seconds for the run itself."""
+def _run_once(program, instrumented: bool):
+    """One fresh simulation: (host seconds of the run, result dict)."""
     cpu = CycleCPU(
         program.vcfr_image,
         make_flow("vcfr", program),
         checkpoint_interval=MAX_INSTRUCTIONS // 100 if instrumented else 0,
     )
     start = time.perf_counter()
-    cpu.run(max_instructions=MAX_INSTRUCTIONS)
-    return time.perf_counter() - start
-
-
-def measure_overhead():
-    """Returns (seconds_plain, seconds_instrumented, overhead_fraction)."""
-    program = _build_program()
-    # Warm both paths once (decode caches, allocator, JIT-less but fair).
-    _run_once(program, False)
-    _run_once(program, True)
-    plain = []
-    instrumented = []
-    for _ in range(REPETITIONS):  # interleave to share host noise
-        plain.append(_run_once(program, False))
-        instrumented.append(_run_once(program, True))
-    best_plain = min(plain)
-    best_instrumented = min(instrumented)
-    overhead = (best_instrumented - best_plain) / best_plain
-    return best_plain, best_instrumented, overhead
+    result = cpu.run(max_instructions=MAX_INSTRUCTIONS)
+    return time.perf_counter() - start, result.to_dict()
 
 
 def test_always_on_obs_overhead_under_5_percent():
-    plain, instrumented, overhead = measure_overhead()
-    print(
-        "\nobs overhead: plain %.4fs, instrumented %.4fs -> %+.2f%%"
-        % (plain, instrumented, 100 * overhead)
-    )
-    gate("obs_overhead", "metrics_overhead", round(overhead, 4),
-         OVERHEAD_LIMIT, op="<")
+    program = _build_program()
+    times = time_rounds({"plain": lambda: _run_once(program, False),
+                         "instrumented": lambda: _run_once(program, True)},
+                        ROUNDS)
+    gate_overhead("obs_overhead", "metrics_overhead", times, "plain",
+                  "instrumented", OVERHEAD_LIMIT)
 
 
 if __name__ == "__main__":

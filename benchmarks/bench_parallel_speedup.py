@@ -20,8 +20,6 @@ Run directly (the ``Makefile verify`` target does)::
     PYTHONPATH=src python benchmarks/bench_parallel_speedup.py
 
 or through pytest: ``pytest benchmarks/bench_parallel_speedup.py -q``.
-``BENCH_SWEEP_BUDGET`` (instructions per run, default 20000) trades
-fidelity against gate runtime.
 """
 
 import os
@@ -35,7 +33,7 @@ from repro.harness.spec import RunSpec
 from repro.tools.benchgate import gate
 
 WORKERS = 4
-BUDGET = int(os.environ.get("BENCH_SWEEP_BUDGET", "20000"))
+BUDGET = 20_000
 SPEEDUP_4CORE = 1.8
 SPEEDUP_2CORE = 1.2
 #: Pool bring-up + pickling overhead tolerated on a single-core host.

@@ -15,19 +15,15 @@ workload two ways:
    and ``RotationPolicy(kind="none")``: the exact instrumented path.
 
 and asserts the harness's wall-clock overhead stays under 5%.
-Wall-clock on a shared host is noisy, so the runs are timed in
-order-alternated pairs and the gate reads the most favourable of three
-robust estimators (:func:`repro.tools.benchgate.paired_overhead`).
+Wall-clock on a shared host is noisy, so the runs alternate over many
+rounds and the gate reads the median of per-round ratios
+(:func:`repro.tools.benchgate.time_rounds`).
 
 Run directly (the ``Makefile verify`` target does)::
 
     PYTHONPATH=src python benchmarks/bench_race_overhead.py
-
-``BENCH_RACE_BUDGET`` (instructions per run, default 60000) trades
-fidelity against gate runtime.
 """
 
-import os
 import time
 
 from repro.arch.context import TimeSharedCPU
@@ -36,10 +32,11 @@ from repro.ilr.randomizer import RandomizerConfig, randomize
 from repro.security.adversary import AdversarySpec
 from repro.security.race import RaceSpec, build_tenant_image, run_race
 from repro.security.rotation import RotationPolicy
-from repro.tools.benchgate import gate, paired_overhead
+from repro.tools.benchgate import gate_overhead, time_rounds
 
-BUDGET = int(os.environ.get("BENCH_RACE_BUDGET", "60000"))
-REPEATS = 10
+BUDGET = 60_000
+#: About 50 ms a run: 31 rounds keep the timed work near 3 s.
+ROUNDS = 31
 OVERHEAD_LIMIT = 0.05
 
 SPEC = RaceSpec(
@@ -74,15 +71,9 @@ def _race_pass():
 
 
 def test_disabled_adversary_overhead_is_negligible():
-    # Warm both paths (imports, assembler caches).
-    _raw_pass()
-    _race_pass()
-
-    overhead = paired_overhead(_raw_pass, _race_pass, REPEATS)
-    print("\nrace-harness overhead: %d instr | %s"
-          % (BUDGET, overhead.describe("raw", "race", OVERHEAD_LIMIT)))
-    gate("race_overhead", "disabled_adversary_overhead",
-         round(overhead.value, 4), OVERHEAD_LIMIT, op="<")
+    times = time_rounds({"raw": _raw_pass, "race": _race_pass}, ROUNDS)
+    gate_overhead("race_overhead", "disabled_adversary_overhead", times,
+                  "raw", "race", OVERHEAD_LIMIT)
 
 
 if __name__ == "__main__":

@@ -16,37 +16,31 @@ two ways:
    scheduler;
 
 and asserts the streamed pass stays within 5% of the batch pass (plus
-results bit-identical, as everywhere else).  Timing is 3
-order-alternated pairs, and the gate reads the most favourable of
-three robust estimators
-(:func:`repro.tools.benchgate.paired_overhead`).
+results bit-identical, as everywhere else), read as the median of
+per-round ratios over rounds of alternating passes
+(:func:`repro.tools.benchgate.time_rounds`).  Both passes run inline:
+a process pool adds its own wall-clock noise on small hosts.
 
 Run directly (the ``Makefile verify`` target does)::
 
     PYTHONPATH=src python benchmarks/bench_scheduler_overhead.py
 
 or through pytest: ``pytest benchmarks/bench_scheduler_overhead.py -q``.
-``BENCH_SCHED_BUDGET`` (instructions per run, default 1500),
-``BENCH_SCHED_SPECS`` (spec count, default 200), and
-``BENCH_SCHED_WORKERS`` (default 0: the pooled path's process pools
-add their own wall-clock noise on small hosts; set 2+ to gate the
-async-pooled bridge instead) trade fidelity against gate runtime.
 """
 
 import dataclasses
 import json
-import os
 import time
 
 from repro.arch.config import default_config
 from repro.harness.session import ExperimentSession
 from repro.harness.spec import RunSpec
-from repro.tools.benchgate import gate, paired_overhead
+from repro.tools.benchgate import gate_overhead, time_rounds
 
-BUDGET = int(os.environ.get("BENCH_SCHED_BUDGET", "1500"))
-SPEC_COUNT = int(os.environ.get("BENCH_SCHED_SPECS", "200"))
-WORKERS = int(os.environ.get("BENCH_SCHED_WORKERS", "0"))
-REPEATS = 3
+BUDGET = 1_500
+SPEC_COUNT = 200
+#: About 530 ms a pass: 15 rounds keep the timed work near 16 s.
+ROUNDS = 15
 OVERHEAD_LIMIT = 0.05
 
 #: Seed-varied specs over a few workloads: 200 distinct cache keys and
@@ -87,19 +81,13 @@ def _stream_pass(session):
 
 def test_streaming_overhead_is_negligible():
     # One session, so one program memo: both paths then pay the
-    # randomization cost once, and the measured passes compare pure
-    # engine overhead.
-    session = ExperimentSession(default_config(), workers=WORKERS)
-    _batch_pass(session)
-    _stream_pass(session)
-
-    overhead = paired_overhead(lambda: _batch_pass(session),
-                               lambda: _stream_pass(session), REPEATS)
-    print("\nstreaming-intake overhead: %d specs @ %d instr, %d workers | %s"
-          % (SPEC_COUNT, BUDGET, WORKERS,
-             overhead.describe("batch", "streamed", OVERHEAD_LIMIT)))
-    gate("scheduler_overhead", "streaming_overhead",
-         round(overhead.value, 4), OVERHEAD_LIMIT, op="<")
+    # randomization cost once, in the untimed first calls, and the
+    # timed passes compare pure engine overhead.
+    session = ExperimentSession(default_config())
+    times = time_rounds({"batch": lambda: _batch_pass(session),
+                         "streamed": lambda: _stream_pass(session)}, ROUNDS)
+    gate_overhead("scheduler_overhead", "streaming_overhead", times,
+                  "batch", "streamed", OVERHEAD_LIMIT)
 
 
 if __name__ == "__main__":

@@ -2,29 +2,30 @@
 
 Compares a sequential three-spec sweep with a live
 :class:`~repro.obs.trace.Tracer` against the same sweep with tracing
-off, and asserts the overhead is below 5% of host runtime (ISSUE 6
-acceptance criterion).  Tracing adds a handful of spans per spec
+off, and asserts the overhead is below 5% of host runtime, read as the
+median of per-round ratios over rounds of alternating sweeps
+(:func:`repro.tools.benchgate.time_rounds`); both sweeps must return
+the same results.  Tracing adds a handful of spans per spec
 (spec -> attempt -> build/randomize/simulate), each costing one dict,
 two clock reads, and a SHA-256 of a short key — nothing per retired
-instruction — so the measured overhead should be far inside the budget.
+instruction.
 
 Run directly (the ``Makefile verify`` target does)::
 
     PYTHONPATH=src python benchmarks/bench_trace_overhead.py
 
 or through pytest: ``pytest benchmarks/bench_trace_overhead.py -q``.
-Timing uses min-of-N interleaved repetitions, which is robust to
-transient host noise.
 """
 
 import time
 
 from repro.harness import AsyncScheduler, RunSpec
 from repro.obs.trace import Tracer
-from repro.tools.benchgate import gate
+from repro.tools.benchgate import gate_overhead, time_rounds
 
 MAX_INSTRUCTIONS = 30_000
-REPETITIONS = 5
+#: About 230 ms a sweep: 21 rounds keep the timed work near 10 s.
+ROUNDS = 21
 OVERHEAD_LIMIT = 0.05
 
 SPECS = [
@@ -37,38 +38,20 @@ SPECS = [
 ]
 
 
-def _run_once(traced: bool) -> float:
-    """One fresh sequential sweep; returns host seconds."""
+def _run_once(traced: bool):
+    """One fresh sequential sweep: (host seconds, result dicts)."""
     tracer = Tracer() if traced else None
     start = time.perf_counter()
-    list(AsyncScheduler(workers=0, tracer=tracer).stream(SPECS))
-    return time.perf_counter() - start
-
-
-def measure_overhead():
-    """Returns (seconds_plain, seconds_traced, overhead_fraction)."""
-    # Warm both paths once (decode caches, allocator, module imports).
-    _run_once(False)
-    _run_once(True)
-    plain = []
-    traced = []
-    for _ in range(REPETITIONS):  # interleave to share host noise
-        plain.append(_run_once(False))
-        traced.append(_run_once(True))
-    best_plain = min(plain)
-    best_traced = min(traced)
-    overhead = (best_traced - best_plain) / best_plain
-    return best_plain, best_traced, overhead
+    outcomes = list(AsyncScheduler(workers=0, tracer=tracer).stream(SPECS))
+    elapsed = time.perf_counter() - start
+    return elapsed, [o.result.as_dict() for o in outcomes]
 
 
 def test_span_tracing_overhead_under_5_percent():
-    plain, traced, overhead = measure_overhead()
-    print(
-        "\ntrace overhead: plain %.4fs, traced %.4fs -> %+.2f%%"
-        % (plain, traced, 100 * overhead)
-    )
-    gate("span_trace_overhead", "tracing_overhead", round(overhead, 4),
-         OVERHEAD_LIMIT, op="<")
+    times = time_rounds({"plain": lambda: _run_once(False),
+                         "traced": lambda: _run_once(True)}, ROUNDS)
+    gate_overhead("span_trace_overhead", "tracing_overhead", times,
+                  "plain", "traced", OVERHEAD_LIMIT)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .functions import (
     discover_entries,
     ret_randomization_safety,
 )
-from .pointer_scan import PointerHit, candidate_targets, scan_image
+from .pointer_scan import PointerHit, scan_image
 from .stats import ControlFlowStats, collect_stats
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "propagate",
     "PointerHit",
     "scan_image",
-    "candidate_targets",
     "FunctionAnalysis",
     "FunctionInfo",
     "analyze_functions",

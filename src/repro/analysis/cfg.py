@@ -16,7 +16,7 @@ from ..binary import BinaryImage
 from .basicblocks import BasicBlock, build_blocks
 from .constprop import ConstPropResult, propagate
 from .disassembler import Disassembly, disassemble
-from .pointer_scan import candidate_targets
+from .pointer_scan import PointerHit, scan_image
 
 
 @dataclass
@@ -34,6 +34,8 @@ class CFG:
     call_targets: Set[int] = field(default_factory=set)
     #: candidate targets of indirect transfers after pruning.
     indirect_targets: Set[int] = field(default_factory=set)
+    #: what the pointer scan found, for callers that rewrite the slots.
+    pointer_hits: List[PointerHit] = field(default_factory=list)
     #: results of the constant propagation pass.
     constprop: Optional[ConstPropResult] = None
 
@@ -94,7 +96,8 @@ def build_cfg(
     reloc_targets = {
         r.target for r in image.relocations if image.is_code_addr(r.target)
     }
-    scan_targets = candidate_targets(image, disasm, stride=pointer_scan_stride)
+    cfg.pointer_hits = scan_image(image, disasm, stride=pointer_scan_stride)
+    scan_targets = {hit.target for hit in cfg.pointer_hits}
     conservative = {
         t for t in reloc_targets | scan_targets if t in blocks
     }

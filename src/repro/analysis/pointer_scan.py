@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from ..binary import BinaryImage
 from .disassembler import Disassembly
@@ -55,11 +55,3 @@ def scan_image(
             hits.append(PointerHit(sec.base + off, value, sec.executable))
     return hits
 
-
-def candidate_targets(
-    image: BinaryImage,
-    disasm: Optional[Disassembly] = None,
-    stride: int = 1,
-) -> Set[int]:
-    """The set of code addresses the scan flags as possible indirect targets."""
-    return {hit.target for hit in scan_image(image, disasm, stride)}

@@ -29,7 +29,6 @@ from ..analysis import (
     disassemble,
     ret_randomization_safety,
 )
-from ..analysis.pointer_scan import scan_image
 from ..binary import BinaryImage, FLAG_EXEC, FLAG_READ, Section
 from ..binary.loader import RANDOMIZED_BASE
 from .layout import (
@@ -119,8 +118,9 @@ def randomize(
 ) -> RandomizedProgram:
     """Run the full randomization pipeline on ``image``.
 
-    The CFG and the pointer scan serve only ``use_relocations=False``:
-    with relocation records (the default) neither is built.
+    The CFG serves only ``use_relocations=False``, which also reads its
+    pointer-scan hits as the slots to rewrite: with relocation records
+    (the default) neither the CFG nor the scan is built.
     """
     config = config or RandomizerConfig()
     rng = random.Random(config.seed)
@@ -175,9 +175,10 @@ def randomize(
     if config.use_relocations:
         pointer_slots = collect_pointer_slots_from_relocations(image)
     else:
+        cfg = build_cfg(image, disasm, run_constprop=True)
         pointer_slots = [
             (hit.slot, hit.target)
-            for hit in scan_image(image, disasm)
+            for hit in cfg.pointer_hits
             if not hit.in_code and hit.target in layout.placement
         ]
         # In-code immediates: recover via decoded instructions rather than
@@ -195,7 +196,6 @@ def randomize(
                 pointer_slots.append((inst.addr + 2, inst.imm))
         # Unproven indirect targets keep their original addresses legal
         # (failover, paper §IV-A).
-        cfg = build_cfg(image, disasm, run_constprop=True)
         for target in cfg.indirect_targets:
             if target in layout.placement:
                 rdr.add_redirect(target)

@@ -12,17 +12,20 @@ Report shape (one file per bench, rewritten as its gates record)::
       "pass": true,
       "gates": [
         {"metric": "baseline_speedup", "value": 3.61,
-         "threshold": 3.0, "op": ">=", "pass": true},
+         "threshold": 3.0, "op": ">=", "pass": true,
+         "q1": 3.52, "q3": 3.70, "rounds": 7},
         ...
       ]
     }
 
-Gates record *before* asserting, so a failing run still leaves a
-report with ``"pass": false`` for the trajectory.  The output
-directory is ``$BENCH_REPORT_DIR`` when set, else the current working
-directory (the repo root under ``make verify``).  Experiment reports
-(:func:`emit_experiment`) land in the working directory only where a
-baseline is committed.
+A timed gate reads the median of per-round ratios between legs that
+:func:`time_rounds` runs in rotated order, with its quartiles and
+round count beside it.  Gates record *before* asserting, so a failing
+run still leaves a report with ``"pass": false`` for the trajectory.
+The output directory is ``$BENCH_REPORT_DIR`` when set, else the
+current working directory (the repo root under ``make verify``).
+Experiment reports (:func:`emit_experiment`) land in the working
+directory only where a baseline is committed.
 
 ``python -m repro.tools.benchgate --compare`` is the *trend* check:
 it diffs freshly written reports against the versions committed at
@@ -36,6 +39,7 @@ runs it after the benchmark legs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import statistics
@@ -43,8 +47,9 @@ import subprocess
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
-__all__ = ["gate", "record", "paired_overhead", "emit_experiment",
-           "report_path", "compare_reports", "main"]
+__all__ = ["gate", "record", "time_rounds", "paired_ratio", "record_ratio",
+           "gate_overhead", "emit_experiment", "report_path",
+           "compare_reports", "main"]
 
 _OPS = {
     ">=": lambda value, threshold: value >= threshold,
@@ -106,60 +111,58 @@ def gate(bench: str, metric: str, value, threshold, op: str = ">=",
                                           threshold)
 
 
-class Overhead:
-    """What :func:`paired_overhead` measured: each leg's median seconds,
-    the three estimators of ``other / base`` and the most favourable
-    one, ``via``, whose excess over 1 is ``value``."""
-
-    def __init__(self, base_times: List[float], other_times: List[float]):
-        self.base_median = statistics.median(base_times)
-        self.other_median = statistics.median(other_times)
-        self.estimators = {
-            "min": min(other_times) / min(base_times),
-            "median": self.other_median / self.base_median,
-            "paired": statistics.median(
-                [o / b for b, o in zip(base_times, other_times)]),
-        }
-        self.via = min(self.estimators, key=self.estimators.get)
-        self.value = self.estimators[self.via] - 1.0
-
-    def describe(self, base: str, other: str, limit: float) -> str:
-        """One report line, the legs named ``base`` and ``other``."""
-        return (
-            "%s median %.3fs, %s median %.3fs | overhead %+.2f%% via %s "
-            "(min %+.2f%%, median %+.2f%%, paired %+.2f%%; limit %.0f%%)"
-            % (base, self.base_median, other, self.other_median,
-               100 * self.value, self.via,
-               100 * (self.estimators["min"] - 1),
-               100 * (self.estimators["median"] - 1),
-               100 * (self.estimators["paired"] - 1), 100 * limit)
-        )
-
-
-def paired_overhead(base: Callable[[], Tuple[float, object]],
-                    other: Callable[[], Tuple[float, object]],
-                    repeats: int) -> Overhead:
-    """Time ``other`` against ``base`` in ``repeats`` order-alternated
-    pairs (``base`` first on even iterations, ``other`` first on odd).
-
-    Each leg returns ``(seconds, result)``, and every result of either
-    leg must equal the first one.  Wall-clock on a shared host is noisy,
-    so the overhead is the most favourable of three robust estimators:
-    min-vs-min, median-vs-median and the median of per-pair ratios.  A
-    real constant-per-unit regression lifts all three together;
-    uncorrelated host noise rarely does.
-    """
-    times: Tuple[List[float], List[float]] = ([], [])
-    results = []
-    for iteration in range(repeats):
-        for leg in ((0, 1) if iteration % 2 == 0 else (1, 0)):
-            seconds, result = (base, other)[leg]()
-            times[leg].append(seconds)
-            results.append(result)
+def time_rounds(legs: Dict[str, Callable[[], Tuple[float, object]]],
+                rounds: int) -> Dict[str, List[float]]:
+    """Leg name -> its seconds in each round.  A leg returns
+    ``(seconds, result)`` and every result must equal the first.  An
+    untimed round runs each leg once, then round ``r`` runs them in
+    their order rotated left by ``r``, collecting garbage before each."""
+    names, results = list(legs), []
+    times: Dict[str, List[float]] = {name: [] for name in names}
+    for r in range(-1, rounds):  # round -1 is the untimed one
+        k = max(r, 0) % len(names)
+        for name in names[k:] + names[:k]:
+            gc.collect()
+            seconds, result = legs[name]()
+            results = results or [result]
             assert result == results[0], (
-                "the %s leg's result differs from the first one"
-                % ("base", "other")[leg])
-    return Overhead(*times)
+                "the %s leg's result differs from the first one" % name)
+            if r >= 0:
+                times[name].append(seconds)
+    return times
+
+
+def paired_ratio(over: List[float],
+                 under: List[float]) -> Tuple[float, float, float]:
+    """``(median, q1, q3)`` of the per-round ratios ``over / under``."""
+    q1, median, q3 = statistics.quantiles(
+        [o / u for o, u in zip(over, under)], n=4, method="inclusive")
+    return median, q1, q3
+
+
+def record_ratio(bench: str, metric: str, times: Dict[str, List[float]],
+                 over: str, under: str, threshold: float, op: str = ">=",
+                 less: float = 0.0, digits: int = 2) -> bool:
+    """Record the median per-round ratio ``over / under`` less ``less``
+    with its quartiles and round count; print it, return if it passed."""
+    median, q1, q3 = (round(x - less, digits)
+                      for x in paired_ratio(times[over], times[under]))
+    rounds = len(times[over])
+    print("\n%s %s: %s median %.4fs, %s median %.4fs | %r (q1 %r, q3 %r) "
+          "over %d rounds, gate %s %r"
+          % (bench, metric, over, statistics.median(times[over]), under,
+             statistics.median(times[under]), median, q1, q3, rounds, op,
+             threshold))
+    return record(bench, metric, median, threshold, op=op, q1=q1, q3=q3,
+                  rounds=rounds)
+
+
+def gate_overhead(bench: str, metric: str, times: Dict[str, List[float]],
+                  base: str, other: str, limit: float) -> None:
+    """Gate ``other``'s overhead over ``base`` below ``limit``."""
+    ok = record_ratio(bench, metric, times, other, base, limit, "<",
+                      less=1.0, digits=4)
+    assert ok, "%s: %s not below %r" % (bench, metric, limit)
 
 
 def emit_experiment(result, bench: Optional[str] = None) -> None:
@@ -231,7 +234,8 @@ def compare_reports(current: dict, baseline: dict,
     already gates them.  The allowed drift is
     ``tolerance * max(|baseline|, |threshold|)``: anchoring on the
     threshold keeps near-zero overhead metrics from flagging on
-    absolute noise a fraction of their budget.
+    absolute noise a fraction of their budget.  Only ``value`` is
+    judged; a message shows both entries' quartiles where both have them.
     """
     problems: List[str] = []
     if not current.get("pass", True):
@@ -254,9 +258,12 @@ def compare_reports(current: dict, baseline: dict,
         higher_is_better = op in (">=", ">")
         drift = base - value if higher_is_better else value - base
         if drift > margin:
+            both = all("q1" in g and "q3" in g for g in (old, entry))
+            spreads = [" [q1 %.6g, q3 %.6g]" % (g["q1"], g["q3"])
+                       if both else "" for g in (old, entry)]
             problems.append(
-                "%s: %.6g -> %.6g (%s, allowed drift %.6g)"
-                % (metric, base, value,
+                "%s: %.6g%s -> %.6g%s (%s, allowed drift %.6g)"
+                % (metric, base, spreads[0], value, spreads[1],
                    "dropped" if higher_is_better else "rose", margin))
     return problems
 

@@ -3,7 +3,6 @@
 from repro.analysis import (
     build_blocks,
     build_cfg,
-    candidate_targets,
     disassemble,
     find_leaders,
     scan_image,
@@ -202,7 +201,7 @@ class TestPointerScan:
     def test_finds_jump_table_entries(self):
         image = assemble(JUMP_TABLE)
         disasm = disassemble(image)
-        targets = candidate_targets(image, disasm)
+        targets = {hit.target for hit in scan_image(image, disasm)}
         assert image.symbols.resolve("case_a") in targets
         assert image.symbols.resolve("case_b") in targets
 
@@ -216,13 +215,13 @@ class TestPointerScan:
     def test_without_disasm_is_more_permissive(self):
         image = assemble(JUMP_TABLE)
         disasm = disassemble(image)
-        strict = candidate_targets(image, disasm)
-        loose = candidate_targets(image, None)
+        strict = {hit.target for hit in scan_image(image, disasm)}
+        loose = {hit.target for hit in scan_image(image, None)}
         assert strict <= loose
 
     def test_stride_4_subset_of_stride_1(self):
         image = assemble(JUMP_TABLE)
         disasm = disassemble(image)
-        s4 = candidate_targets(image, disasm, stride=4)
-        s1 = candidate_targets(image, disasm, stride=1)
+        s4 = {hit.target for hit in scan_image(image, disasm, stride=4)}
+        s1 = {hit.target for hit in scan_image(image, disasm, stride=1)}
         assert s4 <= s1

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -279,3 +280,25 @@ class TestCFGOnlyWhenStripped:
         randomize(assemble(PROGRAM),
                   RandomizerConfig(seed=11, use_relocations=False))
         assert calls == [{"run_constprop": True}]
+
+    @pytest.mark.parametrize("use_relocations, scans", [(True, 0), (False, 1)])
+    def test_pointer_scan_runs_at_most_once(self, monkeypatch,
+                                            use_relocations, scans):
+        """The stripped path reads its pointer slots from the CFG's scan
+        rather than scanning again."""
+        from repro.analysis import pointer_scan
+
+        real, calls = pointer_scan.scan_image, []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        # Every module that bound the function at import, re-exports
+        # included, so no call path escapes the count.
+        for module in list(sys.modules.values()):
+            if getattr(module, "scan_image", None) is real:
+                monkeypatch.setattr(module, "scan_image", counting)
+        randomize(build_image("gcc"),
+                  RandomizerConfig(seed=42, use_relocations=use_relocations))
+        assert len(calls) == scans
