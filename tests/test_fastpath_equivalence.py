@@ -108,7 +108,7 @@ class TestResultEquivalence:
                              warmup_instructions=10_000)
         assert result_fast.to_dict() == result_ref.to_dict()
 
-    @pytest.mark.parametrize("mode", ["baseline", "vcfr"])
+    @pytest.mark.parametrize("mode", ["baseline", "naive_ilr", "vcfr"])
     def test_slice_resumption_equivalent(self, mode):
         """Odd-sized run_slice calls cut blocks at arbitrary points."""
         program = _program("hmmer")
