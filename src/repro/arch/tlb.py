@@ -125,28 +125,28 @@ class TLB:
         does its own accounting) and the names are those of
         :meth:`inline_scope` under ``name``.
 
-        ``addr`` is an int for a fetch address fixed at compile time:
-        an MRU hit or any other hit on its page runs inline, unless the
-        page is invisible, whose access must stay a call so that it
-        faults.  Otherwise ``addr`` names a local and only an MRU-page
-        hit runs inline (``mru`` only ever holds a visible page)."""
-        fallback = ["    " + line for line in miss]
-        if not isinstance(addr, int):
-            return ["if %s >> %d == %so.mru:" % (addr, self._page_bits, name),
-                    "    %sst.accesses += 1" % name,
-                    "else:"] + fallback
-        page = addr >> self._page_bits
-        if self._is_invisible(page):
-            return list(miss)
-        return [
-            "if %so.mru == %d:" % (name, page),
+        An MRU hit or any other hit runs inline.  ``addr`` is an int
+        for a fetch address fixed at compile time, whose access stays a
+        call when its page is invisible, so that it faults.  Otherwise
+        ``addr`` names a local: ``_entries`` only ever holds pages that
+        passed the visibility check (``mru`` is one of them), so a hit
+        never skips a fault."""
+        if isinstance(addr, int):
+            page = addr >> self._page_bits
+            if self._is_invisible(page):
+                return list(miss)
+            setup, page = [], str(page)
+        else:
+            setup, page = ["pg_ = %s >> %d" % (addr, self._page_bits)], "pg_"
+        return setup + [
+            "if %so.mru == %s:" % (name, page),
             "    %sst.accesses += 1" % name,
-            "elif %d in %se:" % (page, name),
+            "elif %s in %se:" % (page, name),
             "    %sst.accesses += 1" % name,
-            "    %se.move_to_end(%d)" % (name, page),
-            "    %so.mru = %d" % (name, page),
+            "    %se.move_to_end(%s)" % (name, page),
+            "    %so.mru = %s" % (name, page),
             "else:",
-        ] + fallback
+        ] + ["    " + line for line in miss]
 
     def inline_scope(self, name: str) -> dict:
         """Generated-scope bindings of :meth:`access_src` under

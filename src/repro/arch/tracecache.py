@@ -17,8 +17,8 @@ until a guard fails.  A recording that revisits another member block
 or reaches ``trace_max_blocks``/``trace_max_insts`` is *rejected* and
 its anchor blacklisted until the next invalidation.  ``compile()``
 costs 6.5-9 us per generated source line (shared 2-vCPU x86-64 host)
-and a trace has about 33 lines per instruction (32.2 on the perfbench
-``sim_hot`` programs, 32.9 on ``sim_branchy``'s), so a trace must retire
+and a trace has about 35 lines per instruction (34.6 on the perfbench
+``sim_hot`` programs, 35.0 on ``sim_branchy``'s), so a trace must retire
 hundreds of times its own length to pay for itself.  On gcc, xalan,
 sjeng and bzip2, looping traces retired 1,700-2,200 instructions per
 ms of compile, linear ones cut at an inner cycle 240-340 and those cut
@@ -53,18 +53,56 @@ cases run inline, from source each model renders next to the method it
 mirrors (the ``*_src`` methods of :mod:`~repro.arch.cache`,
 :mod:`~repro.arch.tlb` and :mod:`~repro.arch.branch`, and the word
 access of :mod:`~repro.arch.memory` in the shape templates): the
-IL1/DL1 MRU way, an ITLB hit on a visible fetch page, the MRU DTLB
-page, a correctly predicted conditional branch (gshare, and the MRU
-BTB way when taken) and a page-local word read or write.  Anything
-else calls the method, which does its own accounting; the reference
-loop always calls them.  A *guard* at every intra-trace branch whose
-outcome is dynamic (conditional direction, indirect/return target)
-compares the actual next fetch PC against the recorded one and
-side-exits to the block path on mismatch — after charging the
-instruction's full cycle cost, so a bailout is correctness-neutral.
-Direct transfers need no guard: between explicit invalidations,
-``flow.transfer`` of a constant target is a pure function of the
-randomization tables.
+IL1/DL1 MRU way, an ITLB hit on a visible fetch page, a DTLB hit, a
+correctly predicted conditional branch (gshare, and the MRU BTB way
+when taken) and a page-local word read or write.  Anything else calls
+the method, which does its own accounting; the reference loop always
+calls them.  A *guard* at every intra-trace branch whose outcome is
+dynamic (conditional direction, indirect/return target) compares the
+actual next fetch PC against the recorded one and side-exits to the
+block path on mismatch — after charging the instruction's full cycle
+cost, so a bailout is correctness-neutral.  Direct transfers need no
+guard: between explicit invalidations, ``flow.transfer`` of a
+constant target is a pure function of the randomization tables.
+
+Steady state
+------------
+
+Naive ILR spreads a loop's instructions over separate IL1 lines and
+often separate pages, so each traced instruction probes the ITLB, the
+IL1 and the next-line prefetcher, and in a hot loop every probe hits
+and leaves both models as it found them.  A looping trace compares
+``il1.misses + il1.prefetches + itlb.misses`` at two passes of its back
+edge: once an iteration entered from the back edge filled nothing,
+every later iteration of that call skips its fetch probes, behind one
+``if not steady:`` per op that probes.  Three invariants make that
+exact:
+
+* the IL1 and the ITLB are touched only by the fetch side
+  (``CycleCPU._fetch_stall``, the block loop and traces): DRC refills
+  and DL1 misses go to the L2, and ``switch_in``'s ITLB flush and
+  ``_reset_stats`` run outside traces;
+* a hit on either model adds no fetch stall: ``Cache.access`` returns
+  ``latency`` and ``TLB.access`` returns 0;
+* between two passes of the back edge a trace follows one path (its
+  guards enforce it), so the fetch probes of the second and later
+  iterations are static, the first op's included: at the loop head the
+  last fetch page and line are the last op's.
+
+So an all-hit iteration leaves the IL1's LRU order and touched bits,
+the ITLB's order and ``TLB.mru`` at a fixpoint, and repeating it only
+adds to ``accesses`` and ``prefetch_hits``.  Non-MRU hits qualify; the
+first iteration does not, since it is entered from the block path with
+any last line.  Every exit (the loop-head budget check, a guard bail,
+an exiting ``int``, a fault) runs the trace's ``finally``, which
+settles: it adds the counters of the whole steady iterations, then
+replays the fetch accesses of the cut one through ``Cache.access``,
+``Cache.prefetch`` and ``TLB.access``, all hits, so that the LRU
+order, the counters and the last fetch page and line end where the
+reference loop leaves them.  The settle reads how far the cut
+iteration got from ``st.pc``, which every op writes first, so a
+recording whose arch pcs repeat is rendered without the steady path.
+``stats()["steady"]`` counts the iterations run settled.
 
 Correctness contract
 --------------------
@@ -203,7 +241,8 @@ class TraceCache:
     __slots__ = (
         "hot_threshold", "max_blocks", "max_insts", "capacity",
         "traces", "builds", "flushes", "invalidations", "aborts",
-        "rejected", "compile_failures", "_bail", "_counts", "_failed",
+        "rejected", "compile_failures", "_bail", "_steady", "_counts",
+        "_failed",
         "_entries_retired", "_rec", "_rec_insts", "_rec_expect",
         "_flow", "_scope", "_il1_latency", "_dl1_latency",
         "_load_use", "_prefetch", "_record_events",
@@ -230,6 +269,9 @@ class TraceCache:
         #: shared guard side-exit counter cell (closed over by every
         #: generated function).
         self._bail = [0]
+        #: iterations run with the fetch side settled (every settle
+        #: adds to it).
+        self._steady = [0]
         self._counts: Dict[int, int] = {}
         #: blacklisted anchors: rejected or failed to compile.
         self._failed = set()
@@ -432,6 +474,7 @@ class TraceCache:
             "rejected": self.rejected,
             "compile_failures": self.compile_failures,
             "bailouts": self._bail[0],
+            "steady": self._steady[0],
             "entries": self._entries_retired + live,
             "live_entries": live,
         }
@@ -441,6 +484,28 @@ class TraceCache:
 
 def _indent(lines):
     return ["    " + line for line in lines]
+
+
+def _fetch_steps(op, page, line):
+    """The fetch-side probes of ``op`` after a fetch that left ``page``
+    and ``line`` (None: unknown, so probed), in the order of
+    ``CycleCPU._fetch_stall``, and the page and line the op leaves.
+    A step is ``("page", page, addr, None)``, an ITLB access, or
+    ``("line", line, addr, pf)``, an IL1 access with the next-line
+    prefetch of ``pf`` when the prefetcher is on.  A fetch group that
+    crosses into ``line2`` always probes it: ``line`` is pinned by then
+    and differs from it."""
+    (_h, _inst, fpc, _arch, _extra, op_page, op_line, pf1, cross, addr2,
+     line2, pf2, _seq, _touch, _is_int) = op
+    steps = []
+    if op_page != page:
+        steps.append(("page", op_page, fpc, None))
+    if op_line != line:
+        steps.append(("line", op_line, fpc, pf1))
+    if cross:
+        steps.append(("line", line2, addr2, pf2))
+        op_line = line2
+    return steps, op_page, op_line
 
 
 class _TraceGen:
@@ -467,6 +532,8 @@ class _TraceGen:
         self.insts: List[object] = []
         #: statically-tracked fetch page/line ([page, line], None=unknown).
         self.know: List[Optional[int]] = [None, None]
+        #: whether the source has the steady path (set by :meth:`build`).
+        self.steady = False
 
     # -- folding helpers ---------------------------------------------------
 
@@ -509,13 +576,18 @@ class _TraceGen:
     # -- emission ----------------------------------------------------------
 
     def build(self):
-        n_total = sum(b.n for b, _ in self.rec)
+        ops = [op for block, _ in self.rec for op in block.ops]
+        # The settle finds an exit's op by ``st.pc``, which every op
+        # writes first, so it needs the trace's arch pcs to be distinct.
+        self.steady = len({op[3] for op in ops}) == len(ops)
         body = _Writer(indent=2)
         body.line("try:")
         body.line("    while 1:")
         body.indent = 4
-        body.line("if icount + %d > budget:" % n_total)
+        body.line("if icount + %d > budget:" % len(ops))
         body.line("    return (0, %d)" % self.anchor)
+        if self.steady:
+            body.line("ns += steady")
 
         seq_index = 0
         for block, expected in self.rec:
@@ -527,24 +599,91 @@ class _TraceGen:
             seq_index += 1
 
         scope = self.cache._scope
-        src_lines = ["def __make(C):",
-                     "    (%s, I) = C" % ", ".join(scope)]
+        consts = tuple(scope.values()) + (tuple(self.insts),)
+        names = ", ".join(scope) + ", I"
+        if self.steady:
+            # The back edge: an iteration entered from it that filled
+            # nothing on the fetch side leaves the IL1 and ITLB at a
+            # fixpoint, so every later one skips its fetch probes.
+            body.line("if not steady:")
+            body.line("    f_ = il1st.misses + il1st.prefetches"
+                      " + itlbst.misses")
+            body.line("    steady = f_ == mark")
+            body.line("    mark = f_")
+            consts += (self._settle(ops),)
+            names += ", settle"
+        src_lines = ["def __make(C):", "    (%s) = C" % names]
         for n in range(len(self.insts)):
             src_lines.append("    i%d = I[%d]" % (n, n))
         src_lines.append(
             "    def __trace(cycle, icount, budget, last_page, "
             "last_line, tracer, out):"
         )
+        if self.steady:
+            src_lines.append("        steady = False")
+            src_lines.append("        ns = 0")
+            src_lines.append("        mark = -1")
         src_lines.extend(body.lines)
         src_lines.append("        finally:")
+        if self.steady:
+            src_lines.append("            if ns:")
+            src_lines.append("                last_page, last_line = "
+                             "settle(ns, st.pc)")
         src_lines.append("            out[0] = cycle")
         src_lines.append("            out[1] = icount")
         src_lines.append("            out[2] = last_page")
         src_lines.append("            out[3] = last_line")
         src_lines.append("    return __trace")
         src = "\n".join(src_lines) + "\n"
-        consts = tuple(scope.values()) + (tuple(self.insts),)
         return src, consts
+
+    def _settle(self, ops):
+        """The steady path's settle, for the trace's ``ops``.
+
+        From the second iteration on the fetch side's probes are
+        static: the first op follows the last op's page and line.  So
+        ``st.pc`` names how far into an iteration an exit came, and
+        the fetch accesses, page and line up to there.  ``settle(ns,
+        pc)`` runs in the trace's ``finally`` after ``ns`` iterations
+        were started steady, the last of them cut at ``pc`` (a
+        loop-head exit cuts none, and ``pc`` is then the last op's):
+        it adds the counters of ``ns - 1`` whole iterations, replays
+        the cut one's accesses through the model methods (all hits, so
+        each reorders its set or entry as the reference loop did) and
+        returns the page and line to resume with."""
+        il1, itlb = self.il1, self.itlb
+        calls: List[Tuple[object, int]] = []
+        table = {}
+        n_itlb = n_il1 = 0
+        _steps, page, line = _fetch_steps(ops[-1], None, None)
+        for op in ops:
+            steps, page, line = _fetch_steps(op, page, line)
+            for kind, _value, addr, pf in steps:
+                if kind == "page":
+                    n_itlb += 1
+                    calls.append((itlb.access, addr))
+                    continue
+                n_il1 += 1
+                calls.append((il1.access, addr))
+                if self.prefetch:
+                    calls.append((il1.prefetch, pf))
+            table[op[3]] = (len(calls), page, line)
+        n_prefetch = n_il1 if self.prefetch else 0
+        il1st, itlbst = il1.stats, itlb.stats
+        counter = self.cache._steady
+
+        def settle(ns, pc):
+            k, page, line = table[pc]
+            whole = ns - 1
+            counter[0] += ns
+            il1st.accesses += whole * n_il1
+            il1st.prefetch_hits += whole * n_prefetch
+            itlbst.accesses += whole * n_itlb
+            for fn, addr in calls[:k]:
+                fn(addr)
+            return page, line
+
+        return settle
 
     def _register(self, op, n: int) -> None:
         assert len(self.insts) == n
@@ -553,45 +692,35 @@ class _TraceGen:
     # per-op fetch-side lines -----------------------------------------
 
     def _fetch_lines(self, op):
-        """Page/line check lines with static elision via ``know``; the
-        ITLB and IL1 hit paths are the models' inlined source."""
-        (_h, _inst, fpc, _arch, _extra, page, line, pf1, cross, addr2,
-         line2, pf2, _seq, _touch, _is_int) = op
+        """The op's fetch-side probes (:func:`_fetch_steps`) after the
+        page and line ``know`` pins; a probe whose need is unknown at
+        compile time tests the local.  The ITLB and IL1 hit paths are
+        the models' inlined source, skipped on the steady path."""
+        page, line = self.know
+        steps, self.know[0], self.know[1] = _fetch_steps(op, page, line)
         lines: List[str] = []
-        know = self.know
-        if know[0] != page:
-            itlb = self.itlb.access_src("itlb", fpc,
-                                        ["stall += itlb(%d)" % fpc])
-            if know[0] is None:
-                lines.append("if %d != last_page:" % page)
-                lines.append("    last_page = %d" % page)
-                lines += _indent(itlb)
+        for kind, value, addr, pf in steps:
+            if kind == "page":
+                body = ["last_page = %d" % value]
+                body += self.itlb.access_src("itlb", addr,
+                                             ["stall += itlb(%d)" % addr])
+                unknown = page is None
             else:
-                lines.append("last_page = %d" % page)
-                lines += itlb
-        know[0] = page
-
-        def il1_body(fill_addr, new_line, pf):
-            miss = ["lat = il1(%d, False)" % fill_addr,
-                    "stall += lat - %d" % self.il1_latency]
-            out = ["last_line = %d" % new_line]
-            out += self.il1.access_src("il1", fill_addr, False, [], miss)
-            if self.prefetch:
-                out += self.il1.prefetch_src("il1", pf)
-            return out
-
-        if know[1] != line:
-            if know[1] is None:
-                lines.append("if %d != last_line:" % line)
-                lines += _indent(il1_body(fpc, line, pf1))
+                miss = ["lat = il1(%d, False)" % addr,
+                        "stall += lat - %d" % self.il1_latency]
+                body = ["last_line = %d" % value]
+                body += self.il1.access_src("il1", addr, False, [], miss)
+                if self.prefetch:
+                    body += self.il1.prefetch_src("il1", pf)
+                unknown = line is None
+                line = value
+            if unknown:
+                lines.append("if %d != last_%s:" % (value, kind))
+                lines += _indent(body)
             else:
-                lines += il1_body(fpc, line, pf1)
-        know[1] = line
-        if cross:
-            # line2 != line by construction and line is now pinned, so
-            # the second-line probe is statically unconditional.
-            lines += il1_body(addr2, line2, pf2)
-            know[1] = line2
+                lines += body
+        if lines and self.steady:
+            return ["if not steady:"] + _indent(lines)
         return lines
 
     def _stall_lines(self, loads, stores):

@@ -115,7 +115,8 @@ class OracleReport:
     #: baseline retired-instruction count (program size proxy).
     icount: int = 0
     #: trace-tier coverage summed over the trace legs: ``builds``,
-    #: ``entries`` and ``bailouts`` of their ``tier_stats()["traces"]``.
+    #: ``entries``, ``bailouts`` and ``steady`` of their
+    #: ``tier_stats()["traces"]``.
     traces: Counter = field(default_factory=Counter)
 
     @property
@@ -451,7 +452,8 @@ def _check_traces(cpu: CycleCPU, label: str, report: OracleReport) -> None:
     if traces is None:
         return
     report.traces.update({key: traces[key]
-                          for key in ("builds", "entries", "bailouts")})
+                          for key in ("builds", "entries", "bailouts",
+                                      "steady")})
     if traces["compile_failures"]:
         report.add("tracecompile:%s" % label,
                    "%d trace compile failure(s)" % traces["compile_failures"])

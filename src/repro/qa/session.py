@@ -65,8 +65,8 @@ class FuzzStats:
     engine_runs: int = 0
     instructions: int = 0
     features_covered: int = 0
-    #: trace-tier ``builds``/``entries``/``bailouts`` over every
-    #: program's trace legs (see ``OracleReport.traces``).
+    #: trace-tier ``builds``/``entries``/``bailouts``/``steady`` over
+    #: every program's trace legs (see ``OracleReport.traces``).
     traces: Counter = field(default_factory=Counter)
     findings: List[FuzzFinding] = field(default_factory=list)
 

@@ -119,10 +119,10 @@ def main(argv=None) -> int:
     print(
         "fuzz: %d programs, %d engine runs, %d guest instructions, "
         "%d features covered, %.1fs (%.0f programs/min); "
-        "traces: %d compiled, %d entered, %d bailouts"
+        "traces: %d compiled, %d entered, %d bailouts, %d steady"
         % (stats.programs, stats.engine_runs, stats.instructions,
            stats.features_covered, elapsed, rate, traces["builds"],
-           traces["entries"], traces["bailouts"])
+           traces["entries"], traces["bailouts"], traces["steady"])
     )
     if stats.ok:
         print("fuzz: no divergences.")
